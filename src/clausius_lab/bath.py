@@ -1,8 +1,10 @@
 """Equilibrium moments of the damped oscillator, by two independent routes.
 
 The bath is Ohmic with a Drude cutoff; its Laplace-domain damping kernel is
-ghat(z) = gamma * wD / (z + wD). Route one sums the Matsubara series with an
-Euler-Maclaurin tail closure; route two integrates the fluctuation-dissipation
+ghat(z) = gamma * wD / (z + wD). Route one sums the Matsubara series exactly:
+its summands are rational, so the sum closes in digamma functions of the
+roots of the Drude denominator, and the coupling free energy in log-gamma
+functions of the same roots. Route two integrates the fluctuation-dissipation
 form of the same susceptibility along the real frequency axis. Agreement of
 the two is itself a correctness check, and both are certified against the
 explicit discrete-bath model in :mod:`clausius_lab.oracle`.
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import loggamma, polygamma, psi
 
 from .errors import NumericalFailure
 from .gaussian import Constants, Moments, OscillatorParams
@@ -25,6 +28,12 @@ _TARGET_REL = 1e-8
 # quad's reported error near a sharp resonance is conservative by one to two
 # orders, so the spectral route gates on a looser (still sub-1e-6) threshold
 _SPECTRAL_TARGET_REL = 1e-7
+# rounding-error unit of the closed forms: psi and loggamma are good to a few ulps
+_ROUND = 32 * float(np.finfo(float).eps)
+# a root pair closer than this fraction of nu1 + its midpoint is confluent
+_CONFLUENT = 1e-3
+# Gauss-Legendre rule on [-1, 1] for ln Gamma differences over short steps
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -65,25 +74,34 @@ class MomentDerivatives:
     df2_error: float
 
 
-def _drude_kernel(nu, damping, cutoff):
-    """Laplace-domain kernel at real positive argument."""
-    return damping * cutoff / (nu + cutoff)
+def _drude_poles(o: OscillatorParams, b: BathSpec) -> tuple[float, complex, complex, float, float]:
+    """Negated roots (r, x, y) of P(nu) = nu^3 + wD nu^2 + (w^2 + gamma wD) nu + w^2 wD,
+    r real and x, y = m +- sqrt(q) complex conjugate or real, with m and q.
 
-
-def _tail(g, a: float) -> tuple[float, float]:
-    """Euler-Maclaurin closure of sum_{n>=a} g(n) with an error estimate.
-
-    The integral part is evaluated on the substitution t = 1/x, which maps the
-    infinite range onto (0, 1/a] and keeps quad on a bounded interval. The
-    error estimate is the disagreement with a midpoint-rule closure, an
-    independent second-order approximation of the same tail.
+    m = (wD - r)/2 comes from P(-r) = 0 without that cancellation and q from
+    Vieta's relations, so both stay accurate at weak damping and where the
+    pair merges at critical damping.
     """
-    integral, int_err = quad(lambda t: g(1.0 / t) / t**2, 0.0, 1.0 / a, epsrel=1e-12, limit=200)
-    h = 1e-4 * a
-    dg = (g(a + h) - g(a - h)) / (2 * h)
-    em = integral + g(a) / 2 - dg / 12
-    mid, _ = quad(lambda t: g(1.0 / t) / t**2, 0.0, 1.0 / (a - 0.5), epsrel=1e-12, limit=200)
-    return em, abs(em - mid) + int_err
+    wd, w2 = b.cutoff, o.frequency**2
+    c1, c0 = w2 + b.damping * wd, w2 * wd
+    roots = np.roots([1.0, -wd, c1, -c0])
+    if np.iscomplexobj(roots):
+        r = roots[roots.imag == 0][0].real
+    else:
+        x = np.sort(roots)
+        r = x[2] if x[1] - x[0] < x[2] - x[1] else x[0]
+    r = float(r)
+    for _ in range(2):
+        slope = (3 * r - 2 * wd) * r + c1
+        if slope != 0:
+            r -= (((r - wd) * r + c1) * r - c0) / slope
+    m = b.damping * wd * r / (2 * (r * r + w2))
+    q = m * m - c0 / r
+    if q >= 0:
+        a = m + math.sqrt(q)
+        return r, complex(a), complex(c0 / r / a), m, q
+    a = complex(m, math.sqrt(-q))
+    return r, a, a.conjugate(), m, q
 
 
 def moments_matsubara(
@@ -92,10 +110,19 @@ def moments_matsubara(
     c: Constants = Constants(),
     rel_tol: float = _TARGET_REL,
 ) -> Moments:
-    """Moments from the Matsubara sum, truncated with an analytic tail.
+    """Moments from the Matsubara sum in its digamma closed form.
 
     f1 = (1/M beta) sum_n [nu_n^2 + w^2 + |nu_n| ghat(|nu_n|)]^-1
+       = (1/M beta) [1/w^2 - (2/nu1) sum_i A_i psi(1 + lambda_i/nu1)]
     f2 = (M/beta) sum_n [w^2 + |nu_n| ghat(|nu_n|)] [same denominator]^-1
+       = (M/beta) [1 - (2/nu1) sum_i B_i psi(1 + lambda_i/nu1)]
+
+    with lambda_i the negated roots of P, A_i = (wD - lambda_i)/prod_{j!=i}
+    (lambda_j - lambda_i) and B_i the same with numerator w^2 wD - (w^2 +
+    gamma wD) lambda_i (Grabert, Schramm & Ingold, Phys. Rep. 168, 115
+    (1988)). Each sum is a second divided difference over the roots and is
+    evaluated as one, so a confluent pair at critical damping costs no
+    accuracy. ``rel_tol`` gates the rounding estimate of that evaluation.
     """
     b.warn_if_cutoff_low(o)
     if b.damping == 0:
@@ -105,50 +132,41 @@ def moments_matsubara(
 
     beta = 1.0 / (c.kB * b.temperature)
     nu1 = 2 * math.pi * c.kB * b.temperature / c.hbar
-    w2 = o.frequency**2
-    scale = max(o.frequency, b.cutoff, math.sqrt(b.damping * b.cutoff))
-    n_terms = int(60 * scale / nu1) + 2000
-    if n_terms > 50_000_000:
+    w2, wd = o.frequency**2, b.cutoff
+    c1 = w2 + b.damping * wd
+    r, x, y, m, q = _drude_poles(o, b)
+    # divided differences of psi(1 + l/nu1) over the roots, with rounding errors
+    pr, py = psi(1 + r / nu1), psi(1 + y / nu1)
+    d_yr = (py - pr) / (y - r)
+    e_yr = _ROUND * (abs(py) + abs(pr) + 2) / abs(y - r)
+    if abs(x - y) > _CONFLUENT * (nu1 + m):
+        px = psi(1 + x / nu1)
+        d_xy, e_xy = (px - py) / (x - y), _ROUND * (abs(px) + abs(py) + 2) / abs(x - y)
+    else:  # confluent pair: Taylor series about its real midpoint, in q = ((x - y)/2)^2
+        p1, p3, p5 = polygamma([1, 3, 5], 1 + m / nu1)
+        d_xy = p1 / nu1 + p3 * q / (6 * nu1**3)
+        e_xy = abs(p5 * q * q / (120 * nu1**5)) + _ROUND * abs(d_xy)
+    d_xyr = (d_yr - d_xy) / (r - x)
+    e_xyr = (e_yr + e_xy + _ROUND * (abs(d_yr) + abs(d_xy))) / abs(r - x)
+
+    def bracket(lead, n_x, slope):
+        # sum_i N(l_i) psi_i / prod_{j!=i}(l_j - l_i) = (N psi)[x, y, r], and
+        # for linear N Leibniz gives N(x) psi[x, y, r] + N' psi[y, r]
+        total = float(lead - 2 / nu1 * (n_x * d_xyr + slope * d_yr).real)
+        err = abs(n_x) * e_xyr + abs(slope) * e_yr + _ROUND * (abs(n_x * d_xyr) + abs(slope * d_yr))
+        return total, float(2 / nu1 * err / abs(total) + _ROUND)
+
+    sum1, err1 = bracket(1.0 / w2, wd - x, -1.0)
+    sum2, err2 = bracket(1.0, w2 * wd - c1 * x, -c1)
+    if err1 > rel_tol or err2 > rel_tol:
         raise NumericalFailure(
-            "Matsubara sum would need too many terms; use the spectral route",
-            n_terms=n_terms,
+            "Matsubara closed form lost its accuracy to cancellation",
+            achieved_rel_f1=err1,
+            achieved_rel_f2=err2,
             temperature=b.temperature,
+            damping=b.damping,
         )
-
-    s1 = 0.0
-    s2 = 0.0
-    chunk = 2_000_000
-    for lo in range(1, n_terms + 1, chunk):
-        n = np.arange(lo, min(lo + chunk, n_terms + 1))
-        nu = nu1 * n
-        ghat = _drude_kernel(nu, b.damping, b.cutoff)
-        den = nu**2 + w2 + nu * ghat
-        s1 += float(np.sum(1.0 / den))
-        s2 += float(np.sum((w2 + nu * ghat) / den))
-
-    def g1(x):
-        nu = nu1 * x
-        return 1.0 / (nu**2 + w2 + nu * _drude_kernel(nu, b.damping, b.cutoff))
-
-    def g2(x):
-        nu = nu1 * x
-        k = nu * _drude_kernel(nu, b.damping, b.cutoff)
-        return (w2 + k) / (nu**2 + w2 + k)
-
-    t1, e1 = _tail(g1, n_terms + 1)
-    t2, e2 = _tail(g2, n_terms + 1)
-    sum1 = 1.0 / w2 + 2 * (s1 + t1)
-    sum2 = 1.0 + 2 * (s2 + t2)
-    if 2 * e1 > rel_tol * sum1 or 2 * e2 > rel_tol * sum2:
-        raise NumericalFailure(
-            "Matsubara tail correction did not converge",
-            tail_error_f1=2 * e1 / sum1,
-            tail_error_f2=2 * e2 / sum2,
-            n_terms=n_terms,
-        )
-    f1 = sum1 / (o.mass * beta)
-    f2 = o.mass / beta * sum2
-    return Moments(f1=f1, f2=f2, cross=0.0)
+    return Moments(f1=sum1 / (o.mass * beta), f2=o.mass / beta * sum2, cross=0.0)
 
 
 def _susceptibility_im(u, o: OscillatorParams, damping, cutoff):
@@ -239,16 +257,22 @@ def equilibrium_moments(
     o: OscillatorParams,
     b: BathSpec,
     c: Constants = Constants(),
-    route: MomentRoute | None = None,
+    route: MomentRoute = MomentRoute.MATSUBARA,
 ) -> Moments:
-    """Route dispatcher; Matsubara by default, spectral at very low temperature
-    where the term count of the sum explodes."""
-    if route is None:
-        t_ratio = c.kB * b.temperature / (c.hbar * o.frequency)
-        route = MomentRoute.SPECTRAL_INTEGRAL if t_ratio < 0.02 else MomentRoute.MATSUBARA
-    if route is MomentRoute.MATSUBARA:
-        return moments_matsubara(o, b, c)
-    return moments_spectral(o, b, c)
+    """Moments by the chosen route, by default the Matsubara closed form."""
+    if route is MomentRoute.SPECTRAL_INTEGRAL:
+        return moments_spectral(o, b, c)
+    return moments_matsubara(o, b, c)
+
+
+def _lngamma_step(y: complex, h: complex) -> tuple[complex, float]:
+    """ln Gamma(1 + y + h) - ln Gamma(1 + y) and its rounding error; a short
+    step integrates psi along it, keeping the relative accuracy of h."""
+    if 8 * abs(h) < abs(1 + y):
+        values = psi(1 + y + h * (1 + _GL_NODES) / 2)
+        return h / 2 * np.dot(_GL_WEIGHTS, values), _ROUND * abs(h) * (np.max(np.abs(values)) + 2)
+    hi, lo = loggamma(1 + y + h), loggamma(1 + y)
+    return hi - lo, _ROUND * (abs(hi) + abs(lo) + abs(1 + y + h) + abs(1 + y))
 
 
 def coupling_free_energy(
@@ -259,39 +283,39 @@ def coupling_free_energy(
 ) -> float:
     """Free energy of coupling: F_MF(gamma) - F_MF(0) at fixed M, w, T.
 
-    Matsubara product formula for the mean-force partition function,
-    (1/beta) sum_{n>=1} ln[1 + nu_n ghat(nu_n) / (nu_n^2 + w^2)],
-    closed with the same Euler-Maclaurin tail as the moment sums. This is the
-    quasistatic work needed to switch the coupling on isothermally.
+    The Matsubara product formula for the mean-force partition function,
+    (1/beta) sum_{n>=1} ln[1 + nu_n ghat(nu_n) / (nu_n^2 + w^2)], closes to
+    (1/beta) ln[G(1 + iw/nu1) G(1 - iw/nu1) G(1 + wD/nu1) / prod_i G(1 + lambda_i/nu1)]
+    (Hanggi, Ingold & Talkner, New J. Phys. 10, 115008 (2008)). Each root is
+    paired with its gamma = 0 limit wD, iw, -iw, so weak damping keeps full
+    relative accuracy. This is the quasistatic work needed to switch the
+    coupling on isothermally. ``rel_tol`` gates the rounding estimate.
     """
     if b.damping == 0:
         return 0.0
     beta = 1.0 / (c.kB * b.temperature)
     nu1 = 2 * math.pi * c.kB * b.temperature / c.hbar
-    w2 = o.frequency**2
-    scale = max(o.frequency, b.cutoff, math.sqrt(b.damping * b.cutoff))
-    n_terms = int(60 * scale / nu1) + 2000
-
-    s = 0.0
-    chunk = 2_000_000
-    for lo in range(1, n_terms + 1, chunk):
-        n = np.arange(lo, min(lo + chunk, n_terms + 1))
-        nu = nu1 * n
-        s += float(np.sum(np.log1p(nu * _drude_kernel(nu, b.damping, b.cutoff) / (nu**2 + w2))))
-
-    def g(x):
-        nu = nu1 * x
-        return math.log1p(nu * _drude_kernel(nu, b.damping, b.cutoff) / (nu**2 + w2))
-
-    t, e = _tail(g, n_terms + 1)
-    total = s + t
-    if e > rel_tol * abs(total):
+    r, x, y, _, _ = _drude_poles(o, b)
+    lam = (complex(r), x, y)
+    mu = (complex(b.cutoff), 1j * o.frequency, -1j * o.frequency)
+    total = 0j
+    err = 0.0
+    for i in range(3):
+        # each root solves prod_j (l - mu_j) = -gamma wD l, so its shift from
+        # mu_i follows without the cancellation of l - mu_i
+        shift = -b.damping * b.cutoff * lam[i] / math.prod(lam[i] - mu[j] for j in range(3) if j != i)
+        step, step_err = _lngamma_step(mu[i] / nu1, shift / nu1)
+        total -= step
+        err += step_err + _ROUND * abs(step)
+    err = float(err / abs(total.real) + _ROUND)
+    if err > rel_tol:
         raise NumericalFailure(
-            "free-energy tail correction did not converge",
-            tail_error=e / abs(total),
-            n_terms=n_terms,
+            "free-energy closed form lost its accuracy to cancellation",
+            achieved_rel=err,
+            temperature=b.temperature,
+            damping=b.damping,
         )
-    return total / beta
+    return float(total.real) / beta
 
 
 def _derivative_with_error(f, x0: float, step: float, lower_bound: float | None):

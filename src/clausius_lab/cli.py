@@ -8,10 +8,9 @@ is kB T / hbar w, damping is gamma / w, cutoff is wD / w.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,7 +56,6 @@ class RunConfig:
     out: str = "."
     bits: bool = False
     svg: bool = False
-    seed: int = 0
     ensemble: str = ""
     effort: int = 24
     modes: tuple[int, ...] = (256, 512, 1024, 2048)
@@ -86,7 +84,7 @@ class RunConfig:
 
 
 _BOOL_KEYS = {"bits", "svg"}
-_INT_KEYS = {"grid", "seed", "effort"}
+_INT_KEYS = {"grid", "effort"}
 _FLOAT_KEYS = {"temperature", "damping", "cutoff", "mass_factor", "start", "end"}
 _STR_KEYS = {"scenario", "param", "out", "ensemble"}
 
@@ -202,15 +200,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("CLAUSIUS_LAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else min(8, os.cpu_count() or 1)
 
 
 def _entropy_scale(cfg: RunConfig) -> float:
@@ -349,31 +338,13 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
 def run_violation_scan(cfg: RunConfig, out_dir: Path) -> Path:
     c = Constants()
     o = OscillatorParams(mass=1.0, frequency=1.0)
-    points = [
-        (t, g, wd)
-        for t in STANDARD_TEMPERATURES
-        for g in STANDARD_DAMPINGS
-        for wd in STANDARD_CUTOFFS
-    ]
-
-    def evaluate(point):
-        t, g, wd = point
+    rows = []
+    for t, g, wd in itertools.product(STANDARD_TEMPERATURES, STANDARD_DAMPINGS, STANDARD_CUTOFFS):
         b = BathSpec(temperature=t, damping=g, cutoff=wd)
         try:
-            report = mass_process(
-                o, b, t, c, cfg.mass_factor, cfg.grid, check_consistency=False
-            )
+            report = mass_process(o, b, t, c, cfg.mass_factor, cfg.grid, check_consistency=False)
         except NumericalFailure as exc:
-            return point, None, str(exc)
-        return point, report, ""
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(evaluate, points))
-
-    rows = []
-    for (t, g, wd), report, error in results:
-        if report is None:
-            rows.append([_fmt(t), _fmt(g), _fmt(wd), _fmt(cfg.mass_factor), "", "", "", f"ERROR:{error}"])
+            rows.append([_fmt(t), _fmt(g), _fmt(wd), _fmt(cfg.mass_factor), "", "", "", f"ERROR:{exc}"])
             continue
         violation = report.delta_entropy < 0 and report.heat > 0
         flag = "VIOLATION(APPARENT)" if violation else "OK"
@@ -468,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=None, help="path grid points (odd, >= 9)")
         p.add_argument("--bits", action="store_true", default=None, help="entropies in bits")
         p.add_argument("--svg", action="store_true", default=None, help="emit an SVG plot")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized search")
         p.add_argument("--temperature", type=float, default=None, help="kB T / hbar w")
         p.add_argument("--damping", type=float, default=None, help="gamma / w")
         p.add_argument("--cutoff", type=float, default=None, help="wD / w")
@@ -496,7 +466,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         "grid",
         "bits",
         "svg",
-        "seed",
         "temperature",
         "damping",
         "cutoff",

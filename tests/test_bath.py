@@ -81,6 +81,28 @@ class TestMatsubaraRoute:
         b = BathSpec(temperature=1.0, damping=5.0, cutoff=100.0)
         assert moments_matsubara(OSC, b, C).cross == 0.0
 
+    def test_fields_are_python_floats(self):
+        m = moments_matsubara(OSC, BathSpec(temperature=1.0, damping=5.0, cutoff=100.0), C)
+        assert type(m.f1) is float and type(m.f2) is float and type(m.cross) is float
+
+    @pytest.mark.parametrize("temperature", [0.05, 1.0])
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_confluent_roots_at_critical_damping(self, temperature, branch):
+        # at critical damping P has a double root: 2 l^3 - wD l^2 + w^2 wD = 0
+        # locates it and gamma_c = (2 wD l - 3 l^2 - w^2)/wD (1.9596, 12.52)
+        cutoff = 50.0
+        roots = np.roots([2.0, -cutoff, 0.0, cutoff])
+        l0 = sorted(x.real for x in roots if x.imag == 0 and x.real > 0)[branch]
+        gamma_c = (2 * cutoff * l0 - 3 * l0**2 - 1.0) / cutoff
+
+        def at(damping):
+            return moments_matsubara(OSC, BathSpec(temperature, damping, cutoff), C)
+
+        m = at(gamma_c)
+        lo, hi = at(gamma_c * (1 - 1e-6)), at(gamma_c * (1 + 1e-6))
+        assert m.f1 == pytest.approx((lo.f1 + hi.f1) / 2, rel=1e-9)
+        assert m.f2 == pytest.approx((lo.f2 + hi.f2) / 2, rel=1e-9)
+
     def test_strong_coupling_squeezes_position(self):
         weak = BathSpec(temperature=0.05, damping=0.0, cutoff=100.0)
         strong = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
@@ -121,13 +143,15 @@ class TestDispatch:
         m2 = equilibrium_moments(OSC, b, C, route=MomentRoute.SPECTRAL_INTEGRAL)
         assert m1.f1 == pytest.approx(m2.f1, rel=1e-7)
 
-    def test_low_temperature_falls_back_to_spectral(self):
-        # the Matsubara term count explodes as T -> 0; the dispatcher must
-        # hand such points to the integral route
-        b = BathSpec(temperature=1e-3, damping=1.0, cutoff=50.0)
-        m = equilibrium_moments(OSC, b, C)
-        ref = moments_spectral(OSC, b, C)
-        assert m.f1 == ref.f1 and m.f2 == ref.f2
+    def test_low_temperature_default_agrees_with_spectral(self):
+        # the closed form needs no term count, so the default route stays on
+        # it as T -> 0, where a truncated sum would need ~1e8 terms
+        for temperature in (1e-3, 1e-6):
+            b = BathSpec(temperature=temperature, damping=1.0, cutoff=50.0)
+            m = equilibrium_moments(OSC, b, C)
+            ref = moments_spectral(OSC, b, C)
+            assert m.f1 == pytest.approx(ref.f1, rel=1e-7)
+            assert m.f2 == pytest.approx(ref.f2, rel=1e-7)
 
 
 class TestCouplingFreeEnergy:
@@ -156,6 +180,20 @@ class TestCouplingFreeEnergy:
             return float(np.sum(np.log1p(nu * ghat / (nu**2 + 1.0))))
 
         ref = (2 * partial(4_000_000) - partial(2_000_000)) / beta
+        assert coupling_free_energy(OSC, b, C) == pytest.approx(ref, rel=1e-6)
+
+    def test_small_damping_keeps_relative_accuracy(self):
+        # [DERIVED] direct log sums as above; at gamma = 1e-8 the log-gamma
+        # terms are ~1e11 times the result, so a plain difference of them
+        # would keep only ~5 digits
+        b = BathSpec(temperature=1.0, damping=1e-8, cutoff=1000.0)
+        nu1 = 2 * math.pi
+
+        def partial(n_terms):
+            nu = nu1 * np.arange(1, n_terms + 1)
+            return float(np.sum(np.log1p(nu * b.damping * b.cutoff / ((nu + b.cutoff) * (nu**2 + 1.0)))))
+
+        ref = 2 * partial(4_000_000) - partial(2_000_000)
         assert coupling_free_energy(OSC, b, C) == pytest.approx(ref, rel=1e-6)
 
 
