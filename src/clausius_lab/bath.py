@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import loggamma, polygamma, psi
+from scipy.special import loggamma, polygamma, psi, zeta
 
 from .errors import NumericalFailure
 from .gaussian import Constants, Moments, OscillatorParams
@@ -32,8 +32,14 @@ _SPECTRAL_TARGET_REL = 1e-7
 _ROUND = 32 * float(np.finfo(float).eps)
 # a root pair closer than this fraction of nu1 + its midpoint is confluent
 _CONFLUENT = 1e-3
+# three roots within this fraction of nu1 + their mean are expanded together
+# (their second divided difference would lose ~ulp/fraction^2), to this order
+_CLUSTER, _CLUSTER_ORDER = 1e-2, 12
 # Gauss-Legendre rule on [-1, 1] for ln Gamma differences over short steps
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# psi(1 + z) - psi(1) = sum_{k>=2} (-1)^k zeta(k) z^(k-1), summed for |z| < 0.1;
+# Horner order, highest power first
+_PSI_SERIES = [(-1) ** k * zeta(k) for k in range(20, 1, -1)]
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,36 @@ def _drude_poles(o: OscillatorParams, b: BathSpec) -> tuple[float, complex, comp
     return r, a, a.conjugate(), m, q
 
 
+def _cluster_differences(
+    s2: float, s3: float, mid: float, nu1: float, spread: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """psi[x, y, r] and ((l - mid) psi)[x, y, r], with psi = psi(1 + l/nu1),
+    for three near-equal roots, each with its error.
+
+    With psi = sum_k a_k t^k about the mean root, t = (l - mid)/nu1, the second
+    divided difference of t^k over the roots is the complete homogeneous
+    polynomial h_{k-2} of their t. The t sum to zero, and their other
+    elementary symmetric functions are s2/nu1^2 and s3/nu1^3, with s2 and s3
+    taken from P shifted to mid, so no difference of roots is formed.
+    ``spread`` is the largest |t|, which bounds |h_j| by C(j+2, 2) spread^j.
+    """
+    k = np.arange(1, _CLUSTER_ORDER + 2)
+    a = polygamma(k, 1 + mid / nu1) / np.cumprod(k)  # a_1 .. a_{K+1}
+    e2, e3 = s2 / nu1**2, s3 / nu1**3
+    h = [1.0, 0.0]
+    for j in range(2, _CLUSTER_ORDER - 1):
+        h.append(e3 * h[j - 3] - e2 * h[j - 2] if j > 2 else -e2)
+    h = np.array(h)
+    # first omitted term, doubled: 2 C(K+1, 2) spread^(K-1) bounds 2 |h_{K-1}|
+    tail = (_CLUSTER_ORDER + 1) * _CLUSTER_ORDER * spread ** (_CLUSTER_ORDER - 1)
+    terms2, terms1 = a[1:-1] * h, a[:-2] * h
+    d2 = float(np.sum(terms2)) / nu1**2
+    d1 = float(np.sum(terms1)) / nu1
+    e_2 = (abs(a[-1]) * tail + _ROUND * float(np.sum(np.abs(terms2)))) / nu1**2
+    e_1 = (abs(a[-2]) * tail + _ROUND * float(np.sum(np.abs(terms1)))) / nu1
+    return (d2, e_2), (d1, e_1)
+
+
 def moments_matsubara(
     o: OscillatorParams,
     b: BathSpec,
@@ -121,8 +157,9 @@ def moments_matsubara(
     (lambda_j - lambda_i) and B_i the same with numerator w^2 wD - (w^2 +
     gamma wD) lambda_i (Grabert, Schramm & Ingold, Phys. Rep. 168, 115
     (1988)). Each sum is a second divided difference over the roots and is
-    evaluated as one, so a confluent pair at critical damping costs no
-    accuracy. ``rel_tol`` gates the rounding estimate of that evaluation.
+    evaluated as one, so a confluent pair at critical damping, or three
+    near-equal roots, cost no accuracy. ``rel_tol`` gates the rounding
+    estimate of that evaluation.
     """
     b.warn_if_cutoff_low(o)
     if b.damping == 0:
@@ -135,29 +172,39 @@ def moments_matsubara(
     w2, wd = o.frequency**2, b.cutoff
     c1 = w2 + b.damping * wd
     r, x, y, m, q = _drude_poles(o, b)
-    # divided differences of psi(1 + l/nu1) over the roots, with rounding errors
-    pr, py = psi(1 + r / nu1), psi(1 + y / nu1)
-    d_yr = (py - pr) / (y - r)
-    e_yr = _ROUND * (abs(py) + abs(pr) + 2) / abs(y - r)
-    if abs(x - y) > _CONFLUENT * (nu1 + m):
-        px = psi(1 + x / nu1)
-        d_xy, e_xy = (px - py) / (x - y), _ROUND * (abs(px) + abs(py) + 2) / abs(x - y)
-    else:  # confluent pair: Taylor series about its real midpoint, in q = ((x - y)/2)^2
-        p1, p3, p5 = polygamma([1, 3, 5], 1 + m / nu1)
-        d_xy = p1 / nu1 + p3 * q / (6 * nu1**3)
-        e_xy = abs(p5 * q * q / (120 * nu1**5)) + _ROUND * abs(d_xy)
-    d_xyr = (d_yr - d_xy) / (r - x)
-    e_xyr = (e_yr + e_xy + _ROUND * (abs(d_yr) + abs(d_xy))) / abs(r - x)
+    mid = wd / 3  # the mean of the three roots
+    spread = max(abs(r - mid), abs(x - mid), abs(y - mid))
+    if spread <= _CLUSTER * (nu1 + mid):
+        node = mid
+        # the roots less mid have elementary symmetric functions 0, s2 and s3 = P(-mid)
+        s2, s3 = c1 - 3 * mid * mid, w2 * wd - mid * (c1 - mid * (wd - mid))
+        (d_xyr, e_xyr), (d_yr, e_yr) = _cluster_differences(s2, s3, mid, nu1, spread / nu1)
+    else:
+        node = x
+        # divided differences of psi(1 + l/nu1) over the roots, with rounding errors
+        pr, py = psi(1 + r / nu1), psi(1 + y / nu1)
+        d_yr = (py - pr) / (y - r)
+        e_yr = _ROUND * (abs(py) + abs(pr) + 2) / abs(y - r)
+        if abs(x - y) > _CONFLUENT * (nu1 + m):
+            px = psi(1 + x / nu1)
+            d_xy, e_xy = (px - py) / (x - y), _ROUND * (abs(px) + abs(py) + 2) / abs(x - y)
+        else:  # confluent pair: Taylor series about its real midpoint, in q = ((x - y)/2)^2
+            p1, p3, p5 = polygamma([1, 3, 5], 1 + m / nu1)
+            d_xy = p1 / nu1 + p3 * q / (6 * nu1**3)
+            e_xy = abs(p5 * q * q / (120 * nu1**5)) + _ROUND * abs(d_xy)
+        d_xyr = (d_yr - d_xy) / (r - x)
+        e_xyr = (e_yr + e_xy + _ROUND * (abs(d_yr) + abs(d_xy))) / abs(r - x)
 
-    def bracket(lead, n_x, slope):
+    def bracket(lead, n_node, slope):
         # sum_i N(l_i) psi_i / prod_{j!=i}(l_j - l_i) = (N psi)[x, y, r], and
-        # for linear N Leibniz gives N(x) psi[x, y, r] + N' psi[y, r]
-        total = float(lead - 2 / nu1 * (n_x * d_xyr + slope * d_yr).real)
-        err = abs(n_x) * e_xyr + abs(slope) * e_yr + _ROUND * (abs(n_x * d_xyr) + abs(slope * d_yr))
+        # for linear N Leibniz gives N(node) psi[x, y, r] + N' d_yr, with
+        # d_yr = psi[y, r] at node x and ((l - mid) psi)[x, y, r] at node mid
+        total = float(lead - 2 / nu1 * (n_node * d_xyr + slope * d_yr).real)
+        err = abs(n_node) * e_xyr + abs(slope) * e_yr + _ROUND * (abs(n_node * d_xyr) + abs(slope * d_yr))
         return total, float(2 / nu1 * err / abs(total) + _ROUND)
 
-    sum1, err1 = bracket(1.0 / w2, wd - x, -1.0)
-    sum2, err2 = bracket(1.0, w2 * wd - c1 * x, -c1)
+    sum1, err1 = bracket(1.0 / w2, wd - node, -1.0)
+    sum2, err2 = bracket(1.0, w2 * wd - c1 * node, -c1)
     if err1 > rel_tol or err2 > rel_tol:
         raise NumericalFailure(
             "Matsubara closed form lost its accuracy to cancellation",
@@ -265,14 +312,25 @@ def equilibrium_moments(
     return moments_matsubara(o, b, c)
 
 
+def _psi_from_one(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi(1 + z) - psi(1) elementwise, and the scale of its rounding error;
+    the series keeps the relative accuracy of small z."""
+    small = np.abs(z) < 0.1
+    series = z * np.polyval(_PSI_SERIES, z)
+    direct = psi(1 + z) + np.euler_gamma
+    return np.where(small, series, direct), np.where(small, np.abs(series), np.abs(direct) + 2)
+
+
 def _lngamma_step(y: complex, h: complex) -> tuple[complex, float]:
-    """ln Gamma(1 + y + h) - ln Gamma(1 + y) and its rounding error; a short
-    step integrates psi along it, keeping the relative accuracy of h."""
+    """ln Gamma(1 + y + h) - ln Gamma(1 + y) - psi(1) h and its rounding error;
+    a short step integrates psi(1 + .) - psi(1) along it, keeping the relative
+    accuracy of h and, at high temperature, of y."""
     if 8 * abs(h) < abs(1 + y):
-        values = psi(1 + y + h * (1 + _GL_NODES) / 2)
-        return h / 2 * np.dot(_GL_WEIGHTS, values), _ROUND * abs(h) * (np.max(np.abs(values)) + 2)
+        values, scale = _psi_from_one(y + h * (1 + _GL_NODES) / 2)
+        return h / 2 * np.dot(_GL_WEIGHTS, values), _ROUND * abs(h) * np.max(scale)
     hi, lo = loggamma(1 + y + h), loggamma(1 + y)
-    return hi - lo, _ROUND * (abs(hi) + abs(lo) + abs(1 + y + h) + abs(1 + y))
+    err = _ROUND * (abs(hi) + abs(lo) + abs(1 + y + h) + abs(1 + y) + abs(h))
+    return hi - lo + np.euler_gamma * h, err
 
 
 def coupling_free_energy(
@@ -288,8 +346,10 @@ def coupling_free_energy(
     (1/beta) ln[G(1 + iw/nu1) G(1 - iw/nu1) G(1 + wD/nu1) / prod_i G(1 + lambda_i/nu1)]
     (Hanggi, Ingold & Talkner, New J. Phys. 10, 115008 (2008)). Each root is
     paired with its gamma = 0 limit wD, iw, -iw, so weak damping keeps full
-    relative accuracy. This is the quasistatic work needed to switch the
-    coupling on isothermally. ``rel_tol`` gates the rounding estimate.
+    relative accuracy. The shifts sum to zero, so their psi(1) terms, which
+    would cancel to rounding at high temperature, are left out. This is the
+    quasistatic work needed to switch the coupling on isothermally.
+    ``rel_tol`` gates the rounding estimate.
     """
     if b.damping == 0:
         return 0.0

@@ -24,6 +24,8 @@ from .info import DensityMatrix, Ensemble, accessible_info_lower, erasure_budget
 from .oracle import convergence_report, default_omega_max
 from .process import (
     ProcessPath,
+    _energy_and_work,
+    _first_law,
     _heat_integrand,
     _moments_at,
     composed_process,
@@ -273,22 +275,20 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     for alpha in alphas:
         m = _moments_at(path_spec, alpha, o, b, c)
         v = symplectic_param(m, c).v
-        integrand, ierr = (
-            _heat_integrand(path_spec, alpha, o, b, c)
-            if cfg.start != cfg.end
-            else (0.0, 0.0)
-        )
-        scan.append((alpha, m, v, entropy(v), integrand, ierr))
+        integrand = _heat_integrand(path_spec, alpha, o, b, c) if cfg.start != cfg.end else 0.0
+        energy_work = _energy_and_work(path_spec, alpha, m, o, b, c)
+        scan.append((alpha, m, v, entropy(v), integrand, energy_work))
 
     s_start = scan[0][3]
     rows = []
     q_cum = 0.0
-    err_cum = 0.0
-    for i, (alpha, m, v, s, integrand, ierr) in enumerate(scan):
+    for i, (alpha, m, v, s, integrand, energy_work) in enumerate(scan):
         if i > 0:
-            h = alphas[i] - alphas[i - 1]
-            q_cum += 0.5 * h * (scan[i - 1][4] + integrand)
-            err_cum += abs(h) * max(scan[i - 1][5], ierr)
+            q_cum += 0.5 * (alphas[i] - alphas[i - 1]) * (scan[i - 1][4] + integrand)
+        # the trapezoid's distance from the closed-form heat of the path up
+        # to this row, plus the closed form's own error bound
+        exact = _first_law(scan[0][5], energy_work)
+        err_cum = abs(q_cum - exact.value) + exact.error_estimate
         ds_cum = s - s_start
         slack = c.kB * b.temperature * ds_cum - q_cum
         rows.append(
@@ -342,7 +342,7 @@ def run_violation_scan(cfg: RunConfig, out_dir: Path) -> Path:
     for t, g, wd in itertools.product(STANDARD_TEMPERATURES, STANDARD_DAMPINGS, STANDARD_CUTOFFS):
         b = BathSpec(temperature=t, damping=g, cutoff=wd)
         try:
-            report = mass_process(o, b, t, c, cfg.mass_factor, cfg.grid, check_consistency=False)
+            report = mass_process(o, b, t, c, cfg.mass_factor, check_consistency=False)
         except NumericalFailure as exc:
             rows.append([_fmt(t), _fmt(g), _fmt(wd), _fmt(cfg.mass_factor), "", "", "", f"ERROR:{exc}"])
             continue
@@ -372,9 +372,9 @@ def run_violation_scan(cfg: RunConfig, out_dir: Path) -> Path:
 def run_resolve(cfg: RunConfig, out_dir: Path) -> Path:
     o, b, c = _reference(cfg)
     scale = _entropy_scale(cfg)
-    step1 = coupling_process(o, b, b.temperature, c, cfg.grid, check_consistency=False)
-    step2 = mass_process(o, b, b.temperature, c, cfg.mass_factor, cfg.grid, check_consistency=False)
-    total = composed_process(o, b, b.temperature, c, cfg.mass_factor, cfg.grid, check_consistency=False)
+    step1 = coupling_process(o, b, b.temperature, c, check_consistency=False)
+    step2 = mass_process(o, b, b.temperature, c, cfg.mass_factor, check_consistency=False)
+    total = composed_process(o, b, b.temperature, c, cfg.mass_factor, check_consistency=False)
     rows = []
     for name, rep in (("coupling", step1), ("mass", step2), ("total", total)):
         rows.append(
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(scenario)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--grid", type=int, default=None, help="path grid points (odd, >= 9)")
+        p.add_argument("--grid", type=int, default=None, help="sweep rows (odd, >= 9)")
         p.add_argument("--bits", action="store_true", default=None, help="entropies in bits")
         p.add_argument("--svg", action="store_true", default=None, help="emit an SVG plot")
         p.add_argument("--temperature", type=float, default=None, help="kB T / hbar w")

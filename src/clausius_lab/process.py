@@ -2,14 +2,16 @@
 
 The mass sweep reproduces the apparent Clausius violation at low temperature
 and strong coupling; prepending the coupling step restores the inequality.
-Heat along a parameter path follows the state-function form
+Both steps book heat by the subsystem first law on their endpoints,
+Q = dU - W, with dU the change of the mean energy of H_S:
 
-    Q = int d alpha [ (1/2M) df2/d alpha + (M w^2/2) df1/d alpha ],
-
-with the mass sweep run at fixed microscopic coupling (gamma ~ 1/M) and fixed
-bare frequency. The coupling step is a quasistatic isothermal switch-on whose
-work equals the mean-force free energy change, so its heat is
-Q = dU - dF_MF.
+- The coupling step is a quasistatic isothermal switch-on whose work is the
+  mean-force free energy change, W = dF_MF.
+- The mass sweep runs at fixed microscopic coupling (gamma ~ 1/M) and fixed
+  bare frequency, so only H_S depends on M. Its work int <dH_S/dM> dM is, by
+  Hellmann-Feynman on the total Gibbs state, the change of the coupling free
+  energy along the path (the bare part of F_MF does not depend on M at fixed
+  frequency).
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 
 from .bath import (
+    _TARGET_REL,
     BathSpec,
     MomentRoute,
     coupling_free_energy,
@@ -165,12 +168,34 @@ def entropy_change(
 
 def _heat_integrand(
     path: ProcessPath, alpha: float, o: OscillatorParams, b: BathSpec, c: Constants
-) -> tuple[float, float]:
+) -> float:
+    """dQ/d alpha = (1/2M) df2/d alpha + (M w^2/2) df1/d alpha at one path point."""
     osc, bath = _path_point(path, alpha, o, b)
     d = moment_derivatives(osc, bath, path.parameter, MomentRoute.MATSUBARA, c)
-    val = d.df2 / (2 * osc.mass) + osc.mass * osc.frequency**2 * d.df1 / 2
-    err = d.df2_error / (2 * osc.mass) + osc.mass * osc.frequency**2 * d.df1_error / 2
-    return val, err
+    return d.df2 / (2 * osc.mass) + osc.mass * osc.frequency**2 * d.df1 / 2
+
+
+def _energy_and_work(
+    path: ProcessPath, alpha: float, m: Moments, o: OscillatorParams, b: BathSpec, c: Constants
+) -> tuple[float, float]:
+    """Mean energy of H_S and the work potential at path position alpha.
+
+    The work potential is the coupling free energy on a mass path and zero on
+    a damping path, where H_S does not depend on gamma.
+    """
+    osc, bath = _path_point(path, alpha, o, b)
+    work = coupling_free_energy(osc, bath, c) if path.parameter == "mass" else 0.0
+    return mean_energy(m, osc), work
+
+
+def _first_law(start: tuple[float, float], end: tuple[float, float]) -> HeatResult:
+    """Q = dU - W between two (energy, work potential) pairs. Each kernel meets
+    its relative target or raises, so the target bounds the error."""
+    (u0, f0), (u1, f1) = start, end
+    return HeatResult(
+        value=(u1 - u0) - (f1 - f0),
+        error_estimate=_TARGET_REL * (abs(u0) + abs(u1) + abs(f0) + abs(f1)),
+    )
 
 
 def heat(
@@ -179,50 +204,19 @@ def heat(
     b: BathSpec,
     c: Constants = Constants(),
 ) -> HeatResult:
-    """Composite quadrature of the heat integrand over the path grid.
+    """Heat along the path, Q = int dQ/d alpha d alpha, in closed form.
 
-    The quadrature error is estimated by Richardson comparison against the
-    half-resolution subgrid; the node-wise derivative errors are added on top.
-    Long paths are refined automatically (grid doubling, reusing samples)
-    until the estimate clears the tolerance.
+    The first law on the endpoints gives Q = dU - W: on a mass path W is the
+    change of the coupling free energy, on a damping path W = 0. The grid of
+    the path selects nothing here.
     """
     if path.start_value == path.end_value:
         return HeatResult(value=0.0, error_estimate=0.0)
-    span = abs(path.end_value - path.start_value)
-    cache: dict[float, tuple[float, float]] = {}
-
-    def grid_sum(points: int) -> tuple[float, float]:
-        values = np.linspace(path.start_value, path.end_value, points)
-        samples = np.empty(points)
-        deriv_err = 0.0
-        for i, alpha in enumerate(values):
-            if alpha not in cache:
-                cache[alpha] = _heat_integrand(path, alpha, o, b, c)
-            samples[i], err = cache[alpha]
-            deriv_err += err
-        return float(simpson(samples, x=values)), deriv_err * span / points
-
-    points = path.grid_points
-    q_half, _ = grid_sum(points)
-    points = 2 * points - 1
-    q_full = quad_err = None
-    for _ in range(4):
-        q_full, deriv_err = grid_sum(points)
-        # the node-wise derivative estimates are conservative (they bound
-        # the pre-Richardson h^2 term), so they get an order of headroom;
-        # the grid-comparison term uses half the asymptotic Richardson
-        # factor to stay an upper bound outside the pure h^4 regime
-        quad_err = abs(q_full - q_half) / 7 + deriv_err
-        if quad_err <= 1e-3 * abs(q_full) or quad_err <= 1e-7:
-            return HeatResult(value=q_full, error_estimate=quad_err)
-        q_half = q_full
-        points = 2 * points - 1
-    raise NumericalFailure(
-        "heat quadrature error above tolerance",
-        value=q_full,
-        error_estimate=quad_err,
-        grid_points=points,
+    start, end = (
+        _energy_and_work(path, alpha, _moments_at(path, alpha, o, b, c), o, b, c)
+        for alpha in (path.start_value, path.end_value)
     )
+    return _first_law(start, end)
 
 
 def clausius_check(
@@ -255,7 +249,6 @@ def coupling_process(
     b_target: BathSpec,
     temperature: float,
     c: Constants = Constants(),
-    grid_points: int = 9,
     check_consistency: bool = True,
 ) -> ThermoReport:
     """Quasistatic isothermal switch-on of the coupling, 0 -> gamma_target.
@@ -268,7 +261,7 @@ def coupling_process(
     m1 = equilibrium_moments(o, bath, c)
     ds = entropy(symplectic_param(m1, c)) - entropy(symplectic_param(m0, c))
     if check_consistency and bath.damping > 0:
-        path = ProcessPath("damping", 0.0, bath.damping, grid_points)
+        path = ProcessPath("damping", 0.0, bath.damping)
         entropy_change(path, o, bath, c, check_consistency=True)
     du = mean_energy(m1, o) - mean_energy(m0, o)
     work = coupling_free_energy(o, bath, c)
@@ -289,27 +282,30 @@ def mass_process(
     temperature: float,
     c: Constants = Constants(),
     mass_factor: float = 2.0,
-    grid_points: int = 9,
     check_consistency: bool = True,
 ) -> ThermoReport:
     """Mass sweep M -> mass_factor * M at fixed bare frequency and fixed
     microscopic coupling. This is the step that taken alone appears to
-    violate the Clausius inequality."""
+    violate the Clausius inequality. dS, dU and Q come from one evaluation
+    of each endpoint."""
     if mass_factor <= 0:
         raise ValueError(f"mass_factor must be positive, got {mass_factor}")
     bath = BathSpec(temperature=temperature, damping=b.damping, cutoff=b.cutoff)
-    path = ProcessPath("mass", o.mass, o.mass * mass_factor, grid_points)
-    ds = entropy_change(path, o, bath, c, check_consistency=check_consistency)
-    q = heat(path, o, bath, c) if bath.damping > 0 else HeatResult(0.0, 0.0)
+    path = ProcessPath("mass", o.mass, o.mass * mass_factor)
     m0 = _moments_at(path, path.start_value, o, bath, c)
     m1 = _moments_at(path, path.end_value, o, bath, c)
-    osc1, _ = _path_point(path, path.end_value, o, bath)
-    du = mean_energy(m1, osc1) - mean_energy(m0, o)
-    check = clausius_check(q.value, ds.value, temperature, c)
+    ds = entropy(symplectic_param(m1, c)) - entropy(symplectic_param(m0, c))
+    if check_consistency:
+        entropy_change(path, o, bath, c, check_consistency=True)
+    start = _energy_and_work(path, path.start_value, m0, o, bath, c)
+    end = _energy_and_work(path, path.end_value, m1, o, bath, c)
+    du = end[0] - start[0]
+    q = _first_law(start, end).value if bath.damping > 0 else 0.0
+    check = clausius_check(q, ds, temperature, c)
     return ThermoReport(
-        delta_entropy=ds.value,
-        heat=q.value,
-        work_like_balance=du - q.value,
+        delta_entropy=ds,
+        heat=q,
+        work_like_balance=du - q,
         clausius_satisfied=check.clausius_satisfied,
         slack=check.slack,
     )
@@ -321,13 +317,12 @@ def composed_process(
     temperature: float,
     c: Constants = Constants(),
     mass_factor: float = 2.0,
-    grid_points: int = 9,
     check_consistency: bool = True,
 ) -> ThermoReport:
     """Couple first, then change the mass: the thermodynamically complete
     two-step process whose totals satisfy the Clausius inequality."""
-    step1 = coupling_process(o, b, temperature, c, grid_points, check_consistency)
-    step2 = mass_process(o, b, temperature, c, mass_factor, grid_points, check_consistency)
+    step1 = coupling_process(o, b, temperature, c, check_consistency)
+    step2 = mass_process(o, b, temperature, c, mass_factor, check_consistency)
     ds = step1.delta_entropy + step2.delta_entropy
     q = step1.heat + step2.heat
     du = (step1.work_like_balance + step1.heat) + (step2.work_like_balance + step2.heat)

@@ -103,6 +103,20 @@ class TestMatsubaraRoute:
         assert m.f1 == pytest.approx((lo.f1 + hi.f1) / 2, rel=1e-9)
         assert m.f2 == pytest.approx((lo.f2 + hi.f2) / 2, rel=1e-9)
 
+    @pytest.mark.filterwarnings("ignore:Drude cutoff")
+    @pytest.mark.parametrize("temperature", [0.01, 1.0])
+    def test_triple_root(self, temperature):
+        # wD = 3 sqrt(3) w and gamma = 8 sqrt(3)/9 w make P = (nu + sqrt(3) w)^3
+        cutoff, gamma_t = 3 * math.sqrt(3), 8 * math.sqrt(3) / 9
+
+        def at(damping):
+            return moments_matsubara(OSC, BathSpec(temperature, damping, cutoff), C)
+
+        m = at(gamma_t)
+        lo, hi = at(gamma_t * (1 - 1e-6)), at(gamma_t * (1 + 1e-6))
+        assert m.f1 == pytest.approx((lo.f1 + hi.f1) / 2, rel=1e-9)
+        assert m.f2 == pytest.approx((lo.f2 + hi.f2) / 2, rel=1e-9)
+
     def test_strong_coupling_squeezes_position(self):
         weak = BathSpec(temperature=0.05, damping=0.0, cutoff=100.0)
         strong = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
@@ -195,6 +209,23 @@ class TestCouplingFreeEnergy:
 
         ref = 2 * partial(4_000_000) - partial(2_000_000)
         assert coupling_free_energy(OSC, b, C) == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("temperature", [1e6, 1e8])
+    @pytest.mark.parametrize("damping, cutoff", [(0.01, 10.0), (50.0, 1000.0)])
+    def test_high_temperature_matches_direct_sum(self, temperature, damping, cutoff):
+        # [DERIVED] the defining log series summed in 30-digit arithmetic; the
+        # first-order terms of the closed form cancel across the roots here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            nu1 = 2 * mpmath.pi * temperature
+            ref = temperature * mpmath.nsum(
+                lambda n: mpmath.log1p(
+                    n * nu1 * damping * cutoff / ((n * nu1 + cutoff) * ((n * nu1) ** 2 + 1))
+                ),
+                [1, mpmath.inf],
+            )
+        b = BathSpec(temperature=temperature, damping=damping, cutoff=cutoff)
+        assert coupling_free_energy(OSC, b, C) == pytest.approx(float(ref), rel=1e-8)
 
 
 class TestMomentDerivatives:

@@ -1,8 +1,11 @@
 """CLI tests: parsing, scenarios, determinism, exit codes."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from clausius_lab import BathSpec, OscillatorParams, ProcessPath, heat
 from clausius_lab.cli import (
     ConfigError,
     main,
@@ -137,6 +140,28 @@ class TestScenarios:
         assert (tmp_path / "sweep.csv").exists()
         svg = (tmp_path / "sweep.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg")
+
+    @pytest.mark.parametrize("param, start, end", [("mass", 1.0, 2.0), ("damping", 0.0, 5.0)])
+    def test_sweep_heat_error_bounds_closed_form_gap(self, tmp_path, param, start, end):
+        # at this point the nine-row trapezoid is ~0.4% off on the mass path
+        rc = main(
+            [
+                "sweep",
+                "--param", param,
+                "--start", str(start), "--end", str(end),
+                "--temperature", "0.05",
+                "--damping", "5",
+                "--cutoff", "100",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        with (tmp_path / "sweep.csv").open(encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        o, b = OscillatorParams(mass=1.0, frequency=1.0), BathSpec(0.05, 5.0, 100.0)
+        for row, alpha in zip(rows, np.linspace(start, end, 9)):
+            exact = heat(ProcessPath(param, start, alpha), o, b)
+            assert abs(float(row["heat_cum"]) - exact.value) <= float(row["heat_error_est"])
 
     def test_resolve_writes_three_rows(self, tmp_path):
         rc = main(

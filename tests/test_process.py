@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from clausius_lab import (
     BathSpec,
@@ -16,10 +18,48 @@ from clausius_lab import (
     heat,
     landauer_bound,
     mass_process,
+    mean_energy,
+    moments_matsubara,
 )
 
 C = Constants()
 OSC = OscillatorParams(mass=1.0, frequency=1.0)
+
+
+def work_integral_heat(b, mass_factor):
+    """[DERIVED] independent referee for the mass step M = 1 -> mass_factor:
+    Q = dU - int <dH_S/dM> dM, with <dH_S/dM> = w^2 f1/2 - f2/2M^2 from the
+    moments at fixed microscopic coupling, integrated by adaptive quadrature.
+    Returns the heat and the quadrature's error estimate."""
+
+    def state(mass):
+        osc = OscillatorParams(mass=mass, frequency=1.0)
+        bath = BathSpec(temperature=b.temperature, damping=b.damping / mass, cutoff=b.cutoff)
+        return moments_matsubara(osc, bath, C), osc
+
+    def work_rate(mass):
+        m, _ = state(mass)
+        return m.f1 / 2 - m.f2 / (2 * mass**2)
+
+    # at high T the two terms of the integrand nearly cancel (equipartition),
+    # so the absolute tolerance scales with T
+    work, work_err = quad(
+        work_rate, 1.0, mass_factor, epsabs=1e-12 * max(1.0, b.temperature), epsrel=1e-12, limit=200
+    )
+    du = mean_energy(*state(mass_factor)) - mean_energy(*state(1.0))
+    return du - work, work_err
+
+
+def _log_spread_points(n=20, seed=20261018):
+    """n points spread in log T over [1e-3, 1e3], log gamma over [1e-3, 50] and
+    log wD over [10, 1000], one per stratum of each, mass factors 0.5/1.5/4."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for lo, hi in ((1e-3, 1e3), (1e-3, 50.0), (10.0, 1000.0)):
+        u = (rng.permutation(n) + rng.random(n)) / n
+        cols.append(np.exp(math.log(lo) + u * (math.log(hi) - math.log(lo))))
+    factors = (0.5, 1.5, 4.0)
+    return [(float(t), float(g), float(wd), factors[i % 3]) for i, (t, g, wd) in enumerate(zip(*cols))]
 
 
 class TestProcessPath:
@@ -75,6 +115,19 @@ class TestHeat:
         coarse = heat(ProcessPath("mass", 1.0, 2.0, 9), OSC, b, C)
         fine = heat(ProcessPath("mass", 1.0, 2.0, 17), OSC, b, C)
         assert abs(fine.value - coarse.value) <= coarse.error_estimate
+
+    @pytest.mark.parametrize("temperature, damping, cutoff, mass_factor", _log_spread_points())
+    def test_mass_heat_matches_work_integral(self, temperature, damping, cutoff, mass_factor):
+        b = BathSpec(temperature=temperature, damping=damping, cutoff=cutoff)
+        q = heat(ProcessPath("mass", 1.0, mass_factor), OSC, b, C)
+        ref, ref_err = work_integral_heat(b, mass_factor)
+        assert ref_err <= q.error_estimate
+        assert abs(q.value - ref) <= q.error_estimate + ref_err
+
+    def test_grid_selects_nothing(self):
+        b = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
+        results = {heat(ProcessPath("mass", 1.0, 2.0, n), OSC, b, C) for n in (9, 17, 65)}
+        assert len(results) == 1
 
     def test_mass_heat_positive_at_low_temperature(self):
         b = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
@@ -137,6 +190,18 @@ class TestMassProcess:
         report = mass_process(OSC, b, 1.0, C, mass_factor=2.0, check_consistency=False)
         assert report.delta_entropy == pytest.approx(0.0, abs=1e-12)
         assert report.heat == 0.0
+
+    @pytest.mark.filterwarnings("ignore:Drude cutoff")
+    @pytest.mark.parametrize("temperature", [0.01, 1.0])
+    def test_mass_step_onto_triple_root(self, temperature):
+        # the end point M = 2, gamma = 8 sqrt(3)/9 at wD = 3 sqrt(3) is a
+        # triple root of the Drude denominator
+        b = BathSpec(temperature=temperature, damping=16 * math.sqrt(3) / 9, cutoff=3 * math.sqrt(3))
+        report = mass_process(OSC, b, temperature, C, mass_factor=2.0, check_consistency=False)
+        q = heat(ProcessPath("mass", 1.0, 2.0), OSC, b, C)
+        ref, ref_err = work_integral_heat(b, 2.0)
+        assert report.heat == q.value
+        assert abs(q.value - ref) <= q.error_estimate + ref_err
 
     def test_rejects_nonpositive_mass_factor(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=100.0)
