@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.special import loggamma, polygamma, psi, zeta
 
 from .errors import NumericalFailure
-from .gaussian import Constants, Moments, OscillatorParams
+from .gaussian import Constants, Moments, OscillatorParams, thermal_moments_decoupled
 
 _TARGET_REL = 1e-8
 # quad's reported error near a sharp resonance is conservative by one to two
@@ -80,41 +80,40 @@ class MomentDerivatives:
     df2_error: float
 
 
-def _drude_poles(o: OscillatorParams, b: BathSpec) -> tuple[float, complex, complex, float, float]:
+def _drude_poles(w2, wd, damping):
     """Negated roots (r, x, y) of P(nu) = nu^3 + wD nu^2 + (w^2 + gamma wD) nu + w^2 wD,
-    r real and x, y = m +- sqrt(q) complex conjugate or real, with m and q.
+    elementwise over 1-d arrays of w^2 and gamma (wD per element or shared): r real
+    and x, y = m +- sqrt(q) complex conjugate or real, with m and q.
 
     m = (wD - r)/2 comes from P(-r) = 0 without that cancellation and q from
     Vieta's relations, so both stay accurate at weak damping and where the
     pair merges at critical damping.
     """
-    wd, w2 = b.cutoff, o.frequency**2
-    c1, c0 = w2 + b.damping * wd, w2 * wd
-    roots = np.roots([1.0, -wd, c1, -c0])
-    if np.iscomplexobj(roots):
-        r = roots[roots.imag == 0][0].real
-    else:
-        x = np.sort(roots)
-        r = x[2] if x[1] - x[0] < x[2] - x[1] else x[0]
-    r = float(r)
-    for _ in range(2):
+    c1, c0 = w2 + damping * wd, w2 * wd
+    # np.roots of nu^3 - wD nu^2 + c1 nu - c0, one companion matrix per element
+    companion = np.zeros(c1.shape + (3, 3))
+    companion[:, 0, 0], companion[:, 0, 1], companion[:, 0, 2] = wd, -c1, c0
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    # the root farther from the middle one: of three real roots the isolated
+    # one, and beside a conjugate pair (whose real parts are equal) the real one
+    lo, middle, hi = np.sort(roots.real).T
+    r = np.where(middle - lo < hi - middle, hi, lo)
+    for _ in range(2):  # Newton polish; a zero slope leaves r as it is
         slope = (3 * r - 2 * wd) * r + c1
-        if slope != 0:
-            r -= (((r - wd) * r + c1) * r - c0) / slope
-    m = b.damping * wd * r / (2 * (r * r + w2))
+        r = r - (((r - wd) * r + c1) * r - c0) / np.where(slope != 0, slope, np.inf)
+    m = damping * wd * r / (2 * (r * r + w2))
     q = m * m - c0 / r
-    if q >= 0:
-        a = m + math.sqrt(q)
-        return r, complex(a), complex(c0 / r / a), m, q
-    a = complex(m, math.sqrt(-q))
-    return r, a, a.conjugate(), m, q
+    pair = q >= 0  # x and y real
+    s = np.sqrt(abs(q))
+    x = np.where(pair, (m + s) + 0j, m + 1j * s)
+    y = np.where(pair, c0 / r / (m + s) + 0j, x.conj())
+    return r, x, y, m, q
 
 
-def _cluster_differences(
-    s2: float, s3: float, mid: float, nu1: float, spread: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
+def _cluster_differences(s2, s3, mid, nu1: float, spread):
     """psi[x, y, r] and ((l - mid) psi)[x, y, r], with psi = psi(1 + l/nu1),
-    for three near-equal roots, each with its error.
+    for three near-equal roots, each with its error, elementwise over arrays.
 
     With psi = sum_k a_k t^k about the mean root, t = (l - mid)/nu1, the second
     divided difference of t^k over the roots is the complete homogeneous
@@ -124,20 +123,99 @@ def _cluster_differences(
     ``spread`` is the largest |t|, which bounds |h_j| by C(j+2, 2) spread^j.
     """
     k = np.arange(1, _CLUSTER_ORDER + 2)
-    a = polygamma(k, 1 + mid / nu1) / np.cumprod(k)  # a_1 .. a_{K+1}
+    a = polygamma(k, 1 + mid[:, None] / nu1) / np.cumprod(k)  # a_1 .. a_{K+1}, one row each
     e2, e3 = s2 / nu1**2, s3 / nu1**3
-    h = [1.0, 0.0]
+    h = [np.ones_like(e2), np.zeros_like(e2)]
     for j in range(2, _CLUSTER_ORDER - 1):
         h.append(e3 * h[j - 3] - e2 * h[j - 2] if j > 2 else -e2)
-    h = np.array(h)
+    h = np.stack(h, axis=1)
     # first omitted term, doubled: 2 C(K+1, 2) spread^(K-1) bounds 2 |h_{K-1}|
     tail = (_CLUSTER_ORDER + 1) * _CLUSTER_ORDER * spread ** (_CLUSTER_ORDER - 1)
-    terms2, terms1 = a[1:-1] * h, a[:-2] * h
-    d2 = float(np.sum(terms2)) / nu1**2
-    d1 = float(np.sum(terms1)) / nu1
-    e_2 = (abs(a[-1]) * tail + _ROUND * float(np.sum(np.abs(terms2)))) / nu1**2
-    e_1 = (abs(a[-2]) * tail + _ROUND * float(np.sum(np.abs(terms1)))) / nu1
+    terms2, terms1 = a[:, 1:-1] * h, a[:, :-2] * h
+    d2 = terms2.sum(axis=1) / nu1**2
+    d1 = terms1.sum(axis=1) / nu1
+    e_2 = (abs(a[:, -1]) * tail + _ROUND * abs(terms2).sum(axis=1)) / nu1**2
+    e_1 = (abs(a[:, -2]) * tail + _ROUND * abs(terms1).sum(axis=1)) / nu1
     return (d2, e_2), (d1, e_1)
+
+
+def _shifted(z, nu1: float):
+    """1 + z/nu1, dividing the real and imaginary parts by nu1 separately."""
+    return (1 + z.real / nu1) + 1j * (z.imag / nu1)
+
+
+def _matsubara_moments(
+    mass, damping, frequency, cutoff, temperature: float, c: Constants, rel_tol: float = _TARGET_REL
+):
+    """f1 and f2 from the digamma closed form, elementwise over a 1-d array of
+    gamma and, per element or shared, mass, w and wD, at one temperature.
+
+    Each element takes its own branch (three near-equal roots, a confluent
+    pair, the generic divided differences, or gamma = 0) and its own rounding
+    gate: the first element whose estimate exceeds ``rel_tol`` raises.
+    """
+    damping = np.asarray(damping, dtype=float)
+    mass, w, wd = (np.full(damping.shape, v, dtype=float) for v in (mass, frequency, cutoff))
+    beta = 1.0 / (c.kB * temperature)
+    nu1 = 2 * math.pi * c.kB * temperature / c.hbar
+    w2 = w * w
+    c1 = w2 + damping * wd
+    r, x, y, m, q = _drude_poles(w2, wd, damping)
+    mid = wd / 3  # the mean of the three roots
+    spread = np.maximum(np.maximum(abs(r - mid), abs(x - mid)), abs(y - mid))
+    cluster = spread <= _CLUSTER * (nu1 + mid)
+    node = np.where(cluster, mid, x)
+    # divided differences of psi(1 + l/nu1) over the roots, with rounding
+    # errors; the cluster rows are replaced below
+    pr, py, px = psi(1 + r / nu1), psi(_shifted(y, nu1)), psi(_shifted(x, nu1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_yr = (py - pr) / (y - r)
+        e_yr = _ROUND * (abs(py) + abs(pr) + 2) / abs(y - r)
+        d_xy = (px - py) / (x - y)
+        e_xy = _ROUND * (abs(px) + abs(py) + 2) / abs(x - y)
+        i = (~cluster & ~(abs(x - y) > _CONFLUENT * (nu1 + m))).nonzero()[0]
+        if i.size:  # confluent pair: Taylor series about its real midpoint, in q = ((x - y)/2)^2
+            p1, p3, p5 = polygamma([[1], [3], [5]], 1 + m[i] / nu1)
+            d_xy[i] = p1 / nu1 + p3 * q[i] / (6 * nu1**3)
+            e_xy[i] = abs(p5 * q[i] * q[i] / (120 * nu1**5)) + _ROUND * abs(d_xy[i])
+        d_xyr = (d_yr - d_xy) / (r - x)
+        e_xyr = (e_yr + e_xy + _ROUND * (abs(d_yr) + abs(d_xy))) / abs(r - x)
+    i = cluster.nonzero()[0]
+    if i.size:
+        # the roots less mid have elementary symmetric functions 0, s2 and s3 = P(-mid)
+        s2 = c1[i] - 3 * mid[i] * mid[i]
+        s3 = w2[i] * wd[i] - mid[i] * (c1[i] - mid[i] * (wd[i] - mid[i]))
+        (d_xyr[i], e_xyr[i]), (d_yr[i], e_yr[i]) = _cluster_differences(s2, s3, mid[i], nu1, spread[i] / nu1)
+
+    def bracket(lead, n_node, slope):
+        # sum_i N(l_i) psi_i / prod_{j!=i}(l_j - l_i) = (N psi)[x, y, r], and
+        # for linear N Leibniz gives N(node) psi[x, y, r] + N' d_yr, with
+        # d_yr = psi[y, r] at node x and ((l - mid) psi)[x, y, r] at node mid;
+        # Re(N(node) psi[x, y, r]) is spelled out in real arithmetic, because
+        # numpy's complex array product fuses its multiply-adds and would not
+        # round as the one-point form does
+        total = lead - 2 / nu1 * ((n_node.real * d_xyr.real - n_node.imag * d_xyr.imag) + slope * d_yr.real)
+        err = abs(n_node) * (e_xyr + _ROUND * abs(d_xyr)) + abs(slope) * (e_yr + _ROUND * abs(d_yr))
+        return total, 2 / nu1 * err / abs(total) + _ROUND
+
+    sum1, err1 = bracket(1.0 / w2, wd - node, -1.0)
+    sum2, err2 = bracket(1.0, w2 * wd - c1 * node, -c1)
+    f1, f2 = sum1 / (mass * beta), mass / beta * sum2
+    decoupled = damping == 0
+    for i in decoupled.nonzero()[0]:
+        gibbs = thermal_moments_decoupled(OscillatorParams(mass=mass[i], frequency=w[i]), temperature, c)
+        f1[i], f2[i] = gibbs.f1, gibbs.f2
+    failed = (~decoupled & ~((err1 <= rel_tol) & (err2 <= rel_tol))).nonzero()[0]
+    if failed.size:
+        i = failed[0]
+        raise NumericalFailure(
+            "Matsubara closed form lost its accuracy to cancellation",
+            achieved_rel_f1=float(err1[i]),
+            achieved_rel_f2=float(err2[i]),
+            temperature=temperature,
+            damping=float(damping[i]),
+        )
+    return f1, f2
 
 
 def moments_matsubara(
@@ -159,61 +237,13 @@ def moments_matsubara(
     (1988)). Each sum is a second divided difference over the roots and is
     evaluated as one, so a confluent pair at critical damping, or three
     near-equal roots, cost no accuracy. ``rel_tol`` gates the rounding
-    estimate of that evaluation.
+    estimate of that evaluation. This is the one-point call of the array
+    kernel that the entropy consistency check evaluates a whole quadrature
+    level with.
     """
     b.warn_if_cutoff_low(o)
-    if b.damping == 0:
-        from .gaussian import thermal_moments_decoupled
-
-        return thermal_moments_decoupled(o, b.temperature, c)
-
-    beta = 1.0 / (c.kB * b.temperature)
-    nu1 = 2 * math.pi * c.kB * b.temperature / c.hbar
-    w2, wd = o.frequency**2, b.cutoff
-    c1 = w2 + b.damping * wd
-    r, x, y, m, q = _drude_poles(o, b)
-    mid = wd / 3  # the mean of the three roots
-    spread = max(abs(r - mid), abs(x - mid), abs(y - mid))
-    if spread <= _CLUSTER * (nu1 + mid):
-        node = mid
-        # the roots less mid have elementary symmetric functions 0, s2 and s3 = P(-mid)
-        s2, s3 = c1 - 3 * mid * mid, w2 * wd - mid * (c1 - mid * (wd - mid))
-        (d_xyr, e_xyr), (d_yr, e_yr) = _cluster_differences(s2, s3, mid, nu1, spread / nu1)
-    else:
-        node = x
-        # divided differences of psi(1 + l/nu1) over the roots, with rounding errors
-        pr, py = psi(1 + r / nu1), psi(1 + y / nu1)
-        d_yr = (py - pr) / (y - r)
-        e_yr = _ROUND * (abs(py) + abs(pr) + 2) / abs(y - r)
-        if abs(x - y) > _CONFLUENT * (nu1 + m):
-            px = psi(1 + x / nu1)
-            d_xy, e_xy = (px - py) / (x - y), _ROUND * (abs(px) + abs(py) + 2) / abs(x - y)
-        else:  # confluent pair: Taylor series about its real midpoint, in q = ((x - y)/2)^2
-            p1, p3, p5 = polygamma([1, 3, 5], 1 + m / nu1)
-            d_xy = p1 / nu1 + p3 * q / (6 * nu1**3)
-            e_xy = abs(p5 * q * q / (120 * nu1**5)) + _ROUND * abs(d_xy)
-        d_xyr = (d_yr - d_xy) / (r - x)
-        e_xyr = (e_yr + e_xy + _ROUND * (abs(d_yr) + abs(d_xy))) / abs(r - x)
-
-    def bracket(lead, n_node, slope):
-        # sum_i N(l_i) psi_i / prod_{j!=i}(l_j - l_i) = (N psi)[x, y, r], and
-        # for linear N Leibniz gives N(node) psi[x, y, r] + N' d_yr, with
-        # d_yr = psi[y, r] at node x and ((l - mid) psi)[x, y, r] at node mid
-        total = float(lead - 2 / nu1 * (n_node * d_xyr + slope * d_yr).real)
-        err = abs(n_node) * e_xyr + abs(slope) * e_yr + _ROUND * (abs(n_node * d_xyr) + abs(slope * d_yr))
-        return total, float(2 / nu1 * err / abs(total) + _ROUND)
-
-    sum1, err1 = bracket(1.0 / w2, wd - node, -1.0)
-    sum2, err2 = bracket(1.0, w2 * wd - c1 * node, -c1)
-    if err1 > rel_tol or err2 > rel_tol:
-        raise NumericalFailure(
-            "Matsubara closed form lost its accuracy to cancellation",
-            achieved_rel_f1=err1,
-            achieved_rel_f2=err2,
-            temperature=b.temperature,
-            damping=b.damping,
-        )
-    return Moments(f1=sum1 / (o.mass * beta), f2=o.mass / beta * sum2, cross=0.0)
+    f1, f2 = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol)
+    return Moments(f1=float(f1[0]), f2=float(f2[0]), cross=0.0)
 
 
 def _susceptibility_im(u, o: OscillatorParams, damping, cutoff):
@@ -239,8 +269,6 @@ def moments_spectral(
     """
     b.warn_if_cutoff_low(o)
     if b.damping == 0:
-        from .gaussian import thermal_moments_decoupled
-
         return thermal_moments_decoupled(o, b.temperature, c)
     damping = b.damping
     x0 = c.hbar / (2 * c.kB * b.temperature)
@@ -316,9 +344,12 @@ def _psi_from_one(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """psi(1 + z) - psi(1) elementwise, and the scale of its rounding error;
     the series keeps the relative accuracy of small z."""
     small = np.abs(z) < 0.1
-    series = z * np.polyval(_PSI_SERIES, z)
-    direct = psi(1 + z) + np.euler_gamma
-    return np.where(small, series, direct), np.where(small, np.abs(series), np.abs(direct) + 2)
+    value = psi(1 + z) + np.euler_gamma
+    scale = np.abs(value) + 2
+    if small.any():
+        series = z * np.polyval(_PSI_SERIES, z)
+        value, scale = np.where(small, series, value), np.where(small, np.abs(series), scale)
+    return value, scale
 
 
 def _lngamma_step(y: complex, h: complex) -> tuple[complex, float]:
@@ -355,8 +386,8 @@ def coupling_free_energy(
         return 0.0
     beta = 1.0 / (c.kB * b.temperature)
     nu1 = 2 * math.pi * c.kB * b.temperature / c.hbar
-    r, x, y, _, _ = _drude_poles(o, b)
-    lam = (complex(r), x, y)
+    r, x, y, _, _ = _drude_poles(np.array([o.frequency**2]), b.cutoff, np.array([b.damping]))
+    lam = (complex(r[0]), complex(x[0]), complex(y[0]))
     mu = (complex(b.cutoff), 1j * o.frequency, -1j * o.frequency)
     total = 0j
     err = 0.0
@@ -378,20 +409,73 @@ def coupling_free_energy(
     return float(total.real) / beta
 
 
-def _derivative_with_error(f, x0: float, step: float, lower_bound: float | None):
-    """Richardson-extrapolated finite difference with an error estimate.
+# Richardson stencil offsets in units of the step: central where the domain
+# allows, one-sided from the node otherwise
+_CENTRAL = np.array([-1.0, -0.5, 0.5, 1.0])
+_ONE_SIDED = np.array([0.0, 0.5, 1.0, 2.0])
 
-    Central stencils when the domain allows, one-sided otherwise.
+
+def _moments_along(
+    alpha: str, o: OscillatorParams, b: BathSpec, x, c: Constants, route: MomentRoute = MomentRoute.MATSUBARA
+):
+    """f1 and f2 at values x of alpha, holding the microscopic coupling fixed
+    on a mass path (gamma = gamma_ref M_ref / M): one kernel call on the
+    Matsubara route, the scalar spectral route mapped over the points."""
+    x = np.asarray(x, dtype=float)
+    mass, damping = (x, o.mass * b.damping / x) if alpha == "mass" else (o.mass, x)
+    if route is MomentRoute.MATSUBARA:
+        b.warn_if_cutoff_low(o)
+        mass = np.ravel(mass) if np.ndim(mass) else mass
+        f1, f2 = _matsubara_moments(mass, damping.ravel(), o.frequency, b.cutoff, b.temperature, c)
+        return f1.reshape(x.shape), f2.reshape(x.shape)
+    mass, damping = np.broadcast_arrays(mass, damping)
+    f1, f2 = np.empty(mass.shape), np.empty(mass.shape)
+    for i in np.ndindex(mass.shape):
+        bath = BathSpec(temperature=b.temperature, damping=float(damping[i]), cutoff=b.cutoff)
+        m = moments_spectral(OscillatorParams(mass=float(mass[i]), frequency=o.frequency), bath, c)
+        f1[i], f2[i] = m.f1, m.f2
+    return f1, f2
+
+
+def _stencil_derivatives(
+    alpha: str, o: OscillatorParams, b: BathSpec, x0, c: Constants, route: MomentRoute = MomentRoute.MATSUBARA
+):
+    """Moments and their alpha derivatives at the nodes x0, elementwise.
+
+    Every node and its four stencil points go to the kernel in one call. The
+    derivative is the Richardson extrapolation of two finite differences,
+    with their gap as its error; the first node whose error exceeds 1e-5 of
+    the derivative's scale raises. Returns f1, f2, df1, df2, df1_error and
+    df2_error.
     """
-    if lower_bound is None or x0 - step >= lower_bound:
-        d_h = (f(x0 + step) - f(x0 - step)) / (2 * step)
-        d_h2 = (f(x0 + step / 2) - f(x0 - step / 2)) / step
-    else:
-        d_h = (-3 * f(x0) + 4 * f(x0 + step) - f(x0 + 2 * step)) / (2 * step)
-        d_h2 = (-3 * f(x0) + 4 * f(x0 + step / 2) - f(x0 + step)) / step
-    value = (4 * d_h2 - d_h) / 3
-    error = abs(d_h2 - d_h) / 3 + 1e-14 * abs(value)
-    return value, error
+    if alpha not in ("mass", "damping"):
+        raise ValueError(f"unknown sweep parameter {alpha!r}")
+    x0 = np.asarray(x0, dtype=float)
+    step = np.maximum(1e-5 * np.abs(x0), 1e-7)
+    central = x0 - step >= (0.0 if alpha == "damping" else -np.inf)
+    offsets = np.where(central[..., None], _CENTRAL, _ONE_SIDED)
+    points = np.concatenate([x0[..., None], x0[..., None] + offsets * step[..., None]], axis=-1)
+    out = []
+    for f in _moments_along(alpha, o, b, points, c, route):
+        f_0, f_a, f_b, f_c = np.moveaxis(f[..., 1:], -1, 0)
+        d_h = np.where(central, (f_c - f_0) / (2 * step), (-3 * f_0 + 4 * f_b - f_c) / (2 * step))
+        d_h2 = np.where(central, (f_b - f_a) / step, (-3 * f_0 + 4 * f_a - f_b) / step)
+        value = (4 * d_h2 - d_h) / 3
+        error = np.abs(d_h2 - d_h) / 3 + 1e-14 * np.abs(value)
+        scale = np.maximum(np.abs(value), 1e-3 * f[..., 0] / np.maximum(np.abs(x0), 1.0))
+        out.append((f[..., 0], value, error, error / scale))
+    (f1, df1, e1, rel1), (f2, df2, e2, rel2) = out
+    failed = np.flatnonzero(~((rel1 <= 1e-5) & (rel2 <= 1e-5)))
+    if failed.size:
+        i = failed[0]
+        raise NumericalFailure(
+            "moment derivative error estimate exceeds tolerance",
+            alpha=alpha,
+            at=float(x0.flat[i]),
+            df1_rel_error=float(rel1.flat[i]),
+            df2_rel_error=float(rel2.flat[i]),
+        )
+    return f1, f2, df1, df2, e1, e2
 
 
 def moment_derivatives(
@@ -401,54 +485,16 @@ def moment_derivatives(
     route: MomentRoute = MomentRoute.MATSUBARA,
     c: Constants = Constants(),
 ) -> MomentDerivatives:
-    """d f1/d alpha and d f2/d alpha for alpha in {"mass", "damping"}.
+    """d f1/d alpha and d f2/d alpha for alpha in {"mass", "damping"}, with
+    error estimates: the one-node call of the array Richardson stencil.
 
     The mass derivative holds the microscopic oscillator-bath coupling fixed:
     the damping rate is mass-normalized, so gamma scales as 1/M along a mass
     change. Holding gamma itself fixed would make the mass dependence a pure
-    prefactor and the sweep a null process even at strong coupling.
+    prefactor and the sweep a null process even at strong coupling. The
+    stencil is central where the domain allows and one-sided at gamma near 0;
+    an error estimate above 1e-5 of the derivative raises.
     """
-    compute = moments_matsubara if route is MomentRoute.MATSUBARA else moments_spectral
-
-    if alpha == "mass":
-        coupling = o.mass * b.damping
-
-        def f(m_val):
-            osc = OscillatorParams(mass=m_val, frequency=o.frequency)
-            bath = BathSpec(temperature=b.temperature, damping=coupling / m_val, cutoff=b.cutoff)
-            return compute(osc, bath, c)
-
-        x0 = o.mass
-        lower = None
-    elif alpha == "damping":
-
-        def f(g_val):
-            bath = BathSpec(temperature=b.temperature, damping=g_val, cutoff=b.cutoff)
-            return compute(o, bath, c)
-
-        x0 = b.damping
-        lower = 0.0
-    else:
-        raise ValueError(f"unknown sweep parameter {alpha!r}")
-
-    step = max(1e-5 * abs(x0), 1e-7)
-    cache: dict[float, Moments] = {}
-
-    def cached(x):
-        if x not in cache:
-            cache[x] = f(x)
-        return cache[x]
-
-    df1, e1 = _derivative_with_error(lambda x: cached(x).f1, x0, step, lower)
-    df2, e2 = _derivative_with_error(lambda x: cached(x).f2, x0, step, lower)
-
-    ref1 = max(abs(df1), 1e-3 * cached(x0).f1 / max(abs(x0), 1.0))
-    ref2 = max(abs(df2), 1e-3 * cached(x0).f2 / max(abs(x0), 1.0))
-    if e1 > 1e-5 * ref1 or e2 > 1e-5 * ref2:
-        raise NumericalFailure(
-            "moment derivative error estimate exceeds tolerance",
-            alpha=alpha,
-            df1_rel_error=e1 / ref1,
-            df2_rel_error=e2 / ref2,
-        )
-    return MomentDerivatives(df1=df1, df2=df2, df1_error=e1, df2_error=e2)
+    x0 = o.mass if alpha == "mass" else b.damping
+    _, _, df1, df2, e1, e2 = _stencil_derivatives(alpha, o, b, x0, c, route)
+    return MomentDerivatives(df1=float(df1), df2=float(df2), df1_error=float(e1), df2_error=float(e2))

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .bath import BathSpec, MomentRoute, moments_matsubara, moments_spectral
+from .bath import BathSpec, MomentRoute, _moments_along, moments_matsubara, moments_spectral
 from .errors import NumericalFailure
-from .gaussian import Constants, OscillatorParams, entropy, symplectic_param
+from .gaussian import Constants, Moments, OscillatorParams, entropy, symplectic_param
 from .info import DensityMatrix, Ensemble, accessible_info_lower, erasure_budget, holevo_chi
 from .oracle import convergence_report, default_omega_max
 from .process import (
@@ -27,7 +27,6 @@ from .process import (
     _energy_and_work,
     _first_law,
     _heat_integrand,
-    _moments_at,
     composed_process,
     coupling_process,
     mass_process,
@@ -272,8 +271,8 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     path_spec = ProcessPath(cfg.param, cfg.start, cfg.end, cfg.grid)
     alphas = path_spec.values
     scan = []
-    for alpha in alphas:
-        m = _moments_at(path_spec, alpha, o, b, c)
+    for alpha, f1, f2 in zip(alphas, *_moments_along(cfg.param, o, b, alphas, c)):
+        m = Moments(f1=float(f1), f2=float(f2), cross=0.0)
         v = symplectic_param(m, c).v
         integrand = _heat_integrand(path_spec, alpha, o, b, c) if cfg.start != cfg.end else 0.0
         energy_work = _energy_and_work(path_spec, alpha, m, o, b, c)

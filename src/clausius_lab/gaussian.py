@@ -70,14 +70,19 @@ class SymplecticParam:
 
 def symplectic_param(m: Moments, c: Constants = Constants()) -> SymplecticParam:
     """sqrt(f1*f2 - cross^2)/hbar; rejects moments beating the uncertainty bound."""
-    det = m.f1 * m.f2 - m.cross**2
+    return SymplecticParam(float(_symplectic_v(m.f1 * m.f2 - m.cross**2, c)))
+
+
+def _symplectic_v(det, c: Constants):
+    """sqrt(det)/hbar elementwise for determinants det = f1*f2 - cross^2,
+    rejecting any that beats the uncertainty bound by more than roundoff."""
     bound = c.hbar**2 / 4
-    if det < bound - HEISENBERG_TOL:
+    if np.any(det < bound - HEISENBERG_TOL):
+        worst = np.min(det)
         raise ValueError(
-            f"moments violate the Heisenberg bound: f1*f2 - cross^2 = {det} < hbar^2/4 = {bound}"
+            f"moments violate the Heisenberg bound: f1*f2 - cross^2 = {worst} < hbar^2/4 = {bound}"
         )
-    v = math.sqrt(max(det, bound)) / c.hbar
-    return SymplecticParam(max(v, 0.5))
+    return np.maximum(np.sqrt(np.maximum(det, bound)) / c.hbar, 0.5)
 
 
 def entropy(v: SymplecticParam | float) -> float:

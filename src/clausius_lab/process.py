@@ -16,16 +16,17 @@ Q = dU - W, with dU the change of the mean energy of H_S:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import tanhsinh
 
 from .bath import (
     _TARGET_REL,
     BathSpec,
     MomentRoute,
+    _moments_along,
+    _stencil_derivatives,
     coupling_free_energy,
     equilibrium_moments,
     moment_derivatives,
@@ -35,6 +36,7 @@ from .gaussian import (
     Constants,
     Moments,
     OscillatorParams,
+    _symplectic_v,
     entropy,
     mean_energy,
     symplectic_param,
@@ -81,8 +83,10 @@ class ThermoReport:
 
 @dataclass(frozen=True)
 class EntropyChange:
-    value: float          # endpoint form, authoritative
-    quadrature: float     # integral of S'(v) dv/d alpha, consistency check
+    value: float               # endpoint form, authoritative
+    quadrature: float          # integral of S'(v) dv/d alpha, consistency check
+    error_estimate: float = 0.0  # the quadrature's own error estimate
+    evaluations: int = 0       # integrand nodes; each is 5 kernel points
 
     @property
     def mismatch(self) -> float:
@@ -116,11 +120,12 @@ def _path_point(
     return osc, bath
 
 
-def _moments_at(
-    path: ProcessPath, alpha: float, o: OscillatorParams, b: BathSpec, c: Constants
-) -> Moments:
-    osc, bath = _path_point(path, alpha, o, b)
-    return equilibrium_moments(osc, bath, c)
+def _endpoint_moments(
+    path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants
+) -> tuple[Moments, Moments]:
+    """Moments at the start and the end of a path, from one kernel call."""
+    f1, f2 = _moments_along(path.parameter, o, b, [path.start_value, path.end_value], c)
+    return tuple(Moments(f1=float(p), f2=float(q), cross=0.0) for p, q in zip(f1, f2))
 
 
 def entropy_change(
@@ -131,37 +136,49 @@ def entropy_change(
     check_consistency: bool = True,
 ) -> EntropyChange:
     """Entropy change along a path; exact differential, so the endpoint form
-    is authoritative. The quadrature of S'(v) dv/d alpha must agree."""
-    s0 = entropy(symplectic_param(_moments_at(path, path.start_value, o, b, c), c))
-    s1 = entropy(symplectic_param(_moments_at(path, path.end_value, o, b, c), c))
-    endpoint = s1 - s0
+    is authoritative. The quadrature of S'(v) dv/d alpha must agree.
+
+    The check integrates by tanh-sinh (Takahasi & Mori, Publ. RIMS 9, 721
+    (1974)), whose nodes crowd the endpoints, where the damping path's
+    integrand behaves like ln gamma. Each level is one array call: one kernel
+    evaluation covers every node's moments and their Richardson stencils. A
+    quadrature that does not converge, or an integrand that is not finite,
+    raises, as does a mismatch above 1e-5 of max(1, |dS|).
+    """
+    m0, m1 = _endpoint_moments(path, o, b, c)
+    endpoint = entropy(symplectic_param(m1, c)) - entropy(symplectic_param(m0, c))
     if not check_consistency or path.start_value == path.end_value:
         return EntropyChange(value=endpoint, quadrature=endpoint)
 
     def integrand(alpha):
-        osc, bath = _path_point(path, alpha, o, b)
-        m = equilibrium_moments(osc, bath, c)
-        v = symplectic_param(m, c).v
-        d = moment_derivatives(osc, bath, path.parameter, MomentRoute.MATSUBARA, c)
-        dv = (d.df1 * m.f2 + m.f1 * d.df2) / (2 * v * c.hbar**2)
-        if v - 0.5 < 1e-18:
-            return 0.0
-        return math.log((v + 0.5) / (v - 0.5)) * dv
+        f1, f2, df1, df2, _, _ = _stencil_derivatives(path.parameter, o, b, alpha, c)
+        v = _symplectic_v(f1 * f2, c)
+        dv = (df1 * f2 + f1 * df2) / (2 * v * c.hbar**2)
+        with np.errstate(divide="ignore"):
+            return np.where(v - 0.5 < 1e-18, 0.0, np.log((v + 0.5) / (v - 0.5)) * dv)
 
-    quadrature, _ = quad(
-        integrand,
-        path.start_value,
-        path.end_value,
-        epsabs=1e-9,
-        epsrel=1e-8,
-        limit=100,
+    res = tanhsinh(integrand, path.start_value, path.end_value, atol=1e-9, rtol=1e-8)
+    result = EntropyChange(
+        value=endpoint,
+        quadrature=float(res.integral),
+        error_estimate=float(res.error),
+        evaluations=int(res.nfev),
     )
-    result = EntropyChange(value=endpoint, quadrature=quadrature)
+    if not res.success:
+        raise NumericalFailure(
+            "entropy change: consistency quadrature did not converge",
+            integral=result.quadrature,
+            error_estimate=result.error_estimate,
+            evaluations=result.evaluations,
+            status=int(res.status),
+        )
     if result.mismatch > _CONSISTENCY_TOL * max(1.0, abs(endpoint)):
         raise NumericalFailure(
             "entropy change: endpoint and quadrature forms disagree",
             endpoint=endpoint,
-            quadrature=quadrature,
+            quadrature=result.quadrature,
+            error_estimate=result.error_estimate,
+            evaluations=result.evaluations,
         )
     return result
 
@@ -213,8 +230,8 @@ def heat(
     if path.start_value == path.end_value:
         return HeatResult(value=0.0, error_estimate=0.0)
     start, end = (
-        _energy_and_work(path, alpha, _moments_at(path, alpha, o, b, c), o, b, c)
-        for alpha in (path.start_value, path.end_value)
+        _energy_and_work(path, alpha, m, o, b, c)
+        for alpha, m in zip((path.start_value, path.end_value), _endpoint_moments(path, o, b, c))
     )
     return _first_law(start, end)
 
@@ -244,6 +261,53 @@ def landauer_bound(s_initial: float, temperature: float, c: Constants = Constant
     return c.kB * temperature * s_initial
 
 
+def _report(ds: float, q: float, du: float, temperature: float, c: Constants) -> ThermoReport:
+    return replace(clausius_check(q, ds, temperature, c), work_like_balance=du - q)
+
+
+def _coupling_step(
+    o: OscillatorParams, bath: BathSpec, m1: Moments, work: float, c: Constants, check_consistency: bool
+) -> ThermoReport:
+    """Switch-on 0 -> gamma, given the moments and coupling free energy at gamma."""
+    m0 = thermal_moments_decoupled(o, bath.temperature, c)
+    ds = entropy(symplectic_param(m1, c)) - entropy(symplectic_param(m0, c))
+    if check_consistency and bath.damping > 0:
+        path = ProcessPath("damping", 0.0, bath.damping)
+        entropy_change(path, o, bath, c, check_consistency=True)
+    du = mean_energy(m1, o) - mean_energy(m0, o)
+    return _report(ds, du - work, du, bath.temperature, c)
+
+
+def _mass_ends(
+    o: OscillatorParams, bath: BathSpec, mass_factor: float, c: Constants
+) -> tuple[ProcessPath, tuple[Moments, Moments], float]:
+    """The mass path, its endpoint moments and the coupling free energy at
+    its start: everything the mass step and the coupling step share."""
+    if mass_factor <= 0:
+        raise ValueError(f"mass_factor must be positive, got {mass_factor}")
+    path = ProcessPath("mass", o.mass, o.mass * mass_factor)
+    return path, _endpoint_moments(path, o, bath, c), coupling_free_energy(o, bath, c)
+
+
+def _mass_step(
+    o: OscillatorParams,
+    bath: BathSpec,
+    path: ProcessPath,
+    ends: tuple[Moments, Moments],
+    work0: float,
+    c: Constants,
+    check_consistency: bool,
+) -> ThermoReport:
+    m0, m1 = ends
+    ds = entropy(symplectic_param(m1, c)) - entropy(symplectic_param(m0, c))
+    if check_consistency:
+        entropy_change(path, o, bath, c, check_consistency=True)
+    start = (mean_energy(m0, o), work0)
+    end = _energy_and_work(path, path.end_value, m1, o, bath, c)
+    q = _first_law(start, end).value if bath.damping > 0 else 0.0
+    return _report(ds, q, end[0] - start[0], bath.temperature, c)
+
+
 def coupling_process(
     o: OscillatorParams,
     b_target: BathSpec,
@@ -257,23 +321,8 @@ def coupling_process(
     quasistatic work W = dF_MF: Q = dU - dF_MF.
     """
     bath = BathSpec(temperature=temperature, damping=b_target.damping, cutoff=b_target.cutoff)
-    m0 = thermal_moments_decoupled(o, temperature, c)
-    m1 = equilibrium_moments(o, bath, c)
-    ds = entropy(symplectic_param(m1, c)) - entropy(symplectic_param(m0, c))
-    if check_consistency and bath.damping > 0:
-        path = ProcessPath("damping", 0.0, bath.damping)
-        entropy_change(path, o, bath, c, check_consistency=True)
-    du = mean_energy(m1, o) - mean_energy(m0, o)
-    work = coupling_free_energy(o, bath, c)
-    q = du - work
-    check = clausius_check(q, ds, temperature, c)
-    return ThermoReport(
-        delta_entropy=ds,
-        heat=q,
-        work_like_balance=du - q,
-        clausius_satisfied=check.clausius_satisfied,
-        slack=check.slack,
-    )
+    m1, work = equilibrium_moments(o, bath, c), coupling_free_energy(o, bath, c)
+    return _coupling_step(o, bath, m1, work, c, check_consistency)
 
 
 def mass_process(
@@ -288,27 +337,9 @@ def mass_process(
     microscopic coupling. This is the step that taken alone appears to
     violate the Clausius inequality. dS, dU and Q come from one evaluation
     of each endpoint."""
-    if mass_factor <= 0:
-        raise ValueError(f"mass_factor must be positive, got {mass_factor}")
     bath = BathSpec(temperature=temperature, damping=b.damping, cutoff=b.cutoff)
-    path = ProcessPath("mass", o.mass, o.mass * mass_factor)
-    m0 = _moments_at(path, path.start_value, o, bath, c)
-    m1 = _moments_at(path, path.end_value, o, bath, c)
-    ds = entropy(symplectic_param(m1, c)) - entropy(symplectic_param(m0, c))
-    if check_consistency:
-        entropy_change(path, o, bath, c, check_consistency=True)
-    start = _energy_and_work(path, path.start_value, m0, o, bath, c)
-    end = _energy_and_work(path, path.end_value, m1, o, bath, c)
-    du = end[0] - start[0]
-    q = _first_law(start, end).value if bath.damping > 0 else 0.0
-    check = clausius_check(q, ds, temperature, c)
-    return ThermoReport(
-        delta_entropy=ds,
-        heat=q,
-        work_like_balance=du - q,
-        clausius_satisfied=check.clausius_satisfied,
-        slack=check.slack,
-    )
+    path, ends, work0 = _mass_ends(o, bath, mass_factor, c)
+    return _mass_step(o, bath, path, ends, work0, c, check_consistency)
 
 
 def composed_process(
@@ -320,17 +351,14 @@ def composed_process(
     check_consistency: bool = True,
 ) -> ThermoReport:
     """Couple first, then change the mass: the thermodynamically complete
-    two-step process whose totals satisfy the Clausius inequality."""
-    step1 = coupling_process(o, b, temperature, c, check_consistency)
-    step2 = mass_process(o, b, temperature, c, mass_factor, check_consistency)
+    two-step process whose totals satisfy the Clausius inequality. The
+    coupled point (M, gamma) ends one step and starts the other; it is
+    evaluated once, in the same kernel call as the mass step's end point."""
+    bath = BathSpec(temperature=temperature, damping=b.damping, cutoff=b.cutoff)
+    path, ends, work0 = _mass_ends(o, bath, mass_factor, c)
+    step1 = _coupling_step(o, bath, ends[0], work0, c, check_consistency)
+    step2 = _mass_step(o, bath, path, ends, work0, c, check_consistency)
     ds = step1.delta_entropy + step2.delta_entropy
     q = step1.heat + step2.heat
     du = (step1.work_like_balance + step1.heat) + (step2.work_like_balance + step2.heat)
-    check = clausius_check(q, ds, temperature, c)
-    return ThermoReport(
-        delta_entropy=ds,
-        heat=q,
-        work_like_balance=du - q,
-        clausius_satisfied=check.clausius_satisfied,
-        slack=check.slack,
-    )
+    return _report(ds, q, du, temperature, c)

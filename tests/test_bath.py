@@ -18,6 +18,7 @@ from clausius_lab import (
     moments_spectral,
     thermal_moments_decoupled,
 )
+from clausius_lab.bath import _matsubara_moments
 
 C = Constants()
 OSC = OscillatorParams(mass=1.0, frequency=1.0)
@@ -124,6 +125,75 @@ class TestMatsubaraRoute:
         m_strong = moments_matsubara(OSC, strong, C)
         assert m_strong.f1 < m_weak.f1
         assert m_strong.f2 > m_weak.f2
+
+
+def critical_damping(cutoff, branch):
+    """gamma at which P has a double root: 2 l^3 - wD l^2 + w^2 wD = 0 locates
+    it and gamma_c = (2 wD l - 3 l^2 - w^2)/wD (w = 1)."""
+    roots = np.roots([2.0, -cutoff, 0.0, cutoff])
+    l0 = sorted(x.real for x in roots if x.imag == 0 and x.real > 0)[branch]
+    return (2 * cutoff * l0 - 3 * l0**2 - 1.0) / cutoff
+
+
+def mixed_branch_points():
+    """(mass, gamma, w, wD) covering every branch of the kernel: generic,
+    a confluent pair on either side of both critical dampings at wD = 50
+    (gamma_c (1 +- 1e-6) takes the pair's series at T = 1, gamma_c (1 +- 1e-10)
+    at every T here), near the triple root of P (wD = 3 sqrt(3) w, gamma =
+    8 sqrt(3)/9 w) at two frequencies, and gamma = 0."""
+    near_critical = [
+        (mass, critical_damping(50.0, branch) * (1 + eps), 1.0, 50.0)
+        for branch in (0, 1)
+        for mass, eps in ((2.0, -1e-6), (0.5, 1e-6), (1.0, -1e-10), (1.5, 1e-10))
+    ]
+    return near_critical + [
+        (1.0, 5.0, 1.0, 100.0),
+        (1.0, 8 * math.sqrt(3) / 9, 1.0, 3 * math.sqrt(3)),
+        (1.0, 16 * math.sqrt(3) / 9 * (1 + 1e-6), 2.0, 6 * math.sqrt(3)),
+        (3.0, 0.0, 1.0, 50.0),
+        (1.0, 2.0, 0.5, 60.0),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:Drude cutoff")
+class TestArrayKernel:
+    @pytest.mark.parametrize("temperature", [0.01, 0.05, 1.0])
+    def test_array_equals_one_point_calls(self, temperature):
+        points = mixed_branch_points()
+        mass, damping, w, wd = (np.array(col) for col in zip(*points))
+        f1, f2 = _matsubara_moments(mass, damping, w, wd, temperature, C)
+        for (m, g, freq, cutoff), a1, a2 in zip(points, f1, f2):
+            ref = moments_matsubara(OscillatorParams(m, freq), BathSpec(temperature, g, cutoff), C)
+            assert abs(a1 - ref.f1) <= 4 * np.spacing(ref.f1)
+            assert abs(a2 - ref.f2) <= 4 * np.spacing(ref.f2)
+
+    def test_failing_element_raises_as_its_one_point_call(self):
+        # each damped element's rounding estimate, read from a one-point call
+        # with a zero target; a target between the largest and the rest fails
+        # that element alone
+        temperature = 0.05
+        points = [p for p in mixed_branch_points() if p[1] > 0]
+
+        def one_point(p, rel_tol):
+            m, g, freq, cutoff = p
+            return moments_matsubara(OscillatorParams(m, freq), BathSpec(temperature, g, cutoff), C, rel_tol)
+
+        estimates = []
+        for p in points:
+            with pytest.raises(NumericalFailure) as info:
+                one_point(p, 0.0)
+            diagnostics = info.value.diagnostics
+            estimates.append(max(diagnostics["achieved_rel_f1"], diagnostics["achieved_rel_f2"]))
+        order = np.argsort(estimates)
+        rel_tol = math.sqrt(estimates[order[-1]] * estimates[order[-2]])
+        assert estimates[order[-2]] < rel_tol < estimates[order[-1]]
+        mass, damping, w, wd = (np.array(col) for col in zip(*points))
+        with pytest.raises(NumericalFailure) as array_call:
+            _matsubara_moments(mass, damping, w, wd, temperature, C, rel_tol)
+        with pytest.raises(NumericalFailure) as point_call:
+            one_point(points[order[-1]], rel_tol)
+        assert str(array_call.value) == str(point_call.value)
+        assert array_call.value.diagnostics == point_call.value.diagnostics
 
 
 class TestSpectralRoute:
@@ -265,6 +335,14 @@ class TestMomentDerivatives:
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
         d = moment_derivatives(OSC, b, "damping", MomentRoute.MATSUBARA, C)
         assert d.df1_error >= 0 and d.df2_error >= 0
+
+    def test_spectral_route_maps_its_kernel_over_the_stencil(self):
+        b = BathSpec(temperature=1.0, damping=2.0, cutoff=50.0)
+        for alpha in ("damping", "mass"):
+            ref = moment_derivatives(OSC, b, alpha, MomentRoute.MATSUBARA, C)
+            d = moment_derivatives(OSC, b, alpha, MomentRoute.SPECTRAL_INTEGRAL, C)
+            assert d.df1 == pytest.approx(ref.df1, rel=1e-5)
+            assert d.df2 == pytest.approx(ref.df2, rel=1e-5)
 
     def test_unknown_parameter_rejected(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)

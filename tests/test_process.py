@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import clausius_lab.process as process
 from clausius_lab import (
     BathSpec,
     Constants,
+    NumericalFailure,
     OscillatorParams,
     ProcessPath,
     clausius_check,
@@ -101,6 +105,64 @@ class TestEntropyChange:
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
         result = entropy_change(path, OSC, b, C)
         assert result.value == 0.0
+
+    def test_reports_error_estimate_and_node_count(self):
+        b = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
+        result = entropy_change(ProcessPath("damping", 0.0, 5.0), OSC, b, C)
+        assert 0 < result.error_estimate < 1e-5
+        assert result.evaluations > 0
+        unchecked = entropy_change(ProcessPath("damping", 0.0, 5.0), OSC, b, C, check_consistency=False)
+        assert unchecked.error_estimate == 0.0 and unchecked.evaluations == 0
+
+    def test_reversed_mass_path_negates_quadrature(self):
+        b = BathSpec(temperature=0.2, damping=5.0, cutoff=100.0)
+        up = entropy_change(ProcessPath("mass", 1.0, 2.0), OSC, b, C)
+        down = entropy_change(ProcessPath("mass", 2.0, 1.0), OSC, b, C)
+        assert down.value == -up.value
+        assert down.quadrature == pytest.approx(-up.quadrature, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "fake, status",
+        [
+            (lambda x: np.full_like(x, np.nan), -3),  # a non-finite integrand
+            (lambda x: np.sin(1e4 * x), -2),  # no convergence by the last level
+        ],
+    )
+    def test_quadrature_failure_raises_with_diagnostics(self, monkeypatch, fake, status):
+        def derivatives(alpha, o, b, x0, c):
+            x0 = np.asarray(x0, dtype=float)
+            ones = np.ones_like(x0)
+            return ones, ones, fake(x0), ones, 0 * ones, 0 * ones
+
+        monkeypatch.setattr(process, "_stencil_derivatives", derivatives)
+        b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
+        with pytest.raises(NumericalFailure, match="did not converge") as info:
+            entropy_change(ProcessPath("damping", 0.0, 1.0), OSC, b, C)
+        diagnostics = info.value.diagnostics
+        assert diagnostics["status"] == status
+        assert diagnostics["evaluations"] > 0
+        assert {"integral", "error_estimate"} <= diagnostics.keys()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        log_t=st.floats(math.log(1e-3), math.log(1e2)),
+        log_gamma=st.floats(math.log(1e-2), math.log(50.0)),
+        log_cutoff=st.floats(math.log(10.0), math.log(1000.0)),
+        mass_factor=st.one_of(st.none(), st.floats(0.5, 4.0)),
+    )
+    def test_check_agrees_or_raises(self, log_t, log_gamma, log_cutoff, mass_factor):
+        # the README contract for the check, on damping paths from 0 (None)
+        # and on mass paths: agreement within its gate, or NumericalFailure
+        b = BathSpec(temperature=math.exp(log_t), damping=math.exp(log_gamma), cutoff=math.exp(log_cutoff))
+        if mass_factor is None:
+            path = ProcessPath("damping", 0.0, b.damping)
+        else:
+            path = ProcessPath("mass", 1.0, mass_factor)
+        try:
+            result = entropy_change(path, OSC, b, C)
+        except NumericalFailure:
+            return
+        assert result.mismatch <= 1e-5 * max(1.0, abs(result.value))
 
 
 class TestHeat:
