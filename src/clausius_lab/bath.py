@@ -145,14 +145,23 @@ def _shifted(z, nu1: float):
 
 
 def _matsubara_moments(
-    mass, damping, frequency, cutoff, temperature: float, c: Constants, rel_tol: float = _TARGET_REL
+    mass,
+    damping,
+    frequency,
+    cutoff,
+    temperature: float,
+    c: Constants,
+    rel_tol: float = _TARGET_REL,
+    free_energy: bool = False,
 ):
     """f1 and f2 from the digamma closed form, elementwise over a 1-d array of
     gamma and, per element or shared, mass, w and wD, at one temperature.
 
     Each element takes its own branch (three near-equal roots, a confluent
     pair, the generic divided differences, or gamma = 0) and its own rounding
-    gate: the first element whose estimate exceeds ``rel_tol`` raises.
+    gate: the first element whose estimate exceeds ``rel_tol`` raises. With
+    ``free_energy`` the roots, solved once, also give each element's coupling
+    free energy, returned as a third list once all moments pass their gate.
     """
     damping = np.asarray(damping, dtype=float)
     mass, w, wd = (np.full(damping.shape, v, dtype=float) for v in (mass, frequency, cutoff))
@@ -215,7 +224,12 @@ def _matsubara_moments(
             temperature=temperature,
             damping=float(damping[i]),
         )
-    return f1, f2
+    if not free_energy:
+        return f1, f2
+    # point by point in Python scalars, whose complex products and quotients
+    # round as the one-point form does and numpy's complex arrays do not
+    args = (w.tolist(), wd.tolist(), damping.tolist(), r.tolist(), x.tolist(), y.tolist())
+    return f1, f2, [_free_energy(*point, temperature, c, rel_tol) for point in zip(*args)]
 
 
 def moments_matsubara(
@@ -364,6 +378,39 @@ def _lngamma_step(y: complex, h: complex) -> tuple[complex, float]:
     return hi - lo + np.euler_gamma * h, err
 
 
+def _free_energy(
+    w: float, wd: float, damping: float, r, x, y, temperature: float, c: Constants, rel_tol: float
+) -> float:
+    """F_MF(gamma) - F_MF(0) of one point from its negated Drude roots r, x, y.
+
+    Each root is paired with its gamma = 0 limit wD, iw, -iw, and solves
+    prod_j (l - mu_j) = -gamma wD l, so its shift from mu_i follows without
+    the cancellation of l - mu_i.
+    """
+    if damping == 0:
+        return 0.0
+    beta = 1.0 / (c.kB * temperature)
+    nu1 = 2 * math.pi * c.kB * temperature / c.hbar
+    lam = (complex(r), complex(x), complex(y))
+    mu = (complex(wd), 1j * w, -1j * w)
+    total = 0j
+    err = 0.0
+    for i in range(3):
+        shift = -damping * wd * lam[i] / math.prod(lam[i] - mu[j] for j in range(3) if j != i)
+        step, step_err = _lngamma_step(mu[i] / nu1, shift / nu1)
+        total -= step
+        err += step_err + _ROUND * abs(step)
+    err = float(err / abs(total.real) + _ROUND)
+    if err > rel_tol:
+        raise NumericalFailure(
+            "free-energy closed form lost its accuracy to cancellation",
+            achieved_rel=err,
+            temperature=temperature,
+            damping=damping,
+        )
+    return float(total.real) / beta
+
+
 def coupling_free_energy(
     o: OscillatorParams,
     b: BathSpec,
@@ -376,37 +423,14 @@ def coupling_free_energy(
     (1/beta) sum_{n>=1} ln[1 + nu_n ghat(nu_n) / (nu_n^2 + w^2)], closes to
     (1/beta) ln[G(1 + iw/nu1) G(1 - iw/nu1) G(1 + wD/nu1) / prod_i G(1 + lambda_i/nu1)]
     (Hanggi, Ingold & Talkner, New J. Phys. 10, 115008 (2008)). Each root is
-    paired with its gamma = 0 limit wD, iw, -iw, so weak damping keeps full
-    relative accuracy. The shifts sum to zero, so their psi(1) terms, which
-    would cancel to rounding at high temperature, are left out. This is the
+    paired with its gamma = 0 limit, so weak damping keeps full relative
+    accuracy. The shifts sum to zero, so their psi(1) terms, which would
+    cancel to rounding at high temperature, are left out. This is the
     quasistatic work needed to switch the coupling on isothermally.
     ``rel_tol`` gates the rounding estimate.
     """
-    if b.damping == 0:
-        return 0.0
-    beta = 1.0 / (c.kB * b.temperature)
-    nu1 = 2 * math.pi * c.kB * b.temperature / c.hbar
     r, x, y, _, _ = _drude_poles(np.array([o.frequency**2]), b.cutoff, np.array([b.damping]))
-    lam = (complex(r[0]), complex(x[0]), complex(y[0]))
-    mu = (complex(b.cutoff), 1j * o.frequency, -1j * o.frequency)
-    total = 0j
-    err = 0.0
-    for i in range(3):
-        # each root solves prod_j (l - mu_j) = -gamma wD l, so its shift from
-        # mu_i follows without the cancellation of l - mu_i
-        shift = -b.damping * b.cutoff * lam[i] / math.prod(lam[i] - mu[j] for j in range(3) if j != i)
-        step, step_err = _lngamma_step(mu[i] / nu1, shift / nu1)
-        total -= step
-        err += step_err + _ROUND * abs(step)
-    err = float(err / abs(total.real) + _ROUND)
-    if err > rel_tol:
-        raise NumericalFailure(
-            "free-energy closed form lost its accuracy to cancellation",
-            achieved_rel=err,
-            temperature=b.temperature,
-            damping=b.damping,
-        )
-    return float(total.real) / beta
+    return _free_energy(o.frequency, b.cutoff, b.damping, r[0], x[0], y[0], b.temperature, c, rel_tol)
 
 
 # Richardson stencil offsets in units of the step: central where the domain
@@ -415,20 +439,23 @@ _CENTRAL = np.array([-1.0, -0.5, 0.5, 1.0])
 _ONE_SIDED = np.array([0.0, 0.5, 1.0, 2.0])
 
 
+def _mass_and_damping(alpha: str, o: OscillatorParams, b: BathSpec, x):
+    """(M, gamma) at values x of alpha. A mass path holds the microscopic
+    coupling fixed, so gamma = gamma_ref M_ref / M."""
+    x = np.asarray(x, dtype=float)
+    return (x, o.mass * b.damping / x) if alpha == "mass" else (np.full(x.shape, o.mass), x)
+
+
 def _moments_along(
     alpha: str, o: OscillatorParams, b: BathSpec, x, c: Constants, route: MomentRoute = MomentRoute.MATSUBARA
 ):
-    """f1 and f2 at values x of alpha, holding the microscopic coupling fixed
-    on a mass path (gamma = gamma_ref M_ref / M): one kernel call on the
-    Matsubara route, the scalar spectral route mapped over the points."""
-    x = np.asarray(x, dtype=float)
-    mass, damping = (x, o.mass * b.damping / x) if alpha == "mass" else (o.mass, x)
+    """f1 and f2 at values x of alpha: one kernel call on the Matsubara
+    route, the scalar spectral route mapped over the points."""
+    mass, damping = _mass_and_damping(alpha, o, b, x)
     if route is MomentRoute.MATSUBARA:
         b.warn_if_cutoff_low(o)
-        mass = np.ravel(mass) if np.ndim(mass) else mass
-        f1, f2 = _matsubara_moments(mass, damping.ravel(), o.frequency, b.cutoff, b.temperature, c)
-        return f1.reshape(x.shape), f2.reshape(x.shape)
-    mass, damping = np.broadcast_arrays(mass, damping)
+        f1, f2 = _matsubara_moments(mass.ravel(), damping.ravel(), o.frequency, b.cutoff, b.temperature, c)
+        return f1.reshape(mass.shape), f2.reshape(mass.shape)
     f1, f2 = np.empty(mass.shape), np.empty(mass.shape)
     for i in np.ndindex(mass.shape):
         bath = BathSpec(temperature=b.temperature, damping=float(damping[i]), cutoff=b.cutoff)

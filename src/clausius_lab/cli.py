@@ -11,26 +11,25 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import svgplot
-from .bath import BathSpec, MomentRoute, _moments_along, moments_matsubara, moments_spectral
+from .bath import (
+    BathSpec,
+    MomentRoute,
+    _mass_and_damping,
+    _stencil_derivatives,
+    moments_matsubara,
+    moments_spectral,
+)
 from .errors import NumericalFailure
-from .gaussian import Constants, Moments, OscillatorParams, entropy, symplectic_param
+from .gaussian import Constants, OscillatorParams, entropy, symplectic_param
 from .info import DensityMatrix, Ensemble, accessible_info_lower, erasure_budget, holevo_chi
 from .oracle import convergence_report, default_omega_max
-from .process import (
-    ProcessPath,
-    _energy_and_work,
-    _first_law,
-    _heat_integrand,
-    composed_process,
-    coupling_process,
-    mass_process,
-)
+from .process import ProcessPath, _first_law, _states, composed_process, coupling_process, mass_process
 
 SCENARIOS = ("moments", "oracle", "sweep", "violation-scan", "resolve", "holevo")
 
@@ -76,6 +75,11 @@ class RunConfig:
             raise ConfigError(f"grid must be odd and >= 9, got {self.grid}")
         if self.param not in ("mass", "damping"):
             raise ConfigError(f"param must be mass or damping, got {self.param!r}")
+        if self.scenario == "sweep":
+            try:
+                ProcessPath(self.param, self.start, self.end, self.grid)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.scenario == "holevo" and not self.ensemble:
             raise ConfigError("holevo scenario needs an ensemble file")
         if self.effort < 2:
@@ -84,10 +88,18 @@ class RunConfig:
             raise ConfigError(f"modes must be ascending positive integers, got {self.modes}")
 
 
-_BOOL_KEYS = {"bits", "svg"}
-_INT_KEYS = {"grid", "effort"}
-_FLOAT_KEYS = {"temperature", "damping", "cutoff", "mass_factor", "start", "end"}
-_STR_KEYS = {"scenario", "param", "out", "ensemble"}
+def _parse_bool(val: str) -> bool:
+    return val.lower() in ("1", "true", "yes", "on")
+
+
+def _parse_modes(val: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in val.split(","))
+
+
+# a config value parses as the type of its field's default; scenario has no
+# default and is a string
+_PARSE_BY_TYPE = {bool: _parse_bool, int: int, float: float, tuple: _parse_modes}
+_PARSERS = {f.name: _PARSE_BY_TYPE.get(type(f.default), str) for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -106,22 +118,11 @@ def parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
+        if key not in _PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
         try:
-            if key in _BOOL_KEYS:
-                values[key] = val.lower() in ("1", "true", "yes", "on")
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _STR_KEYS:
-                values[key] = val
-            elif key == "modes":
-                values[key] = tuple(int(x) for x in val.split(","))
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
+            values[key] = _PARSERS[key](val)
         except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from exc
     return values
 
@@ -268,35 +269,31 @@ def run_oracle(cfg: RunConfig, out_dir: Path) -> Path:
 def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     o, b, c = _reference(cfg)
     scale = _entropy_scale(cfg)
-    path_spec = ProcessPath(cfg.param, cfg.start, cfg.end, cfg.grid)
-    alphas = path_spec.values
-    scan = []
-    for alpha, f1, f2 in zip(alphas, *_moments_along(cfg.param, o, b, alphas, c)):
-        m = Moments(f1=float(f1), f2=float(f2), cross=0.0)
-        v = symplectic_param(m, c).v
-        integrand = _heat_integrand(path_spec, alpha, o, b, c) if cfg.start != cfg.end else 0.0
-        energy_work = _energy_and_work(path_spec, alpha, m, o, b, c)
-        scan.append((alpha, m, v, entropy(v), integrand, energy_work))
-
-    s_start = scan[0][3]
+    alphas = ProcessPath(cfg.param, cfg.start, cfg.end, cfg.grid).values
+    states = _states(cfg.param, alphas, o, b, c)
+    dq = np.zeros(alphas.shape)  # the heat integrand dQ/d alpha at each row
+    if cfg.start != cfg.end:
+        _, _, df1, df2, _, _ = _stencil_derivatives(cfg.param, o, b, alphas, c)
+        mass, _ = _mass_and_damping(cfg.param, o, b, alphas)
+        dq = df2 / (2 * mass) + mass * o.frequency**2 * df1 / 2
     rows = []
     q_cum = 0.0
-    for i, (alpha, m, v, s, integrand, energy_work) in enumerate(scan):
+    for i, (alpha, s) in enumerate(zip(alphas, states)):
         if i > 0:
-            q_cum += 0.5 * (alphas[i] - alphas[i - 1]) * (scan[i - 1][4] + integrand)
+            q_cum += 0.5 * (alphas[i] - alphas[i - 1]) * (dq[i - 1] + dq[i])
         # the trapezoid's distance from the closed-form heat of the path up
         # to this row, plus the closed form's own error bound
-        exact = _first_law(scan[0][5], energy_work)
+        exact = _first_law(states[0], s)
         err_cum = abs(q_cum - exact.value) + exact.error_estimate
-        ds_cum = s - s_start
+        ds_cum = s.entropy - states[0].entropy
         slack = c.kB * b.temperature * ds_cum - q_cum
         rows.append(
             [
                 _fmt(alpha),
-                _fmt(m.f1),
-                _fmt(m.f2),
-                _fmt(v),
-                _fmt(s * scale),
+                _fmt(s.moments.f1),
+                _fmt(s.moments.f2),
+                _fmt(symplectic_param(s.moments, c).v),
+                _fmt(s.entropy * scale),
                 _fmt(ds_cum * scale),
                 _fmt(q_cum),
                 _fmt(err_cum),
@@ -322,11 +319,11 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     if cfg.svg:
         svgplot.line_plot(
             out_dir / "sweep.svg",
-            [r[0] for r in scan],
+            list(alphas),
             [
-                ("entropy", [r[3] * scale for r in scan]),
-                ("f1", [r[1].f1 for r in scan]),
-                ("f2", [r[1].f2 for r in scan]),
+                ("entropy", [s.entropy * scale for s in states]),
+                ("f1", [s.moments.f1 for s in states]),
+                ("f2", [s.moments.f2 for s in states]),
             ],
             title=f"sweep of {cfg.param}",
             xlabel=cfg.param,
@@ -460,29 +457,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         file_values = parse_config_file(args.config)
         file_values.pop("scenario", None)
         values.update(file_values)
-    for key in (
-        "out",
-        "grid",
-        "bits",
-        "svg",
-        "temperature",
-        "damping",
-        "cutoff",
-        "mass_factor",
-        "param",
-        "start",
-        "end",
-        "ensemble",
-        "effort",
-    ):
+    for key in _PARSERS:
         val = getattr(args, key, None)
-        if val is not None:
-            values[key] = val
-    if getattr(args, "modes", None) is not None:
-        try:
-            values["modes"] = tuple(int(x) for x in args.modes.split(","))
-        except ValueError:
-            raise ConfigError(f"bad --modes value {args.modes!r}") from None
+        if key == "scenario" or val is None:
+            continue
+        if key == "modes":
+            try:
+                val = _parse_modes(val)
+            except ValueError:
+                raise ConfigError(f"bad --modes value {val!r}") from None
+        values[key] = val
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg

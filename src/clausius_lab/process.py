@@ -2,8 +2,12 @@
 
 The mass sweep reproduces the apparent Clausius violation at low temperature
 and strong coupling; prepending the coupling step restores the inequality.
-Both steps book heat by the subsystem first law on their endpoints,
-Q = dU - W, with dU the change of the mean energy of H_S:
+
+A path point (M, gamma, T) is the unit of work: one kernel call gives each
+requested point's state, that is its moments, entropy S, mean energy U of
+H_S and work potential. Every step is booked as a difference of two states:
+dS, dU, and the heat by the subsystem first law, Q = dU - W, with W the
+change of the work potential:
 
 - The coupling step is a quasistatic isothermal switch-on whose work is the
   mean-force free energy change, W = dF_MF.
@@ -24,12 +28,10 @@ from scipy.integrate import tanhsinh
 from .bath import (
     _TARGET_REL,
     BathSpec,
-    MomentRoute,
+    _mass_and_damping,
+    _matsubara_moments,
     _moments_along,
     _stencil_derivatives,
-    coupling_free_energy,
-    equilibrium_moments,
-    moment_derivatives,
 )
 from .errors import NumericalFailure
 from .gaussian import (
@@ -99,33 +101,40 @@ class HeatResult:
     error_estimate: float
 
 
-def _path_point(
-    path: ProcessPath, alpha: float, o: OscillatorParams, b: BathSpec
-) -> tuple[OscillatorParams, BathSpec]:
-    """Oscillator/bath at path position alpha.
+@dataclass(frozen=True)
+class _State:
+    """A path point: its moments, entropy S, mean energy U of H_S, and work
+    potential, whose change between two states is the work of the step."""
 
-    Mass paths keep the microscopic coupling fixed, so the damping rate of the
-    reference bath is rescaled by M_ref/M.
-    """
-    if path.parameter == "mass":
-        osc = OscillatorParams(mass=alpha, frequency=o.frequency)
-        bath = BathSpec(
-            temperature=b.temperature,
-            damping=b.damping * o.mass / alpha,
-            cutoff=b.cutoff,
-        )
-    else:
-        osc = o
-        bath = BathSpec(temperature=b.temperature, damping=alpha, cutoff=b.cutoff)
-    return osc, bath
+    moments: Moments
+    entropy: float
+    energy: float
+    work: float
 
 
-def _endpoint_moments(
-    path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants
-) -> tuple[Moments, Moments]:
-    """Moments at the start and the end of a path, from one kernel call."""
-    f1, f2 = _moments_along(path.parameter, o, b, [path.start_value, path.end_value], c)
-    return tuple(Moments(f1=float(p), f2=float(q), cross=0.0) for p, q in zip(f1, f2))
+def _states(parameter: str, values, o: OscillatorParams, b: BathSpec, c: Constants) -> list[_State]:
+    """The state at each position of a mass or damping path, from one kernel
+    call. The work potential is the coupling free energy on a mass path and
+    zero on a damping path, where H_S does not depend on gamma."""
+    b.warn_if_cutoff_low(o)
+    mass, damping = _mass_and_damping(parameter, o, b, values)
+    on_mass_path = parameter == "mass"
+    f1, f2, *work = _matsubara_moments(
+        mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=on_mass_path
+    )
+    work = work[0] if on_mass_path else [0.0] * len(f1)
+    states = []
+    for m_i, p, q, w in zip(mass.tolist(), f1.tolist(), f2.tolist(), work):
+        m = Moments(f1=p, f2=q)
+        osc = OscillatorParams(mass=m_i, frequency=o.frequency)
+        states.append(_State(m, entropy(symplectic_param(m, c)), mean_energy(m, osc), w))
+    return states
+
+
+def _decoupled_state(o: OscillatorParams, temperature: float, c: Constants) -> _State:
+    """The Gibbs state of the bare oscillator, where the coupling step starts."""
+    m = thermal_moments_decoupled(o, temperature, c)
+    return _State(m, entropy(symplectic_param(m, c)), mean_energy(m, o), 0.0)
 
 
 def entropy_change(
@@ -145,8 +154,9 @@ def entropy_change(
     quadrature that does not converge, or an integrand that is not finite,
     raises, as does a mismatch above 1e-5 of max(1, |dS|).
     """
-    m0, m1 = _endpoint_moments(path, o, b, c)
-    endpoint = entropy(symplectic_param(m1, c)) - entropy(symplectic_param(m0, c))
+    f1, f2 = _moments_along(path.parameter, o, b, [path.start_value, path.end_value], c)
+    s0, s1 = (entropy(symplectic_param(Moments(f1=p, f2=q), c)) for p, q in zip(f1.tolist(), f2.tolist()))
+    endpoint = s1 - s0
     if not check_consistency or path.start_value == path.end_value:
         return EntropyChange(value=endpoint, quadrature=endpoint)
 
@@ -183,35 +193,12 @@ def entropy_change(
     return result
 
 
-def _heat_integrand(
-    path: ProcessPath, alpha: float, o: OscillatorParams, b: BathSpec, c: Constants
-) -> float:
-    """dQ/d alpha = (1/2M) df2/d alpha + (M w^2/2) df1/d alpha at one path point."""
-    osc, bath = _path_point(path, alpha, o, b)
-    d = moment_derivatives(osc, bath, path.parameter, MomentRoute.MATSUBARA, c)
-    return d.df2 / (2 * osc.mass) + osc.mass * osc.frequency**2 * d.df1 / 2
-
-
-def _energy_and_work(
-    path: ProcessPath, alpha: float, m: Moments, o: OscillatorParams, b: BathSpec, c: Constants
-) -> tuple[float, float]:
-    """Mean energy of H_S and the work potential at path position alpha.
-
-    The work potential is the coupling free energy on a mass path and zero on
-    a damping path, where H_S does not depend on gamma.
-    """
-    osc, bath = _path_point(path, alpha, o, b)
-    work = coupling_free_energy(osc, bath, c) if path.parameter == "mass" else 0.0
-    return mean_energy(m, osc), work
-
-
-def _first_law(start: tuple[float, float], end: tuple[float, float]) -> HeatResult:
-    """Q = dU - W between two (energy, work potential) pairs. Each kernel meets
-    its relative target or raises, so the target bounds the error."""
-    (u0, f0), (u1, f1) = start, end
+def _first_law(s0: _State, s1: _State) -> HeatResult:
+    """Q = dU - W between two states. Each kernel meets its relative target
+    or raises, so the target bounds the error."""
     return HeatResult(
-        value=(u1 - u0) - (f1 - f0),
-        error_estimate=_TARGET_REL * (abs(u0) + abs(u1) + abs(f0) + abs(f1)),
+        value=(s1.energy - s0.energy) - (s1.work - s0.work),
+        error_estimate=_TARGET_REL * (abs(s0.energy) + abs(s1.energy) + abs(s0.work) + abs(s1.work)),
     )
 
 
@@ -229,11 +216,7 @@ def heat(
     """
     if path.start_value == path.end_value:
         return HeatResult(value=0.0, error_estimate=0.0)
-    start, end = (
-        _energy_and_work(path, alpha, m, o, b, c)
-        for alpha, m in zip((path.start_value, path.end_value), _endpoint_moments(path, o, b, c))
-    )
-    return _first_law(start, end)
+    return _first_law(*_states(path.parameter, [path.start_value, path.end_value], o, b, c))
 
 
 def clausius_check(
@@ -261,51 +244,19 @@ def landauer_bound(s_initial: float, temperature: float, c: Constants = Constant
     return c.kB * temperature * s_initial
 
 
-def _report(ds: float, q: float, du: float, temperature: float, c: Constants) -> ThermoReport:
-    return replace(clausius_check(q, ds, temperature, c), work_like_balance=du - q)
+def _step(s0: _State, s1: _State, temperature: float, c: Constants, coupled: bool = True) -> ThermoReport:
+    """dS, Q and dU - Q of the step between two states. Uncoupled, a mass
+    step exchanges no heat: U does not depend on M at fixed frequency, so
+    its dU is rounding and Q is booked as zero."""
+    du = s1.energy - s0.energy
+    q = _first_law(s0, s1).value if coupled else 0.0
+    return replace(clausius_check(q, s1.entropy - s0.entropy, temperature, c), work_like_balance=du - q)
 
 
-def _coupling_step(
-    o: OscillatorParams, bath: BathSpec, m1: Moments, work: float, c: Constants, check_consistency: bool
-) -> ThermoReport:
-    """Switch-on 0 -> gamma, given the moments and coupling free energy at gamma."""
-    m0 = thermal_moments_decoupled(o, bath.temperature, c)
-    ds = entropy(symplectic_param(m1, c)) - entropy(symplectic_param(m0, c))
-    if check_consistency and bath.damping > 0:
-        path = ProcessPath("damping", 0.0, bath.damping)
-        entropy_change(path, o, bath, c, check_consistency=True)
-    du = mean_energy(m1, o) - mean_energy(m0, o)
-    return _report(ds, du - work, du, bath.temperature, c)
-
-
-def _mass_ends(
-    o: OscillatorParams, bath: BathSpec, mass_factor: float, c: Constants
-) -> tuple[ProcessPath, tuple[Moments, Moments], float]:
-    """The mass path, its endpoint moments and the coupling free energy at
-    its start: everything the mass step and the coupling step share."""
+def _mass_path(o: OscillatorParams, mass_factor: float) -> ProcessPath:
     if mass_factor <= 0:
         raise ValueError(f"mass_factor must be positive, got {mass_factor}")
-    path = ProcessPath("mass", o.mass, o.mass * mass_factor)
-    return path, _endpoint_moments(path, o, bath, c), coupling_free_energy(o, bath, c)
-
-
-def _mass_step(
-    o: OscillatorParams,
-    bath: BathSpec,
-    path: ProcessPath,
-    ends: tuple[Moments, Moments],
-    work0: float,
-    c: Constants,
-    check_consistency: bool,
-) -> ThermoReport:
-    m0, m1 = ends
-    ds = entropy(symplectic_param(m1, c)) - entropy(symplectic_param(m0, c))
-    if check_consistency:
-        entropy_change(path, o, bath, c, check_consistency=True)
-    start = (mean_energy(m0, o), work0)
-    end = _energy_and_work(path, path.end_value, m1, o, bath, c)
-    q = _first_law(start, end).value if bath.damping > 0 else 0.0
-    return _report(ds, q, end[0] - start[0], bath.temperature, c)
+    return ProcessPath("mass", o.mass, o.mass * mass_factor)
 
 
 def coupling_process(
@@ -321,8 +272,11 @@ def coupling_process(
     quasistatic work W = dF_MF: Q = dU - dF_MF.
     """
     bath = BathSpec(temperature=temperature, damping=b_target.damping, cutoff=b_target.cutoff)
-    m1, work = equilibrium_moments(o, bath, c), coupling_free_energy(o, bath, c)
-    return _coupling_step(o, bath, m1, work, c, check_consistency)
+    # the coupled point read as the start of a mass path, whose work potential is F_MF
+    (coupled,) = _states("mass", [o.mass], o, bath, c)
+    if check_consistency and bath.damping > 0:
+        entropy_change(ProcessPath("damping", 0.0, bath.damping), o, bath, c, check_consistency=True)
+    return _step(_decoupled_state(o, temperature, c), coupled, temperature, c)
 
 
 def mass_process(
@@ -338,8 +292,11 @@ def mass_process(
     violate the Clausius inequality. dS, dU and Q come from one evaluation
     of each endpoint."""
     bath = BathSpec(temperature=temperature, damping=b.damping, cutoff=b.cutoff)
-    path, ends, work0 = _mass_ends(o, bath, mass_factor, c)
-    return _mass_step(o, bath, path, ends, work0, c, check_consistency)
+    path = _mass_path(o, mass_factor)
+    s0, s1 = _states("mass", [path.start_value, path.end_value], o, bath, c)
+    if check_consistency:
+        entropy_change(path, o, bath, c, check_consistency=True)
+    return _step(s0, s1, temperature, c, coupled=bath.damping > 0)
 
 
 def composed_process(
@@ -355,10 +312,15 @@ def composed_process(
     coupled point (M, gamma) ends one step and starts the other; it is
     evaluated once, in the same kernel call as the mass step's end point."""
     bath = BathSpec(temperature=temperature, damping=b.damping, cutoff=b.cutoff)
-    path, ends, work0 = _mass_ends(o, bath, mass_factor, c)
-    step1 = _coupling_step(o, bath, ends[0], work0, c, check_consistency)
-    step2 = _mass_step(o, bath, path, ends, work0, c, check_consistency)
+    path = _mass_path(o, mass_factor)
+    s0, s1 = _states("mass", [path.start_value, path.end_value], o, bath, c)
+    if check_consistency:
+        if bath.damping > 0:
+            entropy_change(ProcessPath("damping", 0.0, bath.damping), o, bath, c, check_consistency=True)
+        entropy_change(path, o, bath, c, check_consistency=True)
+    step1 = _step(_decoupled_state(o, temperature, c), s0, temperature, c)
+    step2 = _step(s0, s1, temperature, c, coupled=bath.damping > 0)
     ds = step1.delta_entropy + step2.delta_entropy
     q = step1.heat + step2.heat
     du = (step1.work_like_balance + step1.heat) + (step2.work_like_balance + step2.heat)
-    return _report(ds, q, du, temperature, c)
+    return replace(clausius_check(q, ds, temperature, c), work_like_balance=du - q)

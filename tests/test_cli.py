@@ -1,13 +1,16 @@
 """CLI tests: parsing, scenarios, determinism, exit codes."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import clausius_lab.bath as bath
 from clausius_lab import BathSpec, OscillatorParams, ProcessPath, heat
 from clausius_lab.cli import (
     ConfigError,
+    RunConfig,
     main,
     parse_config_file,
     parse_ensemble_file,
@@ -38,6 +41,21 @@ class TestConfigFile:
         path.write_text("temperature = 0.5\ngrid=11\nbits=true\nparam=mass\n", encoding="utf-8")
         values = parse_config_file(str(path))
         assert values == {"temperature": 0.5, "grid": 11, "bits": True, "param": "mass"}
+
+    def test_every_field_round_trips_with_its_type(self, tmp_path):
+        values = {
+            "temperature": 0.5, "damping": 2.5, "cutoff": 50.0, "mass_factor": 0.5, "grid": 17,
+            "param": "mass", "start": 1.5, "end": 3.0, "out": "runs", "bits": True, "svg": True,
+            "ensemble": "ens.txt", "effort": 8, "modes": (32, 64),
+        }
+        assert set(values) == {f.name for f in fields(RunConfig)} - {"scenario"}
+        text = "".join(f"{k}={','.join(map(str, v)) if k == 'modes' else v}\n" for k, v in values.items())
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        parsed = parse_config_file(str(path))
+        assert parsed == values
+        defaults = RunConfig("moments")
+        assert all(type(parsed[k]) is type(getattr(defaults, k)) for k in values)
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -163,6 +181,15 @@ class TestScenarios:
             exact = heat(ProcessPath(param, start, alpha), o, b)
             assert abs(float(row["heat_cum"]) - exact.value) <= float(row["heat_error_est"])
 
+    def test_sweep_solves_the_drude_cubic_twice(self, tmp_path, monkeypatch):
+        # one kernel call for the rows' states, one for their heat integrand
+        calls = []
+        solve = bath._drude_poles
+        monkeypatch.setattr(bath, "_drude_poles", lambda *args: calls.append(1) or solve(*args))
+        rc = main(["sweep", "--param", "mass", "--start", "1", "--end", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 2
+
     def test_resolve_writes_three_rows(self, tmp_path):
         rc = main(
             [
@@ -218,6 +245,13 @@ class TestExitCodes:
     def test_even_grid_is_config_error(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "damping", "--start", "0", "--end", "1", "--grid", "8", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("param, start", [("mass", "0"), ("damping", "-1")])
+    def test_sweep_outside_the_parameter_domain_is_config_error(self, tmp_path, capsys, param, start):
+        rc = main(["sweep", "--param", param, "--start", start, "--end", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clausius-lab: config error:") and len(err.splitlines()) == 1
 
     def test_missing_ensemble_is_config_error(self, tmp_path, capsys):
         assert main(["holevo", "--out", str(tmp_path)]) == 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import clausius_lab.bath as bath
 import clausius_lab.process as process
 from clausius_lab import (
     BathSpec,
@@ -286,3 +287,25 @@ class TestComposedProcess:
         total = composed_process(OSC, b, 0.2, C, mass_factor=2.0, check_consistency=False)
         assert total.delta_entropy == pytest.approx(step1.delta_entropy + step2.delta_entropy, abs=1e-12)
         assert total.heat == pytest.approx(step1.heat + step2.heat, abs=1e-12)
+
+
+class TestOneRootSolvePerKernelCall:
+    """Every unchecked op takes all its points' moments and free energies
+    from one solve of their Drude cubics."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda b: composed_process(OSC, b, b.temperature, C, check_consistency=False),
+            lambda b: mass_process(OSC, b, b.temperature, C, check_consistency=False),
+            lambda b: coupling_process(OSC, b, b.temperature, C, check_consistency=False),
+            lambda b: heat(ProcessPath("mass", 1.0, 2.0), OSC, b, C),
+        ],
+        ids=["composed_process", "mass_process", "coupling_process", "heat"],
+    )
+    def test_one_drude_solve_per_op(self, monkeypatch, op):
+        calls = []
+        solve = bath._drude_poles
+        monkeypatch.setattr(bath, "_drude_poles", lambda *args: calls.append(1) or solve(*args))
+        op(BathSpec(temperature=0.05, damping=5.0, cutoff=100.0))
+        assert len(calls) == 1
