@@ -446,24 +446,6 @@ def _mass_and_damping(alpha: str, o: OscillatorParams, b: BathSpec, x):
     return (x, o.mass * b.damping / x) if alpha == "mass" else (np.full(x.shape, o.mass), x)
 
 
-def _moments_along(
-    alpha: str, o: OscillatorParams, b: BathSpec, x, c: Constants, route: MomentRoute = MomentRoute.MATSUBARA
-):
-    """f1 and f2 at values x of alpha: one kernel call on the Matsubara
-    route, the scalar spectral route mapped over the points."""
-    mass, damping = _mass_and_damping(alpha, o, b, x)
-    if route is MomentRoute.MATSUBARA:
-        b.warn_if_cutoff_low(o)
-        f1, f2 = _matsubara_moments(mass.ravel(), damping.ravel(), o.frequency, b.cutoff, b.temperature, c)
-        return f1.reshape(mass.shape), f2.reshape(mass.shape)
-    f1, f2 = np.empty(mass.shape), np.empty(mass.shape)
-    for i in np.ndindex(mass.shape):
-        bath = BathSpec(temperature=b.temperature, damping=float(damping[i]), cutoff=b.cutoff)
-        m = moments_spectral(OscillatorParams(mass=float(mass[i]), frequency=o.frequency), bath, c)
-        f1[i], f2[i] = m.f1, m.f2
-    return f1, f2
-
-
 def _stencil_derivatives(
     alpha: str, o: OscillatorParams, b: BathSpec, x0, c: Constants, route: MomentRoute = MomentRoute.MATSUBARA
 ):
@@ -482,8 +464,19 @@ def _stencil_derivatives(
     central = x0 - step >= (0.0 if alpha == "damping" else -np.inf)
     offsets = np.where(central[..., None], _CENTRAL, _ONE_SIDED)
     points = np.concatenate([x0[..., None], x0[..., None] + offsets * step[..., None]], axis=-1)
+    mass, damping = _mass_and_damping(alpha, o, b, points)
+    if route is MomentRoute.MATSUBARA:
+        b.warn_if_cutoff_low(o)
+        f1, f2 = _matsubara_moments(mass.ravel(), damping.ravel(), o.frequency, b.cutoff, b.temperature, c)
+        f1, f2 = f1.reshape(mass.shape), f2.reshape(mass.shape)
+    else:  # the scalar spectral route, mapped over the points
+        f1, f2 = np.empty(mass.shape), np.empty(mass.shape)
+        for i in np.ndindex(mass.shape):
+            bath = BathSpec(temperature=b.temperature, damping=float(damping[i]), cutoff=b.cutoff)
+            m = moments_spectral(OscillatorParams(mass=float(mass[i]), frequency=o.frequency), bath, c)
+            f1[i], f2[i] = m.f1, m.f2
     out = []
-    for f in _moments_along(alpha, o, b, points, c, route):
+    for f in (f1, f2):
         f_0, f_a, f_b, f_c = np.moveaxis(f[..., 1:], -1, 0)
         d_h = np.where(central, (f_c - f_0) / (2 * step), (-3 * f_0 + 4 * f_b - f_c) / (2 * step))
         d_h2 = np.where(central, (f_b - f_a) / step, (-3 * f_0 + 4 * f_a - f_b) / step)

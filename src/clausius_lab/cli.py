@@ -270,11 +270,11 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
     o, b, c = _reference(cfg)
     scale = _entropy_scale(cfg)
     alphas = ProcessPath(cfg.param, cfg.start, cfg.end, cfg.grid).values
-    states = _states(cfg.param, alphas, o, b, c)
+    mass, damping = _mass_and_damping(cfg.param, o, b, alphas)
+    states = _states(mass, damping, o, b, c, free_energy=cfg.param == "mass")
     dq = np.zeros(alphas.shape)  # the heat integrand dQ/d alpha at each row
     if cfg.start != cfg.end:
         _, _, df1, df2, _, _ = _stencil_derivatives(cfg.param, o, b, alphas, c)
-        mass, _ = _mass_and_damping(cfg.param, o, b, alphas)
         dq = df2 / (2 * mass) + mass * o.frequency**2 * df1 / 2
     rows = []
     q_cum = 0.0

@@ -117,25 +117,23 @@ def outcome_table(e: Ensemble, m: Povm) -> np.ndarray:
     """Joint probabilities p_im = p_i tr[E_m rho_i]."""
     if e.dim != m.dim:
         raise ValueError(f"ensemble dim {e.dim} != POVM dim {m.dim}")
-    table = np.empty((len(e.states), len(m.elements)))
-    for i, (p, s) in enumerate(zip(e.probabilities, e.states)):
-        for j, elem in enumerate(m.elements):
-            table[i, j] = p * max(np.trace(elem @ s.matrix).real, 0.0)
-    return table
+    traces = np.einsum("mab,iba->im", np.stack(m.elements), np.stack([s.matrix for s in e.states])).real
+    return e.probabilities[:, None] * np.maximum(traces, 0.0)
+
+
+def _information(table: np.ndarray) -> np.ndarray:
+    """sum_im p_im ln(p_im / p_i q_m) over the last two axes of joint tables,
+    with 0 ln 0 = 0."""
+    p = table.sum(axis=-1, keepdims=True)
+    q = table.sum(axis=-2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(table > 0, table * np.log(table / (p * q)), 0.0)
+    return np.maximum(terms.sum(axis=(-2, -1)), 0.0)
 
 
 def mutual_information(e: Ensemble, m: Povm) -> float:
     """I_M = sum_im p_im ln(p_im / p_i q_m), with 0 ln 0 = 0."""
-    table = outcome_table(e, m)
-    q = table.sum(axis=0)
-    p = table.sum(axis=1)
-    total = 0.0
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            pij = table[i, j]
-            if pij > 0:
-                total += pij * math.log(pij / (p[i] * q[j]))
-    return max(total, 0.0)
+    return float(_information(outcome_table(e, m)))
 
 
 def holevo_chi(e: Ensemble) -> float:
@@ -146,18 +144,12 @@ def holevo_chi(e: Ensemble) -> float:
     )
 
 
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
 def _bloch_projectors(theta: float, phi: float) -> Povm:
     n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
-    sigma = np.array(
-        [
-            [[0, 1], [1, 0]],
-            [[0, -1j], [1j, 0]],
-            [[1, 0], [0, -1]],
-        ],
-        dtype=complex,
-    )
-    ndot = np.tensordot(n, sigma, axes=1)
-    plus = (np.eye(2) + ndot) / 2
+    plus = (np.eye(2) + np.tensordot(n, _PAULI, axes=1)) / 2
     return Povm((plus, np.eye(2) - plus))
 
 
@@ -166,34 +158,38 @@ def accessible_info_lower(e: Ensemble, effort: int = 24) -> tuple[float, Povm]:
 
     Scans rank-1 projective measurements over a Bloch-sphere grid whose
     resolution grows with ``effort``, then refines the best direction with a
-    local simplex search. Always bounded above by chi.
+    local simplex search. The projector along the Bloch direction n gives the
+    state with Bloch vector r_i the outcome probabilities (1 +- n.r_i)/2, so
+    the whole grid is one array expression. Returns the mutual information of
+    the returned measurement, which is bounded above by chi.
     """
     if e.dim != 2:
         raise ValueError("built-in measurement search supports qubits only")
     if effort < 2:
         raise ValueError(f"effort must be >= 2, got {effort}")
+    bloch = np.einsum("kab,iba->ik", _PAULI, np.stack([s.matrix for s in e.states])).real
 
-    best_val = -1.0
-    best_angles = (0.0, 0.0)
-    thetas = np.linspace(0.0, math.pi, effort)
-    phis = np.linspace(0.0, 2 * math.pi, 2 * effort, endpoint=False)
-    for theta in thetas:
-        for phi in phis:
-            val = mutual_information(e, _bloch_projectors(theta, phi))
-            if val > best_val:
-                best_val = val
-                best_angles = (theta, phi)
+    def information(theta, phi):
+        n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+        nr = n @ bloch.T
+        return _information(e.probabilities[:, None] * np.maximum(np.stack([1 + nr, 1 - nr], axis=-1) / 2, 0.0))
 
+    thetas, phis = np.meshgrid(
+        np.linspace(0.0, math.pi, effort), np.linspace(0.0, 2 * math.pi, 2 * effort, endpoint=False), indexing="ij"
+    )
+    values = information(thetas, phis)
+    best = np.argmax(values)  # the first of equal maxima, theta-major
+    best_val, best_angles = values.flat[best], (thetas.flat[best], phis.flat[best])
     res = minimize(
-        lambda x: -mutual_information(e, _bloch_projectors(x[0], x[1])),
+        lambda x: -float(information(x[0], x[1])),
         x0=np.array(best_angles),
         method="Nelder-Mead",
         options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
     )
     if -res.fun > best_val:
-        best_val = -res.fun
         best_angles = (float(res.x[0]), float(res.x[1]))
-    return best_val, _bloch_projectors(*best_angles)
+    povm = _bloch_projectors(*best_angles)
+    return mutual_information(e, povm), povm
 
 
 def erasure_budget(e: Ensemble, temperature: float, c: Constants = Constants()) -> ErasureBudget:

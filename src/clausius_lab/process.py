@@ -30,7 +30,6 @@ from .bath import (
     BathSpec,
     _mass_and_damping,
     _matsubara_moments,
-    _moments_along,
     _stencil_derivatives,
 )
 from .errors import NumericalFailure
@@ -42,7 +41,6 @@ from .gaussian import (
     entropy,
     mean_energy,
     symplectic_param,
-    thermal_moments_decoupled,
 )
 
 CLAUSIUS_TOL = 1e-9
@@ -112,29 +110,21 @@ class _State:
     work: float
 
 
-def _states(parameter: str, values, o: OscillatorParams, b: BathSpec, c: Constants) -> list[_State]:
-    """The state at each position of a mass or damping path, from one kernel
-    call. The work potential is the coupling free energy on a mass path and
-    zero on a damping path, where H_S does not depend on gamma."""
+def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, free_energy: bool = False) -> list[_State]:
+    """The state at each (M, gamma) point, from one kernel call. The work
+    potential is the coupling free energy with ``free_energy``, as on a mass
+    path and for the switch-on, and zero otherwise, as on a damping path,
+    where H_S does not depend on gamma. At gamma = 0 the kernel gives the bare
+    Gibbs state, and its free energy of coupling is zero."""
     b.warn_if_cutoff_low(o)
-    mass, damping = _mass_and_damping(parameter, o, b, values)
-    on_mass_path = parameter == "mass"
-    f1, f2, *work = _matsubara_moments(
-        mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=on_mass_path
-    )
-    work = work[0] if on_mass_path else [0.0] * len(f1)
+    f1, f2, *work = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=free_energy)
+    work = work[0] if free_energy else [0.0] * len(f1)
     states = []
     for m_i, p, q, w in zip(mass.tolist(), f1.tolist(), f2.tolist(), work):
         m = Moments(f1=p, f2=q)
         osc = OscillatorParams(mass=m_i, frequency=o.frequency)
         states.append(_State(m, entropy(symplectic_param(m, c)), mean_energy(m, osc), w))
     return states
-
-
-def _decoupled_state(o: OscillatorParams, temperature: float, c: Constants) -> _State:
-    """The Gibbs state of the bare oscillator, where the coupling step starts."""
-    m = thermal_moments_decoupled(o, temperature, c)
-    return _State(m, entropy(symplectic_param(m, c)), mean_energy(m, o), 0.0)
 
 
 def entropy_change(
@@ -145,7 +135,20 @@ def entropy_change(
     check_consistency: bool = True,
 ) -> EntropyChange:
     """Entropy change along a path; exact differential, so the endpoint form
-    is authoritative. The quadrature of S'(v) dv/d alpha must agree.
+    is authoritative. The quadrature of S'(v) dv/d alpha must agree."""
+    ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
+    s0, s1 = _states(*ends, o, b, c)
+    endpoint = s1.entropy - s0.entropy
+    if not check_consistency:
+        return EntropyChange(value=endpoint, quadrature=endpoint)
+    return _checked_entropy_change(path, endpoint, o, b, c)
+
+
+def _checked_entropy_change(
+    path: ProcessPath, endpoint: float, o: OscillatorParams, b: BathSpec, c: Constants
+) -> EntropyChange:
+    """The endpoint entropy change of a path, checked against the quadrature
+    of S'(v) dv/d alpha along it.
 
     The check integrates by tanh-sinh (Takahasi & Mori, Publ. RIMS 9, 721
     (1974)), whose nodes crowd the endpoints, where the damping path's
@@ -154,10 +157,7 @@ def entropy_change(
     quadrature that does not converge, or an integrand that is not finite,
     raises, as does a mismatch above 1e-5 of max(1, |dS|).
     """
-    f1, f2 = _moments_along(path.parameter, o, b, [path.start_value, path.end_value], c)
-    s0, s1 = (entropy(symplectic_param(Moments(f1=p, f2=q), c)) for p, q in zip(f1.tolist(), f2.tolist()))
-    endpoint = s1 - s0
-    if not check_consistency or path.start_value == path.end_value:
+    if path.start_value == path.end_value:
         return EntropyChange(value=endpoint, quadrature=endpoint)
 
     def integrand(alpha):
@@ -216,7 +216,8 @@ def heat(
     """
     if path.start_value == path.end_value:
         return HeatResult(value=0.0, error_estimate=0.0)
-    return _first_law(*_states(path.parameter, [path.start_value, path.end_value], o, b, c))
+    ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
+    return _first_law(*_states(*ends, o, b, c, free_energy=path.parameter == "mass"))
 
 
 def clausius_check(
@@ -253,10 +254,33 @@ def _step(s0: _State, s1: _State, temperature: float, c: Constants, coupled: boo
     return replace(clausius_check(q, s1.entropy - s0.entropy, temperature, c), work_like_balance=du - q)
 
 
-def _mass_path(o: OscillatorParams, mass_factor: float) -> ProcessPath:
+def _steps(
+    o: OscillatorParams,
+    b: BathSpec,
+    temperature: float,
+    c: Constants,
+    mass_factor: float,
+    check_coupling: bool = False,
+    check_mass: bool = False,
+) -> tuple[ThermoReport, ThermoReport]:
+    """The coupling step and the mass step, from one kernel call over three
+    points: the bare oscillator (M, 0), the coupled point (M, gamma), which
+    ends one step and starts the other, and the mass path's end (kM, gamma/k).
+    Each checked step's entropy change is checked against the quadrature
+    along its path."""
+    bath = BathSpec(temperature=temperature, damping=b.damping, cutoff=b.cutoff)
     if mass_factor <= 0:
         raise ValueError(f"mass_factor must be positive, got {mass_factor}")
-    return ProcessPath("mass", o.mass, o.mass * mass_factor)
+    path = ProcessPath("mass", o.mass, o.mass * mass_factor)
+    mass, damping = _mass_and_damping("mass", o, bath, [path.start_value, path.end_value])
+    bare, coupled, end = _states(np.append(o.mass, mass), np.append(0.0, damping), o, bath, c, free_energy=True)
+    coupling = _step(bare, coupled, temperature, c)
+    mass_step = _step(coupled, end, temperature, c, coupled=bath.damping > 0)
+    if check_coupling:
+        _checked_entropy_change(ProcessPath("damping", 0.0, bath.damping), coupling.delta_entropy, o, bath, c)
+    if check_mass:
+        _checked_entropy_change(path, mass_step.delta_entropy, o, bath, c)
+    return coupling, mass_step
 
 
 def coupling_process(
@@ -271,12 +295,7 @@ def coupling_process(
     dS from the endpoint entropies; heat from the subsystem first law with the
     quasistatic work W = dF_MF: Q = dU - dF_MF.
     """
-    bath = BathSpec(temperature=temperature, damping=b_target.damping, cutoff=b_target.cutoff)
-    # the coupled point read as the start of a mass path, whose work potential is F_MF
-    (coupled,) = _states("mass", [o.mass], o, bath, c)
-    if check_consistency and bath.damping > 0:
-        entropy_change(ProcessPath("damping", 0.0, bath.damping), o, bath, c, check_consistency=True)
-    return _step(_decoupled_state(o, temperature, c), coupled, temperature, c)
+    return _steps(o, b_target, temperature, c, 1.0, check_coupling=check_consistency)[0]
 
 
 def mass_process(
@@ -289,14 +308,8 @@ def mass_process(
 ) -> ThermoReport:
     """Mass sweep M -> mass_factor * M at fixed bare frequency and fixed
     microscopic coupling. This is the step that taken alone appears to
-    violate the Clausius inequality. dS, dU and Q come from one evaluation
-    of each endpoint."""
-    bath = BathSpec(temperature=temperature, damping=b.damping, cutoff=b.cutoff)
-    path = _mass_path(o, mass_factor)
-    s0, s1 = _states("mass", [path.start_value, path.end_value], o, bath, c)
-    if check_consistency:
-        entropy_change(path, o, bath, c, check_consistency=True)
-    return _step(s0, s1, temperature, c, coupled=bath.damping > 0)
+    violate the Clausius inequality."""
+    return _steps(o, b, temperature, c, mass_factor, check_mass=check_consistency)[1]
 
 
 def composed_process(
@@ -308,18 +321,8 @@ def composed_process(
     check_consistency: bool = True,
 ) -> ThermoReport:
     """Couple first, then change the mass: the thermodynamically complete
-    two-step process whose totals satisfy the Clausius inequality. The
-    coupled point (M, gamma) ends one step and starts the other; it is
-    evaluated once, in the same kernel call as the mass step's end point."""
-    bath = BathSpec(temperature=temperature, damping=b.damping, cutoff=b.cutoff)
-    path = _mass_path(o, mass_factor)
-    s0, s1 = _states("mass", [path.start_value, path.end_value], o, bath, c)
-    if check_consistency:
-        if bath.damping > 0:
-            entropy_change(ProcessPath("damping", 0.0, bath.damping), o, bath, c, check_consistency=True)
-        entropy_change(path, o, bath, c, check_consistency=True)
-    step1 = _step(_decoupled_state(o, temperature, c), s0, temperature, c)
-    step2 = _step(s0, s1, temperature, c, coupled=bath.damping > 0)
+    two-step process whose totals satisfy the Clausius inequality."""
+    step1, step2 = _steps(o, b, temperature, c, mass_factor, check_consistency, check_consistency)
     ds = step1.delta_entropy + step2.delta_entropy
     q = step1.heat + step2.heat
     du = (step1.work_like_balance + step1.heat) + (step2.work_like_balance + step2.heat)

@@ -152,6 +152,20 @@ class TestAccessibleInfo:
         val, _ = accessible_info_lower(e, effort=12)
         assert val == pytest.approx(math.log(2), abs=1e-9)
 
+    def test_bound_is_the_information_of_its_measurement_and_below_chi(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            e = random_ensemble(rng)
+            val, povm = accessible_info_lower(e, effort=8)
+            assert val == mutual_information(e, povm)
+            assert val <= holevo_chi(e) + 1e-12
+
+    def test_identical_mixed_states_give_zero(self):
+        rho = DensityMatrix(np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]]))
+        val, povm = accessible_info_lower(Ensemble(np.array([0.4, 0.6]), (rho, rho)))
+        assert val == pytest.approx(0.0, abs=1e-15)
+        assert povm.dim == 2
+
     def test_rejects_non_qubit(self):
         qutrit = DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
         e = Ensemble(np.array([1.0]), (qutrit,))

@@ -289,6 +289,14 @@ class TestComposedProcess:
         assert total.heat == pytest.approx(step1.heat + step2.heat, abs=1e-12)
 
 
+def _drude_solves(monkeypatch, op):
+    calls = []
+    solve = bath._drude_poles
+    monkeypatch.setattr(bath, "_drude_poles", lambda *args: calls.append(1) or solve(*args))
+    op(BathSpec(temperature=0.05, damping=5.0, cutoff=100.0))
+    return len(calls)
+
+
 class TestOneRootSolvePerKernelCall:
     """Every unchecked op takes all its points' moments and free energies
     from one solve of their Drude cubics."""
@@ -304,8 +312,18 @@ class TestOneRootSolvePerKernelCall:
         ids=["composed_process", "mass_process", "coupling_process", "heat"],
     )
     def test_one_drude_solve_per_op(self, monkeypatch, op):
-        calls = []
-        solve = bath._drude_poles
-        monkeypatch.setattr(bath, "_drude_poles", lambda *args: calls.append(1) or solve(*args))
-        op(BathSpec(temperature=0.05, damping=5.0, cutoff=100.0))
-        assert len(calls) == 1
+        assert _drude_solves(monkeypatch, op) == 1
+
+    @pytest.mark.parametrize(
+        "op, solves",
+        [
+            (lambda b: composed_process(OSC, b, b.temperature, C), 5),
+            (lambda b: mass_process(OSC, b, b.temperature, C), 3),
+            (lambda b: coupling_process(OSC, b, b.temperature, C), 3),
+        ],
+        ids=["composed_process", "mass_process", "coupling_process"],
+    )
+    def test_checks_solve_only_their_quadrature_levels(self, monkeypatch, op, solves):
+        # at the flagship each check's tanh-sinh runs two levels, one kernel
+        # call each; the check reuses the op's states for its endpoints
+        assert _drude_solves(monkeypatch, op) == solves
