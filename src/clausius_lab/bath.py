@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import loggamma, polygamma, psi, zeta
 
 from .errors import NumericalFailure
@@ -284,6 +283,8 @@ def moments_spectral(
     b.warn_if_cutoff_low(o)
     if b.damping == 0:
         return thermal_moments_decoupled(o, b.temperature, c)
+    from scipy.integrate import quad  # on first use: the default route never loads it
+
     damping = b.damping
     x0 = c.hbar / (2 * c.kB * b.temperature)
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gaussian import Constants
 
@@ -153,6 +152,19 @@ def _bloch_projectors(theta: float, phi: float) -> Povm:
     return Povm((plus, np.eye(2) - plus))
 
 
+def _leading_positive(theta: float, phi: float) -> tuple[float, float]:
+    """The Bloch direction (theta, phi) or its antipode, whichever has its
+    first component (x, then y, then z) above 1e-6 in magnitude positive.
+    Both give one measurement with its outcomes swapped, so this fixes the
+    outcome order. The simplex search fixes a direction only to ~1e-8, so a
+    component that is zero at the optimum comes back as noise of either
+    sign; the cutoff lies well above it."""
+    n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    if next(x for x in n if abs(x) > 1e-6) > 0:
+        return theta, phi
+    return math.pi - theta, phi + math.pi
+
+
 def accessible_info_lower(e: Ensemble, effort: int = 24) -> tuple[float, Povm]:
     """Lower bound on the accessible information for qubit ensembles.
 
@@ -160,13 +172,17 @@ def accessible_info_lower(e: Ensemble, effort: int = 24) -> tuple[float, Povm]:
     resolution grows with ``effort``, then refines the best direction with a
     local simplex search. The projector along the Bloch direction n gives the
     state with Bloch vector r_i the outcome probabilities (1 +- n.r_i)/2, so
-    the whole grid is one array expression. Returns the mutual information of
-    the returned measurement, which is bounded above by chi.
+    the whole grid is one array expression. Of a direction and its antipode
+    (one measurement, outcomes swapped) it returns the one whose first
+    component above 1e-6 in magnitude is positive, with the mutual
+    information of that measurement, which is bounded above by chi.
     """
     if e.dim != 2:
         raise ValueError("built-in measurement search supports qubits only")
     if effort < 2:
         raise ValueError(f"effort must be >= 2, got {effort}")
+    from scipy.optimize import minimize  # on first use: only this search needs it
+
     bloch = np.einsum("kab,iba->ik", _PAULI, np.stack([s.matrix for s in e.states])).real
 
     def information(theta, phi):
@@ -188,7 +204,7 @@ def accessible_info_lower(e: Ensemble, effort: int = 24) -> tuple[float, Povm]:
     )
     if -res.fun > best_val:
         best_angles = (float(res.x[0]), float(res.x[1]))
-    povm = _bloch_projectors(*best_angles)
+    povm = _bloch_projectors(*_leading_positive(*best_angles))
     return mutual_information(e, povm), povm
 
 

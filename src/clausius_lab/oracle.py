@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import NumericalFailure
 from .gaussian import Constants, Moments, OscillatorParams
@@ -78,6 +77,17 @@ def default_omega_max(o: OscillatorParams, b: BathSpec) -> float:
     return 20.0 * max(b.cutoff, o.frequency)
 
 
+def _arrowhead_residual(head, z, d, eigvals, eigvecs) -> np.ndarray:
+    """S V - V diag(eigvals) for the arrowhead S = [[head, z^T], [z, diag(d)]]
+    in O(N^2) (O'Leary & Stewart, J. Comput. Phys. 90, 497 (1990)): the head
+    row is head V_0 + z^T V_1: - lambda V_0, and body row j is
+    z_j V_0 + (d_j - lambda) V_j."""
+    residual = eigvecs * (np.append(head, d)[:, None] - eigvals)
+    residual[0] += z @ eigvecs[1:]
+    residual[1:] += np.multiply.outer(z, eigvecs[0])
+    return residual
+
+
 def reduced_moments_exact(
     db: DiscreteBath,
     o: OscillatorParams,
@@ -93,15 +103,14 @@ def reduced_moments_exact(
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    n = db.mode_count
-    wk = db.mode_frequencies
-    c_sq = db.couplings**2
+    from scipy.linalg import eigh  # on first use: only the oracle loads it
 
-    stiffness = np.zeros((n + 1, n + 1))
-    stiffness[0, 0] = (o.mass * o.frequency**2 + np.sum(c_sq / wk**2)) / o.mass
-    stiffness[0, 1:] = stiffness[1:, 0] = -db.couplings / np.sqrt(o.mass)
-    idx = np.arange(1, n + 1)
-    stiffness[idx, idx] = wk**2
+    wk = db.mode_frequencies
+    head = (o.mass * o.frequency**2 + np.sum(db.couplings**2 / wk**2)) / o.mass
+    z = -db.couplings / np.sqrt(o.mass)
+    d = wk**2
+    stiffness = np.diag(np.append(head, d))
+    stiffness[0, 1:] = stiffness[1:, 0] = z
 
     try:
         eigvals, eigvecs = eigh(stiffness)
@@ -112,7 +121,7 @@ def reduced_moments_exact(
             "non-positive normal-mode eigenvalue; counter-term is broken",
             smallest_eigenvalue=float(eigvals[0]),
         )
-    residual = stiffness @ eigvecs - eigvecs * eigvals
+    residual = _arrowhead_residual(head, z, d, eigvals, eigvecs)
     norm = float(np.max(np.abs(eigvals)))
     worst = float(np.max(np.linalg.norm(residual, axis=0)))
     if worst > _RESIDUAL_TOL * norm:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import tanhsinh
 
 from .bath import (
     _TARGET_REL,
@@ -159,6 +158,7 @@ def _checked_entropy_change(
     """
     if path.start_value == path.end_value:
         return EntropyChange(value=endpoint, quadrature=endpoint)
+    from scipy.integrate import tanhsinh  # on first use: an unchecked op never loads it
 
     def integrand(alpha):
         f1, f2, df1, df2, _, _ = _stencil_derivatives(path.parameter, o, b, alpha, c)

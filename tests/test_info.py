@@ -19,8 +19,10 @@ from clausius_lab import (
 
 KET0 = DensityMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
 KETPLUS = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
+KETPLUS_I = DensityMatrix(np.array([[0.5, -0.5j], [0.5j, 0.5]]))
 MIXED = DensityMatrix(np.eye(2, dtype=complex) / 2)
 BB84 = Ensemble(np.array([0.5, 0.5]), (KET0, KETPLUS))
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def random_ensemble(rng, n_states=None):
@@ -165,6 +167,34 @@ class TestAccessibleInfo:
         val, povm = accessible_info_lower(Ensemble(np.array([0.4, 0.6]), (rho, rho)))
         assert val == pytest.approx(0.0, abs=1e-15)
         assert povm.dim == 2
+
+    @pytest.mark.parametrize(
+        "ensemble, n",
+        [
+            # the optimum is n = (1, 0, -1)/sqrt(2) or its antipode, the same
+            # measurement with its outcomes swapped
+            (BB84, (1, 0, -1)),
+            # |0> and |+i>: the optimum n = (0, 1, -1)/sqrt(2) has a zero x
+            # component, which the search returns as noise of either sign
+            (Ensemble(np.array([0.5, 0.5]), (KET0, KETPLUS_I)), (0, 1, -1)),
+        ],
+        ids=["bb84", "yz-plane"],
+    )
+    def test_outcome_order_does_not_depend_on_effort(self, ensemble, n):
+        # the first component of the returned direction above the cutoff is
+        # positive at every effort
+        plus = (np.eye(2) + np.tensordot(np.array(n) / math.sqrt(2), PAULI, axes=1)) / 2
+        for effort in (6, 12, 24, 48):
+            _, povm = accessible_info_lower(ensemble, effort=effort)
+            assert np.max(np.abs(povm.elements[0] - plus)) < 1e-8, effort
+            assert np.max(np.abs(povm.elements[1] - (np.eye(2) - plus))) < 1e-8, effort
+
+    def test_first_nonzero_bloch_component_is_positive(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            _, povm = accessible_info_lower(random_ensemble(rng), effort=8)
+            n = [np.trace(povm.elements[0] @ sigma).real for sigma in PAULI]
+            assert next(x for x in n if abs(x) > 1e-6) > 0
 
     def test_rejects_non_qubit(self):
         qutrit = DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))

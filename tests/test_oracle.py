@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigh
 
 from clausius_lab import (
     BathSpec,
     Constants,
     DiscreteBath,
+    NumericalFailure,
     OscillatorParams,
     convergence_report,
     default_omega_max,
@@ -18,6 +20,7 @@ from clausius_lab import (
     spectral_density,
     thermal_moments_decoupled,
 )
+from clausius_lab.oracle import _arrowhead_residual
 
 C = Constants()
 OSC = OscillatorParams(mass=1.0, frequency=1.0)
@@ -136,6 +139,58 @@ class TestReducedMoments:
         db = DiscreteBath(np.array([1.0]), np.array([0.1]))
         with pytest.raises(ValueError):
             reduced_moments_exact(db, OSC, 0.0, C)
+
+
+def dense_stiffness(db, o):
+    """[DERIVED] the (N+1)x(N+1) stiffness built entry by entry."""
+    n = db.mode_count
+    k = np.zeros((n + 1, n + 1))
+    k[0, 0] = (o.mass * o.frequency**2 + np.sum(db.couplings**2 / db.mode_frequencies**2)) / o.mass
+    k[0, 1:] = k[1:, 0] = -db.couplings / math.sqrt(o.mass)
+    k[np.arange(1, n + 1), np.arange(1, n + 1)] = db.mode_frequencies**2
+    return k
+
+
+class TestArrowheadCheck:
+    B = BathSpec(temperature=1.0, damping=1.0, cutoff=100.0)
+
+    def test_structured_residual_matches_dense_product(self):
+        o = OscillatorParams(mass=1.5, frequency=1.0)
+        k = dense_stiffness(sample_bath(self.B, o, 64, 2000.0), o)
+        head, z, d = k[0, 0], k[1:, 0], np.diag(k)[1:]
+        eigvals, eigvecs = eigh(k)
+        norm = np.max(np.abs(eigvals))
+        # at the eigenpairs both are rounding noise of the matrix's size
+        dense = k @ eigvecs - eigvecs * eigvals
+        assert np.max(np.abs(_arrowhead_residual(head, z, d, eigvals, eigvecs) - dense)) <= 1e-12 * norm
+        # away from them the residual is of order one, and the two agree to rounding
+        rng = np.random.default_rng(2)
+        vecs, vals = rng.normal(size=k.shape), rng.uniform(0.0, norm, size=k.shape[0])
+        dense = k @ vecs - vecs * vals
+        assert np.max(np.abs(_arrowhead_residual(head, z, d, vals, vecs) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_perturbed_eigenvector_raises(self, monkeypatch):
+        true_eigh = scipy.linalg.eigh
+
+        def perturbed(a):
+            vals, vecs = true_eigh(a)
+            vecs[:, 5] += 1e-6
+            return vals, vecs
+
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        with pytest.raises(NumericalFailure, match="eigenvector residual") as info:
+            reduced_moments_exact(sample_bath(self.B, OSC, 64, 2000.0), OSC, 1.0, C)
+        diag = info.value.diagnostics
+        assert diag["residual"] > 1e-10 * diag["matrix_norm"] > 0
+
+    def test_moments_match_inline_dense_assembly(self):
+        db = sample_bath(self.B, OSC, 256, 2000.0)
+        m = reduced_moments_exact(db, OSC, 1.0, C)
+        eigvals, eigvecs = eigh(dense_stiffness(db, OSC))
+        omegas = np.sqrt(eigvals)
+        coth = 1.0 / np.tanh(omegas / 2)
+        assert m.f1 == pytest.approx(float(np.sum(eigvecs[0] ** 2 / (2 * omegas) * coth)), rel=1e-12)
+        assert m.f2 == pytest.approx(float(np.sum(eigvecs[0] ** 2 * omegas / 2 * coth)), rel=1e-12)
 
 
 class TestConvergenceReport:
