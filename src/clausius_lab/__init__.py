@@ -23,7 +23,6 @@ from .bath import (
     MomentDerivatives,
     MomentRoute,
     coupling_free_energy,
-    equilibrium_moments,
     moment_derivatives,
     moments_matsubara,
     moments_spectral,
@@ -92,7 +91,6 @@ __all__ = [
     "default_omega_max",
     "entropy",
     "entropy_change",
-    "equilibrium_moments",
     "erasure_budget",
     "heat",
     "holevo_chi",

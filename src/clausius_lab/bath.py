@@ -276,9 +276,12 @@ def moments_spectral(
 
     f1 = (hbar/pi) int_0^inf coth(hbar u / 2 kB T) Im chi(u) du, and f2 the
     same with an extra M^2 u^2 weight. The integration range is split at the
-    resonance and at the cutoff. At gamma = 0 the Lorentzian in Im chi
-    collapses to a delta function at the bare frequency; that limit is taken
-    analytically rather than integrated over a vanishing width.
+    resonance, at the cutoff, and at the thermal scale 2 kB T / hbar and its
+    decades: below that scale coth(hbar u / 2 kB T) leaves 1 for its 1/u
+    pole, and quad, left to find that bend itself, under-reports its error at
+    low temperature. At gamma = 0 the Lorentzian in Im chi collapses to a
+    delta function at the bare frequency; that limit is taken analytically
+    rather than integrated over a vanishing width.
     """
     b.warn_if_cutoff_low(o)
     if b.damping == 0:
@@ -299,34 +302,41 @@ def moments_spectral(
 
     w = o.frequency
     width = max(damping, 1e-9 * w)
-    # geometric ladders away from the resonance keep each segment's scale
-    # ratio modest even when the Lorentzian width is orders of magnitude
-    # below the frequency or the cutoff
+    # geometric ladders away from the resonance, and up from the thermal
+    # scale, keep each segment's scale ratio modest even when the Lorentzian
+    # width or kB T / hbar is orders of magnitude below the frequency or the
+    # cutoff
     points = {0.0, w, b.cutoff, 10 * b.cutoff}
-    offset = width
+    offset, thermal = width, 1 / x0
     while offset < 10 * b.cutoff:
         points.add(w + offset)
         if w - offset > 0:
             points.add(w - offset)
         offset *= 10
+    while thermal < 10 * b.cutoff:
+        points.add(thermal)
+        thermal *= 10
     breaks = sorted(x for x in points if 0.0 <= x <= 10 * b.cutoff)
+    # no absolute tolerance: quad's default, 1.5e-8, is 1e-7 of a small f1,
+    # and a segment that stops on it under-reports its error
+    tol = {"epsabs": 0.0, "epsrel": 1e-11, "limit": 400}
 
     f1 = f2 = err1 = err2 = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         if hi <= lo:
             continue
-        val, err = quad(i1, lo, hi, epsrel=1e-11, limit=400)
+        val, err = quad(i1, lo, hi, **tol)
         f1 += val
         err1 += err
-        val, err = quad(i2, lo, hi, epsrel=1e-11, limit=400)
+        val, err = quad(i2, lo, hi, **tol)
         f2 += val
         err2 += err
     # the tail converges slowly in u but quickly in t = 1/u
     t_hi = 1.0 / breaks[-1]
-    val, err = quad(lambda t: i1(1.0 / t) / t**2, 0.0, t_hi, epsrel=1e-11, limit=400)
+    val, err = quad(lambda t: i1(1.0 / t) / t**2, 0.0, t_hi, **tol)
     f1 += val
     err1 += err
-    val, err = quad(lambda t: i2(1.0 / t) / t**2, 0.0, t_hi, epsrel=1e-11, limit=400)
+    val, err = quad(lambda t: i2(1.0 / t) / t**2, 0.0, t_hi, **tol)
     f2 += val
     err2 += err
 
@@ -341,18 +351,6 @@ def moments_spectral(
             achieved_rel_f2=err2 / abs(f2),
         )
     return Moments(f1=f1, f2=f2, cross=0.0)
-
-
-def equilibrium_moments(
-    o: OscillatorParams,
-    b: BathSpec,
-    c: Constants = Constants(),
-    route: MomentRoute = MomentRoute.MATSUBARA,
-) -> Moments:
-    """Moments by the chosen route, by default the Matsubara closed form."""
-    if route is MomentRoute.SPECTRAL_INTEGRAL:
-        return moments_spectral(o, b, c)
-    return moments_matsubara(o, b, c)
 
 
 def _psi_from_one(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

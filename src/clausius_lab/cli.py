@@ -28,10 +28,33 @@ from .bath import (
 from .errors import NumericalFailure
 from .gaussian import Constants, OscillatorParams, entropy, symplectic_param
 from .info import DensityMatrix, Ensemble, accessible_info_lower, erasure_budget, holevo_chi
-from .oracle import convergence_report, default_omega_max
-from .process import ProcessPath, _first_law, _states, composed_process, coupling_process, mass_process
+from .oracle import convergence_report
+from .process import ProcessPath, _first_law, _states, _steps, mass_process
 
-SCENARIOS = ("moments", "oracle", "sweep", "violation-scan", "resolve", "holevo")
+# the RunConfig fields each scenario's runner reads: its subparser offers
+# exactly these as flags, besides --config and --out. A config file may set
+# any field, since one file can describe a point for several scenarios.
+_READS = {
+    "moments": ("temperature", "damping", "cutoff", "bits"),
+    "oracle": ("temperature", "damping", "cutoff", "modes"),
+    "sweep": ("temperature", "damping", "cutoff", "param", "start", "end", "grid", "bits", "svg"),
+    "violation-scan": ("mass_factor", "bits"),
+    "resolve": ("temperature", "damping", "cutoff", "mass_factor", "bits"),
+    "holevo": ("temperature", "ensemble", "effort", "bits"),
+}
+_HELP = {
+    "temperature": "kB T / hbar w",
+    "damping": "gamma / w",
+    "cutoff": "wD / w",
+    "mass_factor": "final over initial mass of the mass step",
+    "param": "swept parameter: mass or damping",
+    "grid": "sweep rows (odd, >= 9)",
+    "bits": "entropies in bits",
+    "svg": "emit an SVG plot",
+    "modes": "comma-separated mode counts",
+    "ensemble": "ensemble description file",
+    "effort": "search-grid resolution",
+}
 
 STANDARD_TEMPERATURES = (0.05, 0.2, 1.0, 5.0, 20.0)
 STANDARD_DAMPINGS = (0.0, 0.1, 1.0, 5.0, 10.0)
@@ -61,7 +84,7 @@ class RunConfig:
     modes: tuple[int, ...] = (256, 512, 1024, 2048)
 
     def validate(self) -> None:
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in _READS:
             raise ConfigError(f"unknown or missing scenario {self.scenario!r}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
@@ -334,6 +357,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
 def run_violation_scan(cfg: RunConfig, out_dir: Path) -> Path:
     c = Constants()
     o = OscillatorParams(mass=1.0, frequency=1.0)
+    scale = _entropy_scale(cfg)
     rows = []
     for t, g, wd in itertools.product(STANDARD_TEMPERATURES, STANDARD_DAMPINGS, STANDARD_CUTOFFS):
         b = BathSpec(temperature=t, damping=g, cutoff=wd)
@@ -350,7 +374,7 @@ def run_violation_scan(cfg: RunConfig, out_dir: Path) -> Path:
                 _fmt(g),
                 _fmt(wd),
                 _fmt(cfg.mass_factor),
-                _fmt(report.delta_entropy),
+                _fmt(report.delta_entropy * scale),
                 _fmt(report.heat),
                 _fmt(report.slack),
                 flag,
@@ -368,11 +392,8 @@ def run_violation_scan(cfg: RunConfig, out_dir: Path) -> Path:
 def run_resolve(cfg: RunConfig, out_dir: Path) -> Path:
     o, b, c = _reference(cfg)
     scale = _entropy_scale(cfg)
-    step1 = coupling_process(o, b, b.temperature, c, check_consistency=False)
-    step2 = mass_process(o, b, b.temperature, c, cfg.mass_factor, check_consistency=False)
-    total = composed_process(o, b, b.temperature, c, cfg.mass_factor, check_consistency=False)
     rows = []
-    for name, rep in (("coupling", step1), ("mass", step2), ("total", total)):
+    for name, rep in zip(("coupling", "mass", "total"), _steps(o, b, b.temperature, c, cfg.mass_factor)):
         rows.append(
             [
                 name,
@@ -428,26 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Strong-coupling oscillator thermodynamics and information bounds",
     )
     sub = parser.add_subparsers(dest="scenario")
-    for scenario in SCENARIOS:
+    for scenario, reads in _READS.items():
         p = sub.add_parser(scenario)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--grid", type=int, default=None, help="sweep rows (odd, >= 9)")
-        p.add_argument("--bits", action="store_true", default=None, help="entropies in bits")
-        p.add_argument("--svg", action="store_true", default=None, help="emit an SVG plot")
-        p.add_argument("--temperature", type=float, default=None, help="kB T / hbar w")
-        p.add_argument("--damping", type=float, default=None, help="gamma / w")
-        p.add_argument("--cutoff", type=float, default=None, help="wD / w")
-        p.add_argument("--mass-factor", dest="mass_factor", type=float, default=None)
-        if scenario == "sweep":
-            p.add_argument("--param", choices=("mass", "damping"), default=None)
-            p.add_argument("--start", type=float, default=None)
-            p.add_argument("--end", type=float, default=None)
-        if scenario == "oracle":
-            p.add_argument("--modes", default=None, help="comma-separated mode counts")
-        if scenario == "holevo":
-            p.add_argument("--ensemble", default=None, help="ensemble description file")
-            p.add_argument("--effort", type=int, default=None, help="search-grid resolution")
+        for key in reads:
+            kind = {"action": "store_true"} if _PARSERS[key] is _parse_bool else {"type": _PARSERS[key]}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=_HELP.get(key), **kind)
     return parser
 
 
@@ -457,16 +465,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         file_values = parse_config_file(args.config)
         file_values.pop("scenario", None)
         values.update(file_values)
-    for key in _PARSERS:
-        val = getattr(args, key, None)
-        if key == "scenario" or val is None:
-            continue
-        if key == "modes":
-            try:
-                val = _parse_modes(val)
-            except ValueError:
-                raise ConfigError(f"bad --modes value {val!r}") from None
-        values[key] = val
+    # every flag but --config sets the RunConfig field of its name
+    values.update((k, v) for k, v in vars(args).items() if k not in ("scenario", "config") and v is not None)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg

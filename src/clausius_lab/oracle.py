@@ -154,17 +154,16 @@ def convergence_report(
     temperature: float,
     mode_counts: list[int],
     c: Constants = Constants(),
-    omega_max: float | None = None,
-    converged_tol: float = 0.005,
 ) -> tuple[list[ConvergenceRow], bool]:
-    """Reduced moments for a ladder of mode counts with successive deltas.
+    """Reduced moments for a ladder of mode counts with successive deltas,
+    each ladder bath sampled up to ``default_omega_max``.
 
     Returns the rows and a flag set when the final successive relative change
-    is below ``converged_tol``.
+    is below 0.5%.
     """
     if list(mode_counts) != sorted(mode_counts):
         raise ValueError("mode_counts must be ascending")
-    omax = omega_max if omega_max is not None else default_omega_max(o, b)
+    omax = default_omega_max(o, b)
     rows: list[ConvergenceRow] = []
     prev: Moments | None = None
     for count in mode_counts:
@@ -183,6 +182,6 @@ def convergence_report(
             )
         prev = m
     converged = bool(rows) and rows[-1].delta_f1 is not None and (
-        max(rows[-1].delta_f1, rows[-1].delta_f2) < converged_tol
+        max(rows[-1].delta_f1, rows[-1].delta_f2) < 0.005
     )
     return rows, converged

@@ -20,7 +20,7 @@ change of the work potential:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class ProcessPath:
 class ThermoReport:
     delta_entropy: float
     heat: float
-    work_like_balance: float
     clausius_satisfied: bool
     slack: float
 
@@ -230,7 +229,6 @@ def clausius_check(
     return ThermoReport(
         delta_entropy=ds,
         heat=q,
-        work_like_balance=0.0,
         clausius_satisfied=slack >= -CLAUSIUS_TOL,
         slack=slack,
     )
@@ -246,12 +244,11 @@ def landauer_bound(s_initial: float, temperature: float, c: Constants = Constant
 
 
 def _step(s0: _State, s1: _State, temperature: float, c: Constants, coupled: bool = True) -> ThermoReport:
-    """dS, Q and dU - Q of the step between two states. Uncoupled, a mass
-    step exchanges no heat: U does not depend on M at fixed frequency, so
-    its dU is rounding and Q is booked as zero."""
-    du = s1.energy - s0.energy
+    """dS and Q of the step between two states. Uncoupled, a mass step
+    exchanges no heat: U does not depend on M at fixed frequency, so its dU
+    is rounding and Q is booked as zero."""
     q = _first_law(s0, s1).value if coupled else 0.0
-    return replace(clausius_check(q, s1.entropy - s0.entropy, temperature, c), work_like_balance=du - q)
+    return clausius_check(q, s1.entropy - s0.entropy, temperature, c)
 
 
 def _steps(
@@ -262,12 +259,12 @@ def _steps(
     mass_factor: float,
     check_coupling: bool = False,
     check_mass: bool = False,
-) -> tuple[ThermoReport, ThermoReport]:
-    """The coupling step and the mass step, from one kernel call over three
-    points: the bare oscillator (M, 0), the coupled point (M, gamma), which
-    ends one step and starts the other, and the mass path's end (kM, gamma/k).
-    Each checked step's entropy change is checked against the quadrature
-    along its path."""
+) -> tuple[ThermoReport, ThermoReport, ThermoReport]:
+    """The coupling step, the mass step and their total, from one kernel call
+    over three points: the bare oscillator (M, 0), the coupled point
+    (M, gamma), which ends one step and starts the other, and the mass path's
+    end (kM, gamma/k). Each checked step's entropy change is checked against
+    the quadrature along its path."""
     bath = BathSpec(temperature=temperature, damping=b.damping, cutoff=b.cutoff)
     if mass_factor <= 0:
         raise ValueError(f"mass_factor must be positive, got {mass_factor}")
@@ -280,7 +277,8 @@ def _steps(
         _checked_entropy_change(ProcessPath("damping", 0.0, bath.damping), coupling.delta_entropy, o, bath, c)
     if check_mass:
         _checked_entropy_change(path, mass_step.delta_entropy, o, bath, c)
-    return coupling, mass_step
+    q, ds = coupling.heat + mass_step.heat, coupling.delta_entropy + mass_step.delta_entropy
+    return coupling, mass_step, clausius_check(q, ds, temperature, c)
 
 
 def coupling_process(
@@ -322,8 +320,4 @@ def composed_process(
 ) -> ThermoReport:
     """Couple first, then change the mass: the thermodynamically complete
     two-step process whose totals satisfy the Clausius inequality."""
-    step1, step2 = _steps(o, b, temperature, c, mass_factor, check_consistency, check_consistency)
-    ds = step1.delta_entropy + step2.delta_entropy
-    q = step1.heat + step2.heat
-    du = (step1.work_like_balance + step1.heat) + (step2.work_like_balance + step2.heat)
-    return replace(clausius_check(q, ds, temperature, c), work_like_balance=du - q)
+    return _steps(o, b, temperature, c, mass_factor, check_consistency, check_consistency)[2]

@@ -1,5 +1,6 @@
 """CLI tests: parsing, scenarios, determinism, exit codes."""
 
+import argparse
 import csv
 from dataclasses import fields
 
@@ -9,8 +10,10 @@ import pytest
 import clausius_lab.bath as bath
 from clausius_lab import BathSpec, OscillatorParams, ProcessPath, heat
 from clausius_lab.cli import (
+    _RUNNERS,
     ConfigError,
     RunConfig,
+    build_parser,
     main,
     parse_config_file,
     parse_ensemble_file,
@@ -190,6 +193,14 @@ class TestScenarios:
         assert rc == 0
         assert len(calls) == 2
 
+    def test_resolve_solves_the_drude_cubic_once(self, tmp_path, monkeypatch):
+        # the three rows come from one kernel call over three points
+        calls = []
+        solve = bath._drude_poles
+        monkeypatch.setattr(bath, "_drude_poles", lambda *args: calls.append(1) or solve(*args))
+        assert main(["resolve", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_resolve_writes_three_rows(self, tmp_path):
         rc = main(
             [
@@ -221,6 +232,15 @@ class TestScenarios:
         s_bits = float((bits_dir / "moments.csv").read_text().splitlines()[1].split(",")[-1])
         assert s_bits == pytest.approx(s_nats / np.log(2), rel=1e-12)
 
+    def test_violation_scan_bits_flag_rescales_entropy(self, tmp_path):
+        rows = {}
+        for unit, extra in (("nats", []), ("bits", ["--bits"])):
+            assert main(["violation-scan", *extra, "--out", str(tmp_path / unit)]) == 0
+            with (tmp_path / unit / "violation-scan.csv").open(encoding="utf-8") as fh:
+                rows[unit] = [float(r["delta_entropy_mass"]) for r in csv.DictReader(fh)]
+        assert len(rows["bits"]) == 50
+        assert rows["bits"] == pytest.approx([s / np.log(2) for s in rows["nats"]], rel=1e-12)
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("temperature=1.0\ndamping=1.0\ncutoff=50\n", encoding="utf-8")
@@ -236,6 +256,11 @@ class TestScenarios:
 class TestExitCodes:
     def test_no_scenario_is_config_error(self, capsys):
         assert main([]) == 2
+
+    def test_flag_the_scenario_does_not_read_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["violation-scan", "--temperature", "0.1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_invalid_parameter_is_config_error(self, tmp_path, capsys):
         rc = main(["moments", "--temperature", "-1", "--out", str(tmp_path)])
@@ -269,3 +294,23 @@ class TestDeterminism:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert (out_a / "resolve.csv").read_bytes() == (out_b / "resolve.csv").read_bytes()
+
+
+class TestFlags:
+    @pytest.mark.parametrize("scenario", list(_RUNNERS))
+    def test_flags_are_the_fields_the_runner_reads(self, scenario, tmp_path, ensemble_path):
+        # a flag the runner never reads would be accepted and select nothing
+        reads = set()
+        names = {f.name for f in fields(RunConfig)}
+
+        class Recording(RunConfig):
+            def __getattribute__(self, name):
+                if name in names:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        extra = {"oracle": {"modes": (8, 16)}, "holevo": {"ensemble": ensemble_path, "effort": 4}}
+        _RUNNERS[scenario](Recording(scenario, **extra.get(scenario, {})), tmp_path)
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        offered = {a.dest for a in sub.choices[scenario]._actions if a.option_strings}
+        assert reads == offered - {"help", "config", "out"}
