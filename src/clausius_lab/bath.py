@@ -321,25 +321,19 @@ def moments_spectral(
     # and a segment that stops on it under-reports its error
     tol = {"epsabs": 0.0, "epsrel": 1e-11, "limit": 400}
 
-    f1 = f2 = err1 = err2 = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi <= lo:
-            continue
-        val, err = quad(i1, lo, hi, **tol)
-        f1 += val
-        err1 += err
-        val, err = quad(i2, lo, hi, **tol)
-        f2 += val
-        err2 += err
-    # the tail converges slowly in u but quickly in t = 1/u
-    t_hi = 1.0 / breaks[-1]
-    val, err = quad(lambda t: i1(1.0 / t) / t**2, 0.0, t_hi, **tol)
-    f1 += val
-    err1 += err
-    val, err = quad(lambda t: i2(1.0 / t) / t**2, 0.0, t_hi, **tol)
-    f2 += val
-    err2 += err
+    def integral(g):
+        """int_0^inf g(u) du over the segments, then the tail, which converges
+        slowly in u but quickly in t = 1/u; the value and its error."""
+        pieces = [quad(g, lo, hi, **tol) for lo, hi in zip(breaks[:-1], breaks[1:])]
+        pieces.append(quad(lambda t: g(1.0 / t) / t**2, 0.0, 1.0 / breaks[-1], **tol))
+        total = err = 0.0
+        for val, e in pieces:
+            total += val
+            err += e
+        return total, err
 
+    f1, err1 = integral(i1)
+    f2, err2 = integral(i2)
     f1 *= c.hbar / math.pi
     f2 *= c.hbar * o.mass**2 / math.pi
     err1 *= c.hbar / math.pi

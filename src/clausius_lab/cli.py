@@ -8,6 +8,7 @@ is kB T / hbar w, damping is gamma / w, cutoff is wD / w.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import math
 import sys
@@ -216,15 +217,27 @@ def parse_ensemble_file(path: str) -> Ensemble:
         raise ConfigError(f"{path}: invalid ensemble: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+def _cell(x) -> str:
+    """One CSV cell: booleans as true/false, floats as %.12e, complex numbers
+    as %.12e%+.12ej, ints and strings as they are, None as an empty cell."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.12e}"
+    if isinstance(x, complex):
+        return f"{x.real:.12e}{x.imag:+.12e}j"
+    if isinstance(x, (int, str)):
+        return str(x)
+    if x is None:
+        return ""
+    raise TypeError(f"no CSV format for {type(x).__name__} {x!r}")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """The one CSV writer: each cell formatted by ``_cell``, and quoted per
+    RFC 4180 only where it holds a comma, a quote or a newline."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([_cell(x) for x in row] for row in [header, *rows])
 
 
 def _entropy_scale(cfg: RunConfig) -> float:
@@ -237,68 +250,46 @@ def _reference(cfg: RunConfig) -> tuple[OscillatorParams, BathSpec, Constants]:
     return o, b, Constants()
 
 
-def run_moments(cfg: RunConfig, out_dir: Path) -> Path:
+# each runner returns its CSV's header and rows of raw values, which main
+# writes to <scenario>.csv
+Table = tuple[list[str], list[list]]
+
+
+def run_moments(cfg: RunConfig, out_dir: Path) -> Table:
     o, b, c = _reference(cfg)
     scale = _entropy_scale(cfg)
     rows = []
-    for route, compute in (
-        (MomentRoute.MATSUBARA, moments_matsubara),
-        (MomentRoute.SPECTRAL_INTEGRAL, moments_spectral),
-    ):
+    for route, compute in ((MomentRoute.MATSUBARA, moments_matsubara), (MomentRoute.SPECTRAL_INTEGRAL, moments_spectral)):
         m = compute(o, b, c)
         v = symplectic_param(m, c).v
-        rows.append(
-            [
-                route.value,
-                _fmt(b.temperature),
-                _fmt(b.damping),
-                _fmt(b.cutoff),
-                _fmt(m.f1),
-                _fmt(m.f2),
-                _fmt(m.cross),
-                _fmt(v),
-                _fmt(entropy(v) * scale),
-            ]
-        )
-    path = out_dir / "moments.csv"
-    _write_csv(
-        path,
-        ["route", "temperature", "damping", "cutoff", "f1", "f2", "cross", "v", "entropy"],
-        rows,
-    )
-    return path
+        rows.append([route.value, b.temperature, b.damping, b.cutoff, m.f1, m.f2, m.cross, v, entropy(v) * scale])
+    return ["route", "temperature", "damping", "cutoff", "f1", "f2", "cross", "v", "entropy"], rows
 
 
-def run_oracle(cfg: RunConfig, out_dir: Path) -> Path:
+def run_oracle(cfg: RunConfig, out_dir: Path) -> Table:
     o, b, c = _reference(cfg)
-    report, converged = convergence_report(o, b, b.temperature, list(cfg.modes), c)
-    rows = []
-    for r in report:
-        rows.append(
-            [
-                str(r.mode_count),
-                _fmt(r.f1),
-                _fmt(r.f2),
-                _fmt(r.delta_f1) if r.delta_f1 is not None else "",
-                _fmt(r.delta_f2) if r.delta_f2 is not None else "",
-                str(converged and r is report[-1]).lower(),
-            ]
-        )
-    path = out_dir / "oracle.csv"
-    _write_csv(path, ["mode_count", "f1", "f2", "delta_f1", "delta_f2", "converged"], rows)
-    return path
+    report, converged = convergence_report(o, b, list(cfg.modes), c)
+    rows = [[r.mode_count, r.f1, r.f2, r.delta_f1, r.delta_f2, converged and r is report[-1]] for r in report]
+    return ["mode_count", "f1", "f2", "delta_f1", "delta_f2", "converged"], rows
 
 
-def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
+def run_sweep(cfg: RunConfig, out_dir: Path) -> Table:
     o, b, c = _reference(cfg)
     scale = _entropy_scale(cfg)
     alphas = ProcessPath(cfg.param, cfg.start, cfg.end, cfg.grid).values
     mass, damping = _mass_and_damping(cfg.param, o, b, alphas)
-    states = _states(mass, damping, o, b, c, free_energy=cfg.param == "mass")
-    dq = np.zeros(alphas.shape)  # the heat integrand dQ/d alpha at each row
+    states = _states(mass, damping, o, b, c, free_energy=True)
+    dq = np.zeros(alphas.shape)  # the heat integrand dQ/d alpha = dU/d alpha - dW/d alpha at each row
     if cfg.start != cfg.end:
-        _, _, df1, df2, _, _ = _stencil_derivatives(cfg.param, o, b, alphas, c)
-        dq = df2 / (2 * mass) + mass * o.frequency**2 * df1 / 2
+        f1, f2, df1, df2, _, _ = _stencil_derivatives(cfg.param, o, b, alphas, c)
+        w2 = o.frequency**2
+        dq = df2 / (2 * mass) + mass * w2 * df1 / 2
+        if cfg.param == "damping":
+            # H_S does not depend on gamma, so dU/d gamma is all of the above,
+            # less the work dF_MF/d gamma = (f2/M - M w^2 f1) / (2 gamma),
+            # exact from the moments, and its limit at gamma = 0
+            gamma = np.where(alphas > 0, alphas, 1.0)
+            dq -= np.where(alphas > 0, (f2 / mass - mass * w2 * f1) / (2 * gamma), (df2 / mass - mass * w2 * df1) / 2)
     rows = []
     q_cum = 0.0
     for i, (alpha, s) in enumerate(zip(alphas, states)):
@@ -310,51 +301,16 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Path:
         err_cum = abs(q_cum - exact.value) + exact.error_estimate
         ds_cum = s.entropy - states[0].entropy
         slack = c.kB * b.temperature * ds_cum - q_cum
-        rows.append(
-            [
-                _fmt(alpha),
-                _fmt(s.moments.f1),
-                _fmt(s.moments.f2),
-                _fmt(symplectic_param(s.moments, c).v),
-                _fmt(s.entropy * scale),
-                _fmt(ds_cum * scale),
-                _fmt(q_cum),
-                _fmt(err_cum),
-                _fmt(slack),
-            ]
-        )
-    path = out_dir / "sweep.csv"
-    _write_csv(
-        path,
-        [
-            "alpha",
-            "f1",
-            "f2",
-            "v",
-            "entropy",
-            "delta_entropy_cum",
-            "heat_cum",
-            "heat_error_est",
-            "clausius_slack",
-        ],
-        rows,
-    )
+        v = symplectic_param(s.moments, c).v
+        rows.append([alpha, s.moments.f1, s.moments.f2, v, s.entropy * scale, ds_cum * scale, q_cum, err_cum, slack])
     if cfg.svg:
-        svgplot.line_plot(
-            out_dir / "sweep.svg",
-            list(alphas),
-            [
-                ("entropy", [s.entropy * scale for s in states]),
-                ("f1", [s.moments.f1 for s in states]),
-                ("f2", [s.moments.f2 for s in states]),
-            ],
-            title=f"sweep of {cfg.param}",
-            xlabel=cfg.param,
-        )
-    return path
+        series = [(name, [row[k] for row in rows]) for name, k in (("entropy", 4), ("f1", 1), ("f2", 2))]
+        svgplot.line_plot(out_dir / "sweep.svg", list(alphas), series, title=f"sweep of {cfg.param}", xlabel=cfg.param)
+    header = ["alpha", "f1", "f2", "v", "entropy", "delta_entropy_cum", "heat_cum", "heat_error_est", "clausius_slack"]
+    return header, rows
 
 
-def run_violation_scan(cfg: RunConfig, out_dir: Path) -> Path:
+def run_violation_scan(cfg: RunConfig, out_dir: Path) -> Table:
     c = Constants()
     o = OscillatorParams(mass=1.0, frequency=1.0)
     scale = _entropy_scale(cfg)
@@ -364,73 +320,37 @@ def run_violation_scan(cfg: RunConfig, out_dir: Path) -> Path:
         try:
             report = mass_process(o, b, t, c, cfg.mass_factor, check_consistency=False)
         except NumericalFailure as exc:
-            rows.append([_fmt(t), _fmt(g), _fmt(wd), _fmt(cfg.mass_factor), "", "", "", f"ERROR:{exc}"])
+            rows.append([t, g, wd, cfg.mass_factor, None, None, None, f"ERROR:{exc}"])
             continue
         violation = report.delta_entropy < 0 and report.heat > 0
         flag = "VIOLATION(APPARENT)" if violation else "OK"
-        rows.append(
-            [
-                _fmt(t),
-                _fmt(g),
-                _fmt(wd),
-                _fmt(cfg.mass_factor),
-                _fmt(report.delta_entropy * scale),
-                _fmt(report.heat),
-                _fmt(report.slack),
-                flag,
-            ]
-        )
-    path = out_dir / "violation-scan.csv"
-    _write_csv(
-        path,
-        ["temperature", "damping", "cutoff", "mass_factor", "delta_entropy_mass", "heat_mass", "clausius_slack", "flag"],
-        rows,
-    )
-    return path
+        rows.append([t, g, wd, cfg.mass_factor, report.delta_entropy * scale, report.heat, report.slack, flag])
+    header = ["temperature", "damping", "cutoff", "mass_factor", "delta_entropy_mass", "heat_mass", "clausius_slack", "flag"]
+    return header, rows
 
 
-def run_resolve(cfg: RunConfig, out_dir: Path) -> Path:
+def run_resolve(cfg: RunConfig, out_dir: Path) -> Table:
     o, b, c = _reference(cfg)
     scale = _entropy_scale(cfg)
-    rows = []
-    for name, rep in zip(("coupling", "mass", "total"), _steps(o, b, b.temperature, c, cfg.mass_factor)):
-        rows.append(
-            [
-                name,
-                _fmt(rep.delta_entropy * scale),
-                _fmt(rep.heat),
-                _fmt(rep.slack),
-                str(rep.clausius_satisfied).lower(),
-            ]
-        )
-    path = out_dir / "resolve.csv"
-    _write_csv(path, ["step", "delta_entropy", "heat", "clausius_slack", "clausius_satisfied"], rows)
-    return path
+    rows = [
+        [name, rep.delta_entropy * scale, rep.heat, rep.slack, rep.clausius_satisfied]
+        for name, rep in zip(("coupling", "mass", "total"), _steps(o, b, c, cfg.mass_factor))
+    ]
+    return ["step", "delta_entropy", "heat", "clausius_slack", "clausius_satisfied"], rows
 
 
-def run_holevo(cfg: RunConfig, out_dir: Path) -> Path:
+def run_holevo(cfg: RunConfig, out_dir: Path) -> Table:
     scale = _entropy_scale(cfg)
     ensemble = parse_ensemble_file(cfg.ensemble)
     chi = holevo_chi(ensemble)
     budget = erasure_budget(ensemble, cfg.temperature)
-    rows = [
-        ["holevo_chi", _fmt(chi * scale)],
-        ["q_martin", _fmt(budget.q_martin)],
-        ["q_amy", _fmt(budget.q_amy)],
-        ["q_shared", _fmt(budget.q_shared)],
-    ]
+    rows = [["holevo_chi", chi * scale], ["q_martin", budget.q_martin], ["q_amy", budget.q_amy], ["q_shared", budget.q_shared]]
     if ensemble.dim == 2:
         bound, povm = accessible_info_lower(ensemble, cfg.effort)
-        rows.insert(1, ["accessible_info_lower", _fmt(bound * scale)])
+        rows.insert(1, ["accessible_info_lower", bound * scale])
         for k, elem in enumerate(povm.elements):
-            for i in range(2):
-                for j in range(2):
-                    rows.append(
-                        [f"povm_{k}_{i}{j}", f"{_fmt(elem[i, j].real)}{elem[i, j].imag:+.12e}j"]
-                    )
-    path = out_dir / "holevo.csv"
-    _write_csv(path, ["quantity", "value"], rows)
-    return path
+            rows += [[f"povm_{k}_{i}{j}", elem[i, j]] for i in range(2) for j in range(2)]
+    return ["quantity", "value"], rows
 
 
 _RUNNERS = {
@@ -486,13 +406,15 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        path = _RUNNERS[cfg.scenario](cfg, out_dir)
+        header, rows = _RUNNERS[cfg.scenario](cfg, out_dir)
     except NumericalFailure as exc:
         print(f"clausius-lab: numerical failure: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"clausius-lab: config error: {exc}", file=sys.stderr)
         return 2
+    path = out_dir / f"{cfg.scenario}.csv"
+    _write_csv(path, header, rows)
     print(path)
     return 0
 

@@ -151,12 +151,11 @@ class ConvergenceRow:
 def convergence_report(
     o: OscillatorParams,
     b: BathSpec,
-    temperature: float,
     mode_counts: list[int],
     c: Constants = Constants(),
 ) -> tuple[list[ConvergenceRow], bool]:
-    """Reduced moments for a ladder of mode counts with successive deltas,
-    each ladder bath sampled up to ``default_omega_max``.
+    """Reduced moments at the bath's temperature for a ladder of mode counts
+    with successive deltas, each ladder bath sampled up to ``default_omega_max``.
 
     Returns the rows and a flag set when the final successive relative change
     is below 0.5%.
@@ -167,7 +166,7 @@ def convergence_report(
     rows: list[ConvergenceRow] = []
     prev: Moments | None = None
     for count in mode_counts:
-        m = reduced_moments_exact(sample_bath(b, o, count, omax), o, temperature, c)
+        m = reduced_moments_exact(sample_bath(b, o, count, omax), o, b.temperature, c)
         if prev is None:
             rows.append(ConvergenceRow(count, m.f1, m.f2, None, None))
         else:

@@ -9,13 +9,17 @@ H_S and work potential. Every step is booked as a difference of two states:
 dS, dU, and the heat by the subsystem first law, Q = dU - W, with W the
 change of the work potential:
 
-- The coupling step is a quasistatic isothermal switch-on whose work is the
-  mean-force free energy change, W = dF_MF.
+- A change of coupling (the switch-on, or any damping path) is quasistatic
+  and isothermal, and its work is the mean-force free energy change,
+  W = dF_MF.
 - The mass sweep runs at fixed microscopic coupling (gamma ~ 1/M) and fixed
   bare frequency, so only H_S depends on M. Its work int <dH_S/dM> dM is, by
   Hellmann-Feynman on the total Gibbs state, the change of the coupling free
   energy along the path (the bare part of F_MF does not depend on M at fixed
   frequency).
+
+The process ops compute at their bath's temperature; their ``temperature``
+argument must equal it, and a different value raises ValueError.
 """
 
 from __future__ import annotations
@@ -110,10 +114,10 @@ class _State:
 
 def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, free_energy: bool = False) -> list[_State]:
     """The state at each (M, gamma) point, from one kernel call. The work
-    potential is the coupling free energy with ``free_energy``, as on a mass
-    path and for the switch-on, and zero otherwise, as on a damping path,
-    where H_S does not depend on gamma. At gamma = 0 the kernel gives the bare
-    Gibbs state, and its free energy of coupling is zero."""
+    potential is the coupling free energy with ``free_energy``, which every
+    heat needs, and zero otherwise, where only the entropy is wanted. At
+    gamma = 0 the kernel gives the bare Gibbs state, and its free energy of
+    coupling is zero."""
     b.warn_if_cutoff_low(o)
     f1, f2, *work = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=free_energy)
     work = work[0] if free_energy else [0.0] * len(f1)
@@ -209,14 +213,14 @@ def heat(
 ) -> HeatResult:
     """Heat along the path, Q = int dQ/d alpha d alpha, in closed form.
 
-    The first law on the endpoints gives Q = dU - W: on a mass path W is the
-    change of the coupling free energy, on a damping path W = 0. The grid of
-    the path selects nothing here.
+    The first law on the endpoints gives Q = dU - W, with W the change of
+    the coupling free energy on either path. The grid of the path selects
+    nothing here.
     """
     if path.start_value == path.end_value:
         return HeatResult(value=0.0, error_estimate=0.0)
     ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
-    return _first_law(*_states(*ends, o, b, c, free_energy=path.parameter == "mass"))
+    return _first_law(*_states(*ends, o, b, c, free_energy=True))
 
 
 def clausius_check(
@@ -254,7 +258,6 @@ def _step(s0: _State, s1: _State, temperature: float, c: Constants, coupled: boo
 def _steps(
     o: OscillatorParams,
     b: BathSpec,
-    temperature: float,
     c: Constants,
     mass_factor: float,
     check_coupling: bool = False,
@@ -265,20 +268,26 @@ def _steps(
     (M, gamma), which ends one step and starts the other, and the mass path's
     end (kM, gamma/k). Each checked step's entropy change is checked against
     the quadrature along its path."""
-    bath = BathSpec(temperature=temperature, damping=b.damping, cutoff=b.cutoff)
     if mass_factor <= 0:
         raise ValueError(f"mass_factor must be positive, got {mass_factor}")
     path = ProcessPath("mass", o.mass, o.mass * mass_factor)
-    mass, damping = _mass_and_damping("mass", o, bath, [path.start_value, path.end_value])
-    bare, coupled, end = _states(np.append(o.mass, mass), np.append(0.0, damping), o, bath, c, free_energy=True)
-    coupling = _step(bare, coupled, temperature, c)
-    mass_step = _step(coupled, end, temperature, c, coupled=bath.damping > 0)
+    mass, damping = _mass_and_damping("mass", o, b, [path.start_value, path.end_value])
+    bare, coupled, end = _states(np.append(o.mass, mass), np.append(0.0, damping), o, b, c, free_energy=True)
+    coupling = _step(bare, coupled, b.temperature, c)
+    mass_step = _step(coupled, end, b.temperature, c, coupled=b.damping > 0)
     if check_coupling:
-        _checked_entropy_change(ProcessPath("damping", 0.0, bath.damping), coupling.delta_entropy, o, bath, c)
+        _checked_entropy_change(ProcessPath("damping", 0.0, b.damping), coupling.delta_entropy, o, b, c)
     if check_mass:
-        _checked_entropy_change(path, mass_step.delta_entropy, o, bath, c)
+        _checked_entropy_change(path, mass_step.delta_entropy, o, b, c)
     q, ds = coupling.heat + mass_step.heat, coupling.delta_entropy + mass_step.delta_entropy
-    return coupling, mass_step, clausius_check(q, ds, temperature, c)
+    return coupling, mass_step, clausius_check(q, ds, b.temperature, c)
+
+
+def _bath_at(b: BathSpec, temperature: float) -> BathSpec:
+    """The bath of a process op, whose ``temperature`` must be the bath's own."""
+    if temperature != b.temperature:
+        raise ValueError(f"temperature {temperature} differs from the bath's {b.temperature}")
+    return b
 
 
 def coupling_process(
@@ -293,7 +302,7 @@ def coupling_process(
     dS from the endpoint entropies; heat from the subsystem first law with the
     quasistatic work W = dF_MF: Q = dU - dF_MF.
     """
-    return _steps(o, b_target, temperature, c, 1.0, check_coupling=check_consistency)[0]
+    return _steps(o, _bath_at(b_target, temperature), c, 1.0, check_coupling=check_consistency)[0]
 
 
 def mass_process(
@@ -307,7 +316,7 @@ def mass_process(
     """Mass sweep M -> mass_factor * M at fixed bare frequency and fixed
     microscopic coupling. This is the step that taken alone appears to
     violate the Clausius inequality."""
-    return _steps(o, b, temperature, c, mass_factor, check_mass=check_consistency)[1]
+    return _steps(o, _bath_at(b, temperature), c, mass_factor, check_mass=check_consistency)[1]
 
 
 def composed_process(
@@ -320,4 +329,4 @@ def composed_process(
 ) -> ThermoReport:
     """Couple first, then change the mass: the thermodynamically complete
     two-step process whose totals satisfy the Clausius inequality."""
-    return _steps(o, b, temperature, c, mass_factor, check_consistency, check_consistency)[2]
+    return _steps(o, _bath_at(b, temperature), c, mass_factor, check_consistency, check_consistency)[2]

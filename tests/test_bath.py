@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clausius_lab import (
     BathSpec,
@@ -307,6 +309,35 @@ class TestCouplingFreeEnergy:
             )
         b = BathSpec(temperature=temperature, damping=damping, cutoff=cutoff)
         assert coupling_free_energy(OSC, b, C) == pytest.approx(float(ref), rel=1e-8)
+
+
+    @pytest.mark.filterwarnings("ignore:Drude cutoff")
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        log_t=st.floats(math.log(1e-3), math.log(1e2)),
+        log_gamma=st.floats(math.log(1e-2), math.log(50.0)),
+        log_cutoff=st.floats(math.log(10.0), math.log(1000.0)),
+        mass=st.floats(0.3, 3.0),
+        frequency=st.floats(0.3, 3.0),
+    )
+    def test_damping_slope_from_the_moments(self, log_t, log_gamma, log_cutoff, mass, frequency):
+        # [DERIVED] d/dgamma of each log term is nu wD / P(nu), and the f1 and
+        # f2 sums combine to the same sum: dF_MF/dgamma = (f2/M - M w^2 f1)/(2 gamma);
+        # checked against a Richardson central difference of the free energy
+        o = OscillatorParams(mass=mass, frequency=frequency)
+        t, gamma, cutoff = math.exp(log_t), math.exp(log_gamma), math.exp(log_cutoff)
+
+        def free_energy(g):
+            return coupling_free_energy(o, BathSpec(temperature=t, damping=g, cutoff=cutoff), C)
+
+        def central(h):
+            return (free_energy(gamma + h) - free_energy(gamma - h)) / (2 * h)
+
+        h = 1e-3 * gamma
+        slope = (4 * central(h / 2) - central(h)) / 3
+        m = moments_matsubara(o, BathSpec(temperature=t, damping=gamma, cutoff=cutoff), C)
+        identity = (m.f2 / mass - mass * frequency**2 * m.f1) / (2 * gamma)
+        assert identity == pytest.approx(slope, rel=1e-7)
 
 
 class TestMomentDerivatives:

@@ -13,6 +13,7 @@ from clausius_lab.cli import (
     _RUNNERS,
     ConfigError,
     RunConfig,
+    _cell,
     build_parser,
     main,
     parse_config_file,
@@ -184,6 +185,21 @@ class TestScenarios:
             exact = heat(ProcessPath(param, start, alpha), o, b)
             assert abs(float(row["heat_cum"]) - exact.value) <= float(row["heat_error_est"])
 
+    def test_damping_sweep_books_the_switch_on_heat(self, tmp_path):
+        # a damping path's work is dF_MF, as for the switch-on that resolve
+        # books, so the flagship sweep shows no apparent violation, and its
+        # last row's heat is resolve's coupling heat
+        flagship = ["--temperature", "0.05", "--damping", "5", "--cutoff", "100"]
+        rc = main(["sweep", "--param", "damping", "--start", "0", "--end", "5", *flagship, "--out", str(tmp_path)])
+        assert rc == 0 and main(["resolve", *flagship, "--out", str(tmp_path)]) == 0
+        with (tmp_path / "sweep.csv").open(encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        with (tmp_path / "resolve.csv").open(encoding="utf-8") as fh:
+            coupling = next(csv.DictReader(fh))
+        assert all(float(row["clausius_slack"]) >= 0 for row in rows)
+        last = rows[-1]
+        assert abs(float(last["heat_cum"]) - float(coupling["heat"])) <= float(last["heat_error_est"])
+
     def test_sweep_solves_the_drude_cubic_twice(self, tmp_path, monkeypatch):
         # one kernel call for the rows' states, one for their heat integrand
         calls = []
@@ -286,14 +302,66 @@ class TestExitCodes:
         assert rc == 2
 
 
+def _printed_as_written(cell: str) -> bool:
+    """Whether a numeric cell is printed as the writer prints its value: an
+    int as digits, a float as %.12e, a complex as %.12e%+.12ej."""
+    if cell.isdigit():
+        return True
+    for kind in (float, complex):
+        try:
+            return cell == _cell(kind(cell))
+        except ValueError:
+            pass
+    return True  # not a number
+
+
 class TestDeterminism:
-    def test_resolve_runs_are_byte_identical(self, tmp_path):
-        args = ["resolve", "--temperature", "0.2", "--damping", "1.0", "--cutoff", "50", "--mass-factor", "2"]
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["moments", "--temperature", "0.2", "--damping", "1.0", "--cutoff", "50"],
+            ["oracle", "--modes", "32,64"],
+            ["sweep", "--param", "mass", "--start", "1", "--end", "2", "--svg"],
+            ["violation-scan"],
+            ["resolve", "--temperature", "0.2", "--damping", "1.0", "--cutoff", "50", "--mass-factor", "2"],
+            ["holevo", "--temperature", "1"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_runs_are_byte_identical(self, tmp_path, ensemble_path, args):
+        if args[0] == "holevo":
+            args = args + ["--ensemble", ensemble_path]
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
-        assert (out_a / "resolve.csv").read_bytes() == (out_b / "resolve.csv").read_bytes()
+        names = sorted(p.name for p in out_a.iterdir())
+        assert f"{args[0]}.csv" in names and names == sorted(p.name for p in out_b.iterdir())
+        assert all((out_a / n).read_bytes() == (out_b / n).read_bytes() for n in names)
+        with (out_a / f"{args[0]}.csv").open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert all(_printed_as_written(cell) for row in rows for cell in row)
+
+    def test_error_rows_keep_the_header_width(self, tmp_path):
+        # each diagnostic message holds commas, so the writer quotes it
+        assert main(["violation-scan", "--mass-factor", "1e-300", "--out", str(tmp_path)]) == 0
+        with (tmp_path / "violation-scan.csv").open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        errors = [row for row in rows if row[-1].startswith("ERROR:")]
+        assert len(errors) == 40 and all("," in row[-1] for row in errors)
+        assert len(header) == 8 and all(len(row) == 8 for row in rows)
+
+    @pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), np.float32(1.5), [1.0]], ids=repr)
+    def test_cell_refuses_a_type_it_has_no_format_for(self, value):
+        with pytest.raises(TypeError):
+            _cell(value)
+
+    def test_cell_formats(self):
+        assert [_cell(x) for x in (True, False, 0.5, np.float64(-2.0), 1 - 2j, 7, "ok", None)] == [
+            "true", "false", "5.000000000000e-01", "-2.000000000000e+00",
+            "1.000000000000e+00-2.000000000000e+00j", "7", "ok", "",
+        ]
 
 
 class TestFlags:

@@ -196,17 +196,17 @@ class TestArrowheadCheck:
 class TestConvergenceReport:
     def test_rows_and_deltas(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=10.0)
-        rows, _ = convergence_report(OSC, b, 1.0, [32, 64, 128], C)
+        rows, _ = convergence_report(OSC, b, [32, 64, 128], C)
         assert [r.mode_count for r in rows] == [32, 64, 128]
         assert rows[0].delta_f1 is None
         assert rows[1].delta_f1 is not None and rows[1].delta_f1 >= 0
 
     def test_deltas_shrink_with_resolution(self):
         b = BathSpec(temperature=5.0, damping=1.0, cutoff=10.0)
-        rows, _ = convergence_report(OSC, b, 5.0, [64, 128, 256, 512], C)
+        rows, _ = convergence_report(OSC, b, [64, 128, 256, 512], C)
         assert rows[-1].delta_f1 < rows[1].delta_f1
 
     def test_rejects_unsorted_counts(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=10.0)
         with pytest.raises(ValueError):
-            convergence_report(OSC, b, 1.0, [128, 64], C)
+            convergence_report(OSC, b, [128, 64], C)

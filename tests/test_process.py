@@ -224,6 +224,17 @@ class TestLandauer:
             landauer_bound(-0.1, 1.0, C)
 
 
+    @pytest.mark.parametrize(
+        "temperature, damping, cutoff",
+        [(t, g, wd) for t in (0.05, 0.2, 1.0, 5.0, 20.0) for g in (0.1, 1.0, 5.0, 10.0) for wd in (50.0, 200.0)],
+    )
+    def test_damping_heat_is_the_switch_on_heat(self, temperature, damping, cutoff):
+        # one convention on both routes: a change of coupling does work dF_MF
+        b = BathSpec(temperature=temperature, damping=damping, cutoff=cutoff)
+        q = heat(ProcessPath("damping", 0.0, damping), OSC, b, C)
+        assert q.value == coupling_process(OSC, b, temperature, C, check_consistency=False).heat
+
+
 class TestCouplingProcess:
     def test_entropy_up_heat_out_at_low_temperature(self):
         b = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
@@ -287,6 +298,15 @@ class TestComposedProcess:
         total = composed_process(OSC, b, 0.2, C, mass_factor=2.0, check_consistency=False)
         assert total.delta_entropy == pytest.approx(step1.delta_entropy + step2.delta_entropy, abs=1e-12)
         assert total.heat == pytest.approx(step1.heat + step2.heat, abs=1e-12)
+
+
+@pytest.mark.parametrize("op", [coupling_process, mass_process, composed_process])
+def test_temperature_other_than_the_baths_raises(op):
+    # the bath carries the temperature; a second, different one is an error
+    b = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
+    with pytest.raises(ValueError, match="temperature"):
+        op(OSC, b, 1.0, C, check_consistency=False)
+    assert op(OSC, b, 0.05, C, check_consistency=False) == op(OSC, b, b.temperature, C, check_consistency=False)
 
 
 def _drude_solves(monkeypatch, op):
