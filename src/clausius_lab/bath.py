@@ -18,8 +18,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma, polygamma, psi, zeta
 
+from ._special import loggamma, polygamma, psi, zeta
 from .errors import NumericalFailure
 from .gaussian import Constants, Moments, OscillatorParams, thermal_moments_decoupled
 
@@ -27,18 +27,25 @@ _TARGET_REL = 1e-8
 # quad's reported error near a sharp resonance is conservative by one to two
 # orders, so the spectral route gates on a looser (still sub-1e-6) threshold
 _SPECTRAL_TARGET_REL = 1e-7
-# rounding-error unit of the closed forms: psi and loggamma are good to a few ulps
+# rounding-error unit of the closed forms, 32 ulps; tests/test_special.py
+# measures psi, polygamma and the ln Gamma steps within 5 ulps of the scales
+# this error model charges them to
 _ROUND = 32 * float(np.finfo(float).eps)
+# the closed form multiplies c1 = w^2 + gamma wD by roots of size ~sqrt(c1),
+# which overflows near c1 = 1e205; a larger c1 is refused
+_MAX_C1 = 1e200
 # a root pair closer than this fraction of nu1 + its midpoint is confluent
 _CONFLUENT = 1e-3
 # three roots within this fraction of nu1 + their mean are expanded together
 # (their second divided difference would lose ~ulp/fraction^2), to this order
 _CLUSTER, _CLUSTER_ORDER = 1e-2, 12
-# Gauss-Legendre rule on [-1, 1] for ln Gamma differences over short steps
+# Gauss-Legendre rule for ln Gamma differences over short steps: its nodes
+# mapped from [-1, 1] to [0, 1], and its weights
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES = (1 + _GL_NODES) / 2
 # psi(1 + z) - psi(1) = sum_{k>=2} (-1)^k zeta(k) z^(k-1), summed for |z| < 0.1;
 # Horner order, highest power first
-_PSI_SERIES = [(-1) ** k * zeta(k) for k in range(20, 1, -1)]
+_PSI_SERIES = zeta(np.arange(20, 1, -1)) * (-1.0) ** np.arange(20, 1, -1)
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,17 @@ def _drude_poles(w2, wd, damping):
 
     m = (wD - r)/2 comes from P(-r) = 0 without that cancellation and q from
     Vieta's relations, so both stay accurate at weak damping and where the
-    pair merges at critical damping.
+    pair merges at critical damping. A gamma whose c1 = w^2 + gamma wD
+    exceeds ``_MAX_C1`` raises before anything can overflow.
     """
+    in_range = damping <= (_MAX_C1 - w2) / wd  # no product that can overflow
+    if not in_range.all():
+        i = np.flatnonzero(~in_range)[0]
+        raise NumericalFailure(
+            f"damping beyond the closed form's range: w^2 + gamma wD exceeds {_MAX_C1:g}",
+            damping=float(damping[i]),
+            cutoff=float(np.broadcast_to(wd, damping.shape)[i]),
+        )
     c1, c0 = w2 + damping * wd, w2 * wd
     # np.roots of nu^3 - wD nu^2 + c1 nu - c0, one companion matrix per element
     companion = np.zeros(c1.shape + (3, 3))
@@ -167,15 +183,22 @@ def _matsubara_moments(
     beta = 1.0 / (c.kB * temperature)
     nu1 = 2 * math.pi * c.kB * temperature / c.hbar
     w2 = w * w
-    c1 = w2 + damping * wd
     r, x, y, m, q = _drude_poles(w2, wd, damping)
+    c1 = w2 + damping * wd
     mid = wd / 3  # the mean of the three roots
     spread = np.maximum(np.maximum(abs(r - mid), abs(x - mid)), abs(y - mid))
     cluster = spread <= _CLUSTER * (nu1 + mid)
     node = np.where(cluster, mid, x)
     # divided differences of psi(1 + l/nu1) over the roots, with rounding
-    # errors; the cluster rows are replaced below
-    pr, py, px = psi(1 + r / nu1), psi(_shifted(y, nu1)), psi(_shifted(x, nu1))
+    # errors; the cluster rows are replaced below. One psi call serves all
+    # roots and the free energy's nodes
+    n = len(r)
+    args = _shifted(np.concatenate([r, y, x]), nu1)
+    if free_energy:
+        points, h, nodes = _coupling_steps(*(v.tolist() for v in (w, wd, damping, r, x, y)), nu1)
+        args = np.concatenate([args, 1 + nodes.ravel()])
+    p = psi(args)
+    pr, py, px = p[:n].real, p[n : 2 * n], p[2 * n : 3 * n]
     with np.errstate(divide="ignore", invalid="ignore"):
         d_yr = (py - pr) / (y - r)
         e_yr = _ROUND * (abs(py) + abs(pr) + 2) / abs(y - r)
@@ -225,10 +248,7 @@ def _matsubara_moments(
         )
     if not free_energy:
         return f1, f2
-    # point by point in Python scalars, whose complex products and quotients
-    # round as the one-point form does and numpy's complex arrays do not
-    args = (w.tolist(), wd.tolist(), damping.tolist(), r.tolist(), x.tolist(), y.tolist())
-    return f1, f2, [_free_energy(*point, temperature, c, rel_tol) for point in zip(*args)]
+    return f1, f2, _free_energies(points, h, nodes, p[3 * n :].reshape(nodes.shape), n, temperature, c, rel_tol)
 
 
 def moments_matsubara(
@@ -347,61 +367,95 @@ def moments_spectral(
     return Moments(f1=f1, f2=f2, cross=0.0)
 
 
-def _psi_from_one(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """psi(1 + z) - psi(1) elementwise, and the scale of its rounding error;
-    the series keeps the relative accuracy of small z."""
-    small = np.abs(z) < 0.1
-    value = psi(1 + z) + np.euler_gamma
-    scale = np.abs(value) + 2
-    if small.any():
-        series = z * np.polyval(_PSI_SERIES, z)
-        value, scale = np.where(small, series, value), np.where(small, np.abs(series), scale)
-    return value, scale
+_OTHER_ROOTS = ((1, 2), (0, 2), (0, 1))
 
 
-def _lngamma_step(y: complex, h: complex) -> tuple[complex, float]:
-    """ln Gamma(1 + y + h) - ln Gamma(1 + y) - psi(1) h and its rounding error;
-    a short step integrates psi(1 + .) - psi(1) along it, keeping the relative
-    accuracy of h and, at high temperature, of y."""
-    if 8 * abs(h) < abs(1 + y):
-        values, scale = _psi_from_one(y + h * (1 + _GL_NODES) / 2)
-        return h / 2 * np.dot(_GL_WEIGHTS, values), _ROUND * abs(h) * np.max(scale)
-    hi, lo = loggamma(1 + y + h), loggamma(1 + y)
-    err = _ROUND * (abs(hi) + abs(lo) + abs(1 + y + h) + abs(1 + y) + abs(h))
-    return hi - lo + np.euler_gamma * h, err
+def _coupling_steps(w, wd, damping, r, x, y, nu1: float):
+    """The ln Gamma steps of each damped point's roots, from lists of Python
+    scalars, whose complex products and quotients round alike however many
+    points there are; and the Gauss-Legendre nodes z of the short steps, at
+    which the caller evaluates psi(1 + z).
 
-
-def _free_energy(
-    w: float, wd: float, damping: float, r, x, y, temperature: float, c: Constants, rel_tol: float
-) -> float:
-    """F_MF(gamma) - F_MF(0) of one point from its negated Drude roots r, x, y.
-
-    Each root is paired with its gamma = 0 limit wD, iw, -iw, and solves
-    prod_j (l - mu_j) = -gamma wD l, so its shift from mu_i follows without
-    the cancellation of l - mu_i.
+    Each root is paired with its gamma = 0 limit mu = wD, iw, -iw, and solves
+    prod_j (l - mu_j) = -gamma wD l, so its shift from mu follows without the
+    cancellation of l - mu. Its step (y, h) = (mu, l - mu)/nu1 contributes
+    ln Gamma(1 + y + h) - ln Gamma(1 + y) - psi(1) h. An underdamped pair is
+    conjugate, as its limits are, and so are its steps: only the first is
+    listed. A step is short when 8 |h| < |1 + y|.
     """
-    if damping == 0:
-        return 0.0
+    points = []
+    for k, g in enumerate(damping):
+        if g == 0:
+            continue
+        lam = (complex(r[k]), complex(x[k]), complex(y[k]))
+        mu = (complex(wd[k]), 1j * w[k], -1j * w[k])
+        steps = []
+        for i in range(2 if lam[2] == lam[1].conjugate() else 3):
+            j, l = _OTHER_ROOTS[i]
+            shift = -g * wd[k] * lam[i] / ((lam[i] - mu[j]) * (lam[i] - mu[l]))
+            y_i, h_i = mu[i] / nu1, shift / nu1
+            steps.append((y_i, h_i, 8 * abs(h_i) < abs(1 + y_i)))
+        points.append((k, g, steps))
+    short = [(y_i, h_i) for _, _, steps in points for y_i, h_i, is_short in steps if is_short]
+    y_short, h_short = np.array(short, dtype=complex).reshape(-1, 2, 1).transpose(1, 0, 2)
+    return points, h_short[:, 0], y_short + h_short * _GL_NODES
+
+
+def _free_energies(
+    points, h, nodes, psi_nodes, n: int, temperature: float, c: Constants, rel_tol: float
+) -> list[float]:
+    """F_MF(gamma) - F_MF(0) of n points from their ``_coupling_steps`` and
+    psi(1 + z) at its nodes z; zero at gamma = 0.
+
+    A short step integrates psi(1 + .) - psi(1) along it, keeping the
+    relative accuracy of h and, at high temperature, of y, with the series
+    for small z; a long step differences ln Gamma. The first point whose
+    rounding estimate exceeds ``rel_tol`` raises.
+    """
+    value = psi_nodes + np.euler_gamma
+    scale = np.abs(value) + 2
+    small = np.abs(nodes) < 0.1
+    if small.any():
+        series = nodes * np.polyval(_PSI_SERIES, nodes)
+        value, scale = np.where(small, series, value), np.where(small, np.abs(series), scale)
+    sums = h / 2 * (value * _GL_WEIGHTS).sum(axis=1)
+    integrals = iter(zip(sums.tolist(), (_ROUND * abs(h) * scale.max(axis=1)).tolist()))
     beta = 1.0 / (c.kB * temperature)
-    nu1 = 2 * math.pi * c.kB * temperature / c.hbar
-    lam = (complex(r), complex(x), complex(y))
-    mu = (complex(wd), 1j * w, -1j * w)
-    total = 0j
-    err = 0.0
-    for i in range(3):
-        shift = -damping * wd * lam[i] / math.prod(lam[i] - mu[j] for j in range(3) if j != i)
-        step, step_err = _lngamma_step(mu[i] / nu1, shift / nu1)
-        total -= step
-        err += step_err + _ROUND * abs(step)
-    err = float(err / abs(total.real) + _ROUND)
-    if err > rel_tol:
-        raise NumericalFailure(
-            "free-energy closed form lost its accuracy to cancellation",
-            achieved_rel=err,
-            temperature=temperature,
-            damping=damping,
-        )
-    return float(total.real) / beta
+    limits = {}  # ln Gamma(1 + y) by y, which points of one w and wD share
+
+    def at_limit(y):
+        if y not in limits:
+            limits[y] = loggamma(1 + y)
+            limits[y.conjugate()] = limits[y].conjugate()
+        return limits[y]
+
+    out = [0.0] * n
+    for k, g, steps in points:
+        terms = []
+        for y, h_i, is_short in steps:
+            if is_short:
+                terms.append(next(integrals))
+            else:
+                hi, lo = loggamma(1 + y + h_i), at_limit(y)
+                err = _ROUND * (abs(hi) + abs(lo) + abs(1 + y + h_i) + abs(1 + y) + abs(h_i))
+                terms.append((hi - lo + np.euler_gamma * h_i, err))
+        if len(steps) == 2:  # the conjugate pair's second step
+            terms.append((terms[1][0].conjugate(), terms[1][1]))
+        total = 0j
+        err = 0.0
+        for step, step_err in terms:
+            total -= step
+            err += step_err + _ROUND * abs(step)
+        err = float(err / abs(total.real) + _ROUND)
+        if err > rel_tol:
+            raise NumericalFailure(
+                "free-energy closed form lost its accuracy to cancellation",
+                achieved_rel=err,
+                temperature=temperature,
+                damping=g,
+            )
+        out[k] = float(total.real) / beta
+    return out
 
 
 def coupling_free_energy(
@@ -423,7 +477,9 @@ def coupling_free_energy(
     ``rel_tol`` gates the rounding estimate.
     """
     r, x, y, _, _ = _drude_poles(np.array([o.frequency**2]), b.cutoff, np.array([b.damping]))
-    return _free_energy(o.frequency, b.cutoff, b.damping, r[0], x[0], y[0], b.temperature, c, rel_tol)
+    nu1 = 2 * math.pi * c.kB * b.temperature / c.hbar
+    points, h, nodes = _coupling_steps([o.frequency], [b.cutoff], [b.damping], r.tolist(), x.tolist(), y.tolist(), nu1)
+    return _free_energies(points, h, nodes, psi(1 + nodes), 1, b.temperature, c, rel_tol)[0]
 
 
 # Richardson stencil offsets in units of the step: central where the domain

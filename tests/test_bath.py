@@ -1,6 +1,7 @@
 """Unit tests for the continuum moment routes and their derivatives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,72 @@ class TestCouplingFreeEnergy:
         m = moments_matsubara(o, BathSpec(temperature=t, damping=gamma, cutoff=cutoff), C)
         identity = (m.f2 / mass - mass * frequency**2 * m.f1) / (2 * gamma)
         assert identity == pytest.approx(slope, rel=1e-7)
+
+
+def mpmath_referee(temperature, damping, cutoff):
+    """[DERIVED] f1, f2 (M = w = 1) and the coupling free energy from the digamma
+    and log-gamma closed forms at 50 digits, with the roots of P from
+    mpmath.polyroots: shares no code with the kernel, and keeps more than 30
+    digits through the cancellation of near-equal roots."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        t, g, wd, w = (mpmath.mpf(v) for v in (temperature, damping, cutoff, 1))
+        nu1 = 2 * mpmath.pi * t
+        lam = [-z for z in mpmath.polyroots([1, wd, w * w + g * wd, w * w * wd], maxsteps=400, extraprec=200)]
+        den = [(lam[(i + 1) % 3] - lam[i]) * (lam[(i + 2) % 3] - lam[i]) for i in range(3)]
+        psi = [mpmath.digamma(1 + l / nu1) for l in lam]
+        s1 = 1 / (w * w) - 2 / nu1 * mpmath.re(sum((wd - l) / d * p for l, d, p in zip(lam, den, psi)))
+        s2 = 1 - 2 / nu1 * mpmath.re(sum((w * w * wd - (w * w + g * wd) * l) / d * p for l, d, p in zip(lam, den, psi)))
+
+        def lngamma(z):
+            return mpmath.loggamma(1 + z / nu1)
+
+        free = t * mpmath.re(lngamma(1j * w) + lngamma(-1j * w) + lngamma(wd) - sum(lngamma(l) for l in lam))
+        return float(t * s1), float(t * s2), float(free)
+
+
+def meets_gate_or_raises(temperature, damping, cutoff):
+    """moments_matsubara and coupling_free_energy each agree with the referee
+    within their 1e-8 gate or raise NumericalFailure, and no numerical
+    warning is emitted (the narrow-band cutoff warning is the bath's own)."""
+    b = BathSpec(temperature=temperature, damping=damping, cutoff=cutoff)
+    f1, f2, free = mpmath_referee(temperature, damping, cutoff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", message="Drude cutoff", category=UserWarning)
+        try:
+            m = moments_matsubara(OSC, b, C)
+            assert abs(m.f1 - f1) <= 1e-8 * f1 and abs(m.f2 - f2) <= 1e-8 * f2
+        except NumericalFailure:
+            pass
+        try:
+            assert abs(coupling_free_energy(OSC, b, C) - free) <= 1e-8 * abs(free)
+        except NumericalFailure:
+            pass
+
+
+class TestAdversarialMatsubara:
+    """The contract of the digamma route across wide log-ranges of T, gamma and
+    wD, at confluent roots and toward T = 0: within the gate, or refused."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        log_t=st.floats(math.log(1e-6), math.log(1e3)),
+        log_gamma=st.floats(math.log(1e-8), math.log(1e3)),
+        log_cutoff=st.floats(math.log(5.0), math.log(1e3)),
+    )
+    def test_within_the_gate_or_refused(self, log_t, log_gamma, log_cutoff):
+        meets_gate_or_raises(math.exp(log_t), math.exp(log_gamma), math.exp(log_cutoff))
+
+    @pytest.mark.parametrize("temperature", [1e-6, 1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize(
+        "damping, cutoff",
+        [(8 * math.sqrt(3) / 9, 3 * math.sqrt(3))]
+        + [(critical_damping(cutoff, branch), cutoff) for cutoff in (5.5, 50.0, 1000.0) for branch in (0, 1)],
+        ids=["triple"] + [f"critical{branch}-{cutoff:g}" for cutoff in (5.5, 50.0, 1000.0) for branch in (0, 1)],
+    )
+    def test_confluent_roots_within_the_gate_or_refused(self, temperature, damping, cutoff):
+        meets_gate_or_raises(temperature, damping, cutoff)
 
 
 class TestMomentDerivatives:

@@ -2,7 +2,11 @@
 
 import argparse
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +355,16 @@ class TestDeterminism:
         errors = [row for row in rows if row[-1].startswith("ERROR:")]
         assert len(errors) == 40 and all("," in row[-1] for row in errors)
         assert len(header) == 8 and all(len(row) == 8 for row in rows)
+
+    def test_out_of_range_scan_prints_no_warning(self, tmp_path):
+        # every point of --mass-factor 1e-300 is refused before numpy can overflow
+        src = Path(bath.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        argv = ["violation-scan", "--mass-factor", "1e-300", "--out", str(tmp_path)]
+        cmd = [sys.executable, "-m", "clausius_lab.cli", *argv]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "damping beyond the closed form's range" in (tmp_path / "violation-scan.csv").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), np.float32(1.5), [1.0]], ids=repr)
     def test_cell_refuses_a_type_it_has_no_format_for(self, value):

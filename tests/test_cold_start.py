@@ -1,4 +1,5 @@
-"""Cold start: each scipy submodule loads only when a call needs it.
+"""Cold start: the package loads no scipy module, and each heavy call loads only
+the scipy submodule it needs.
 
 Every case runs in a fresh interpreter, since the test process itself has
 imported everything by the time it runs.
@@ -14,25 +15,22 @@ import pytest
 
 import clausius_lab
 
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
 SETUP = """
 import json
 import sys
-import numpy as np
-from clausius_lab import *
-o, b = OscillatorParams(1.0, 1.0), BathSpec(0.05, 5.0, 100.0)
 def loaded():
-    print("loaded:", json.dumps([m for m in {heavy!r} if m in sys.modules]))
+    print("loaded:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
+POINT = "import numpy as np\nfrom clausius_lab import *\no, b = OscillatorParams(1.0, 1.0), BathSpec(0.05, 5.0, 100.0)"
 
 
 def loaded_after(*steps, tmp_path):
-    """The heavy submodules loaded after each step, in a fresh interpreter."""
+    """The scipy modules loaded after each step, in a fresh interpreter."""
     src = str(Path(clausius_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "".join(f"{step}\nloaded()\n" for step in steps)
     out = subprocess.run(
-        [sys.executable, "-c", SETUP.format(heavy=HEAVY) + code],
+        [sys.executable, "-c", SETUP + code],
         env=env, cwd=tmp_path, capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     return [set(json.loads(line[7:])) for line in out.splitlines() if line.startswith("loaded:")]
@@ -40,12 +38,27 @@ def loaded_after(*steps, tmp_path):
 
 def test_cli_import_unchecked_op_and_resolve_load_none(tmp_path):
     steps = [
+        "import clausius_lab",
         "import clausius_lab.cli",
+        POINT,
+        "moments_matsubara(o, b)",
+        "coupling_free_energy(o, b)",
         "composed_process(o, b, 0.05, check_consistency=False)",
-        "clausius_lab.cli.main(['resolve', '--out', 'out'])",
+        "assert clausius_lab.cli.main(['resolve', '--out', 'out']) == 0",
     ]
-    assert loaded_after(*steps, tmp_path=tmp_path) == [set(), set(), set()]
+    assert loaded_after(*steps, tmp_path=tmp_path) == [set()] * len(steps)
     assert (tmp_path / "out" / "resolve.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--param", "mass", "--start", "1", "--end", "2"], ["violation-scan"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_scenario_loads_no_scipy(argv, tmp_path):
+    step = f"import clausius_lab.cli\nassert clausius_lab.cli.main({argv + ['--out', 'out']!r}) == 0"
+    assert loaded_after(step, tmp_path=tmp_path) == [set()]
+    assert (tmp_path / "out" / f"{argv[0]}.csv").is_file()
 
 
 @pytest.mark.parametrize(
@@ -66,7 +79,7 @@ def test_cli_import_unchecked_op_and_resolve_load_none(tmp_path):
     ],
 )
 def test_each_call_loads_the_module_it_needs(call, needed, absent, tmp_path):
-    before, after = loaded_after("", call, tmp_path=tmp_path)
+    before, after = loaded_after(POINT, call, tmp_path=tmp_path)
     assert before == set()
     assert needed in after
     assert not after & set(absent)

@@ -1,6 +1,7 @@
 """Unit tests for entropy/heat process integration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,15 @@ class TestMassProcess:
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=100.0)
         with pytest.raises(ValueError):
             mass_process(OSC, b, 1.0, C, mass_factor=0.0)
+
+    def test_out_of_range_damping_raises_before_anything_overflows(self):
+        # the end point's gamma / k = 5e300 is beyond the closed form's range
+        b = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="damping") as info:
+                mass_process(OSC, b, 0.05, C, mass_factor=1e-300)
+        assert info.value.diagnostics["damping"] == pytest.approx(5e300)
 
 
 class TestComposedProcess:
