@@ -24,9 +24,20 @@ from .errors import NumericalFailure
 from .gaussian import Constants, Moments, OscillatorParams, thermal_moments_decoupled
 
 _TARGET_REL = 1e-8
-# quad's reported error near a sharp resonance is conservative by one to two
-# orders, so the spectral route gates on a looser (still sub-1e-6) threshold
+# the spectral route's error estimate is the 10-point Gauss-Legendre rule's
+# error, orders above that of the 20-point value it returns, so it gates on a
+# looser (still sub-1e-6) threshold
 _SPECTRAL_TARGET_REL = 1e-7
+# a segment is accepted when its two rules agree to this fraction of its value
+# (the integrands are positive, so the segments add without cancellation);
+# bisection stops after this many rounds, ~1e-12 of a decade, or before the
+# pending segments would exceed this many
+_SPECTRAL_SEGMENT_REL, _SPECTRAL_ROUNDS, _SPECTRAL_MAX_SEGMENTS = 1e-11, 40, 4096
+# the 10- and 20-point Gauss-Legendre rules on [-1, 1], as one node row and a
+# weight matrix whose columns give G10 and G20
+_GL10, _GL20 = (np.polynomial.legendre.leggauss(k) for k in (10, 20))
+_PAIR_NODES = np.concatenate([_GL10[0], _GL20[0]])
+_PAIR_WEIGHTS = np.stack([np.r_[_GL10[1], np.zeros(20)], np.r_[np.zeros(10), _GL20[1]]], axis=1)
 # rounding-error unit of the closed forms, 32 ulps; tests/test_special.py
 # measures psi, polygamma and the ln Gamma steps within 5 ulps of the scales
 # this error model charges them to
@@ -57,12 +68,13 @@ class BathSpec:
     cutoff: float
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.damping < 0:
-            raise ValueError(f"damping must be non-negative, got {self.damping}")
-        if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        # written so that NaN fails every check
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        if not 0 <= self.damping < math.inf:
+            raise ValueError(f"damping must be non-negative and finite, got {self.damping}")
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
 
     def warn_if_cutoff_low(self, o: OscillatorParams) -> None:
         if self.cutoff < 10 * o.frequency:
@@ -298,28 +310,22 @@ def moments_spectral(
     same with an extra M^2 u^2 weight. The integration range is split at the
     resonance, at the cutoff, and at the thermal scale 2 kB T / hbar and its
     decades: below that scale coth(hbar u / 2 kB T) leaves 1 for its 1/u
-    pole, and quad, left to find that bend itself, under-reports its error at
-    low temperature. At gamma = 0 the Lorentzian in Im chi collapses to a
-    delta function at the bare frequency; that limit is taken analytically
-    rather than integrated over a vanishing width.
+    pole. Beyond the last break the tail is integrated in t = 1/u. Every
+    segment is integrated by the 10- and 20-point Gauss-Legendre rules on the
+    same nodes for both integrands, and a segment whose two rules differ by
+    more than 1e-11 of its value is bisected, all such segments at once,
+    within a fixed budget of rounds and segments; a segment still pending when
+    it runs out raises. The differences summed over the segments are the
+    error estimates that ``rel_tol`` gates. At
+    gamma = 0 the Lorentzian in Im chi collapses to a delta function at the
+    bare frequency; that limit is taken analytically rather than integrated
+    over a vanishing width.
     """
     b.warn_if_cutoff_low(o)
     if b.damping == 0:
         return thermal_moments_decoupled(o, b.temperature, c)
-    from scipy.integrate import quad  # on first use: the default route never loads it
-
     damping = b.damping
     x0 = c.hbar / (2 * c.kB * b.temperature)
-
-    def coth(u):
-        return 1.0 / math.tanh(x0 * u)
-
-    def i1(u):
-        return coth(u) * _susceptibility_im(u, o, damping, b.cutoff)
-
-    def i2(u):
-        return u * u * coth(u) * _susceptibility_im(u, o, damping, b.cutoff)
-
     w = o.frequency
     width = max(damping, 1e-9 * w)
     # geometric ladders away from the resonance, and up from the thermal
@@ -337,34 +343,43 @@ def moments_spectral(
         points.add(thermal)
         thermal *= 10
     breaks = sorted(x for x in points if 0.0 <= x <= 10 * b.cutoff)
-    # no absolute tolerance: quad's default, 1.5e-8, is 1e-7 of a small f1,
-    # and a segment that stops on it under-reports its error
-    tol = {"epsabs": 0.0, "epsrel": 1e-11, "limit": 400}
-
-    def integral(g):
-        """int_0^inf g(u) du over the segments, then the tail, which converges
-        slowly in u but quickly in t = 1/u; the value and its error."""
-        pieces = [quad(g, lo, hi, **tol) for lo, hi in zip(breaks[:-1], breaks[1:])]
-        pieces.append(quad(lambda t: g(1.0 / t) / t**2, 0.0, 1.0 / breaks[-1], **tol))
-        total = err = 0.0
-        for val, e in pieces:
-            total += val
-            err += e
-        return total, err
-
-    f1, err1 = integral(i1)
-    f2, err2 = integral(i2)
-    f1 *= c.hbar / math.pi
-    f2 *= c.hbar * o.mass**2 / math.pi
-    err1 *= c.hbar / math.pi
-    err2 *= c.hbar * o.mass**2 / math.pi
-    if err1 > rel_tol * abs(f1) or err2 > rel_tol * abs(f2):
+    # the segments, and last the tail in t = 1/u from 0 to 1/breaks[-1]
+    lo = np.array(breaks[:-1] + [0.0])
+    hi = np.array(breaks[1:] + [1 / breaks[-1]])
+    tail = np.arange(len(lo)) == len(lo) - 1
+    total, error = np.zeros(2), np.zeros(2)
+    for _ in range(_SPECTRAL_ROUNDS):
+        half = (hi - lo) / 2
+        s = (lo + half)[:, None] + half[:, None] * _PAIR_NODES
+        u = np.where(tail[:, None], 1 / s, s)
+        g1 = _susceptibility_im(u, o, damping, b.cutoff) / np.tanh(x0 * u)
+        g1 = np.where(tail[:, None], g1 * u * u, g1)  # du = -dt / t^2
+        rules = half[:, None] * (np.stack([g1, u * u * g1]) @ _PAIR_WEIGHTS)  # (f1 or f2, segment, G10 or G20)
+        value, diff = rules[..., 1], abs(rules[..., 1] - rules[..., 0])
+        pending = ~(diff <= _SPECTRAL_SEGMENT_REL * abs(value)).all(axis=0)
+        total += value[:, ~pending].sum(axis=1)
+        error += diff[:, ~pending].sum(axis=1)
+        if not pending.any():
+            break
+        lo, hi, tail = lo[pending], hi[pending], tail[pending]
+        if 2 * lo.size > _SPECTRAL_MAX_SEGMENTS:
+            break
+        mid = (lo + hi) / 2
+        lo, hi, tail = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([tail, tail])
+    # segments still pending when the rounds or the segment budget ran out
+    # count with their own estimates, and fail the gate
+    total += value[:, pending].sum(axis=1)
+    error += diff[:, pending].sum(axis=1)
+    scale = c.hbar / math.pi * np.array([1.0, o.mass**2])
+    (f1, f2), (err1, err2) = total * scale, error * scale
+    if pending.any() or err1 > rel_tol * abs(f1) or err2 > rel_tol * abs(f2):
         raise NumericalFailure(
             "spectral quadrature did not reach its target accuracy",
-            achieved_rel_f1=err1 / abs(f1),
-            achieved_rel_f2=err2 / abs(f2),
+            achieved_rel_f1=float(err1 / abs(f1)),
+            achieved_rel_f2=float(err2 / abs(f2)),
+            pending_segments=int(pending.sum()),
         )
-    return Moments(f1=f1, f2=f2, cross=0.0)
+    return Moments(f1=float(f1), f2=float(f2), cross=0.0)
 
 
 _OTHER_ROOTS = ((1, 2), (0, 2), (0, 1))

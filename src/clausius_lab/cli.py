@@ -87,14 +87,15 @@ class RunConfig:
     def validate(self) -> None:
         if self.scenario not in _READS:
             raise ConfigError(f"unknown or missing scenario {self.scenario!r}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.damping < 0:
-            raise ConfigError(f"damping must be non-negative, got {self.damping}")
-        if self.cutoff <= 0:
-            raise ConfigError(f"cutoff must be positive, got {self.cutoff}")
-        if self.mass_factor <= 0:
-            raise ConfigError(f"mass_factor must be positive, got {self.mass_factor}")
+        # written so that NaN fails every check
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(f"temperature must be positive and finite, got {self.temperature}")
+        if not 0 <= self.damping < math.inf:
+            raise ConfigError(f"damping must be non-negative and finite, got {self.damping}")
+        if not 0 < self.cutoff < math.inf:
+            raise ConfigError(f"cutoff must be positive and finite, got {self.cutoff}")
+        if not 0 < self.mass_factor < math.inf:
+            raise ConfigError(f"mass_factor must be positive and finite, got {self.mass_factor}")
         if self.grid < 9 or self.grid % 2 == 0:
             raise ConfigError(f"grid must be odd and >= 9, got {self.grid}")
         if self.param not in ("mass", "damping"):

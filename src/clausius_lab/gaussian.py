@@ -36,10 +36,11 @@ class OscillatorParams:
     frequency: float
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.frequency <= 0:
-            raise ValueError(f"frequency must be positive, got {self.frequency}")
+        # written so that NaN fails every check
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        if not 0 < self.frequency < math.inf:
+            raise ValueError(f"frequency must be positive and finite, got {self.frequency}")
 
 
 @dataclass(frozen=True)

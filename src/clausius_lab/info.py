@@ -17,6 +17,9 @@ from .gaussian import Constants
 _HERM_TOL = 1e-12
 _EIG_CLAMP = 1e-12
 _POVM_SUM_TOL = 1e-10
+# Newton steps of the measurement search, which converges in a few; and the
+# rounding error of an information value, a few ulps of its O(1) terms
+_NEWTON_STEPS, _INFO_ROUND = 50, 8 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -146,31 +149,79 @@ def holevo_chi(e: Ensemble) -> float:
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
-def _bloch_projectors(theta: float, phi: float) -> Povm:
-    n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+def _bloch_projectors(n: np.ndarray) -> Povm:
     plus = (np.eye(2) + np.tensordot(n, _PAULI, axes=1)) / 2
     return Povm((plus, np.eye(2) - plus))
 
 
-def _leading_positive(theta: float, phi: float) -> tuple[float, float]:
-    """The Bloch direction (theta, phi) or its antipode, whichever has its
-    first component (x, then y, then z) above 1e-6 in magnitude positive.
-    Both give one measurement with its outcomes swapped, so this fixes the
-    outcome order. The simplex search fixes a direction only to ~1e-8, so a
-    component that is zero at the optimum comes back as noise of either
-    sign; the cutoff lies well above it."""
-    n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
-    if next(x for x in n if abs(x) > 1e-6) > 0:
-        return theta, phi
-    return math.pi - theta, phi + math.pi
+def _leading_positive(n: np.ndarray) -> np.ndarray:
+    """The Bloch direction n or its antipode, whichever has its first
+    component (x, then y, then z) above 1e-6 in magnitude positive. Both give
+    one measurement with its outcomes swapped, so this fixes the outcome
+    order. A component that is zero at the optimum comes back as rounding
+    noise of either sign; the cutoff lies well above it."""
+    return n if next(x for x in n if abs(x) > 1e-6) > 0 else -n
+
+
+def _direction_information(n, bloch, p):
+    """I of the projective measurement along each unit vector n (last axis)
+    on states with Bloch vectors ``bloch`` and probabilities p: the state
+    r_i gives the outcomes the probabilities (1 +- n.r_i)/2."""
+    nr = n @ bloch.T
+    return _information(p[:, None] * np.maximum(np.stack([1 + nr, 1 - nr], axis=-1) / 2, 0.0))
+
+
+def _newton_ascent(n, value, bloch, p):
+    """The direction of largest information I(n) near the unit vector n, with
+    I(n) = ``value``, by Newton's method on the sphere.
+
+    With p(+-|i) = (1 +- n.r_i)/2 for the Bloch vectors r_i of the states,
+    rbar = sum_i p_i r_i and q+- = (1 +- n.rbar)/2, the gradient and Hessian
+    of I over R^3 are
+        g = [sum_i p_i r_i ln(p(+|i)/p(-|i)) - rbar ln(q+/q-)] / 2,
+        H = [sum_i p_i r_i r_i^T (1/p(+|i) + 1/p(-|i)) - rbar rbar^T (1/q+ + 1/q-)] / 4,
+    and on the sphere the Hessian is H in the tangent plane less n.g. Where
+    that is not negative definite (a flat surface, a saddle, or a direction
+    along a pure state, where the logarithm diverges) n is kept. A step that
+    lowers I by more than its rounding ends the search. So does one that
+    changes I only within its rounding, unless it is shorter than the last
+    accepted step: near the maximum I moves by the square of the step, which
+    falls below the rounding of I long before the step, shrinking
+    quadratically, reaches the rounding of n.
+    """
+    rbar = p @ bloch
+    last = 0.0  # so the first step must raise I beyond its rounding
+    for _ in range(_NEWTON_STEPS):
+        plus, minus = (1 + bloch @ n) / 2, (1 - bloch @ n) / 2
+        q_plus, q_minus = (1 + rbar @ n) / 2, (1 - rbar @ n) / 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = ((p * np.log(plus / minus)) @ bloch - rbar * np.log(q_plus / q_minus)) / 2
+            hess = (bloch.T * (p * (1 / plus + 1 / minus))) @ bloch - np.outer(rbar, rbar) * (1 / q_plus + 1 / q_minus)
+        hess /= 4
+        # the Hessian on the sphere, with -1 along n itself, so that it is
+        # negative definite exactly when its tangent part is, and the step
+        # solving it against the tangent gradient is tangent
+        tangent = np.eye(3) - np.outer(n, n)
+        h = tangent @ hess @ tangent - (n @ grad) * tangent - np.outer(n, n)
+        if not (np.isfinite(h).all() and np.isfinite(grad).all() and np.linalg.eigvalsh(h)[-1] < 0):
+            break
+        step = np.linalg.solve(h, -tangent @ grad)
+        size = np.linalg.norm(step)
+        trial = (n + step) / np.linalg.norm(n + step)
+        trial_value = _direction_information(trial, bloch, p)
+        if trial_value < value - _INFO_ROUND or (trial_value <= value + _INFO_ROUND and not size < last):
+            break
+        n, value, last = trial, trial_value, size
+    return n
 
 
 def accessible_info_lower(e: Ensemble, effort: int = 24) -> tuple[float, Povm]:
     """Lower bound on the accessible information for qubit ensembles.
 
     Scans rank-1 projective measurements over a Bloch-sphere grid whose
-    resolution grows with ``effort``, then refines the best direction with a
-    local simplex search. The projector along the Bloch direction n gives the
+    resolution grows with ``effort``, then refines the best direction by
+    Newton's method on the sphere, with the closed-form gradient and Hessian
+    of the information. The projector along the Bloch direction n gives the
     state with Bloch vector r_i the outcome probabilities (1 +- n.r_i)/2, so
     the whole grid is one array expression. Of a direction and its antipode
     (one measurement, outcomes swapped) it returns the one whose first
@@ -181,30 +232,15 @@ def accessible_info_lower(e: Ensemble, effort: int = 24) -> tuple[float, Povm]:
         raise ValueError("built-in measurement search supports qubits only")
     if effort < 2:
         raise ValueError(f"effort must be >= 2, got {effort}")
-    from scipy.optimize import minimize  # on first use: only this search needs it
-
     bloch = np.einsum("kab,iba->ik", _PAULI, np.stack([s.matrix for s in e.states])).real
-
-    def information(theta, phi):
-        n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
-        nr = n @ bloch.T
-        return _information(e.probabilities[:, None] * np.maximum(np.stack([1 + nr, 1 - nr], axis=-1) / 2, 0.0))
-
-    thetas, phis = np.meshgrid(
+    theta, phi = np.meshgrid(
         np.linspace(0.0, math.pi, effort), np.linspace(0.0, 2 * math.pi, 2 * effort, endpoint=False), indexing="ij"
     )
-    values = information(thetas, phis)
+    grid = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1).reshape(-1, 3)
+    values = _direction_information(grid, bloch, e.probabilities)
     best = np.argmax(values)  # the first of equal maxima, theta-major
-    best_val, best_angles = values.flat[best], (thetas.flat[best], phis.flat[best])
-    res = minimize(
-        lambda x: -float(information(x[0], x[1])),
-        x0=np.array(best_angles),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
-    )
-    if -res.fun > best_val:
-        best_angles = (float(res.x[0]), float(res.x[1]))
-    povm = _bloch_projectors(*_leading_positive(*best_angles))
+    n = _newton_ascent(grid[best], values[best], bloch, e.probabilities)
+    povm = _bloch_projectors(_leading_positive(n))
     return mutual_information(e, povm), povm
 
 

@@ -58,6 +58,16 @@ class TestBathSpec:
         with pytest.raises(ValueError):
             BathSpec(temperature=1.0, damping=1.0, cutoff=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["temperature", "damping", "cutoff"])
+    def test_rejects_nan_and_infinite_fields(self, field, value):
+        # NaN compares False with every bound, so a check written as x <= 0
+        # lets it through to numpy, which warns
+        kwargs = {"temperature": 1.0, "damping": 1.0, "cutoff": 50.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            moments_matsubara(OSC, BathSpec(**kwargs), C)
+
     def test_narrow_band_cutoff_warns(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=5.0)
         with pytest.warns(UserWarning, match="cutoff"):
@@ -238,6 +248,32 @@ class TestSpectralRoute:
             return
         assert m_int.f1 == pytest.approx(m_sum.f1, rel=1e-7)
         assert m_int.f2 == pytest.approx(m_sum.f2, rel=1e-7)
+
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        log_t=st.floats(math.log(1e-5), math.log(1e2)),
+        log_gamma=st.floats(math.log(1e-3), math.log(1e2)),
+        log_cutoff=st.floats(math.log(10.0), math.log(1e3)),
+    )
+    def test_within_its_tolerance_or_refused(self, log_t, log_gamma, log_cutoff):
+        b = BathSpec(temperature=math.exp(log_t), damping=math.exp(log_gamma), cutoff=math.exp(log_cutoff))
+        ref = moments_matsubara(OSC, b, C)
+        try:
+            m = moments_spectral(OSC, b, C)
+        except NumericalFailure:
+            return
+        assert abs(m.f1 / ref.f1 - 1) <= 1e-7
+        assert abs(m.f2 / ref.f2 - 1) <= 1e-7
+
+    def test_unreachable_tolerance_raises_with_diagnostics(self):
+        b = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
+        with pytest.raises(NumericalFailure, match="spectral quadrature") as failure:
+            moments_spectral(OSC, b, C, rel_tol=1e-17)
+        diagnostics = failure.value.diagnostics
+        assert 1e-17 < max(diagnostics["achieved_rel_f1"], diagnostics["achieved_rel_f2"]) < 1e-7
+        assert diagnostics["pending_segments"] == 0
 
 
 class TestDispatch:

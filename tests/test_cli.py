@@ -282,8 +282,9 @@ class TestExitCodes:
             main(["violation-scan", "--temperature", "0.1", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    def test_invalid_parameter_is_config_error(self, tmp_path, capsys):
-        rc = main(["moments", "--temperature", "-1", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("flag, value", [("temperature", "-1"), ("temperature", "nan"), ("damping", "inf")])
+    def test_invalid_parameter_is_config_error(self, tmp_path, capsys, flag, value):
+        rc = main(["moments", f"--{flag}", value, "--out", str(tmp_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 

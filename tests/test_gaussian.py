@@ -32,6 +32,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             OscillatorParams(mass=1.0, frequency=-2.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mass", "frequency"])
+    def test_oscillator_rejects_nan_and_infinite_params(self, field, value):
+        kwargs = {"mass": 1.0, "frequency": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            OscillatorParams(**kwargs)
+
     def test_moments_reject_nonpositive_variances(self):
         with pytest.raises(ValueError):
             Moments(f1=-1.0, f2=1.0)

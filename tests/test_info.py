@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from clausius_lab import info
 from clausius_lab import (
     DensityMatrix,
     Ensemble,
@@ -22,6 +23,7 @@ KETPLUS = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
 KETPLUS_I = DensityMatrix(np.array([[0.5, -0.5j], [0.5j, 0.5]]))
 MIXED = DensityMatrix(np.eye(2, dtype=complex) / 2)
 BB84 = Ensemble(np.array([0.5, 0.5]), (KET0, KETPLUS))
+real_information = info._information
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -186,8 +188,47 @@ class TestAccessibleInfo:
         plus = (np.eye(2) + np.tensordot(np.array(n) / math.sqrt(2), PAULI, axes=1)) / 2
         for effort in (6, 12, 24, 48):
             _, povm = accessible_info_lower(ensemble, effort=effort)
-            assert np.max(np.abs(povm.elements[0] - plus)) < 1e-8, effort
-            assert np.max(np.abs(povm.elements[1] - (np.eye(2) - plus))) < 1e-8, effort
+            assert np.max(np.abs(povm.elements[0] - plus)) < 1e-14, effort
+            assert np.max(np.abs(povm.elements[1] - (np.eye(2) - plus))) < 1e-14, effort
+
+    def test_converges_to_one_povm_from_any_grid(self):
+        # Newton's method on the sphere fixes the direction to rounding, so
+        # two grids whose best points lie in one basin give one POVM
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            e = random_ensemble(rng)
+            (val_a, povm_a), (val_b, povm_b) = (accessible_info_lower(e, effort=k) for k in (24, 48))
+            assert abs(val_a - val_b) < 1e-15
+            assert np.max(np.abs(povm_a.elements[0] - povm_b.elements[0])) < 1e-14
+
+    @pytest.mark.parametrize("effort", [6, 8, 24])
+    def test_never_below_the_grid_best(self, effort):
+        # the grid of the search, each direction measured by the trace form
+        theta, phi = np.meshgrid(
+            np.linspace(0.0, math.pi, effort), np.linspace(0.0, 2 * math.pi, 2 * effort, endpoint=False)
+        )
+        grid = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+        plus = (np.eye(2) + np.tensordot(grid.reshape(-1, 3), PAULI, axes=1)) / 2
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            e = random_ensemble(rng)
+            grid_best = max(mutual_information(e, Povm((p, np.eye(2) - p))) for p in plus)
+            val, _ = accessible_info_lower(e, effort=effort)
+            assert val >= grid_best - 1e-15
+
+    def test_flat_surface_returns_promptly(self, monkeypatch):
+        # every direction measures identical states alike, so the gradient
+        # and Hessian vanish to rounding and no Newton step is taken: the
+        # grid is one evaluation of the information, a refused trial step
+        # at most one more, and the returned measurement's value the last
+        calls = []
+        monkeypatch.setattr(info, "_information", lambda table: calls.append(1) or real_information(table))
+        rng = np.random.default_rng(23)
+        for rho in [MIXED, KET0] + [random_ensemble(rng).states[0] for _ in range(10)]:
+            calls.clear()
+            val, _ = accessible_info_lower(Ensemble(np.array([0.3, 0.7]), (rho, rho)), effort=24)
+            assert val == pytest.approx(0.0, abs=1e-15)
+            assert len(calls) <= 3
 
     def test_first_nonzero_bloch_component_is_positive(self):
         rng = np.random.default_rng(5)

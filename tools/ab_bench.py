@@ -19,7 +19,9 @@ registered in the repository's metadata if a run is interrupted.
 The result mirrors BENCH_5.json: for each workload and each end-to-end metric
 of BENCHMARK.json, the [q25, median, q75] of each side, the number of pairs
 the change wins (by the metric's own "better" direction), and the ratio of
-the medians; and the traced metrics of each side.
+the medians; the same for each CLI scenario's subprocess time on
+cli-session (``scenario.<name>_s``, lower is better, reported and not gated);
+and the traced metrics of each side.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import tarfile
@@ -65,7 +68,12 @@ def run_once(command: list, root: Path, workload: str, seed: int, seconds: float
     if proc.returncode != 0 or not lines or not lines[-1].startswith("{"):
         return {"correct": False, "attempted": 0, "failed": None, "metrics": {},
                 "error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    # an untraced cli-session run prints each scenario's subprocess time in its
+    # table only; they join the metrics as reported, ungated values
+    for name, value in re.findall(r"^\s+(scenario\.\S+)\s+(\S+) s\s", proc.stdout, re.M):
+        result["metrics"][name] = {"value": float(value), "unit": "s"}
+    return result
 
 
 def quartiles(xs: list[float]) -> list[float]:
@@ -76,7 +84,8 @@ def quartiles(xs: list[float]) -> list[float]:
 
 
 def summarize(runs: dict, workloads, seeds, gated) -> dict:
-    """Per workload and gated metric: quartiles per side, change wins, ratio of medians."""
+    """Per workload and gated metric, and per CLI scenario time: quartiles per
+    side, change wins, ratio of medians."""
     out = {}
     for wl in workloads:
         pairs = [(runs[("parent", wl, s, 0)], runs[("change", wl, s, 0)]) for s in seeds]
@@ -85,7 +94,8 @@ def summarize(runs: dict, workloads, seeds, gated) -> dict:
             "failed_parent": sum(p["failed"] if p["failed"] is not None else 1 for p, _ in pairs),
             "failed_change": sum(c["failed"] if c["failed"] is not None else 1 for _, c in pairs),
         }
-        for name, better in gated.items():
+        scenarios = sorted({name for p, _ in pairs for name in p["metrics"] if name.startswith("scenario.")})
+        for name, better in [*gated.items(), *((name, "lower") for name in scenarios)]:
             both = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
                     if name in p["metrics"] and name in c["metrics"]]
             if not both:
