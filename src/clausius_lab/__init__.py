@@ -21,7 +21,6 @@ from .gaussian import (
 from .bath import (
     BathSpec,
     MomentDerivatives,
-    MomentRoute,
     coupling_free_energy,
     moment_derivatives,
     moments_matsubara,
@@ -73,7 +72,6 @@ __all__ = [
     "ErasureBudget",
     "HeatResult",
     "MomentDerivatives",
-    "MomentRoute",
     "Moments",
     "NumericalFailure",
     "OscillatorParams",

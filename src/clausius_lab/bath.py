@@ -12,7 +12,6 @@ explicit discrete-bath model in :mod:`clausius_lab.oracle`.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -83,11 +82,6 @@ class BathSpec:
                 f"{o.frequency}; continuum formulas assume a wide-band bath",
                 stacklevel=3,
             )
-
-
-class MomentRoute(enum.Enum):
-    MATSUBARA = "matsubara"
-    SPECTRAL_INTEGRAL = "spectral_integral"
 
 
 @dataclass(frozen=True)
@@ -488,13 +482,12 @@ def coupling_free_energy(
     paired with its gamma = 0 limit, so weak damping keeps full relative
     accuracy. The shifts sum to zero, so their psi(1) terms, which would
     cancel to rounding at high temperature, are left out. This is the
-    quasistatic work needed to switch the coupling on isothermally.
-    ``rel_tol`` gates the rounding estimate.
+    quasistatic work needed to switch the coupling on isothermally. It is the
+    one-point call of the array kernel, so ``rel_tol`` gates the rounding
+    estimates of the point's moments as well as that of its free energy.
     """
-    r, x, y, _, _ = _drude_poles(np.array([o.frequency**2]), b.cutoff, np.array([b.damping]))
-    nu1 = 2 * math.pi * c.kB * b.temperature / c.hbar
-    points, h, nodes = _coupling_steps([o.frequency], [b.cutoff], [b.damping], r.tolist(), x.tolist(), y.tolist(), nu1)
-    return _free_energies(points, h, nodes, psi(1 + nodes), 1, b.temperature, c, rel_tol)[0]
+    _, _, free = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol, True)
+    return free[0]
 
 
 # Richardson stencil offsets in units of the step: central where the domain
@@ -510,16 +503,14 @@ def _mass_and_damping(alpha: str, o: OscillatorParams, b: BathSpec, x):
     return (x, o.mass * b.damping / x) if alpha == "mass" else (np.full(x.shape, o.mass), x)
 
 
-def _stencil_derivatives(
-    alpha: str, o: OscillatorParams, b: BathSpec, x0, c: Constants, route: MomentRoute = MomentRoute.MATSUBARA
-):
+def _stencil_derivatives(alpha: str, o: OscillatorParams, b: BathSpec, x0, c: Constants):
     """Moments and their alpha derivatives at the nodes x0, elementwise.
 
-    Every node and its four stencil points go to the kernel in one call. The
-    derivative is the Richardson extrapolation of two finite differences,
-    with their gap as its error; the first node whose error exceeds 1e-5 of
-    the derivative's scale raises. Returns f1, f2, df1, df2, df1_error and
-    df2_error.
+    Every node and its four stencil points go to the Matsubara kernel in one
+    call. The derivative is the Richardson extrapolation of two finite
+    differences, with their gap as its error; the first node whose error
+    exceeds 1e-5 of the derivative's scale raises. Returns f1, f2, df1, df2,
+    df1_error and df2_error.
     """
     if alpha not in ("mass", "damping"):
         raise ValueError(f"unknown sweep parameter {alpha!r}")
@@ -529,16 +520,9 @@ def _stencil_derivatives(
     offsets = np.where(central[..., None], _CENTRAL, _ONE_SIDED)
     points = np.concatenate([x0[..., None], x0[..., None] + offsets * step[..., None]], axis=-1)
     mass, damping = _mass_and_damping(alpha, o, b, points)
-    if route is MomentRoute.MATSUBARA:
-        b.warn_if_cutoff_low(o)
-        f1, f2 = _matsubara_moments(mass.ravel(), damping.ravel(), o.frequency, b.cutoff, b.temperature, c)
-        f1, f2 = f1.reshape(mass.shape), f2.reshape(mass.shape)
-    else:  # the scalar spectral route, mapped over the points
-        f1, f2 = np.empty(mass.shape), np.empty(mass.shape)
-        for i in np.ndindex(mass.shape):
-            bath = BathSpec(temperature=b.temperature, damping=float(damping[i]), cutoff=b.cutoff)
-            m = moments_spectral(OscillatorParams(mass=float(mass[i]), frequency=o.frequency), bath, c)
-            f1[i], f2[i] = m.f1, m.f2
+    b.warn_if_cutoff_low(o)
+    f1, f2 = _matsubara_moments(mass.ravel(), damping.ravel(), o.frequency, b.cutoff, b.temperature, c)
+    f1, f2 = f1.reshape(mass.shape), f2.reshape(mass.shape)
     out = []
     for f in (f1, f2):
         f_0, f_a, f_b, f_c = np.moveaxis(f[..., 1:], -1, 0)
@@ -566,7 +550,6 @@ def moment_derivatives(
     o: OscillatorParams,
     b: BathSpec,
     alpha: str,
-    route: MomentRoute = MomentRoute.MATSUBARA,
     c: Constants = Constants(),
 ) -> MomentDerivatives:
     """d f1/d alpha and d f2/d alpha for alpha in {"mass", "damping"}, with
@@ -580,5 +563,5 @@ def moment_derivatives(
     an error estimate above 1e-5 of the derivative raises.
     """
     x0 = o.mass if alpha == "mass" else b.damping
-    _, _, df1, df2, e1, e2 = _stencil_derivatives(alpha, o, b, x0, c, route)
+    _, _, df1, df2, e1, e2 = _stencil_derivatives(alpha, o, b, x0, c)
     return MomentDerivatives(df1=float(df1), df2=float(df2), df1_error=float(e1), df2_error=float(e2))

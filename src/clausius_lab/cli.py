@@ -20,7 +20,6 @@ import numpy as np
 from . import svgplot
 from .bath import (
     BathSpec,
-    MomentRoute,
     _mass_and_damping,
     _stencil_derivatives,
     moments_matsubara,
@@ -87,14 +86,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.scenario not in _READS:
             raise ConfigError(f"unknown or missing scenario {self.scenario!r}")
-        # written so that NaN fails every check
-        if not 0 < self.temperature < math.inf:
-            raise ConfigError(f"temperature must be positive and finite, got {self.temperature}")
-        if not 0 <= self.damping < math.inf:
-            raise ConfigError(f"damping must be non-negative and finite, got {self.damping}")
-        if not 0 < self.cutoff < math.inf:
-            raise ConfigError(f"cutoff must be positive and finite, got {self.cutoff}")
-        if not 0 < self.mass_factor < math.inf:
+        try:
+            BathSpec(self.temperature, self.damping, self.cutoff)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if not 0 < self.mass_factor < math.inf:  # written so that NaN fails
             raise ConfigError(f"mass_factor must be positive and finite, got {self.mass_factor}")
         if self.grid < 9 or self.grid % 2 == 0:
             raise ConfigError(f"grid must be odd and >= 9, got {self.grid}")
@@ -260,10 +256,10 @@ def run_moments(cfg: RunConfig, out_dir: Path) -> Table:
     o, b, c = _reference(cfg)
     scale = _entropy_scale(cfg)
     rows = []
-    for route, compute in ((MomentRoute.MATSUBARA, moments_matsubara), (MomentRoute.SPECTRAL_INTEGRAL, moments_spectral)):
+    for route, compute in (("matsubara", moments_matsubara), ("spectral_integral", moments_spectral)):
         m = compute(o, b, c)
         v = symplectic_param(m, c).v
-        rows.append([route.value, b.temperature, b.damping, b.cutoff, m.f1, m.f2, m.cross, v, entropy(v) * scale])
+        rows.append([route, b.temperature, b.damping, b.cutoff, m.f1, m.f2, m.cross, v, entropy(v) * scale])
     return ["route", "temperature", "damping", "cutoff", "f1", "f2", "cross", "v", "entropy"], rows
 
 
@@ -279,7 +275,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Table:
     scale = _entropy_scale(cfg)
     alphas = ProcessPath(cfg.param, cfg.start, cfg.end, cfg.grid).values
     mass, damping = _mass_and_damping(cfg.param, o, b, alphas)
-    states = _states(mass, damping, o, b, c, free_energy=True)
+    states = _states(mass, damping, o, b, c)
     dq = np.zeros(alphas.shape)  # the heat integrand dQ/d alpha = dU/d alpha - dW/d alpha at each row
     if cfg.start != cfg.end:
         f1, f2, df1, df2, _, _ = _stencil_derivatives(cfg.param, o, b, alphas, c)

@@ -24,6 +24,7 @@ argument must equal it, and a different value raises ValueError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,13 @@ class ProcessPath:
     def __post_init__(self):
         if self.parameter not in ("mass", "damping"):
             raise ValueError(f"unknown path parameter {self.parameter!r}")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.start_value) and math.isfinite(self.end_value)):
+            raise ValueError(f"path bounds must be finite, got {self.start_value} and {self.end_value}")
         lo = min(self.start_value, self.end_value)
-        if self.parameter == "mass" and lo <= 0:
+        if self.parameter == "mass" and not lo > 0:
             raise ValueError("mass must stay positive along the path")
-        if self.parameter == "damping" and lo < 0:
+        if self.parameter == "damping" and not lo >= 0:
             raise ValueError("damping must stay non-negative along the path")
         if self.grid_points < 9 or self.grid_points % 2 == 0:
             raise ValueError(f"grid_points must be odd and >= 9, got {self.grid_points}")
@@ -112,15 +116,12 @@ class _State:
     work: float
 
 
-def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, free_energy: bool = False) -> list[_State]:
-    """The state at each (M, gamma) point, from one kernel call. The work
-    potential is the coupling free energy with ``free_energy``, which every
-    heat needs, and zero otherwise, where only the entropy is wanted. At
-    gamma = 0 the kernel gives the bare Gibbs state, and its free energy of
-    coupling is zero."""
+def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants) -> list[_State]:
+    """The state at each (M, gamma) point, from one kernel call; its work
+    potential is its coupling free energy. At gamma = 0 the kernel gives the
+    bare Gibbs state, and its free energy of coupling is zero."""
     b.warn_if_cutoff_low(o)
-    f1, f2, *work = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=free_energy)
-    work = work[0] if free_energy else [0.0] * len(f1)
+    f1, f2, work = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True)
     states = []
     for m_i, p, q, w in zip(mass.tolist(), f1.tolist(), f2.tolist(), work):
         m = Moments(f1=p, f2=q)
@@ -220,7 +221,7 @@ def heat(
     if path.start_value == path.end_value:
         return HeatResult(value=0.0, error_estimate=0.0)
     ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
-    return _first_law(*_states(*ends, o, b, c, free_energy=True))
+    return _first_law(*_states(*ends, o, b, c))
 
 
 def clausius_check(
@@ -268,11 +269,11 @@ def _steps(
     (M, gamma), which ends one step and starts the other, and the mass path's
     end (kM, gamma/k). Each checked step's entropy change is checked against
     the quadrature along its path."""
-    if mass_factor <= 0:
-        raise ValueError(f"mass_factor must be positive, got {mass_factor}")
+    if not 0 < mass_factor < math.inf:  # written so that NaN fails
+        raise ValueError(f"mass_factor must be positive and finite, got {mass_factor}")
     path = ProcessPath("mass", o.mass, o.mass * mass_factor)
     mass, damping = _mass_and_damping("mass", o, b, [path.start_value, path.end_value])
-    bare, coupled, end = _states(np.append(o.mass, mass), np.append(0.0, damping), o, b, c, free_energy=True)
+    bare, coupled, end = _states(np.append(o.mass, mass), np.append(0.0, damping), o, b, c)
     coupling = _step(bare, coupled, b.temperature, c)
     mass_step = _step(coupled, end, b.temperature, c, coupled=b.damping > 0)
     if check_coupling:

@@ -34,7 +34,6 @@ from clausius_lab import (
     mutual_information,
     reduced_moments_exact,
     sample_bath,
-    symplectic_param,
     thermal_moments_decoupled,
 )
 from clausius_lab.cli import main as cli_main

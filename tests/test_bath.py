@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from clausius_lab import (
     BathSpec,
     Constants,
-    MomentRoute,
     NumericalFailure,
     OscillatorParams,
     coupling_free_energy,
@@ -173,11 +172,13 @@ class TestArrayKernel:
     def test_array_equals_one_point_calls(self, temperature):
         points = mixed_branch_points()
         mass, damping, w, wd = (np.array(col) for col in zip(*points))
-        f1, f2 = _matsubara_moments(mass, damping, w, wd, temperature, C)
-        for (m, g, freq, cutoff), a1, a2 in zip(points, f1, f2):
-            ref = moments_matsubara(OscillatorParams(m, freq), BathSpec(temperature, g, cutoff), C)
+        f1, f2, free = _matsubara_moments(mass, damping, w, wd, temperature, C, free_energy=True)
+        for (m, g, freq, cutoff), a1, a2, a3 in zip(points, f1, f2, free):
+            o, b = OscillatorParams(m, freq), BathSpec(temperature, g, cutoff)
+            ref = moments_matsubara(o, b, C)
             assert abs(a1 - ref.f1) <= 4 * np.spacing(ref.f1)
             assert abs(a2 - ref.f2) <= 4 * np.spacing(ref.f2)
+            assert a3 == coupling_free_energy(o, b, C)
 
     def test_failing_element_raises_as_its_one_point_call(self):
         # each damped element's rounding estimate, read from a one-point call
@@ -446,7 +447,7 @@ class TestAdversarialMatsubara:
 class TestMomentDerivatives:
     def test_damping_derivative_matches_finite_difference(self):
         b = BathSpec(temperature=1.0, damping=2.0, cutoff=50.0)
-        d = moment_derivatives(OSC, b, "damping", MomentRoute.MATSUBARA, C)
+        d = moment_derivatives(OSC, b, "damping", C)
         h = 1e-4
         up = moments_matsubara(OSC, BathSpec(1.0, 2.0 + h, 50.0), C)
         dn = moments_matsubara(OSC, BathSpec(1.0, 2.0 - h, 50.0), C)
@@ -457,14 +458,14 @@ class TestMomentDerivatives:
         # decoupled: f1 ~ 1/M and f2 ~ M exactly, so M df1/dM = -f1
         b = BathSpec(temperature=0.5, damping=0.0, cutoff=100.0)
         m = moments_matsubara(OSC, b, C)
-        d = moment_derivatives(OSC, b, "mass", MomentRoute.MATSUBARA, C)
+        d = moment_derivatives(OSC, b, "mass", C)
         assert d.df1 == pytest.approx(-m.f1 / OSC.mass, rel=1e-7)
         assert d.df2 == pytest.approx(m.f2 / OSC.mass, rel=1e-7)
 
     def test_mass_derivative_holds_microscopic_coupling_fixed(self):
         # compare against a finite difference taken with gamma ~ 1/M
         b = BathSpec(temperature=0.2, damping=5.0, cutoff=100.0)
-        d = moment_derivatives(OSC, b, "mass", MomentRoute.MATSUBARA, C)
+        d = moment_derivatives(OSC, b, "mass", C)
         h = 1e-5
         eta = OSC.mass * b.damping
 
@@ -478,21 +479,35 @@ class TestMomentDerivatives:
 
     def test_error_estimates_are_reported(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
-        d = moment_derivatives(OSC, b, "damping", MomentRoute.MATSUBARA, C)
+        d = moment_derivatives(OSC, b, "damping", C)
         assert d.df1_error >= 0 and d.df2_error >= 0
 
-    def test_spectral_route_maps_its_kernel_over_the_stencil(self):
+    def test_matches_a_central_difference_of_the_spectral_route(self):
+        # [DERIVED] the independent referee: Richardson-extrapolated central
+        # differences of moments_spectral, which shares no code with the
+        # kernel, at fixed microscopic coupling (gamma ~ 1/M) along the mass
         b = BathSpec(temperature=1.0, damping=2.0, cutoff=50.0)
-        for alpha in ("damping", "mass"):
-            ref = moment_derivatives(OSC, b, alpha, MomentRoute.MATSUBARA, C)
-            d = moment_derivatives(OSC, b, alpha, MomentRoute.SPECTRAL_INTEGRAL, C)
-            assert d.df1 == pytest.approx(ref.df1, rel=1e-5)
-            assert d.df2 == pytest.approx(ref.df2, rel=1e-5)
+        eta = OSC.mass * b.damping
+
+        def spectral(alpha, x):
+            mass, damping = (x, eta / x) if alpha == "mass" else (OSC.mass, x)
+            return moments_spectral(OscillatorParams(mass, OSC.frequency), BathSpec(1.0, damping, 50.0), C)
+
+        for alpha, x0 in (("damping", b.damping), ("mass", OSC.mass)):
+
+            def central(h):
+                up, dn = spectral(alpha, x0 + h), spectral(alpha, x0 - h)
+                return (up.f1 - dn.f1) / (2 * h), (up.f2 - dn.f2) / (2 * h)
+
+            (c1, c2), (h1, h2) = central(1e-3 * x0), central(5e-4 * x0)
+            d = moment_derivatives(OSC, b, alpha, C)
+            assert d.df1 == pytest.approx((4 * h1 - c1) / 3, rel=1e-5)
+            assert d.df2 == pytest.approx((4 * h2 - c2) / 3, rel=1e-5)
 
     def test_unknown_parameter_rejected(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
         with pytest.raises(ValueError):
-            moment_derivatives(OSC, b, "cutoff", MomentRoute.MATSUBARA, C)
+            moment_derivatives(OSC, b, "cutoff", C)
 
 
 class TestFailureDiagnostics:

@@ -292,9 +292,11 @@ class TestExitCodes:
         rc = main(["sweep", "--param", "damping", "--start", "0", "--end", "1", "--grid", "8", "--out", str(tmp_path)])
         assert rc == 2
 
-    @pytest.mark.parametrize("param, start", [("mass", "0"), ("damping", "-1")])
-    def test_sweep_outside_the_parameter_domain_is_config_error(self, tmp_path, capsys, param, start):
-        rc = main(["sweep", "--param", param, "--start", start, "--end", "1", "--out", str(tmp_path)])
+    @pytest.mark.parametrize(
+        "param, start, end", [("mass", "0", "1"), ("damping", "-1", "1"), ("damping", "nan", "1"), ("mass", "1", "inf")]
+    )
+    def test_sweep_outside_the_parameter_domain_is_config_error(self, tmp_path, capsys, param, start, end):
+        rc = main(["sweep", "--param", param, "--start", start, "--end", end, "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("clausius-lab: config error:") and len(err.splitlines()) == 1

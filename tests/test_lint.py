@@ -1,4 +1,4 @@
-"""Lint: every name a library module imports is used in it.
+"""Lint: every name a library module, test or tool imports is used in it.
 
 No linter ships with the toolchain, so this test stands in for one.
 """
@@ -10,7 +10,9 @@ import pytest
 
 import clausius_lab
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in Path(clausius_lab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("tools/*.py")])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -73,9 +73,10 @@ class TestProcessPath:
         with pytest.raises(ValueError):
             ProcessPath("cutoff", 0.0, 1.0)
 
-    def test_rejects_nonpositive_mass(self):
+    @pytest.mark.parametrize("start, end", [(0.0, 2.0), (1.0, math.nan), (math.nan, 2.0), (1.0, math.inf)])
+    def test_rejects_nonpositive_mass(self, start, end):
         with pytest.raises(ValueError):
-            ProcessPath("mass", 0.0, 2.0)
+            ProcessPath("mass", start, end)
 
     def test_rejects_even_or_tiny_grids(self):
         with pytest.raises(ValueError):
@@ -278,10 +279,11 @@ class TestMassProcess:
         assert report.heat == q.value
         assert abs(q.value - ref) <= q.error_estimate + ref_err
 
-    def test_rejects_nonpositive_mass_factor(self):
+    @pytest.mark.parametrize("mass_factor", [0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_mass_factor(self, mass_factor):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=100.0)
-        with pytest.raises(ValueError):
-            mass_process(OSC, b, 1.0, C, mass_factor=0.0)
+        with pytest.raises(ValueError, match="mass_factor must be positive and finite"):
+            mass_process(OSC, b, 1.0, C, mass_factor=mass_factor)
 
     def test_out_of_range_damping_raises_before_anything_overflows(self):
         # the end point's gamma / k = 5e300 is beyond the closed form's range

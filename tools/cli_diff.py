@@ -46,6 +46,8 @@ INVOCATIONS = (
     ("sweep", "--param", "foo"),
     ("moments", "--temperature", "-1"),
     ("sweep", "--param", "mass", "--start", "0", "--end", "1"),
+    ("sweep", "--start", "nan"),
+    ("sweep", "--param", "mass", "--start", "1", "--end", "inf"),
 )
 
 
