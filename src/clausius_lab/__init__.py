@@ -12,7 +12,6 @@ from .gaussian import (
     Constants,
     Moments,
     OscillatorParams,
-    SymplecticParam,
     entropy,
     mean_energy,
     symplectic_param,
@@ -77,7 +76,6 @@ __all__ = [
     "OscillatorParams",
     "Povm",
     "ProcessPath",
-    "SymplecticParam",
     "ThermoReport",
     "accessible_info_lower",
     "average_state",

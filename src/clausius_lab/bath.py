@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import loggamma, polygamma, psi, zeta
-from .errors import NumericalFailure
+from .errors import NumericalFailure, require_non_negative, require_positive
 from .gaussian import Constants, Moments, OscillatorParams, thermal_moments_decoupled
 
 _TARGET_REL = 1e-8
@@ -67,13 +67,9 @@ class BathSpec:
     cutoff: float
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
-        if not 0 <= self.damping < math.inf:
-            raise ValueError(f"damping must be non-negative and finite, got {self.damping}")
-        if not 0 < self.cutoff < math.inf:
-            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
+        require_positive("temperature", self.temperature)
+        require_non_negative("damping", self.damping)
+        require_positive("cutoff", self.cutoff)
 
     def warn_if_cutoff_low(self, o: OscillatorParams) -> None:
         if self.cutoff < 10 * o.frequency:
@@ -430,14 +426,6 @@ def _free_energies(
     sums = h / 2 * (value * _GL_WEIGHTS).sum(axis=1)
     integrals = iter(zip(sums.tolist(), (_ROUND * abs(h) * scale.max(axis=1)).tolist()))
     beta = 1.0 / (c.kB * temperature)
-    limits = {}  # ln Gamma(1 + y) by y, which points of one w and wD share
-
-    def at_limit(y):
-        if y not in limits:
-            limits[y] = loggamma(1 + y)
-            limits[y.conjugate()] = limits[y].conjugate()
-        return limits[y]
-
     out = [0.0] * n
     for k, g, steps in points:
         terms = []
@@ -445,7 +433,7 @@ def _free_energies(
             if is_short:
                 terms.append(next(integrals))
             else:
-                hi, lo = loggamma(1 + y + h_i), at_limit(y)
+                hi, lo = loggamma(1 + y + h_i), loggamma(1 + y)
                 err = _ROUND * (abs(hi) + abs(lo) + abs(1 + y + h_i) + abs(1 + y) + abs(h_i))
                 terms.append((hi - lo + np.euler_gamma * h_i, err))
         if len(steps) == 2:  # the conjugate pair's second step
@@ -520,7 +508,6 @@ def _stencil_derivatives(alpha: str, o: OscillatorParams, b: BathSpec, x0, c: Co
     offsets = np.where(central[..., None], _CENTRAL, _ONE_SIDED)
     points = np.concatenate([x0[..., None], x0[..., None] + offsets * step[..., None]], axis=-1)
     mass, damping = _mass_and_damping(alpha, o, b, points)
-    b.warn_if_cutoff_low(o)
     f1, f2 = _matsubara_moments(mass.ravel(), damping.ravel(), o.frequency, b.cutoff, b.temperature, c)
     f1, f2 = f1.reshape(mass.shape), f2.reshape(mass.shape)
     out = []
@@ -562,6 +549,7 @@ def moment_derivatives(
     stencil is central where the domain allows and one-sided at gamma near 0;
     an error estimate above 1e-5 of the derivative raises.
     """
+    b.warn_if_cutoff_low(o)
     x0 = o.mass if alpha == "mass" else b.damping
     _, _, df1, df2, e1, e2 = _stencil_derivatives(alpha, o, b, x0, c)
     return MomentDerivatives(df1=float(df1), df2=float(df2), df1_error=float(e1), df2_error=float(e2))

@@ -1,4 +1,6 @@
-"""Failure types shared across the numerical modules."""
+"""Failure types and input checks shared across the numerical modules."""
+
+import math
 
 
 class NumericalFailure(RuntimeError):
@@ -19,3 +21,15 @@ class NumericalFailure(RuntimeError):
             details = ", ".join(f"{k}={v!r}" for k, v in sorted(self.diagnostics.items()))
             return f"{base} ({details})"
         return base
+
+
+def require_positive(name: str, value: float) -> None:
+    """Refuse ``value`` unless 0 < value < inf; a chained comparison, so NaN fails."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def require_non_negative(name: str, value: float) -> None:
+    """Refuse ``value`` unless 0 <= value < inf; a chained comparison, so NaN fails."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_positive
+
 # Violations of the uncertainty bound smaller than this (natural units)
 # are treated as numerical noise.
 HEISENBERG_TOL = 1e-12
@@ -26,8 +28,8 @@ class Constants:
     kB: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.kB <= 0:
-            raise ValueError("hbar and kB must be strictly positive")
+        require_positive("hbar", self.hbar)
+        require_positive("kB", self.kB)
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,8 @@ class OscillatorParams:
     frequency: float
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 < self.mass < math.inf:
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not 0 < self.frequency < math.inf:
-            raise ValueError(f"frequency must be positive and finite, got {self.frequency}")
+        require_positive("mass", self.mass)
+        require_positive("frequency", self.frequency)
 
 
 @dataclass(frozen=True)
@@ -52,26 +51,19 @@ class Moments:
     cross: float = 0.0
 
     def __post_init__(self):
-        if self.f1 <= 0 or self.f2 <= 0:
-            raise ValueError(f"variances must be positive, got f1={self.f1}, f2={self.f2}")
+        require_positive("f1", self.f1)
+        require_positive("f2", self.f2)
+        if not math.isfinite(self.cross):
+            raise ValueError(f"cross must be finite, got {self.cross}")
 
     def covariance(self) -> np.ndarray:
         """2x2 covariance matrix in (q, p) ordering."""
         return np.array([[self.f1, self.cross], [self.cross, self.f2]])
 
 
-@dataclass(frozen=True)
-class SymplecticParam:
-    v: float
-
-    def __post_init__(self):
-        if self.v < 0.5 - 1e-9:
-            raise ValueError(f"symplectic parameter below pure-state bound: {self.v}")
-
-
-def symplectic_param(m: Moments, c: Constants = Constants()) -> SymplecticParam:
+def symplectic_param(m: Moments, c: Constants = Constants()) -> float:
     """sqrt(f1*f2 - cross^2)/hbar; rejects moments beating the uncertainty bound."""
-    return SymplecticParam(float(_symplectic_v(m.f1 * m.f2 - m.cross**2, c)))
+    return float(_symplectic_v(m.f1 * m.f2 - m.cross**2, c))
 
 
 def _symplectic_v(det, c: Constants):
@@ -86,16 +78,15 @@ def _symplectic_v(det, c: Constants):
     return np.maximum(np.sqrt(np.maximum(det, bound)) / c.hbar, 0.5)
 
 
-def entropy(v: SymplecticParam | float) -> float:
+def entropy(v: float) -> float:
     """Von Neumann entropy in nats of a single-mode Gaussian state.
 
     (v + 1/2) ln(v + 1/2) - (v - 1/2) ln(v - 1/2), with the second term
     read as 0 at the pure-state boundary v = 1/2.
     """
-    x = v.v if isinstance(v, SymplecticParam) else float(v)
-    if x < 0.5 - 1e-9:
-        raise ValueError(f"symplectic parameter below pure-state bound: {x}")
-    x = max(x, 0.5)
+    if not 0.5 - 1e-9 <= v < math.inf:  # a chained comparison, so NaN fails
+        raise ValueError(f"symplectic parameter must be at least the pure-state bound 1/2 and finite, got {v}")
+    x = max(float(v), 0.5)
     up = x + 0.5
     dn = x - 0.5
     if dn < 1e-30:
@@ -115,8 +106,7 @@ def thermal_moments_decoupled(
 
     f1 = (hbar/2Mw) coth(hbar w / 2 kB T), f2 = (M hbar w / 2) coth(...).
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    require_positive("temperature", temperature)
     x = c.hbar * o.frequency / (2 * c.kB * temperature)
     coth = 1.0 / math.tanh(x)
     f1 = c.hbar / (2 * o.mass * o.frequency) * coth

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_positive
 from .gaussian import Constants
 
 _HERM_TOL = 1e-12
@@ -30,6 +31,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         eigs = np.linalg.eigvalsh(m)
@@ -54,7 +57,7 @@ class Ensemble:
         states = tuple(self.states)
         if p.size == 0 or p.size != len(states):
             raise ValueError("need one probability per state, non-empty")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > _HERM_TOL:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= _HERM_TOL):  # so NaN and inf fail
             raise ValueError(f"probabilities must be non-negative and sum to 1, sum {p.sum()}")
         dims = {s.dim for s in states}
         if len(dims) != 1:
@@ -80,6 +83,8 @@ class Povm:
         for e in elems:
             if e.shape != (dim, dim):
                 raise ValueError("POVM elements must share one square shape")
+            if not np.isfinite(e).all():
+                raise ValueError("POVM element entries must be finite")
             if np.max(np.abs(e - e.conj().T)) > _HERM_TOL:
                 raise ValueError("POVM element is not Hermitian")
             if np.linalg.eigvalsh(e).min() < -_EIG_CLAMP:
@@ -249,8 +254,7 @@ def erasure_budget(e: Ensemble, temperature: float, c: Constants = Constants()) 
 
     q_shared = q_amy - q_martin = kB T chi by construction.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    require_positive("temperature", temperature)
     kt = c.kB * temperature
     q_martin = kt * float(
         np.sum(e.probabilities * np.array([vn_entropy(s) for s in e.states]))

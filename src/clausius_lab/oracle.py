@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, require_positive
 from .gaussian import Constants, Moments, OscillatorParams
 from .bath import BathSpec
 
@@ -32,6 +32,8 @@ class DiscreteBath:
         c = np.asarray(self.couplings, dtype=float)
         if w.ndim != 1 or w.shape != c.shape or w.size < 1:
             raise ValueError("mode_frequencies and couplings must be equal-length 1-D arrays")
+        if not (np.isfinite(w).all() and np.isfinite(c).all()):
+            raise ValueError("mode frequencies and couplings must be finite")
         if np.any(w <= 0):
             raise ValueError("all mode frequencies must be strictly positive")
         if np.any(np.diff(w) <= 0):
@@ -64,8 +66,7 @@ def sample_bath(
     """
     if mode_count < 1:
         raise ValueError(f"mode_count must be >= 1, got {mode_count}")
-    if omega_max <= 0:
-        raise ValueError(f"omega_max must be positive, got {omega_max}")
+    require_positive("omega_max", omega_max)
     dw = omega_max / mode_count
     wk = dw * np.arange(1, mode_count + 1)
     c_sq = (2.0 / np.pi) * wk * spectral_density(wk, o, b) * dw
@@ -101,8 +102,7 @@ def reduced_moments_exact(
     cross-correlation of every normal mode vanishes in equilibrium, so the
     reduced cross term is an exact zero.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    require_positive("temperature", temperature)
     from scipy.linalg import eigh  # on first use: only the oracle loads it
 
     wk = db.mode_frequencies

@@ -36,7 +36,7 @@ from .bath import (
     _matsubara_moments,
     _stencil_derivatives,
 )
-from .errors import NumericalFailure
+from .errors import NumericalFailure, require_non_negative, require_positive
 from .gaussian import (
     Constants,
     Moments,
@@ -120,7 +120,6 @@ def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants) -> li
     """The state at each (M, gamma) point, from one kernel call; its work
     potential is its coupling free energy. At gamma = 0 the kernel gives the
     bare Gibbs state, and its free energy of coupling is zero."""
-    b.warn_if_cutoff_low(o)
     f1, f2, work = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True)
     states = []
     for m_i, p, q, w in zip(mass.tolist(), f1.tolist(), f2.tolist(), work):
@@ -139,6 +138,7 @@ def entropy_change(
 ) -> EntropyChange:
     """Entropy change along a path; exact differential, so the endpoint form
     is authoritative. The quadrature of S'(v) dv/d alpha must agree."""
+    b.warn_if_cutoff_low(o)
     ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
     s0, s1 = _states(*ends, o, b, c)
     endpoint = s1.entropy - s0.entropy
@@ -218,6 +218,7 @@ def heat(
     the coupling free energy on either path. The grid of the path selects
     nothing here.
     """
+    b.warn_if_cutoff_low(o)
     if path.start_value == path.end_value:
         return HeatResult(value=0.0, error_estimate=0.0)
     ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
@@ -228,8 +229,9 @@ def clausius_check(
     q: float, ds: float, temperature: float, c: Constants = Constants()
 ) -> ThermoReport:
     """Q <= kB T dS up to the numerical slack tolerance."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    require_positive("temperature", temperature)
+    if not (math.isfinite(q) and math.isfinite(ds)):
+        raise ValueError(f"heat and entropy change must be finite, got {q} and {ds}")
     slack = c.kB * temperature * ds - q
     return ThermoReport(
         delta_entropy=ds,
@@ -241,10 +243,8 @@ def clausius_check(
 
 def landauer_bound(s_initial: float, temperature: float, c: Constants = Constants()) -> float:
     """Minimal erasure heat kB T S for a state of entropy S (nats)."""
-    if s_initial < 0:
-        raise ValueError(f"entropy must be non-negative, got {s_initial}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    require_non_negative("entropy", s_initial)
+    require_positive("temperature", temperature)
     return c.kB * temperature * s_initial
 
 
@@ -269,8 +269,7 @@ def _steps(
     (M, gamma), which ends one step and starts the other, and the mass path's
     end (kM, gamma/k). Each checked step's entropy change is checked against
     the quadrature along its path."""
-    if not 0 < mass_factor < math.inf:  # written so that NaN fails
-        raise ValueError(f"mass_factor must be positive and finite, got {mass_factor}")
+    require_positive("mass_factor", mass_factor)
     path = ProcessPath("mass", o.mass, o.mass * mass_factor)
     mass, damping = _mass_and_damping("mass", o, b, [path.start_value, path.end_value])
     bare, coupled, end = _states(np.append(o.mass, mass), np.append(0.0, damping), o, b, c)
@@ -303,6 +302,7 @@ def coupling_process(
     dS from the endpoint entropies; heat from the subsystem first law with the
     quasistatic work W = dF_MF: Q = dU - dF_MF.
     """
+    b_target.warn_if_cutoff_low(o)
     return _steps(o, _bath_at(b_target, temperature), c, 1.0, check_coupling=check_consistency)[0]
 
 
@@ -317,6 +317,7 @@ def mass_process(
     """Mass sweep M -> mass_factor * M at fixed bare frequency and fixed
     microscopic coupling. This is the step that taken alone appears to
     violate the Clausius inequality."""
+    b.warn_if_cutoff_low(o)
     return _steps(o, _bath_at(b, temperature), c, mass_factor, check_mass=check_consistency)[1]
 
 
@@ -330,4 +331,5 @@ def composed_process(
 ) -> ThermoReport:
     """Couple first, then change the mass: the thermodynamically complete
     two-step process whose totals satisfy the Clausius inequality."""
+    b.warn_if_cutoff_low(o)
     return _steps(o, _bath_at(b, temperature), c, mass_factor, check_consistency, check_consistency)[2]

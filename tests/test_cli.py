@@ -282,9 +282,20 @@ class TestExitCodes:
             main(["violation-scan", "--temperature", "0.1", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag, value", [("temperature", "-1"), ("temperature", "nan"), ("damping", "inf")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("temperature", "-1"),
+            ("temperature", "nan"),
+            ("damping", "inf"),
+            ("cutoff", "-inf"),
+            ("mass-factor", "nan"),
+            ("mass-factor", "inf"),
+            ("mass-factor", "-inf"),
+        ],
+    )
     def test_invalid_parameter_is_config_error(self, tmp_path, capsys, flag, value):
-        rc = main(["moments", f"--{flag}", value, "--out", str(tmp_path)])
+        rc = main(["resolve", f"--{flag}={value}", "--out", str(tmp_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
@@ -307,6 +318,20 @@ class TestExitCodes:
     def test_unreadable_ensemble_is_config_error(self, tmp_path, capsys):
         rc = main(["holevo", "--ensemble", "/nonexistent.txt", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2 2\nnan\n1 0\n0 0\n0.5\n0.5 0.5\n0.5 0.5\n", "2 1\n1.0\n1 0\n0 nan\n"],
+        ids=["nan-probability", "nan-matrix-entry"],
+    )
+    def test_non_finite_ensemble_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "ens.txt"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["holevo", "--ensemble", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clausius-lab: config error:") and len(err.splitlines()) == 1
+        assert not (out / "holevo.csv").exists()
 
 
 def _printed_as_written(cell: str) -> bool:

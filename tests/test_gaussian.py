@@ -9,7 +9,6 @@ from clausius_lab import (
     Constants,
     Moments,
     OscillatorParams,
-    SymplecticParam,
     entropy,
     mean_energy,
     symplectic_param,
@@ -53,11 +52,8 @@ class TestValidation:
     def test_symplectic_param_tolerates_roundoff_at_bound(self):
         # determinant a hair under hbar^2/4 must clamp to the pure state
         m = Moments(f1=0.5, f2=0.5 - 1e-14)
-        assert symplectic_param(m, C).v == 0.5
-
-    def test_symplectic_param_dataclass_bound(self):
-        with pytest.raises(ValueError):
-            SymplecticParam(0.3)
+        v = symplectic_param(m, C)
+        assert v == 0.5 and type(v) is float
 
 
 class TestEntropy:
@@ -69,9 +65,6 @@ class TestEntropy:
         expected = 1.5 * math.log(1.5) + 0.5 * math.log(2.0)
         assert entropy(1.0) == pytest.approx(expected, abs=1e-15)
         assert entropy(1.0) == pytest.approx(0.9547712524422623, abs=1e-12)
-
-    def test_accepts_symplectic_param_wrapper(self):
-        assert entropy(SymplecticParam(1.0)) == entropy(1.0)
 
     def test_monotone_increasing_in_v(self):
         vs = np.linspace(0.5, 30.0, 200)
@@ -94,7 +87,7 @@ class TestThermalMoments:
         m = thermal_moments_decoupled(o, 1e-6, C)
         assert m.f1 == pytest.approx(C.hbar / (2 * o.mass * o.frequency), rel=1e-12)
         assert m.f2 == pytest.approx(o.mass * C.hbar * o.frequency / 2, rel=1e-12)
-        assert symplectic_param(m, C).v == pytest.approx(0.5, abs=1e-9)
+        assert symplectic_param(m, C) == pytest.approx(0.5, abs=1e-9)
 
     def test_classical_limit(self):
         o = OscillatorParams(mass=1.5, frequency=0.7)
@@ -128,7 +121,7 @@ class TestCovariance:
         assert cov[0, 1] == cov[1, 0] == 0.25
 
     def test_cross_term_enters_symplectic_param(self):
-        base = symplectic_param(Moments(f1=2.0, f2=3.0, cross=0.0), C).v
-        tilted = symplectic_param(Moments(f1=2.0, f2=3.0, cross=1.0), C).v
+        base = symplectic_param(Moments(f1=2.0, f2=3.0, cross=0.0), C)
+        tilted = symplectic_param(Moments(f1=2.0, f2=3.0, cross=1.0), C)
         assert tilted == pytest.approx(math.sqrt(6.0 - 1.0), rel=1e-12)
         assert tilted < base

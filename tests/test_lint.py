@@ -1,4 +1,5 @@
-"""Lint: every name a library module, test or tool imports is used in it.
+"""Lint: every name a library module, test or tool imports is used in it,
+and every private module-level name of the package is referenced.
 
 No linter ships with the toolchain, so this test stands in for one.
 """
@@ -26,3 +27,32 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+
+SOURCES = sorted(Path(clausius_lab.__file__).parent.glob("*.py"))
+
+
+def _bindings(stmt):
+    """The names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def test_every_private_module_name_is_referenced():
+    # a module-level _name that nothing reads outside the statements binding
+    # it is dead code, whether it is a function, a class or a constant
+    defined, referenced = {}, set()
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            bound = _bindings(stmt)
+            private = (n for n in bound if n.startswith("_") and not n.startswith("__"))
+            defined.update((n, f"{path.name}:{stmt.lineno}") for n in private)
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name not in bound:
+                    referenced.add(name)
+    unused = sorted(f"{name} ({where})" for name, where in defined.items() if name not in referenced)
+    assert not unused, f"private names defined but never referenced in the package: {unused}"

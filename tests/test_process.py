@@ -25,7 +25,9 @@ from clausius_lab import (
     landauer_bound,
     mass_process,
     mean_energy,
+    moment_derivatives,
     moments_matsubara,
+    moments_spectral,
 )
 
 C = Constants()
@@ -73,7 +75,9 @@ class TestProcessPath:
         with pytest.raises(ValueError):
             ProcessPath("cutoff", 0.0, 1.0)
 
-    @pytest.mark.parametrize("start, end", [(0.0, 2.0), (1.0, math.nan), (math.nan, 2.0), (1.0, math.inf)])
+    @pytest.mark.parametrize(
+        "start, end", [(0.0, 2.0), (1.0, math.nan), (math.nan, 2.0), (1.0, math.inf), (-math.inf, 2.0)]
+    )
     def test_rejects_nonpositive_mass(self, start, end):
         with pytest.raises(ValueError):
             ProcessPath("mass", start, end)
@@ -279,7 +283,7 @@ class TestMassProcess:
         assert report.heat == q.value
         assert abs(q.value - ref) <= q.error_estimate + ref_err
 
-    @pytest.mark.parametrize("mass_factor", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("mass_factor", [0.0, math.nan, math.inf, -math.inf])
     def test_rejects_nonpositive_mass_factor(self, mass_factor):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=100.0)
         with pytest.raises(ValueError, match="mass_factor must be positive and finite"):
@@ -319,6 +323,39 @@ def test_temperature_other_than_the_baths_raises(op):
     with pytest.raises(ValueError, match="temperature"):
         op(OSC, b, 1.0, C, check_consistency=False)
     assert op(OSC, b, 0.05, C, check_consistency=False) == op(OSC, b, b.temperature, C, check_consistency=False)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda b: composed_process(OSC, b, b.temperature, C),
+        lambda b: coupling_process(OSC, b, b.temperature, C),
+        lambda b: mass_process(OSC, b, b.temperature, C),
+        lambda b: heat(ProcessPath("mass", 1.0, 2.0), OSC, b, C),
+        lambda b: entropy_change(ProcessPath("damping", 0.0, b.damping), OSC, b, C),
+        lambda b: moment_derivatives(OSC, b, "mass", C),
+        lambda b: moments_matsubara(OSC, b, C),
+        lambda b: moments_spectral(OSC, b, C),
+    ],
+    ids=[
+        "composed_process",
+        "coupling_process",
+        "mass_process",
+        "heat",
+        "entropy_change",
+        "moment_derivatives",
+        "moments_matsubara",
+        "moments_spectral",
+    ],
+)
+def test_narrow_band_warning_is_one_per_call_and_points_at_the_caller(op):
+    # the checked ops evaluate the kernel at many nodes; the warning is the
+    # call's, not each node's
+    b = BathSpec(temperature=1.0, damping=1.0, cutoff=5.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        op(b)
+    assert [(str(w.message)[:12], w.filename) for w in caught] == [("Drude cutoff", __file__)]
 
 
 def _drude_solves(monkeypatch, op):

@@ -48,6 +48,10 @@ INVOCATIONS = (
     ("sweep", "--param", "mass", "--start", "0", "--end", "1"),
     ("sweep", "--start", "nan"),
     ("sweep", "--param", "mass", "--start", "1", "--end", "inf"),
+    ("moments", "--temperature", "nan"),
+    ("resolve", "--mass-factor", "inf"),
+    ("oracle", "--cutoff", "inf"),
+    ("holevo", "--ensemble", str(DATA / "bb84.txt"), "--temperature", "nan"),
 )
 
 
