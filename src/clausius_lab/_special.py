@@ -1,4 +1,4 @@
-"""Digamma, polygamma, log-gamma and zeta for the arguments the Matsubara kernel passes.
+"""Digamma, trigamma, polygamma, log-gamma and zeta for the arguments the Matsubara kernel passes.
 
 Every argument has Re z >= 1: the roots of the Drude cubic lie in the left
 half-plane, so 1 + lambda/nu1 with lambda a negated root does not reach
@@ -39,6 +39,25 @@ def psi(z):
     for coef in _PSI_TAIL[1:]:
         series = (series + coef) * t
     return np.log(w) - ((0.5 * iw + series) + (1 / (z[..., None] + _PSI_SHIFT)).sum(axis=-1))
+
+
+# the term-by-term derivative of psi's series: B_2k / w^(2k+1), whose first
+# omitted term, B_12 / 17^13 < 3e-17, is below 4e-16 of the leading 1/w
+_TRIGAMMA_TAIL = list(_BERNOULLI[:5])[::-1]
+
+
+def trigamma(z):
+    """psi'(z) elementwise over an array of Re z >= 1, as complex: the
+    derivative of ``psi``'s shift and asymptotic series, term by term."""
+    z = np.asarray(z, dtype=complex)
+    w = z + len(_PSI_SHIFT)
+    iw = 1 / w
+    t = iw * iw
+    series = _TRIGAMMA_TAIL[0] * t
+    for coef in _TRIGAMMA_TAIL[1:]:
+        series = (series + coef) * t
+    shifted = 1 / (z[..., None] + _PSI_SHIFT)
+    return iw * (1 + 0.5 * iw + series) + (shifted * shifted).sum(axis=-1)
 
 
 # zeta(s, w) = w^(1-s)/(s-1) [1 + (s-1)/(2w) + sum_{j<=8} B_2j C(s+2j-2, 2j) w^-2j]

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._special import loggamma, polygamma, psi, zeta
+from ._special import loggamma, polygamma, psi, trigamma, zeta
 from .errors import NumericalFailure, require_non_negative, require_positive
 from .gaussian import Constants, Moments, OscillatorParams, thermal_moments_decoupled
 
@@ -44,8 +45,10 @@ _ROUND = 32 * float(np.finfo(float).eps)
 # the closed form multiplies c1 = w^2 + gamma wD by roots of size ~sqrt(c1),
 # which overflows near c1 = 1e205; a larger c1 is refused
 _MAX_C1 = 1e200
-# a root pair closer than this fraction of nu1 + its midpoint is confluent
-_CONFLUENT = 1e-3
+# a root pair closer than this fraction of nu1 + its midpoint is confluent;
+# for the gamma slopes, whose generic form divides by (x - y)^2, a pair
+# closer than the second fraction is taken by its symmetric form
+_CONFLUENT, _CLOSE_PAIR = 1e-3, 5e-2
 # three roots within this fraction of nu1 + their mean are expanded together
 # (their second divided difference would lose ~ulp/fraction^2), to this order
 _CLUSTER, _CLUSTER_ORDER = 1e-2, 12
@@ -128,7 +131,7 @@ def _drude_poles(w2, wd, damping):
     return r, x, y, m, q
 
 
-def _cluster_differences(s2, s3, mid, nu1: float, spread):
+def _cluster_differences(s2, s3, mid, nu1: float, spread, ds=None):
     """psi[x, y, r] and ((l - mid) psi)[x, y, r], with psi = psi(1 + l/nu1),
     for three near-equal roots, each with its error, elementwise over arrays.
 
@@ -138,6 +141,12 @@ def _cluster_differences(s2, s3, mid, nu1: float, spread):
     elementary symmetric functions are s2/nu1^2 and s3/nu1^3, with s2 and s3
     taken from P shifted to mid, so no difference of roots is formed.
     ``spread`` is the largest |t|, which bounds |h_j| by C(j+2, 2) spread^j.
+
+    Returns the two (value, error) pairs, and with ``ds``, the gamma slopes
+    (ds2, ds3) of s2 and s3, the two sums' slopes as a second pair of pairs
+    (None without): mid does not move with gamma, so only the h_j do. Their generating function
+    1/(1 + e2 z^2 - e3 z^3) bounds |dh_j| by |de2| C(j+3, 5) spread^(j-2) +
+    |de3| C(j+2, 5) spread^(j-3).
     """
     k = np.arange(1, _CLUSTER_ORDER + 2)
     a = polygamma(k, 1 + mid[:, None] / nu1) / np.cumprod(k)  # a_1 .. a_{K+1}, one row each
@@ -145,20 +154,95 @@ def _cluster_differences(s2, s3, mid, nu1: float, spread):
     h = [np.ones_like(e2), np.zeros_like(e2)]
     for j in range(2, _CLUSTER_ORDER - 1):
         h.append(e3 * h[j - 3] - e2 * h[j - 2] if j > 2 else -e2)
-    h = np.stack(h, axis=1)
-    # first omitted term, doubled: 2 C(K+1, 2) spread^(K-1) bounds 2 |h_{K-1}|
-    tail = (_CLUSTER_ORDER + 1) * _CLUSTER_ORDER * spread ** (_CLUSTER_ORDER - 1)
-    terms2, terms1 = a[:, 1:-1] * h, a[:, :-2] * h
-    d2 = terms2.sum(axis=1) / nu1**2
-    d1 = terms1.sum(axis=1) / nu1
-    e_2 = (abs(a[:, -1]) * tail + _ROUND * abs(terms2).sum(axis=1)) / nu1**2
-    e_1 = (abs(a[:, -2]) * tail + _ROUND * abs(terms1).sum(axis=1)) / nu1
-    return (d2, e_2), (d1, e_1)
+
+    def sums(h, tail):
+        # the two series over the h_j, each with its first omitted term, doubled
+        h = np.stack(h, axis=1)
+        terms2, terms1 = a[:, 1:-1] * h, a[:, :-2] * h
+        d2 = terms2.sum(axis=1) / nu1**2
+        d1 = terms1.sum(axis=1) / nu1
+        e_2 = (abs(a[:, -1]) * tail + _ROUND * abs(terms2).sum(axis=1)) / nu1**2
+        e_1 = (abs(a[:, -2]) * tail + _ROUND * abs(terms1).sum(axis=1)) / nu1
+        return (d2, e_2), (d1, e_1)
+
+    # 2 C(K+1, 2) spread^(K-1) bounds 2 |h_{K-1}|
+    values = sums(h, (_CLUSTER_ORDER + 1) * _CLUSTER_ORDER * spread ** (_CLUSTER_ORDER - 1))
+    if ds is None:
+        return values, None
+    de2, de3 = ds[0] / nu1**2, ds[1] / nu1**3
+    dh = [np.zeros_like(e2), np.zeros_like(e2)]
+    for j in range(2, _CLUSTER_ORDER - 1):
+        dh.append(de3 * h[j - 3] + e3 * dh[j - 3] - de2 * h[j - 2] - e2 * dh[j - 2] if j > 2 else -de2)
+    n = _CLUSTER_ORDER - 1  # the first omitted order; its bound, doubled
+    tail = 2 * abs(de2) * math.comb(n + 3, 5) * spread ** (n - 2)
+    tail += 2 * abs(de3) * math.comb(n + 2, 5) * spread ** (n - 3)
+    return values, sums(dh, tail)
 
 
 def _shifted(z, nu1: float):
     """1 + z/nu1, dividing the real and imaginary parts by nu1 separately."""
     return (1 + z.real / nu1) + 1j * (z.imag / nu1)
+
+
+def _ratio(terms, err, den):
+    """sum(terms)/den and its error: twice the rounding unit on each term,
+    whose inputs carry about one unit each, plus the propagated error ``err``
+    of the terms, over |den|."""
+    return sum(terms) / den, (2 * _ROUND * sum(abs(t) for t in terms) + err) / abs(den)
+
+
+def _pair_slopes(m, q, r, vr, c0, nu1: float, psi_r, psi1_r, mean, mean_m, d_xy, e_xy):
+    """psi[x, y, r] and ((l - m) psi)[x, y, r], with psi = psi(1 + l/nu1), and
+    their gamma slopes, each with its error, for a close pair x, y =
+    m +- sqrt(q), elementwise; and the slope m' of the pair's midpoint.
+
+    With A and B = psi[x, y] the mean and the divided difference of psi over
+    the pair, both even in sqrt(q), the two sums are (psi_r - A - B (r - m))/
+    Q'(r) and ((r - m)(psi_r - A) - q B)/Q'(r), with Q'(r) = (r - m)^2 - q.
+    By Vieta (m = (wD - r)/2, xy = c0/r) the pair moves as m' = -r'/2 and
+    q' = r' (c0/r^2 - m), so no slope divides by x - y. ``mean`` is A,
+    ``mean_m`` its m derivative psi' averaged over the pair, and the series
+    of psi^(2..9) at m in q give dA/dq, dB/dm and dB/dq, with their first
+    omitted terms, in psi^(10) and psi^(11), doubled to bound the rest;
+    ``psi1_r`` is psi' at r.
+    """
+    k = np.arange(2, 12)[:, None]
+    p2, p3, p4, p5, p6, p7, p8, p9, p10, p11 = polygamma(k, 1 + m / nu1) / nu1**k  # psi^(k) in l at m
+    rm, q2, q3, q4 = r - m, q * q, q * q * q, q * q * q * q
+    vm, vq = -vr / 2, vr * (c0 / (r * r) - m)
+    a_q = p2 / 2 + p4 * q / 12 + p6 * q2 / 240 + p8 * q3 / 10080
+    b_m = p2 + p4 * q / 6 + p6 * q2 / 120 + p8 * q3 / 5040
+    b_q = p3 / 6 + p5 * q / 60 + p7 * q2 / 1680 + p9 * q3 / 90720
+    d_a, e_a = _ratio((mean_m * vm, a_q * vq), abs(p10 * q4 * vq) / 362880, 1.0)
+    d_b, e_b = _ratio((b_m * vm, b_q * vq), abs(p10 * q4 * vm) / 181440 + abs(p11 * q4 * vq) / 3991680, 1.0)
+    den = rm * rm - q
+    g3, e_g3 = _ratio((psi_r, -mean, -d_xy * rm), 4 * _ROUND + e_xy * abs(rm), den)
+    g2, e_g2 = _ratio((rm * psi_r, -rm * mean, -q * d_xy), 4 * _ROUND * abs(rm) + e_xy * abs(q), den)
+    d_den, v_rm = 2 * rm * (vr - vm) - vq, vr - vm
+    dg3, e_dg3 = _ratio(
+        (psi1_r * vr, -d_a, -d_b * rm, -d_xy * v_rm, -g3 * d_den),
+        e_a + e_b * abs(rm) + e_xy * abs(v_rm) + e_g3 * abs(d_den),
+        den,
+    )
+    dg2, e_dg2 = _ratio(
+        (v_rm * psi_r, -v_rm * mean, rm * psi1_r * vr, -rm * d_a, -vq * d_xy, -q * d_b, -g2 * d_den),
+        4 * _ROUND * abs(v_rm) + abs(rm) * e_a + abs(vq) * e_xy + abs(q) * e_b + e_g2 * abs(d_den),
+        den,
+    )
+    return vm, (g3, e_g3), (g2, e_g2), (dg3, e_dg3), (dg2, e_dg2)
+
+
+class _Slopes(NamedTuple):
+    """Moments, their slopes along one parameter, and the absolute error of each."""
+
+    f1: np.ndarray
+    f2: np.ndarray
+    df1: np.ndarray
+    df2: np.ndarray
+    f1_error: np.ndarray
+    f2_error: np.ndarray
+    df1_error: np.ndarray
+    df2_error: np.ndarray
 
 
 def _matsubara_moments(
@@ -170,6 +254,7 @@ def _matsubara_moments(
     c: Constants,
     rel_tol: float = _TARGET_REL,
     free_energy: bool = False,
+    slopes: bool = False,
 ):
     """f1 and f2 from the digamma closed form, elementwise over a 1-d array of
     gamma and, per element or shared, mass, w and wD, at one temperature.
@@ -179,6 +264,11 @@ def _matsubara_moments(
     gate: the first element whose estimate exceeds ``rel_tol`` raises. With
     ``free_energy`` the roots, solved once, also give each element's coupling
     free energy, returned as a third list once all moments pass their gate.
+    With ``slopes`` the same roots and psi values give the exact gamma
+    derivatives at fixed M, returned with the moments as ``_Slopes`` with
+    their propagated rounding estimates: the roots move as l' = -wD l / Q'(l),
+    Q(l) = l^3 - wD l^2 + c1 l - c0, and each branch differentiates its own
+    form of the two sums.
     """
     damping = np.asarray(damping, dtype=float)
     mass, w, wd = (np.full(damping.shape, v, dtype=float) for v in (mass, frequency, cutoff))
@@ -215,10 +305,14 @@ def _matsubara_moments(
         e_xyr = (e_yr + e_xy + _ROUND * (abs(d_yr) + abs(d_xy))) / abs(r - x)
     i = cluster.nonzero()[0]
     if i.size:
-        # the roots less mid have elementary symmetric functions 0, s2 and s3 = P(-mid)
+        # the roots less mid have elementary symmetric functions 0, s2 and s3 = P(-mid),
+        # whose gamma slopes are wD and -mid wD
         s2 = c1[i] - 3 * mid[i] * mid[i]
         s3 = w2[i] * wd[i] - mid[i] * (c1[i] - mid[i] * (wd[i] - mid[i]))
-        (d_xyr[i], e_xyr[i]), (d_yr[i], e_yr[i]) = _cluster_differences(s2, s3, mid[i], nu1, spread[i] / nu1)
+        ds = (wd[i], -mid[i] * wd[i]) if slopes else None
+        ((d_xyr[i], e_xyr[i]), (d_yr[i], e_yr[i])), cluster_slopes = _cluster_differences(
+            s2, s3, mid[i], nu1, spread[i] / nu1, ds
+        )
 
     def bracket(lead, n_node, slope):
         # sum_i N(l_i) psi_i / prod_{j!=i}(l_j - l_i) = (N psi)[x, y, r], and
@@ -248,9 +342,58 @@ def _matsubara_moments(
             temperature=temperature,
             damping=float(damping[i]),
         )
-    if not free_energy:
+    if free_energy:
+        return f1, f2, _free_energies(points, h, nodes, p[3 * n :].reshape(nodes.shape), n, temperature, c, rel_tol)
+    if not slopes:
         return f1, f2
-    return f1, f2, _free_energies(points, h, nodes, p[3 * n :].reshape(nodes.shape), n, temperature, c, rel_tol)
+
+    # the slopes: psi' in l at each root, and each root's slope l' = -wD l / Q'(l)
+    g1 = trigamma(args) / nu1
+    g1r, g1y, g1x = g1[:n], g1[n : 2 * n], g1[2 * n :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vx = -wd * x / ((x - y) * (x - r))
+        vy = wd * y / ((x - y) * (y - r))
+        vr = -wd * r / ((x - r) * (y - r))
+        # generic rows, at node x: the quotient rule on each divided difference
+        dg2, e_dg2 = _ratio((g1y * vy, -g1r * vr, -d_yr * (vy - vr)), e_yr * abs(vy - vr), y - r)
+        d_xy_s, e_xy_s = _ratio((g1x * vx, -g1y * vy, -d_xy * (vx - vy)), e_xy * abs(vx - vy), x - y)
+        dg3, e_dg3 = _ratio((dg2, -d_xy_s, -d_xyr * (vr - vx)), e_dg2 + e_xy_s + e_xyr * abs(vr - vx), r - x)
+    g3, e_g3, g2, e_g2, v_node, s_node = d_xyr.copy(), e_xyr.copy(), d_yr.copy(), e_yr.copy(), vx.copy(), node.copy()
+    i = (~cluster & ~(abs(x - y) > _CLOSE_PAIR * (nu1 + m))).nonzero()[0]
+    if i.size:  # at node m, symmetric in the pair
+        v_r = -wd[i] * r[i] / ((r[i] - m[i]) ** 2 - q[i])
+        mean, mean_m = ((px[i] + py[i]) / 2).real, ((g1x[i] + g1y[i]) / 2).real
+        args_i = (m[i], q[i], r[i], v_r, w2[i] * wd[i], nu1, pr[i], g1r[i].real, mean, mean_m, d_xy[i].real, e_xy[i])
+        v_node[i], *sums = _pair_slopes(*args_i)
+        s_node[i] = m[i]
+        for (value, err), out, out_err in zip(sums, (g3, g2, dg3, dg2), (e_g3, e_g2, e_dg3, e_dg2)):
+            out[i], out_err[i] = value, err
+    i = cluster.nonzero()[0]
+    if i.size:  # at the fixed node mid
+        (dg3[i], e_dg3[i]), (dg2[i], e_dg2[i]) = cluster_slopes
+        v_node[i] = 0.0
+
+    def bracket_slope(n_node, n_scale, dn_node, dn_scale, slope, dslope):
+        # d/dgamma of N(node) psi[x, y, r] + N' ((l - node) psi)[x, y, r], the
+        # node moving with its slope; the scales bound N and dN's rounding
+        total = dn_node * g3 + n_node * dg3 + dslope * g2 + slope * dg2
+        err = (
+            dn_scale * (e_g3 + _ROUND * abs(g3))
+            + n_scale * (e_dg3 + _ROUND * abs(dg3))
+            + abs(dslope) * (e_g2 + _ROUND * abs(g2))
+            + abs(slope) * (e_dg2 + _ROUND * abs(dg2))
+        )
+        return -2 / nu1 * total.real, 2 / nu1 * err
+
+    ds1, e_ds1 = bracket_slope(wd - s_node, wd + abs(s_node), -v_node, abs(v_node), -1.0, 0.0)
+    ds2, e_ds2 = bracket_slope(
+        w2 * wd - c1 * s_node, w2 * wd + c1 * abs(s_node), -wd * s_node - c1 * v_node,
+        wd * abs(s_node) + c1 * abs(v_node), -c1, -wd,
+    )
+    return _Slopes(
+        f1, f2, ds1 / (mass * beta), mass / beta * ds2,
+        err1 * f1, err2 * f2, e_ds1 / (mass * beta), mass / beta * e_ds2,
+    )
 
 
 def moments_matsubara(
@@ -474,14 +617,9 @@ def coupling_free_energy(
     one-point call of the array kernel, so ``rel_tol`` gates the rounding
     estimates of the point's moments as well as that of its free energy.
     """
+    b.warn_if_cutoff_low(o)
     _, _, free = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol, True)
     return free[0]
-
-
-# Richardson stencil offsets in units of the step: central where the domain
-# allows, one-sided from the node otherwise
-_CENTRAL = np.array([-1.0, -0.5, 0.5, 1.0])
-_ONE_SIDED = np.array([0.0, 0.5, 1.0, 2.0])
 
 
 def _mass_and_damping(alpha: str, o: OscillatorParams, b: BathSpec, x):
@@ -491,46 +629,40 @@ def _mass_and_damping(alpha: str, o: OscillatorParams, b: BathSpec, x):
     return (x, o.mass * b.damping / x) if alpha == "mass" else (np.full(x.shape, o.mass), x)
 
 
-def _stencil_derivatives(alpha: str, o: OscillatorParams, b: BathSpec, x0, c: Constants):
-    """Moments and their alpha derivatives at the nodes x0, elementwise.
+def _slopes_along(alpha: str, o: OscillatorParams, b: BathSpec, x, c: Constants) -> _Slopes:
+    """Moments and their exact alpha derivatives at the points x of a 1-d
+    array, elementwise, from one kernel call.
 
-    Every node and its four stencil points go to the Matsubara kernel in one
-    call. The derivative is the Richardson extrapolation of two finite
-    differences, with their gap as its error; the first node whose error
-    exceeds 1e-5 of the derivative's scale raises. Returns f1, f2, df1, df2,
-    df1_error and df2_error.
+    Along a mass path gamma = gamma_ref M_ref / M, so f1 = S1(gamma)/(M beta)
+    and f2 = M S2(gamma)/beta give df1/dM = -f1/M - (gamma/M) df1/dgamma and
+    df2/dM = f2/M - (gamma/M) df2/dgamma. The first point whose derivative
+    error estimate exceeds 1e-5 of max(|df|, 1e-3 |f| / max(|x|, 1)) raises.
     """
     if alpha not in ("mass", "damping"):
         raise ValueError(f"unknown sweep parameter {alpha!r}")
-    x0 = np.asarray(x0, dtype=float)
-    step = np.maximum(1e-5 * np.abs(x0), 1e-7)
-    central = x0 - step >= (0.0 if alpha == "damping" else -np.inf)
-    offsets = np.where(central[..., None], _CENTRAL, _ONE_SIDED)
-    points = np.concatenate([x0[..., None], x0[..., None] + offsets * step[..., None]], axis=-1)
-    mass, damping = _mass_and_damping(alpha, o, b, points)
-    f1, f2 = _matsubara_moments(mass.ravel(), damping.ravel(), o.frequency, b.cutoff, b.temperature, c)
-    f1, f2 = f1.reshape(mass.shape), f2.reshape(mass.shape)
-    out = []
-    for f in (f1, f2):
-        f_0, f_a, f_b, f_c = np.moveaxis(f[..., 1:], -1, 0)
-        d_h = np.where(central, (f_c - f_0) / (2 * step), (-3 * f_0 + 4 * f_b - f_c) / (2 * step))
-        d_h2 = np.where(central, (f_b - f_a) / step, (-3 * f_0 + 4 * f_a - f_b) / step)
-        value = (4 * d_h2 - d_h) / 3
-        error = np.abs(d_h2 - d_h) / 3 + 1e-14 * np.abs(value)
-        scale = np.maximum(np.abs(value), 1e-3 * f[..., 0] / np.maximum(np.abs(x0), 1.0))
-        out.append((f[..., 0], value, error, error / scale))
-    (f1, df1, e1, rel1), (f2, df2, e2, rel2) = out
+    x = np.asarray(x, dtype=float)
+    mass, damping = _mass_and_damping(alpha, o, b, x)
+    s = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, slopes=True)
+    if alpha == "mass":
+        k = damping / mass
+        df1, df2 = -s.f1 / mass - k * s.df1, s.f2 / mass - k * s.df2
+        df1_error = k * s.df1_error + (s.f1_error + _ROUND * (abs(s.f1) + abs(k * s.df1 * mass))) / mass
+        df2_error = k * s.df2_error + (s.f2_error + _ROUND * (abs(s.f2) + abs(k * s.df2 * mass))) / mass
+        s = s._replace(df1=df1, df2=df2, df1_error=df1_error, df2_error=df2_error)
+    scale = np.maximum(abs(x), 1.0)
+    rel1 = s.df1_error / np.maximum(abs(s.df1), 1e-3 * s.f1 / scale)
+    rel2 = s.df2_error / np.maximum(abs(s.df2), 1e-3 * s.f2 / scale)
     failed = np.flatnonzero(~((rel1 <= 1e-5) & (rel2 <= 1e-5)))
     if failed.size:
         i = failed[0]
         raise NumericalFailure(
             "moment derivative error estimate exceeds tolerance",
             alpha=alpha,
-            at=float(x0.flat[i]),
-            df1_rel_error=float(rel1.flat[i]),
-            df2_rel_error=float(rel2.flat[i]),
+            at=float(x[i]),
+            df1_rel_error=float(rel1[i]),
+            df2_rel_error=float(rel2[i]),
         )
-    return f1, f2, df1, df2, e1, e2
+    return s
 
 
 def moment_derivatives(
@@ -540,16 +672,19 @@ def moment_derivatives(
     c: Constants = Constants(),
 ) -> MomentDerivatives:
     """d f1/d alpha and d f2/d alpha for alpha in {"mass", "damping"}, with
-    error estimates: the one-node call of the array Richardson stencil.
+    error estimates: the one-point call of the kernel's exact derivatives.
 
     The mass derivative holds the microscopic oscillator-bath coupling fixed:
     the damping rate is mass-normalized, so gamma scales as 1/M along a mass
     change. Holding gamma itself fixed would make the mass dependence a pure
     prefactor and the sweep a null process even at strong coupling. The
-    stencil is central where the domain allows and one-sided at gamma near 0;
-    an error estimate above 1e-5 of the derivative raises.
+    derivatives differentiate the digamma closed form exactly, and their
+    propagated rounding estimates are returned; an estimate above 1e-5 of the
+    derivative raises.
     """
     b.warn_if_cutoff_low(o)
-    x0 = o.mass if alpha == "mass" else b.damping
-    _, _, df1, df2, e1, e2 = _stencil_derivatives(alpha, o, b, x0, c)
-    return MomentDerivatives(df1=float(df1), df2=float(df2), df1_error=float(e1), df2_error=float(e2))
+    x = o.mass if alpha == "mass" else b.damping
+    s = _slopes_along(alpha, o, b, [x], c)
+    return MomentDerivatives(
+        df1=float(s.df1[0]), df2=float(s.df2[0]), df1_error=float(s.df1_error[0]), df2_error=float(s.df2_error[0])
+    )

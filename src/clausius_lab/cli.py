@@ -21,7 +21,7 @@ from . import svgplot
 from .bath import (
     BathSpec,
     _mass_and_damping,
-    _stencil_derivatives,
+    _slopes_along,
     moments_matsubara,
     moments_spectral,
 )
@@ -276,7 +276,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Table:
     states = _states(mass, damping, o, b, c)
     dq = np.zeros(alphas.shape)  # the heat integrand dQ/d alpha = dU/d alpha - dW/d alpha at each row
     if cfg.start != cfg.end:
-        f1, f2, df1, df2, _, _ = _stencil_derivatives(cfg.param, o, b, alphas, c)
+        f1, f2, df1, df2, *_ = _slopes_along(cfg.param, o, b, alphas, c)
         w2 = o.frequency**2
         dq = df2 / (2 * mass) + mass * w2 * df1 / 2
         if cfg.param == "damping":

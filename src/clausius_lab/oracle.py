@@ -9,6 +9,7 @@ shares code with :mod:`clausius_lab.bath`, which is the point.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,10 @@ def sample_bath(
     assembled, so the bare oscillator frequency keeps its meaning at every
     coupling strength.
     """
-    if mode_count < 1:
-        raise ValueError(f"mode_count must be >= 1, got {mode_count}")
+    # a float or a bool would pass a bare count check: 2.5 modes up to 10
+    # would give the grid [4, 8, 12], beyond omega_max
+    if isinstance(mode_count, bool) or not isinstance(mode_count, numbers.Integral) or mode_count < 1:
+        raise ValueError(f"mode_count must be a positive integer, got {mode_count!r}")
     require_positive("omega_max", omega_max)
     dw = omega_max / mode_count
     wk = dw * np.arange(1, mode_count + 1)

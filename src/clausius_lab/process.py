@@ -30,11 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import (
+    _ROUND,
     _TARGET_REL,
     BathSpec,
     _mass_and_damping,
     _matsubara_moments,
-    _stencil_derivatives,
+    _slopes_along,
 )
 from .errors import NumericalFailure, require_non_negative, require_positive
 from .gaussian import (
@@ -49,6 +50,18 @@ from .gaussian import (
 
 CLAUSIUS_TOL = 1e-9
 _CONSISTENCY_TOL = 1e-5
+# tanh-sinh (Takahasi & Mori, Publ. RIMS 9, 721 (1974)) on [-1, 1], with the
+# steps of scipy's tanhsinh: t_max, where 1 - tanh(pi/2 sinh t) falls to 4x
+# the smallest normal, over 8 at level 0, halved at each level. The error
+# estimate's tolerances, 1e-9 absolute or 1e-8 relative, are scipy's too, and
+# level 10 is the last
+_TS_H0 = math.asinh(math.log(2 / (4 * np.finfo(float).tiny) - 1) / math.pi) / 8
+_TS_LAST, _TS_ATOL, _TS_RTOL = 10, 1e-9, 1e-8
+_EPS = float(np.finfo(float).eps)
+# the integrand is read as 0 where v - 1/2 < 1e-18, so its log factor is
+# at most this there
+_V_FLOOR = 1e-18
+_LOG_CAP = math.log((1 + _V_FLOOR) / _V_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -91,8 +104,8 @@ class ThermoReport:
 class EntropyChange:
     value: float               # endpoint form, authoritative
     quadrature: float          # integral of S'(v) dv/d alpha, consistency check
-    error_estimate: float = 0.0  # the quadrature's own error estimate
-    evaluations: int = 0       # integrand nodes; each is 5 kernel points
+    error_estimate: float = 0.0  # bounds the mismatch: quadrature, integrand and endpoint errors
+    evaluations: int = 0       # integrand nodes, one kernel point each
 
     @property
     def mismatch(self) -> float:
@@ -141,52 +154,156 @@ def entropy_change(
     b.warn_if_cutoff_low(o)
     ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
     s0, s1 = _states(*ends, o, b, c)
-    endpoint = s1.entropy - s0.entropy
     if not check_consistency:
+        endpoint = s1.entropy - s0.entropy
         return EntropyChange(value=endpoint, quadrature=endpoint)
-    return _checked_entropy_change(path, endpoint, o, b, c)
+    return _checked_entropy_change(path, s0, s1, o, b, c)
+
+
+def _ts_level(k: int):
+    """Complements 1 - x_j and weights of the tanh-sinh abscissae new at
+    level k, t_j = j h0/2^k for odd j below 8 2^k; at level 2, every level's
+    from 0 to 2, in level order. Weights that underflow are 0."""
+    if k == 2:
+        j = np.concatenate([4 * np.arange(9), 2 * np.arange(1, 16, 2), np.arange(1, 32, 2)])
+    else:
+        j = np.arange(1, 8 * 2**k, 2)
+    t = j * (_TS_H0 / 2**k)
+    u1, u2 = math.pi / 2 * np.cosh(t), math.pi / 2 * np.sinh(t)
+    with np.errstate(over="ignore"):
+        w = u1 / np.cosh(u2) ** 2
+        xc = 1 / (np.exp(u2) * np.cosh(u2))
+    if k == 2:
+        w[0] /= 2  # x = 0 is listed on both sides
+    return xc, w
+
+
+def _tanh_sinh(f, a: float, b: float, bound: float):
+    """int_a^b f by tanh-sinh, to the tolerances of scipy's tanhsinh on the
+    error estimate of Bailey, Jeyabalan & Li (Exp. Math. 14, 317 (2005)).
+
+    That estimate extrapolates the last three levels' sums, and before the
+    rule converges it can fall far below the error. So a level's own error
+    is bounded by its change from the level before, which is returned, and a
+    level ends the quadrature only once that change is within ``bound`` too.
+    f maps a 1-d array of nodes to their values and those values' errors.
+    The first call evaluates levels 0 to 2, each later one the next level;
+    nodes that round onto an end are skipped. Returns the integral, its
+    error bound, the integrand errors summed with the same weights, the
+    number of nodes, and a status: 0 converged, -2 not by level 10, -3 a
+    non-finite value.
+    """
+    sign = 1.0
+    if a > b:
+        a, b, sign = b, a, -1.0
+    half = (b - a) / 2
+    sums = []  # the level sums so far
+    edge = [(math.inf, 0.0), (math.inf, 0.0)]  # per side, (1 - |x|, f w) of the node nearest the end
+    evaluations = 0
+    for k in range(2, _TS_LAST + 1):
+        xc, w = _ts_level(k)
+        n = len(xc)
+        x = np.concatenate([b - half * xc, a + half * xc])
+        w = np.concatenate([w, w]) * half
+        valid = (w > 0) & (x > a) & (x < b)
+        value, error = np.zeros_like(x), np.zeros_like(x)
+        if valid.any():  # on a path a few ulps long every node may round onto an end
+            value[valid], error[valid] = f(x[valid])
+        evaluations += int(valid.sum())
+        if not np.isfinite(value).all():
+            return sign * (sums[-1] if sums else 0.0), math.nan, math.nan, evaluations, -3
+        h = _TS_H0 / 2**k
+        fw = value * w
+        if k == 2:
+            # levels 0 and 1 hold the first 9 and 17 abscissae of each side
+            sides = fw.reshape(2, n)
+            sums = [sides[:, :9].sum() * 4 * h, sides[:, :17].sum() * 2 * h, fw.sum() * h]
+            propagated = (error * w).sum() * h
+        else:
+            sums.append(sums[-1] / 2 + fw.sum() * h)
+            propagated = propagated / 2 + (error * w).sum() * h
+        total = sums[-1]
+        for side, (ok, fw_side) in enumerate(zip(valid.reshape(2, n), fw.reshape(2, n))):
+            i = np.where(ok, xc, math.inf).argmin()
+            if ok[i] and xc[i] < edge[side][0]:
+                edge[side] = (xc[i], fw_side[i])
+        d1, d2 = abs(total - sums[-2]), abs(total - sums[-3])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d0 = d1 ** (np.log(d1) / np.log(d2)) if d1 > 0 else 0.0
+        d3, d4 = _EPS * abs(fw).max(), max(abs(edge[0][1]), abs(edge[1][1]))
+        estimate = min(max(d0, d1 * d1, d3, d4, _EPS * abs(total)), d1)
+        if (estimate < _TS_ATOL or estimate < _TS_RTOL * abs(total)) and d1 <= bound:
+            return sign * total, float(d1), propagated, evaluations, 0
+    return sign * total, float(d1), propagated, evaluations, -2
 
 
 def _checked_entropy_change(
-    path: ProcessPath, endpoint: float, o: OscillatorParams, b: BathSpec, c: Constants
+    path: ProcessPath, s0: _State, s1: _State, o: OscillatorParams, b: BathSpec, c: Constants
 ) -> EntropyChange:
     """The endpoint entropy change of a path, checked against the quadrature
     of S'(v) dv/d alpha along it.
 
-    The check integrates by tanh-sinh (Takahasi & Mori, Publ. RIMS 9, 721
-    (1974)), whose nodes crowd the endpoints, where the damping path's
-    integrand behaves like ln gamma. Each level is one array call: one kernel
-    evaluation covers every node's moments and their Richardson stencils. A
-    quadrature that does not converge, or an integrand that is not finite,
-    raises, as does a mismatch above 1e-5 of max(1, |dS|).
+    The check integrates by tanh-sinh, whose nodes crowd the endpoints, where
+    the damping path's integrand behaves like ln gamma. Each level is one
+    array call: one kernel point per node gives its moments and their exact
+    derivatives. A quadrature that does not converge, or an integrand that is
+    not finite, raises, as does a mismatch above 1e-5 of max(1, |dS|).
+
+    The error estimate bounds the mismatch: it adds the quadrature's own
+    estimate, the integrand's propagated error summed with the quadrature
+    weights, and the endpoints' rounding, which carries the largest relative
+    rounding of v over the nodes through S at each end.
     """
+    endpoint = s1.entropy - s0.entropy
     if path.start_value == path.end_value:
         return EntropyChange(value=endpoint, quadrature=endpoint)
-    from scipy.integrate import tanhsinh  # on first use: an unchecked op never loads it
+    rounding = 0.0  # the largest relative rounding of v at the nodes
 
     def integrand(alpha):
-        f1, f2, df1, df2, _, _ = _stencil_derivatives(path.parameter, o, b, alpha, c)
-        v = _symplectic_v(f1 * f2, c)
-        dv = (df1 * f2 + f1 * df2) / (2 * v * c.hbar**2)
-        with np.errstate(divide="ignore"):
-            return np.where(v - 0.5 < 1e-18, 0.0, np.log((v + 0.5) / (v - 0.5)) * dv)
+        nonlocal rounding
+        s = _slopes_along(path.parameter, o, b, alpha, c)
+        v = _symplectic_v(s.f1 * s.f2, c)
+        rel_v = (s.f1_error / s.f1 + s.f2_error / s.f2) / 2 + _ROUND
+        rounding = max(rounding, float(rel_v.max()))
+        scale = 2 * v * c.hbar**2
+        dv = (s.df1 * s.f2 + s.f1 * s.df2) / scale
+        dv_error = (
+            s.df1_error * s.f2 + s.f1 * s.df2_error + abs(s.df1) * s.f2_error + s.f1_error * abs(s.df2)
+            + _ROUND * (abs(s.df1 * s.f2) + abs(s.f1 * s.df2))
+        ) / scale + rel_v * abs(dv)
+        guard = v - 0.5 < _V_FLOOR
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log = np.log((v + 0.5) / (v - 0.5))
+            low = np.maximum(v * (1 - rel_v), 0.5 + _V_FLOOR)
+            log_error = np.log((low + 0.5) / (low - 0.5)) - log + _ROUND * abs(log)
+        value = np.where(guard, 0.0, log * dv)
+        error = np.where(guard, _LOG_CAP * (abs(dv) + dv_error), abs(log) * dv_error + log_error * abs(dv))
+        return value, error
 
-    res = tanhsinh(integrand, path.start_value, path.end_value, atol=1e-9, rtol=1e-8)
+    gate = _CONSISTENCY_TOL * max(1.0, abs(endpoint))
+    quadrature, quad_error, propagated, evaluations, status = _tanh_sinh(
+        integrand, path.start_value, path.end_value, gate
+    )
+    ends = 0.0
+    for s in (s0, s1):
+        v = symplectic_param(s.moments, c)
+        dv = v * rounding
+        ends += entropy(v + dv) - entropy(max(v - dv, 0.5)) + _ROUND * abs(s.entropy)
     result = EntropyChange(
         value=endpoint,
-        quadrature=float(res.integral),
-        error_estimate=float(res.error),
-        evaluations=int(res.nfev),
+        quadrature=float(quadrature),
+        error_estimate=float(quad_error + propagated + ends),
+        evaluations=evaluations,
     )
-    if not res.success:
+    if status:
         raise NumericalFailure(
             "entropy change: consistency quadrature did not converge",
             integral=result.quadrature,
             error_estimate=result.error_estimate,
             evaluations=result.evaluations,
-            status=int(res.status),
+            status=status,
         )
-    if result.mismatch > _CONSISTENCY_TOL * max(1.0, abs(endpoint)):
+    if result.mismatch > gate:
         raise NumericalFailure(
             "entropy change: endpoint and quadrature forms disagree",
             endpoint=endpoint,
@@ -276,9 +393,9 @@ def _steps(
     coupling = _step(bare, coupled, b.temperature, c)
     mass_step = _step(coupled, end, b.temperature, c, coupled=b.damping > 0)
     if check_coupling:
-        _checked_entropy_change(ProcessPath("damping", 0.0, b.damping), coupling.delta_entropy, o, b, c)
+        _checked_entropy_change(ProcessPath("damping", 0.0, b.damping), bare, coupled, o, b, c)
     if check_mass:
-        _checked_entropy_change(path, mass_step.delta_entropy, o, b, c)
+        _checked_entropy_change(path, coupled, end, o, b, c)
     q, ds = coupling.heat + mass_step.heat, coupling.delta_entropy + mass_step.delta_entropy
     return coupling, mass_step, clausius_check(q, ds, b.temperature, c)
 

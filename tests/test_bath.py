@@ -444,7 +444,78 @@ class TestAdversarialMatsubara:
         meets_gate_or_raises(temperature, damping, cutoff)
 
 
+def mpmath_slope_referee(temperature, damping, cutoff):
+    """[DERIVED] d f1/d gamma and d f2/d gamma (M = w = 1) from the Matsubara
+    sums -(2/beta) sum_{n>=1} nu_n wD (nu_n + wD)/P(nu_n)^2 and (2/beta)
+    sum_{n>=1} wD nu_n^3 (nu_n + wD)/P(nu_n)^2 at 50 digits. Each summand is
+    split into partial fractions a_i/(nu + l_i)^2 + b_i/(nu + l_i) over the
+    roots -l_i of P, from mpmath.polyroots, and sum_{n>=1} closes them in
+    psi' and psi (the b_i sum to zero): shares no code with the kernel."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        t, g, wd = (mpmath.mpf(v) for v in (temperature, damping, cutoff))
+        nu1 = 2 * mpmath.pi * t
+        lam = [-z for z in mpmath.polyroots([1, wd, 1 + g * wd, wd], maxsteps=400, extraprec=200)]
+        sums = []
+        # each numerator and its derivative
+        f1_num = (lambda v: v * (v + wd), lambda v: 2 * v + wd)
+        f2_num = (lambda v: v**3 * (v + wd), lambda v: (4 * v + 3 * wd) * v * v)
+        for num, dnum in (f1_num, f2_num):
+            total = 0
+            for i, l_i in enumerate(lam):
+                others = [l for j, l in enumerate(lam) if j != i]
+                den = mpmath.fprod((l - l_i) ** 2 for l in others)
+                a = num(-l_i) / den
+                b = (dnum(-l_i) - 2 * num(-l_i) * sum(1 / (l - l_i) for l in others)) / den
+                z = 1 + l_i / nu1
+                total += a * mpmath.psi(1, z) / nu1**2 - b * mpmath.digamma(z) / nu1
+            sums.append(2 * t * wd * mpmath.re(total))
+        return float(-sums[0]), float(sums[1])
+
+
+def near_confluent():
+    """gamma within a relative 1e-12..1e-1 of a critical damping (wD in
+    [5.5, 1e3], either branch) or of the triple root, at T in [1e-6, 1e3]."""
+    offset = st.builds(lambda sign, e: sign * 10**e, st.sampled_from([-1, 1]), st.floats(-12, -1))
+    log_t = st.floats(math.log(1e-6), math.log(1e3))
+    critical = st.builds(
+        lambda lt, cutoff, branch, eps: (math.exp(lt), critical_damping(cutoff, branch) * (1 + eps), cutoff),
+        log_t, st.floats(5.5, 1e3), st.sampled_from([0, 1]), offset,
+    )
+    triple = st.builds(
+        lambda lt, eps: (math.exp(lt), 8 * math.sqrt(3) / 9 * (1 + eps), 3 * math.sqrt(3)), log_t, offset
+    )
+    return st.one_of(critical, triple)
+
+
+def log_spread():
+    """The kernel's log-ranges: T in [1e-6, 1e3], gamma in [1e-8, 1e3], wD in [5, 1e3]."""
+    return st.tuples(
+        *(st.floats(math.log(lo), math.log(hi)).map(math.exp) for lo, hi in ((1e-6, 1e3), (1e-8, 1e3), (5.0, 1e3)))
+    )
+
+
 class TestMomentDerivatives:
+    @pytest.mark.filterwarnings("ignore:Drude cutoff")
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(point=st.one_of(log_spread(), near_confluent()))
+    def test_within_their_estimates_or_refused(self, point):
+        # the exact derivatives against the referee's Matsubara sums: along
+        # gamma, and along M at fixed microscopic coupling, df/dM = -f/M -
+        # (gamma/M) df/dgamma for f1 and +f/M - ... for f2; each value within
+        # its own error estimate, or NumericalFailure
+        temperature, damping, cutoff = point
+        b = BathSpec(temperature, damping, cutoff)
+        dg1, dg2 = mpmath_slope_referee(temperature, damping, cutoff)
+        f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
+        for alpha, ref1, ref2 in (("damping", dg1, dg2), ("mass", -f1 - damping * dg1, f2 - damping * dg2)):
+            try:
+                d = moment_derivatives(OSC, b, alpha, C)
+            except NumericalFailure:
+                continue
+            assert abs(d.df1 - ref1) <= d.df1_error
+            assert abs(d.df2 - ref2) <= d.df2_error
+
     def test_damping_derivative_matches_finite_difference(self):
         b = BathSpec(temperature=1.0, damping=2.0, cutoff=50.0)
         d = moment_derivatives(OSC, b, "damping", C)

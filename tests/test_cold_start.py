@@ -1,6 +1,6 @@
-"""Cold start: the package loads no scipy module, and each heavy call loads only
-the scipy submodule it needs; the spectral route and the measurement search
-need none.
+"""Cold start: the package loads no scipy module, and of the heavy calls only
+the oracle loads one, scipy.linalg; the spectral route, the checked process
+and the measurement search need none.
 
 Every case runs in a fresh interpreter, since the test process itself has
 imported everything by the time it runs.
@@ -72,7 +72,7 @@ def test_cli_scenario_loads_no_scipy(argv, tmp_path):
     "call, needed, absent",
     [
         ("moments_spectral(o, b)", None, ()),
-        ("composed_process(o, b, 0.05)", "scipy.integrate", ()),
+        ("composed_process(o, b, 0.05)", None, ()),
         (
             "accessible_info_lower(Ensemble(np.array([0.5, 0.5]), (DensityMatrix(np.diag([1.0, 0.0])),"
             " DensityMatrix(np.full((2, 2), 0.5)))), effort=4)",

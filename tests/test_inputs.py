@@ -41,6 +41,7 @@ CALLS = {
     "entropy": (entropy, "at least the pure-state bound 1/2 and finite"),
     "thermal_moments_decoupled": (lambda x: thermal_moments_decoupled(OSC, x), "temperature must be positive and finite"),
     "sample_bath.omega_max": (lambda x: sample_bath(BATH, OSC, 8, x), "omega_max must be positive and finite"),
+    "sample_bath.mode_count": (lambda x: sample_bath(BATH, OSC, x, 10.0), "mode_count must be a positive integer"),
     "reduced_moments_exact": (lambda x: reduced_moments_exact(DB, OSC, x), "temperature must be positive and finite"),
     "DiscreteBath.mode_frequencies": (lambda x: DiscreteBath(np.array([x]), np.array([0.1])), "must be finite"),
     "DiscreteBath.couplings": (lambda x: DiscreteBath(np.array([1.0]), np.array([x])), "must be finite"),
@@ -63,3 +64,15 @@ def test_non_finite_input_raises(name, value):
     call, message = CALLS[name]
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(4.0), True, "8"], ids=repr)
+def test_sample_bath_refuses_a_mode_count_that_is_not_an_integer(count):
+    # 2.5 modes up to 10 would space them by 4 and return [4, 8, 12]
+    with pytest.raises(ValueError, match="mode_count must be a positive integer"):
+        sample_bath(BATH, OSC, count, 10.0)
+
+
+@pytest.mark.parametrize("count", [8, np.int64(8)], ids=repr)
+def test_sample_bath_takes_python_and_numpy_integers(count):
+    assert np.array_equal(sample_bath(BATH, OSC, count, 10.0).mode_frequencies, 1.25 * np.arange(1, 9))

@@ -19,6 +19,7 @@ from clausius_lab import (
     ProcessPath,
     clausius_check,
     composed_process,
+    coupling_free_energy,
     coupling_process,
     entropy_change,
     heat,
@@ -121,6 +122,14 @@ class TestEntropyChange:
         unchecked = entropy_change(ProcessPath("damping", 0.0, 5.0), OSC, b, C, check_consistency=False)
         assert unchecked.error_estimate == 0.0 and unchecked.evaluations == 0
 
+    def test_path_one_ulp_long(self):
+        # every tanh-sinh node rounds onto an end: the quadrature is 0, and the
+        # endpoints' rounding still bounds the mismatch
+        b = BathSpec(temperature=0.5, damping=1.0, cutoff=50.0)
+        result = entropy_change(ProcessPath("mass", 1.0, math.nextafter(1.0, 2.0)), OSC, b, C)
+        assert result.evaluations == 0
+        assert result.mismatch <= result.error_estimate
+
     def test_reversed_mass_path_negates_quadrature(self):
         b = BathSpec(temperature=0.2, damping=5.0, cutoff=100.0)
         up = entropy_change(ProcessPath("mass", 1.0, 2.0), OSC, b, C)
@@ -136,12 +145,11 @@ class TestEntropyChange:
         ],
     )
     def test_quadrature_failure_raises_with_diagnostics(self, monkeypatch, fake, status):
-        def derivatives(alpha, o, b, x0, c):
-            x0 = np.asarray(x0, dtype=float)
-            ones = np.ones_like(x0)
-            return ones, ones, fake(x0), ones, 0 * ones, 0 * ones
+        def slopes(alpha, o, b, x, c):
+            ones = np.ones_like(x)
+            return bath._Slopes(ones, ones, fake(x), ones, *(0 * ones,) * 4)
 
-        monkeypatch.setattr(process, "_stencil_derivatives", derivatives)
+        monkeypatch.setattr(process, "_slopes_along", slopes)
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
         with pytest.raises(NumericalFailure, match="did not converge") as info:
             entropy_change(ProcessPath("damping", 0.0, 1.0), OSC, b, C)
@@ -159,7 +167,8 @@ class TestEntropyChange:
     )
     def test_check_agrees_or_raises(self, log_t, log_gamma, log_cutoff, mass_factor):
         # the README contract for the check, on damping paths from 0 (None)
-        # and on mass paths: agreement within its gate, or NumericalFailure
+        # and on mass paths: agreement within its gate and within the error
+        # estimate, or NumericalFailure
         b = BathSpec(temperature=math.exp(log_t), damping=math.exp(log_gamma), cutoff=math.exp(log_cutoff))
         if mass_factor is None:
             path = ProcessPath("damping", 0.0, b.damping)
@@ -170,6 +179,7 @@ class TestEntropyChange:
         except NumericalFailure:
             return
         assert result.mismatch <= 1e-5 * max(1.0, abs(result.value))
+        assert result.mismatch <= result.error_estimate
 
 
 class TestHeat:
@@ -336,6 +346,7 @@ def test_temperature_other_than_the_baths_raises(op):
         lambda b: moment_derivatives(OSC, b, "mass", C),
         lambda b: moments_matsubara(OSC, b, C),
         lambda b: moments_spectral(OSC, b, C),
+        lambda b: coupling_free_energy(OSC, b, C),
     ],
     ids=[
         "composed_process",
@@ -346,6 +357,7 @@ def test_temperature_other_than_the_baths_raises(op):
         "moment_derivatives",
         "moments_matsubara",
         "moments_spectral",
+        "coupling_free_energy",
     ],
 )
 def test_narrow_band_warning_is_one_per_call_and_points_at_the_caller(op):
@@ -386,13 +398,14 @@ class TestOneRootSolvePerKernelCall:
     @pytest.mark.parametrize(
         "op, solves",
         [
-            (lambda b: composed_process(OSC, b, b.temperature, C), 5),
-            (lambda b: mass_process(OSC, b, b.temperature, C), 3),
+            (lambda b: composed_process(OSC, b, b.temperature, C), 4),
+            (lambda b: mass_process(OSC, b, b.temperature, C), 2),
             (lambda b: coupling_process(OSC, b, b.temperature, C), 3),
         ],
         ids=["composed_process", "mass_process", "coupling_process"],
     )
     def test_checks_solve_only_their_quadrature_levels(self, monkeypatch, op, solves):
-        # at the flagship each check's tanh-sinh runs two levels, one kernel
-        # call each; the check reuses the op's states for its endpoints
+        # at the flagship the mass path's tanh-sinh converges in its first
+        # kernel call, levels 0 to 2, and the coupling path's takes level 3 in
+        # a second; each check reuses the op's states for its endpoints
         assert _drude_solves(monkeypatch, op) == solves

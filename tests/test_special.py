@@ -1,4 +1,5 @@
-"""The kernel's special functions against 30-digit mpmath, and against scipy.special.
+"""The kernel's special functions against 30-digit mpmath, and against scipy.special
+where it has them.
 
 Each function is held to the rounding budget that the Matsubara kernel's
 error model assumes for it (``bath._ROUND``, 32 ulps, times the scale the
@@ -43,6 +44,16 @@ def test_psi_at_complex_arguments():
     print(f"psi: worst {ours / EPS:.2f} ulps of |psi| + 1, scipy.special {theirs / EPS:.2f}")
     assert ours <= _ROUND
     assert ours <= theirs
+
+
+def test_trigamma_at_complex_arguments():
+    # the kernel's gamma slopes charge each psi' value _ROUND |psi'|; scipy.special
+    # has no complex polygamma to compare with
+    z = log_spread_complex(np.random.default_rng([RNG_SEED, 1]), 4000, 1e8)
+    ref = np.array([complex(mpmath.psi(1, mpmath.mpc(v.real, v.imag))) for v in z])
+    ours = np.max(abs(_special.trigamma(z) - ref) / abs(ref))
+    print(f"psi': worst {ours / EPS:.2f} ulps")
+    assert ours <= _ROUND
 
 
 @pytest.mark.parametrize("n", range(1, 14))

@@ -11,6 +11,12 @@ Then ``--trace 1`` runs once per side on seed 3 of oracle-ladder and
 cli-session, for the per-layer metrics: import time, the oracle's time per
 rung and the CLI scenarios' times. Seeds 1-10, every workload and the run
 length of BENCHMARK.json are fixed, so both sides always run the same plan.
+Last, each side times three layers in its own fresh interpreters, five
+rounds alternating which side goes first (``LAYERS``): one
+``moment_derivatives`` call and one checked ``entropy_change`` on the
+flagship damping path 0 -> 5 (median of repeats after a warm-up call), and
+the first checked ``composed_process`` of a fresh interpreter, lazy imports
+included.
 
 The parent is exported rather than checked out in a git worktree: the
 benchmark then runs on exactly the committed files, and nothing is left
@@ -33,6 +39,7 @@ import platform
 import re
 import statistics
 import subprocess
+import sys
 import tarfile
 from pathlib import Path
 
@@ -74,6 +81,49 @@ def run_once(command: list, root: Path, workload: str, seed: int, seconds: float
     for name, value in re.findall(r"^\s+(scenario\.\S+)\s+(\S+) s\s", proc.stdout, re.M):
         result["metrics"][name] = {"value": float(value), "unit": "s"}
     return result
+
+
+# in-process layer timings at the flagship point (T = 0.05, gamma = 5, wD =
+# 100), printed as one JSON line; the first call of a fresh interpreter is
+# timed before the warm-up of the others
+LAYERS = """
+import json, statistics, time
+from clausius_lab import BathSpec, OscillatorParams, ProcessPath, composed_process, entropy_change, moment_derivatives
+o, b = OscillatorParams(1.0, 1.0), BathSpec(0.05, 5.0, 100.0)
+t0 = time.perf_counter()
+composed_process(o, b, 0.05)
+first = time.perf_counter() - t0
+
+def median(call, repeats):
+    call()
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples)
+
+print(json.dumps({
+    "first_checked_composed_process_s": first,
+    "moment_derivatives_s": median(lambda: moment_derivatives(o, b, "damping"), 200),
+    "checked_entropy_change_s": median(lambda: entropy_change(ProcessPath("damping", 0.0, 5.0), o, b), 50),
+}))
+"""
+LAYER_ROUNDS = 5
+
+
+def layer_timings(roots: dict) -> dict:
+    """Per side, the median over LAYER_ROUNDS fresh interpreters of each
+    LAYERS timing, the sides alternating which runs first."""
+    samples = {side: [] for side in roots}
+    for i in range(LAYER_ROUNDS):
+        for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
+            env = {**os.environ, "PYTHONPATH": str(roots[side] / "src")}
+            out = subprocess.run([sys.executable, "-c", LAYERS], env=env, cwd=roots[side],
+                                 check=True, capture_output=True, text=True).stdout
+            samples[side].append(json.loads(out.strip().splitlines()[-1]))
+    return {side: {name: statistics.median(run[name] for run in runs) for name in runs[0]}
+            for side, runs in samples.items()}
 
 
 def quartiles(xs: list[float]) -> list[float]:
@@ -156,6 +206,11 @@ def main(argv=None) -> int:
                 "correct": r["correct"], "attempted": r["attempted"], "failed": r["failed"],
                 **{k: v["value"] for k, v in sorted(r["metrics"].items())},
             }
+    per_layer["in_process"] = {
+        "code": "tools/ab_bench.py LAYERS, median of the per-interpreter values over "
+                f"{LAYER_ROUNDS} fresh interpreters per side, in seconds",
+        **layer_timings(roots),
+    }
     result = {
         "change": args.change,
         "base": git("rev-parse", args.base),
