@@ -622,9 +622,15 @@ def coupling_free_energy(
     return free[0]
 
 
+def _require_path_parameter(alpha: str) -> None:
+    if alpha not in ("mass", "damping"):
+        raise ValueError(f"unknown path parameter {alpha!r}")
+
+
 def _mass_and_damping(alpha: str, o: OscillatorParams, b: BathSpec, x):
     """(M, gamma) at values x of alpha. A mass path holds the microscopic
     coupling fixed, so gamma = gamma_ref M_ref / M."""
+    _require_path_parameter(alpha)
     x = np.asarray(x, dtype=float)
     return (x, o.mass * b.damping / x) if alpha == "mass" else (np.full(x.shape, o.mass), x)
 
@@ -638,8 +644,6 @@ def _slopes_along(alpha: str, o: OscillatorParams, b: BathSpec, x, c: Constants)
     df2/dM = f2/M - (gamma/M) df2/dgamma. The first point whose derivative
     error estimate exceeds 1e-5 of max(|df|, 1e-3 |f| / max(|x|, 1)) raises.
     """
-    if alpha not in ("mass", "damping"):
-        raise ValueError(f"unknown sweep parameter {alpha!r}")
     x = np.asarray(x, dtype=float)
     mass, damping = _mass_and_damping(alpha, o, b, x)
     s = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, slopes=True)

@@ -25,10 +25,10 @@ from .bath import (
     moments_matsubara,
     moments_spectral,
 )
-from .errors import NumericalFailure, require_positive
+from .errors import NumericalFailure, require_count, require_positive
 from .gaussian import Constants, OscillatorParams, entropy, symplectic_param
-from .info import DensityMatrix, Ensemble, accessible_info_lower, erasure_budget, holevo_chi
-from .oracle import convergence_report
+from .info import _MIN_EFFORT, DensityMatrix, Ensemble, accessible_info_lower, erasure_budget, holevo_chi
+from .oracle import _require_ladder, convergence_report
 from .process import ProcessPath, _first_law, _states, _steps, mass_process
 
 # the RunConfig fields each scenario's runner reads: its subparser offers
@@ -84,28 +84,19 @@ class RunConfig:
     modes: tuple[int, ...] = (256, 512, 1024, 2048)
 
     def validate(self) -> None:
+        """Check every field, for any scenario, by the library's own checks."""
         if self.scenario not in _READS:
             raise ConfigError(f"unknown or missing scenario {self.scenario!r}")
+        if self.scenario == "holevo" and not self.ensemble:
+            raise ConfigError("holevo scenario needs an ensemble file")
         try:
             BathSpec(self.temperature, self.damping, self.cutoff)
             require_positive("mass_factor", self.mass_factor)
+            ProcessPath(self.param, self.start, self.end, self.grid)
+            require_count("effort", self.effort, _MIN_EFFORT)
+            _require_ladder(self.modes)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.grid < 9 or self.grid % 2 == 0:
-            raise ConfigError(f"grid must be odd and >= 9, got {self.grid}")
-        if self.param not in ("mass", "damping"):
-            raise ConfigError(f"param must be mass or damping, got {self.param!r}")
-        if self.scenario == "sweep":
-            try:
-                ProcessPath(self.param, self.start, self.end, self.grid)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if self.scenario == "holevo" and not self.ensemble:
-            raise ConfigError("holevo scenario needs an ensemble file")
-        if self.effort < 2:
-            raise ConfigError(f"effort must be >= 2, got {self.effort}")
-        if any(n < 1 for n in self.modes) or list(self.modes) != sorted(self.modes):
-            raise ConfigError(f"modes must be ascending positive integers, got {self.modes}")
 
 
 def _parse_bool(val: str) -> bool:
@@ -122,19 +113,21 @@ _PARSE_BY_TYPE = {bool: _parse_bool, int: int, float: float, tuple: _parse_modes
 _PARSERS = {f.name: _PARSE_BY_TYPE.get(type(f.default), str) for f in fields(RunConfig)}
 
 
+def _numbered_lines(path: str, kind: str) -> list[tuple[int, str]]:
+    """(number, text) of each line left non-empty once its '#' comment and blanks go."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
+    return [(i, line) for i, ln in enumerate(raw, start=1) if (line := ln.split("#", 1)[0].strip())]
+
+
 def parse_config_file(path: str) -> dict:
     """Flat key=value file; '#' starts a comment."""
     values: dict = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _numbered_lines(path, "config"):
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
@@ -153,25 +146,14 @@ def parse_ensemble_file(path: str) -> Ensemble:
     Line 1: "<dim> <state_count>". Per state: one probability line, then dim
     lines of dim complex entries written like "0.5+0j".
     """
-    try:
-        raw = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read ensemble file {path}: {exc}") from exc
-    lines = [
-        (i + 1, stripped)
-        for i, ln in enumerate(raw)
-        if (stripped := ln.split("#", 1)[0].strip())
-    ]
+    lines = _numbered_lines(path, "ensemble")
     if not lines:
         raise ConfigError(f"{path}: empty ensemble file")
-    pos = 0
+    remaining = iter(lines)
 
     def take():
-        nonlocal pos
-        if pos >= len(lines):
+        if (item := next(remaining, None)) is None:
             raise ConfigError(f"{path}: unexpected end of file")
-        item = lines[pos]
-        pos += 1
         return item
 
     lineno, header = take()

@@ -1,6 +1,7 @@
 """Failure types and input checks shared across the numerical modules."""
 
 import math
+import numbers
 
 
 class NumericalFailure(RuntimeError):
@@ -33,3 +34,10 @@ def require_non_negative(name: str, value: float) -> None:
     """Refuse ``value`` unless 0 <= value < inf; a chained comparison, so NaN fails."""
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be non-negative and finite, got {value}")
+
+
+def require_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse ``value`` unless it is a Python or numpy integer >= ``minimum``: a bare
+    comparison would let a float such as 2.5 or 9.0 into a grid, and a bool too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")

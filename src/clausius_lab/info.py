@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_positive
+from .errors import require_count, require_positive
 from .gaussian import Constants
 
 _HERM_TOL = 1e-12
@@ -21,6 +21,23 @@ _POVM_SUM_TOL = 1e-10
 # Newton steps of the measurement search, which converges in a few; and the
 # rounding error of an information value, a few ulps of its O(1) terms
 _NEWTON_STEPS, _INFO_ROUND = 50, 8 * float(np.finfo(float).eps)
+_MIN_EFFORT = 2  # the measurement search's fewest polar angles: the two poles
+
+
+def _operator(m, what: str) -> np.ndarray:
+    """``m`` as a complex array, refused unless it is a non-empty square
+    matrix, finite, Hermitian and positive semidefinite within tolerance."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{what} must be square and non-empty, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} entries must be finite")
+    if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
+    smallest = np.linalg.eigvalsh(m)[0]
+    if smallest < -_EIG_CLAMP:
+        raise ValueError(f"{what} has negative eigenvalue {smallest}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -28,16 +45,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -_EIG_CLAMP:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
+        m = _operator(self.matrix, "density matrix")
         if abs(np.trace(m).real - 1.0) > _HERM_TOL:
             raise ValueError(f"density matrix trace is {np.trace(m).real}, not 1")
         object.__setattr__(self, "matrix", m)
@@ -55,8 +63,8 @@ class Ensemble:
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         states = tuple(self.states)
-        if p.size == 0 or p.size != len(states):
-            raise ValueError("need one probability per state, non-empty")
+        if p.ndim != 1 or p.size == 0 or p.size != len(states):
+            raise ValueError(f"need one probability per state in a non-empty 1-D array, got shape {p.shape}")
         if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= _HERM_TOL):  # so NaN and inf fail
             raise ValueError(f"probabilities must be non-negative and sum to 1, sum {p.sum()}")
         dims = {s.dim for s in states}
@@ -75,22 +83,13 @@ class Povm:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
+        elems = tuple(_operator(e, "POVM element") for e in self.elements)
         if not elems:
             raise ValueError("POVM needs at least one element")
         dim = elems[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in elems:
-            if e.shape != (dim, dim):
-                raise ValueError("POVM elements must share one square shape")
-            if not np.isfinite(e).all():
-                raise ValueError("POVM element entries must be finite")
-            if np.max(np.abs(e - e.conj().T)) > _HERM_TOL:
-                raise ValueError("POVM element is not Hermitian")
-            if np.linalg.eigvalsh(e).min() < -_EIG_CLAMP:
-                raise ValueError("POVM element is not positive semidefinite")
-            total += e
-        if np.max(np.abs(total - np.eye(dim))) > _POVM_SUM_TOL:
+        if any(e.shape != (dim, dim) for e in elems):
+            raise ValueError("POVM elements must share one square shape")
+        if np.max(np.abs(sum(elems) - np.eye(dim))) > _POVM_SUM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", elems)
 
@@ -111,7 +110,7 @@ def vn_entropy(rho: DensityMatrix) -> float:
     eigs = np.linalg.eigvalsh(rho.matrix)
     eigs = np.clip(eigs, 0.0, None)
     nz = eigs[eigs > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(0.0 - np.sum(nz * np.log(nz)))  # +0.0, not -0.0, for a pure state
 
 
 def average_state(e: Ensemble) -> DensityMatrix:
@@ -143,12 +142,16 @@ def mutual_information(e: Ensemble, m: Povm) -> float:
     return float(_information(outcome_table(e, m)))
 
 
+def _entropies(e: Ensemble) -> tuple[float, float]:
+    """S(avg) and sum_i p_i S(rho_i)."""
+    mixed = float(np.sum(e.probabilities * np.array([vn_entropy(s) for s in e.states])))
+    return vn_entropy(average_state(e)), mixed
+
+
 def holevo_chi(e: Ensemble) -> float:
     """chi = S(avg) - sum_i p_i S(rho_i); non-negative by concavity."""
-    avg = vn_entropy(average_state(e))
-    return avg - float(
-        np.sum(e.probabilities * np.array([vn_entropy(s) for s in e.states]))
-    )
+    avg, mixed = _entropies(e)
+    return avg - mixed
 
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
@@ -235,8 +238,7 @@ def accessible_info_lower(e: Ensemble, effort: int = 24) -> tuple[float, Povm]:
     """
     if e.dim != 2:
         raise ValueError("built-in measurement search supports qubits only")
-    if effort < 2:
-        raise ValueError(f"effort must be >= 2, got {effort}")
+    require_count("effort", effort, _MIN_EFFORT)
     bloch = np.einsum("kab,iba->ik", _PAULI, np.stack([s.matrix for s in e.states])).real
     theta, phi = np.meshgrid(
         np.linspace(0.0, math.pi, effort), np.linspace(0.0, 2 * math.pi, 2 * effort, endpoint=False), indexing="ij"
@@ -256,8 +258,5 @@ def erasure_budget(e: Ensemble, temperature: float, c: Constants = Constants()) 
     """
     require_positive("temperature", temperature)
     kt = c.kB * temperature
-    q_martin = kt * float(
-        np.sum(e.probabilities * np.array([vn_entropy(s) for s in e.states]))
-    )
-    q_amy = kt * vn_entropy(average_state(e))
+    q_amy, q_martin = (kt * s for s in _entropies(e))
     return ErasureBudget(q_martin=q_martin, q_amy=q_amy, q_shared=q_amy - q_martin)

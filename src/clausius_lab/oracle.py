@@ -9,12 +9,11 @@ shares code with :mod:`clausius_lab.bath`, which is the point.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, require_positive
+from .errors import NumericalFailure, require_count, require_positive
 from .gaussian import Constants, Moments, OscillatorParams
 from .bath import BathSpec
 
@@ -65,10 +64,7 @@ def sample_bath(
     assembled, so the bare oscillator frequency keeps its meaning at every
     coupling strength.
     """
-    # a float or a bool would pass a bare count check: 2.5 modes up to 10
-    # would give the grid [4, 8, 12], beyond omega_max
-    if isinstance(mode_count, bool) or not isinstance(mode_count, numbers.Integral) or mode_count < 1:
-        raise ValueError(f"mode_count must be a positive integer, got {mode_count!r}")
+    require_count("mode_count", mode_count)
     require_positive("omega_max", omega_max)
     dw = omega_max / mode_count
     wk = dw * np.arange(1, mode_count + 1)
@@ -151,6 +147,15 @@ class ConvergenceRow:
     delta_f2: float | None
 
 
+def _require_ladder(mode_counts) -> None:
+    """Refuse a ladder unless each rung is a mode count and the rungs strictly
+    ascend: a repeated rung's change is zero, so it would certify itself."""
+    for count in mode_counts:
+        require_count("mode_count", count)
+    if any(b <= a for a, b in zip(mode_counts, mode_counts[1:])):
+        raise ValueError(f"mode_counts must be strictly ascending, got {list(mode_counts)}")
+
+
 def convergence_report(
     o: OscillatorParams,
     b: BathSpec,
@@ -163,8 +168,7 @@ def convergence_report(
     Returns the rows and a flag set when the final successive relative change
     is below 0.5%.
     """
-    if list(mode_counts) != sorted(mode_counts):
-        raise ValueError("mode_counts must be ascending")
+    _require_ladder(mode_counts)
     omax = default_omega_max(o, b)
     rows: list[ConvergenceRow] = []
     prev: Moments | None = None

@@ -35,9 +35,10 @@ from .bath import (
     BathSpec,
     _mass_and_damping,
     _matsubara_moments,
+    _require_path_parameter,
     _slopes_along,
 )
-from .errors import NumericalFailure, require_non_negative, require_positive
+from .errors import NumericalFailure, require_count, require_non_negative, require_positive
 from .gaussian import (
     Constants,
     Moments,
@@ -74,8 +75,7 @@ class ProcessPath:
     grid_points: int = 9
 
     def __post_init__(self):
-        if self.parameter not in ("mass", "damping"):
-            raise ValueError(f"unknown path parameter {self.parameter!r}")
+        _require_path_parameter(self.parameter)
         # written so that NaN fails every check
         if not (math.isfinite(self.start_value) and math.isfinite(self.end_value)):
             raise ValueError(f"path bounds must be finite, got {self.start_value} and {self.end_value}")
@@ -84,8 +84,9 @@ class ProcessPath:
             raise ValueError("mass must stay positive along the path")
         if self.parameter == "damping" and not lo >= 0:
             raise ValueError("damping must stay non-negative along the path")
-        if self.grid_points < 9 or self.grid_points % 2 == 0:
-            raise ValueError(f"grid_points must be odd and >= 9, got {self.grid_points}")
+        require_count("grid_points", self.grid_points, 9)
+        if self.grid_points % 2 == 0:
+            raise ValueError(f"grid_points must be odd, got {self.grid_points}")
 
     @property
     def values(self) -> np.ndarray:

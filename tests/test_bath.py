@@ -19,7 +19,7 @@ from clausius_lab import (
     moments_spectral,
     thermal_moments_decoupled,
 )
-from clausius_lab.bath import _matsubara_moments
+from clausius_lab.bath import _mass_and_damping, _matsubara_moments
 
 C = Constants()
 OSC = OscillatorParams(mass=1.0, frequency=1.0)
@@ -577,8 +577,12 @@ class TestMomentDerivatives:
 
     def test_unknown_parameter_rejected(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown path parameter 'cutoff'"):
             moment_derivatives(OSC, b, "cutoff", C)
+        # the one place that maps a path parameter to (M, gamma) reads no
+        # unknown name as damping
+        with pytest.raises(ValueError, match="unknown path parameter 'cutoff'"):
+            _mass_and_damping("cutoff", OSC, b, [1.0])
 
 
 class TestFailureDiagnostics:

@@ -242,6 +242,12 @@ class TestScenarios:
         content = (tmp_path / "holevo.csv").read_text(encoding="utf-8")
         assert "holevo_chi" in content and "q_shared" in content
 
+    def test_a_pure_one_state_ensemble_prints_no_negative_zero(self, tmp_path):
+        path = tmp_path / "ens.txt"
+        path.write_text("2 1\n1.0\n1 0\n0 0\n", encoding="utf-8")
+        assert main(["holevo", "--ensemble", str(path), "--out", str(tmp_path)]) == 0
+        assert "-0." not in (tmp_path / "holevo.csv").read_text(encoding="utf-8")
+
     def test_bits_flag_rescales_entropy(self, tmp_path):
         nats_dir = tmp_path / "nats"
         bits_dir = tmp_path / "bits"
@@ -302,6 +308,30 @@ class TestExitCodes:
     def test_even_grid_is_config_error(self, tmp_path, capsys):
         rc = main(["sweep", "--param", "damping", "--start", "0", "--end", "1", "--grid", "8", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["oracle", "--modes", "64,64"], "mode_counts must be strictly ascending, got [64, 64]"),
+            (["holevo", "--effort", "1"], "effort must be an integer >= 2, got 1"),
+        ],
+        ids=["repeated-rung", "effort"],
+    )
+    def test_the_library_refusal_is_reported_and_no_csv_written(self, tmp_path, capsys, ensemble_path, args, message):
+        # a repeated rung's change is zero, so the ladder would certify itself
+        if args[0] == "holevo":
+            args = [*args, "--ensemble", ensemble_path]
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"clausius-lab: config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["param=foo", "grid=8", "start=nan", "modes=8,8"])
+    def test_a_config_file_path_or_ladder_field_is_checked_for_every_scenario(self, tmp_path, capsys, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{line}\n", encoding="utf-8")
+        assert main(["resolve", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("clausius-lab: config error:")
 
     @pytest.mark.parametrize(
         "param, start, end", [("mass", "0", "1"), ("damping", "-1", "1"), ("damping", "nan", "1"), ("mass", "1", "inf")]

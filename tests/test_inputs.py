@@ -16,7 +16,10 @@ from clausius_lab import (
     Moments,
     OscillatorParams,
     Povm,
+    ProcessPath,
+    accessible_info_lower,
     clausius_check,
+    convergence_report,
     entropy,
     erasure_budget,
     landauer_bound,
@@ -41,7 +44,7 @@ CALLS = {
     "entropy": (entropy, "at least the pure-state bound 1/2 and finite"),
     "thermal_moments_decoupled": (lambda x: thermal_moments_decoupled(OSC, x), "temperature must be positive and finite"),
     "sample_bath.omega_max": (lambda x: sample_bath(BATH, OSC, 8, x), "omega_max must be positive and finite"),
-    "sample_bath.mode_count": (lambda x: sample_bath(BATH, OSC, x, 10.0), "mode_count must be a positive integer"),
+    "sample_bath.mode_count": (lambda x: sample_bath(BATH, OSC, x, 10.0), "mode_count must be an integer >= 1"),
     "reduced_moments_exact": (lambda x: reduced_moments_exact(DB, OSC, x), "temperature must be positive and finite"),
     "DiscreteBath.mode_frequencies": (lambda x: DiscreteBath(np.array([x]), np.array([0.1])), "must be finite"),
     "DiscreteBath.couplings": (lambda x: DiscreteBath(np.array([1.0]), np.array([x])), "must be finite"),
@@ -66,13 +69,43 @@ def test_non_finite_input_raises(name, value):
         call(value)
 
 
-@pytest.mark.parametrize("count", [2.5, 3.0, np.float64(4.0), True, "8"], ids=repr)
-def test_sample_bath_refuses_a_mode_count_that_is_not_an_integer(count):
+# each count with the value n in it, its name and its minimum
+COUNTS = {
+    "sample_bath.mode_count": (lambda n: sample_bath(BATH, OSC, n, 10.0), "mode_count", 1),
+    "accessible_info_lower.effort": (lambda n: accessible_info_lower(BB84, n), "effort", 2),
+    "ProcessPath.grid_points": (lambda n: ProcessPath("mass", 1.0, 2.0, n), "grid_points", 9),
+    "convergence_report.rung": (lambda n: convergence_report(OSC, BATH, [n]), "mode_count", 1),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(9.0), math.nan, True, "8", "below"], ids=repr)
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_every_count_refuses_what_is_not_an_integer_at_its_minimum(name, value):
     # 2.5 modes up to 10 would space them by 4 and return [4, 8, 12]
-    with pytest.raises(ValueError, match="mode_count must be a positive integer"):
-        sample_bath(BATH, OSC, count, 10.0)
+    call, field, minimum = COUNTS[name]
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= {minimum}, got"):
+        call(minimum - 1 if value == "below" else value)
+
+
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_every_count_takes_a_numpy_integer(name):
+    COUNTS[name][0](np.int64(9))  # at or above every minimum, and odd
 
 
 @pytest.mark.parametrize("count", [8, np.int64(8)], ids=repr)
 def test_sample_bath_takes_python_and_numpy_integers(count):
     assert np.array_equal(sample_bath(BATH, OSC, count, 10.0).mode_frequencies, 1.25 * np.arange(1, 9))
+
+
+def test_ensemble_refuses_probabilities_that_are_not_one_dimensional():
+    # of the right size, so that the error would surface only in average_state
+    with pytest.raises(ValueError, match="1-D"):
+        Ensemble(np.array([[0.5, 0.5]]), BB84.states)
+
+
+@pytest.mark.parametrize(
+    "call, what", [(DensityMatrix, "density matrix"), (lambda m: Povm((m,)), "POVM element")], ids=["DensityMatrix", "Povm"]
+)
+def test_an_empty_operator_is_refused_by_name(call, what):
+    with pytest.raises(ValueError, match=f"{what} must be square and non-empty"):
+        call(np.zeros((0, 0)))

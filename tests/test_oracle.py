@@ -210,3 +210,9 @@ class TestConvergenceReport:
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=10.0)
         with pytest.raises(ValueError):
             convergence_report(OSC, b, [128, 64], C)
+
+    def test_rejects_a_repeated_rung(self):
+        # its change is zero by construction, so it would certify itself
+        b = BathSpec(temperature=1.0, damping=1.0, cutoff=10.0)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            convergence_report(OSC, b, [8, 8], C)

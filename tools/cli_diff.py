@@ -52,6 +52,9 @@ INVOCATIONS = (
     ("resolve", "--mass-factor", "inf"),
     ("oracle", "--cutoff", "inf"),
     ("holevo", "--ensemble", str(DATA / "bb84.txt"), "--temperature", "nan"),
+    ("oracle", "--modes", "64,64"),
+    ("sweep", "--grid", "8"),
+    ("holevo", "--ensemble", str(DATA / "bb84.txt"), "--effort", "1"),
 )
 
 
