@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._special import loggamma, polygamma, psi, trigamma, zeta
-from .errors import NumericalFailure, require_non_negative, require_positive
+from .errors import NumericalFailure, require_accurate, require_non_negative, require_positive
 from .gaussian import Constants, Moments, OscillatorParams, thermal_moments_decoupled
 
 _TARGET_REL = 1e-8
@@ -45,6 +45,8 @@ _ROUND = 32 * float(np.finfo(float).eps)
 # the closed form multiplies c1 = w^2 + gamma wD by roots of size ~sqrt(c1),
 # which overflows near c1 = 1e205; a larger c1 is refused
 _MAX_C1 = 1e200
+# the close pair's slopes divide by nu1^11, which overflows past nu1 ~ 1e28; a larger nu1 = 2 pi kB T / hbar is refused
+_MAX_NU1 = 1e25
 # a root pair closer than this fraction of nu1 + its midpoint is confluent;
 # for the gamma slopes, whose generic form divides by (x - y)^2, a pair
 # closer than the second fraction is taken by its symmetric form
@@ -101,7 +103,8 @@ def _drude_poles(w2, wd, damping):
     pair merges at critical damping. A gamma whose c1 = w^2 + gamma wD
     exceeds ``_MAX_C1`` raises before anything can overflow.
     """
-    in_range = damping <= (_MAX_C1 - w2) / wd  # no product that can overflow
+    with np.errstate(over="ignore"):  # no product that can overflow; at a tiny wD the bound is inf
+        in_range = damping <= (_MAX_C1 - w2) / wd
     if not in_range.all():
         i = np.flatnonzero(~in_range)[0]
         raise NumericalFailure(
@@ -274,6 +277,9 @@ def _matsubara_moments(
     mass, w, wd = (np.full(damping.shape, v, dtype=float) for v in (mass, frequency, cutoff))
     beta = 1.0 / (c.kB * temperature)
     nu1 = 2 * math.pi * c.kB * temperature / c.hbar
+    if not nu1 <= _MAX_NU1:
+        message = f"temperature beyond the closed form's range: 2 pi kB T / hbar exceeds {_MAX_NU1:g}"
+        raise NumericalFailure(message, temperature=temperature)
     w2 = w * w
     r, x, y, m, q = _drude_poles(w2, wd, damping)
     c1 = w2 + damping * wd
@@ -328,20 +334,13 @@ def _matsubara_moments(
     sum1, err1 = bracket(1.0 / w2, wd - node, -1.0)
     sum2, err2 = bracket(1.0, w2 * wd - c1 * node, -c1)
     f1, f2 = sum1 / (mass * beta), mass / beta * sum2
-    decoupled = damping == 0
-    for i in decoupled.nonzero()[0]:
+    for i in (damping == 0).nonzero()[0]:
         gibbs = thermal_moments_decoupled(OscillatorParams(mass=mass[i], frequency=w[i]), temperature, c)
-        f1[i], f2[i] = gibbs.f1, gibbs.f2
-    failed = (~decoupled & ~((err1 <= rel_tol) & (err2 <= rel_tol))).nonzero()[0]
-    if failed.size:
-        i = failed[0]
-        raise NumericalFailure(
-            "Matsubara closed form lost its accuracy to cancellation",
-            achieved_rel_f1=float(err1[i]),
-            achieved_rel_f2=float(err2[i]),
-            temperature=temperature,
-            damping=float(damping[i]),
-        )
+        f1[i], f2[i], err1[i], err2[i] = gibbs.f1, gibbs.f2, 0.0, 0.0  # Gibbs: exempt from the bracket's gate
+    require_accurate(
+        "Matsubara closed form lost its accuracy to cancellation", rel_tol,
+        {"achieved_rel_f1": err1, "achieved_rel_f2": err2}, temperature=temperature, damping=damping,
+    )
     if free_energy:
         return f1, f2, _free_energies(points, h, nodes, p[3 * n :].reshape(nodes.shape), n, temperature, c, rel_tol)
     if not slopes:
@@ -505,13 +504,12 @@ def moments_spectral(
     error += diff[:, pending].sum(axis=1)
     scale = c.hbar / math.pi * np.array([1.0, o.mass**2])
     (f1, f2), (err1, err2) = total * scale, error * scale
-    if pending.any() or err1 > rel_tol * abs(f1) or err2 > rel_tol * abs(f2):
-        raise NumericalFailure(
-            "spectral quadrature did not reach its target accuracy",
-            achieved_rel_f1=float(err1 / abs(f1)),
-            achieved_rel_f2=float(err2 / abs(f2)),
-            pending_segments=int(pending.sum()),
-        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = {"achieved_rel_f1": err1 / abs(f1), "achieved_rel_f2": err2 / abs(f2)}
+    target = -math.inf if pending.any() else rel_tol
+    require_accurate(
+        "spectral quadrature did not reach its target accuracy", target, rel, pending_segments=pending.sum()
+    )
     return Moments(f1=float(f1), f2=float(f2), cross=0.0)
 
 
@@ -569,15 +567,16 @@ def _free_energies(
     sums = h / 2 * (value * _GL_WEIGHTS).sum(axis=1)
     integrals = iter(zip(sums.tolist(), (_ROUND * abs(h) * scale.max(axis=1)).tolist()))
     beta = 1.0 / (c.kB * temperature)
-    out = [0.0] * n
+    values, errors = {}, []  # beta F_MF difference and its error, per damped point
     for k, g, steps in points:
         terms = []
         for y, h_i, is_short in steps:
             if is_short:
                 terms.append(next(integrals))
             else:
-                hi, lo = loggamma(1 + y + h_i), loggamma(1 + y)
-                err = _ROUND * (abs(hi) + abs(lo) + abs(1 + y + h_i) + abs(1 + y) + abs(h_i))
+                z = 1 + y + h_i  # 1 + l/nu1, Re >= 1; below that, rounding cancelled every digit
+                hi, lo = loggamma(z) if z.real >= 1 else complex(math.nan), loggamma(1 + y)
+                err = _ROUND * (abs(hi) + abs(lo) + abs(z) + abs(1 + y) + abs(h_i))
                 terms.append((hi - lo + np.euler_gamma * h_i, err))
         if len(steps) == 2:  # the conjugate pair's second step
             terms.append((terms[1][0].conjugate(), terms[1][1]))
@@ -586,16 +585,15 @@ def _free_energies(
         for step, step_err in terms:
             total -= step
             err += step_err + _ROUND * abs(step)
-        err = float(err / abs(total.real) + _ROUND)
-        if err > rel_tol:
-            raise NumericalFailure(
-                "free-energy closed form lost its accuracy to cancellation",
-                achieved_rel=err,
-                temperature=temperature,
-                damping=g,
-            )
-        out[k] = float(total.real) / beta
-    return out
+        values[k] = total.real
+        errors.append(err)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        achieved = np.array(errors) / np.abs(list(values.values())) + _ROUND
+    require_accurate(
+        "free-energy closed form lost its accuracy to cancellation", rel_tol, {"achieved_rel": achieved},
+        temperature=temperature, damping=[g for _, g, _ in points],
+    )
+    return [values.get(k, 0.0) / beta for k in range(n)]
 
 
 def coupling_free_energy(
@@ -654,18 +652,11 @@ def _slopes_along(alpha: str, o: OscillatorParams, b: BathSpec, x, c: Constants)
         df2_error = k * s.df2_error + (s.f2_error + _ROUND * (abs(s.f2) + abs(k * s.df2 * mass))) / mass
         s = s._replace(df1=df1, df2=df2, df1_error=df1_error, df2_error=df2_error)
     scale = np.maximum(abs(x), 1.0)
-    rel1 = s.df1_error / np.maximum(abs(s.df1), 1e-3 * s.f1 / scale)
-    rel2 = s.df2_error / np.maximum(abs(s.df2), 1e-3 * s.f2 / scale)
-    failed = np.flatnonzero(~((rel1 <= 1e-5) & (rel2 <= 1e-5)))
-    if failed.size:
-        i = failed[0]
-        raise NumericalFailure(
-            "moment derivative error estimate exceeds tolerance",
-            alpha=alpha,
-            at=float(x[i]),
-            df1_rel_error=float(rel1[i]),
-            df2_rel_error=float(rel2[i]),
-        )
+    rel = {
+        "df1_rel_error": s.df1_error / np.maximum(abs(s.df1), 1e-3 * s.f1 / scale),
+        "df2_rel_error": s.df2_error / np.maximum(abs(s.df2), 1e-3 * s.f2 / scale),
+    }
+    require_accurate("moment derivative error estimate exceeds tolerance", 1e-5, rel, alpha=alpha, at=x)
     return s
 
 

@@ -27,7 +27,7 @@ from .bath import (
 )
 from .errors import NumericalFailure, require_count, require_positive
 from .gaussian import Constants, OscillatorParams, entropy, symplectic_param
-from .info import _MIN_EFFORT, DensityMatrix, Ensemble, accessible_info_lower, erasure_budget, holevo_chi
+from .info import _MIN_EFFORT, DensityMatrix, Ensemble, accessible_info_lower, erasure_budget
 from .oracle import _require_ladder, convergence_report
 from .process import ProcessPath, _first_law, _states, _steps, mass_process
 
@@ -320,9 +320,8 @@ def run_resolve(cfg: RunConfig, out_dir: Path) -> Table:
 def run_holevo(cfg: RunConfig, out_dir: Path) -> Table:
     scale = _entropy_scale(cfg)
     ensemble = parse_ensemble_file(cfg.ensemble)
-    chi = holevo_chi(ensemble)
     budget = erasure_budget(ensemble, cfg.temperature)
-    rows = [["holevo_chi", chi * scale], ["q_martin", budget.q_martin], ["q_amy", budget.q_amy], ["q_shared", budget.q_shared]]
+    rows = [["holevo_chi", budget.holevo_chi * scale]] + [[k, getattr(budget, k)] for k in ("q_martin", "q_amy", "q_shared")]
     if ensemble.dim == 2:
         bound, povm = accessible_info_lower(ensemble, cfg.effort)
         rows.insert(1, ["accessible_info_lower", bound * scale])

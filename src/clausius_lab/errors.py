@@ -1,7 +1,10 @@
 """Failure types and input checks shared across the numerical modules."""
 
+import functools
 import math
 import numbers
+
+import numpy as np
 
 
 class NumericalFailure(RuntimeError):
@@ -41,3 +44,14 @@ def require_count(name: str, value, minimum: int = 1) -> None:
     comparison would let a float such as 2.5 or 9.0 into a grid, and a bool too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_accurate(message: str, target: float, estimates: dict, **context) -> None:
+    """Refuse unless every estimate (a scalar or a 1-d array over points) is <= ``target``, so NaN fails:
+    the ``NumericalFailure`` carries the estimates and the context at the first failing point, as Python scalars."""
+    passed = np.less_equal(functools.reduce(np.maximum, estimates.values()), target)  # NaN propagates, and fails
+    if passed.all():
+        return
+    i = np.flatnonzero(~np.atleast_1d(passed))[0]
+    at = {name: np.asarray(value) for name, value in {**estimates, **context}.items()}
+    raise NumericalFailure(message, **{name: (v[i] if v.ndim else v).item() for name, v in at.items()})

@@ -103,6 +103,7 @@ class ErasureBudget:
     q_martin: float
     q_amy: float
     q_shared: float
+    holevo_chi: float  # nats, from the same entropies: q_shared = kB T chi
 
 
 def vn_entropy(rho: DensityMatrix) -> float:
@@ -258,5 +259,5 @@ def erasure_budget(e: Ensemble, temperature: float, c: Constants = Constants()) 
     """
     require_positive("temperature", temperature)
     kt = c.kB * temperature
-    q_amy, q_martin = (kt * s for s in _entropies(e))
-    return ErasureBudget(q_martin=q_martin, q_amy=q_amy, q_shared=q_amy - q_martin)
+    avg, mixed = _entropies(e)
+    return ErasureBudget(q_martin=kt * mixed, q_amy=kt * avg, q_shared=kt * avg - kt * mixed, holevo_chi=avg - mixed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, require_count, require_positive
+from .errors import NumericalFailure, require_accurate, require_count, require_positive
 from .gaussian import Constants, Moments, OscillatorParams
 from .bath import BathSpec
 
@@ -120,15 +120,11 @@ def reduced_moments_exact(
             "non-positive normal-mode eigenvalue; counter-term is broken",
             smallest_eigenvalue=float(eigvals[0]),
         )
-    residual = _arrowhead_residual(head, z, d, eigvals, eigvecs)
-    norm = float(np.max(np.abs(eigvals)))
-    worst = float(np.max(np.linalg.norm(residual, axis=0)))
-    if worst > _RESIDUAL_TOL * norm:
-        raise NumericalFailure(
-            "eigenvector residual above tolerance",
-            residual=worst,
-            matrix_norm=norm,
-        )
+    norm = np.max(np.abs(eigvals))
+    worst = np.max(np.linalg.norm(_arrowhead_residual(head, z, d, eigvals, eigvecs), axis=0))
+    require_accurate(
+        "eigenvector residual above tolerance", _RESIDUAL_TOL * norm, {"residual": worst}, matrix_norm=norm
+    )
 
     omega_modes = np.sqrt(eigvals)
     coth = 1.0 / np.tanh(c.hbar * omega_modes / (2 * c.kB * temperature))

@@ -38,7 +38,7 @@ from .bath import (
     _require_path_parameter,
     _slopes_along,
 )
-from .errors import NumericalFailure, require_count, require_non_negative, require_positive
+from .errors import NumericalFailure, require_accurate, require_count, require_non_negative, require_positive
 from .gaussian import (
     Constants,
     Moments,
@@ -277,8 +277,8 @@ def _checked_entropy_change(
             log = np.log((v + 0.5) / (v - 0.5))
             low = np.maximum(v * (1 - rel_v), 0.5 + _V_FLOOR)
             log_error = np.log((low + 0.5) / (low - 0.5)) - log + _ROUND * abs(log)
-        value = np.where(guard, 0.0, log * dv)
-        error = np.where(guard, _LOG_CAP * (abs(dv) + dv_error), abs(log) * dv_error + log_error * abs(dv))
+            value = np.where(guard, 0.0, log * dv)
+            error = np.where(guard, _LOG_CAP * (abs(dv) + dv_error), abs(log) * dv_error + log_error * abs(dv))
         return value, error
 
     gate = _CONSISTENCY_TOL * max(1.0, abs(endpoint))
@@ -304,14 +304,11 @@ def _checked_entropy_change(
             evaluations=result.evaluations,
             status=status,
         )
-    if result.mismatch > gate:
-        raise NumericalFailure(
-            "entropy change: endpoint and quadrature forms disagree",
-            endpoint=endpoint,
-            quadrature=result.quadrature,
-            error_estimate=result.error_estimate,
-            evaluations=result.evaluations,
-        )
+    require_accurate(
+        "entropy change: endpoint and quadrature forms disagree", gate, {"mismatch": result.mismatch},
+        endpoint=endpoint, quadrature=result.quadrature, error_estimate=result.error_estimate,
+        evaluations=result.evaluations,
+    )
     return result
 
 

@@ -20,6 +20,7 @@ from clausius_lab import (
     thermal_moments_decoupled,
 )
 from clausius_lab.bath import _mass_and_damping, _matsubara_moments
+from clausius_lab.errors import require_accurate
 
 C = Constants()
 OSC = OscillatorParams(mass=1.0, frequency=1.0)
@@ -591,3 +592,35 @@ class TestFailureDiagnostics:
         assert "broke" in str(err)
         assert "detail" in str(err)
         assert err.diagnostics["detail"] == 1.25
+
+    def test_an_estimate_at_its_target_passes(self):
+        # scalars and arrays alike; the gate is <=, so an estimate equal to
+        # its target is accepted
+        require_accurate("unused", 1e-8, {"e": 1e-8})
+        require_accurate("unused", 1e-8, {"e": np.array([0.0, 1e-8]), "f": np.full(2, -1.0)}, at=np.arange(2.0))
+
+    @pytest.mark.parametrize("estimate", [math.nan, np.float64(math.nan), np.array([0.0, math.nan])], ids=repr)
+    def test_nan_fails(self, estimate):
+        with pytest.raises(NumericalFailure, match="lost") as info:
+            require_accurate("lost", 1.0, {"e": estimate})
+        assert math.isnan(info.value.diagnostics["e"])
+
+    def test_the_first_failing_point_is_named_in_python_scalars(self):
+        estimates = {"a": np.array([0.0, 2.0, 3.0]), "b": np.array([0.0, 0.5, 5.0])}
+        with pytest.raises(NumericalFailure) as info:
+            require_accurate("lost", 1.0, estimates, at=np.array([10.0, 20.0, 30.0]), alpha="mass", count=np.int64(7))
+        diagnostics = info.value.diagnostics
+        assert diagnostics == {"a": 2.0, "b": 0.5, "at": 20.0, "alpha": "mass", "count": 7}
+        assert [type(v) for v in diagnostics.values()] == [float, float, float, str, int]
+        assert "np." not in str(info.value)
+
+    def test_one_point_and_array_calls_give_equal_failures(self):
+        # the array kernel and its one-point calls report the same failure
+        # (TestArrayKernel.test_failing_element_raises_as_its_one_point_call relies on it)
+        points = np.array([1e-9, 2.0, 1e-9]), np.array([0.1, 0.2, 0.3])
+        with pytest.raises(NumericalFailure) as array_call:
+            require_accurate("lost", 1e-8, {"e": points[0]}, damping=points[1])
+        with pytest.raises(NumericalFailure) as point_call:
+            require_accurate("lost", 1e-8, {"e": float(points[0][1])}, damping=float(points[1][1]))
+        assert str(array_call.value) == str(point_call.value)
+        assert array_call.value.diagnostics == point_call.value.diagnostics

@@ -326,6 +326,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"clausius-lab: config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:Drude cutoff")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["resolve", "--damping", "5e-324"],
+            ["resolve", "--temperature", "1e-30", "--damping", "1e30", "--cutoff", "10"],
+            ["resolve", "--temperature", "1e300"],
+            ["moments", "--temperature", "1e-300", "--damping", "5e-324", "--cutoff", "1e-300"],
+        ],
+        ids=["underflowed-free-energy", "cancelled-long-step", "temperature-range", "underflowed-spectral"],
+    )
+    def test_a_missed_accuracy_target_exits_1_with_one_line(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("clausius-lab: numerical failure:") and len(err.splitlines()) == 1
+        assert not list(out.glob("*"))
+
     @pytest.mark.parametrize("line", ["param=foo", "grid=8", "start=nan", "modes=8,8"])
     def test_a_config_file_path_or_ladder_field_is_checked_for_every_scenario(self, tmp_path, capsys, line):
         path = tmp_path / "run.cfg"

@@ -249,6 +249,7 @@ class TestErasureBudget:
         budget = erasure_budget(BB84, 2.0)
         assert budget.q_shared == pytest.approx(2.0 * holevo_chi(BB84), abs=1e-12)
         assert budget.q_shared == pytest.approx(budget.q_amy - budget.q_martin, abs=1e-15)
+        assert budget.holevo_chi == holevo_chi(BB84)  # from the same entropies, to the bit
 
     def test_pure_states_cost_sender_nothing(self):
         budget = erasure_budget(BB84, 1.0)

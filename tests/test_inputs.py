@@ -1,8 +1,10 @@
 """Every public constructor and function refuses a NaN or infinite physical
 input with ValueError, before any arithmetic on it can warn or return a
-value built from it."""
+value built from it; an accepted input at the edge of the float range ends
+in a value or in NumericalFailure, with no numpy warning."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,15 +16,19 @@ from clausius_lab import (
     DiscreteBath,
     Ensemble,
     Moments,
+    NumericalFailure,
     OscillatorParams,
     Povm,
     ProcessPath,
     accessible_info_lower,
     clausius_check,
+    composed_process,
     convergence_report,
     entropy,
     erasure_budget,
     landauer_bound,
+    moments_matsubara,
+    moments_spectral,
     reduced_moments_exact,
     sample_bath,
     thermal_moments_decoupled,
@@ -109,3 +115,34 @@ def test_ensemble_refuses_probabilities_that_are_not_one_dimensional():
 def test_an_empty_operator_is_refused_by_name(call, what):
     with pytest.raises(ValueError, match=f"{what} must be square and non-empty"):
         call(np.zeros((0, 0)))
+
+
+def _resolve(temperature, damping, cutoff, check=False):
+    """The ``clausius-lab resolve`` computation, checked or not."""
+    return composed_process(OSC, BathSpec(temperature, damping, cutoff), temperature, check_consistency=check)
+
+
+# accepted inputs that ended in a traceback or a numpy warning: a damping that
+# underflows every shift, a cutoff and a temperature at the bottom of the
+# float range, a damping that moves the real root from wD = 10 to ~1e-30, a
+# temperature whose nu1^2 overflows, and a checked path from gamma = 1e-16
+EDGES = {
+    "resolve --damping 5e-324": lambda: _resolve(1.0, 5e-324, 100.0),
+    "moments_matsubara at T = wD = 1e-300": lambda: moments_matsubara(OSC, BathSpec(1e-300, 5e-324, 1e-300)),
+    "moments_spectral at T = wD = 1e-300": lambda: moments_spectral(OSC, BathSpec(1e-300, 5e-324, 1e-300)),
+    "resolve --temperature 1e-30 --damping 1e30 --cutoff 10": lambda: _resolve(1e-30, 1e30, 10.0),
+    "resolve --temperature 1e300": lambda: _resolve(1e300, 1.0, 100.0),
+    "moments_matsubara at T = 1e300": lambda: moments_matsubara(OSC, BathSpec(1e300, 1.0, 100.0)),
+    "checked composed_process from gamma = 1e-16": lambda: _resolve(1e-3, 1e-16, 100.0, check=True),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGES))
+def test_an_input_at_the_edge_of_the_float_range_ends_in_a_value_or_numerical_failure(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "Drude cutoff .* is below 10x", UserWarning)
+        try:
+            EDGES[name]()
+        except NumericalFailure as failure:
+            assert "np." not in str(failure)  # its diagnostics print as Python scalars

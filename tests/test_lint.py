@@ -56,3 +56,35 @@ def test_every_private_module_name_is_referenced():
                     referenced.add(name)
     unused = sorted(f"{name} ({where})" for name, where in defined.items() if name not in referenced)
     assert not unused, f"private names defined but never referenced in the package: {unused}"
+
+
+# every accuracy target is gated by errors.require_accurate; NumericalFailure
+# is raised directly only there and at the refusals that compare no estimate
+# with a target: the closed form's damping and temperature ranges, the
+# tanh-sinh status, and the oracle's failed eigensolve and negative eigenvalue
+DIRECT_REFUSALS = {
+    ("errors.py", "require_accurate"): 1,
+    ("bath.py", "_drude_poles"): 1,
+    ("bath.py", "_matsubara_moments"): 1,
+    ("process.py", "_checked_entropy_change"): 1,
+    ("oracle.py", "reduced_moments_exact"): 2,
+}
+
+
+def test_numerical_failure_is_raised_directly_only_where_no_estimate_is_compared():
+    found = {}
+
+    def visit(node, path, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) == "NumericalFailure" or getattr(exc, "attr", None) == "NumericalFailure":
+                key = (path.name, function)
+                found[key] = found.get(key, 0) + 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    assert found == DIRECT_REFUSALS

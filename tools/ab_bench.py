@@ -11,12 +11,15 @@ Then ``--trace 1`` runs once per side on seed 3 of oracle-ladder and
 cli-session, for the per-layer metrics: import time, the oracle's time per
 rung and the CLI scenarios' times. Seeds 1-10, every workload and the run
 length of BENCHMARK.json are fixed, so both sides always run the same plan.
-Last, each side times three layers in its own fresh interpreters, five
-rounds alternating which side goes first (``LAYERS``): one
-``moment_derivatives`` call and one checked ``entropy_change`` on the
-flagship damping path 0 -> 5 (median of repeats after a warm-up call), and
-the first checked ``composed_process`` of a fresh interpreter, lazy imports
-included.
+Last, each side times four layers in its own fresh interpreters, nine
+rounds alternating which side goes first (``LAYERS``): the first checked
+``composed_process`` of a fresh interpreter, lazy imports included; then,
+after a warm-up call, the mean over a block of calls of ``moment_derivatives``
+(200) and of a checked ``entropy_change`` on the flagship damping path 0 -> 5
+(50), and of the unchecked flagship ``composed_process`` (300), the op of
+resolve-grid. Each layer is reported as the best of the rounds, the number a
+layer cost when nothing else on the host interfered, with the median and the
+worst round as its spread.
 
 The parent is exported rather than checked out in a git worktree: the
 benchmark then runs on exactly the committed files, and nothing is left
@@ -87,34 +90,33 @@ def run_once(command: list, root: Path, workload: str, seed: int, seconds: float
 # 100), printed as one JSON line; the first call of a fresh interpreter is
 # timed before the warm-up of the others
 LAYERS = """
-import json, statistics, time
+import json, time
 from clausius_lab import BathSpec, OscillatorParams, ProcessPath, composed_process, entropy_change, moment_derivatives
 o, b = OscillatorParams(1.0, 1.0), BathSpec(0.05, 5.0, 100.0)
 t0 = time.perf_counter()
 composed_process(o, b, 0.05)
 first = time.perf_counter() - t0
 
-def median(call, repeats):
+def per_call(call, repeats):
     call()
-    samples = []
+    t0 = time.perf_counter()
     for _ in range(repeats):
-        t0 = time.perf_counter()
         call()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
+    return (time.perf_counter() - t0) / repeats
 
 print(json.dumps({
     "first_checked_composed_process_s": first,
-    "moment_derivatives_s": median(lambda: moment_derivatives(o, b, "damping"), 200),
-    "checked_entropy_change_s": median(lambda: entropy_change(ProcessPath("damping", 0.0, 5.0), o, b), 50),
+    "moment_derivatives_s": per_call(lambda: moment_derivatives(o, b, "damping"), 200),
+    "checked_entropy_change_s": per_call(lambda: entropy_change(ProcessPath("damping", 0.0, 5.0), o, b), 50),
+    "unchecked_composed_process_s": per_call(lambda: composed_process(o, b, 0.05, check_consistency=False), 300),
 }))
 """
-LAYER_ROUNDS = 5
+LAYER_ROUNDS = 9
 
 
 def layer_timings(roots: dict) -> dict:
-    """Per side, the median over LAYER_ROUNDS fresh interpreters of each
-    LAYERS timing, the sides alternating which runs first."""
+    """Per side and LAYERS timing, the best, the median and the worst of
+    LAYER_ROUNDS fresh interpreters, the sides alternating which runs first."""
     samples = {side: [] for side in roots}
     for i in range(LAYER_ROUNDS):
         for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
@@ -122,8 +124,13 @@ def layer_timings(roots: dict) -> dict:
             out = subprocess.run([sys.executable, "-c", LAYERS], env=env, cwd=roots[side],
                                  check=True, capture_output=True, text=True).stdout
             samples[side].append(json.loads(out.strip().splitlines()[-1]))
-    return {side: {name: statistics.median(run[name] for run in runs) for name in runs[0]}
-            for side, runs in samples.items()}
+    spreads = {}
+    for side, runs in samples.items():
+        spreads[side] = {}
+        for name in runs[0]:
+            values = [run[name] for run in runs]
+            spreads[side][name] = {"best": min(values), "median": statistics.median(values), "worst": max(values)}
+    return spreads
 
 
 def quartiles(xs: list[float]) -> list[float]:
@@ -207,8 +214,8 @@ def main(argv=None) -> int:
                 **{k: v["value"] for k, v in sorted(r["metrics"].items())},
             }
     per_layer["in_process"] = {
-        "code": "tools/ab_bench.py LAYERS, median of the per-interpreter values over "
-                f"{LAYER_ROUNDS} fresh interpreters per side, in seconds",
+        "code": "tools/ab_bench.py LAYERS, best, median and worst of the per-interpreter values over "
+                f"{LAYER_ROUNDS} fresh interpreters per side, in seconds per call",
         **layer_timings(roots),
     }
     result = {

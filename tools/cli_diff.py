@@ -55,6 +55,10 @@ INVOCATIONS = (
     ("oracle", "--modes", "64,64"),
     ("sweep", "--grid", "8"),
     ("holevo", "--ensemble", str(DATA / "bb84.txt"), "--effort", "1"),
+    # numerical failures: exit code 1, one message and no output file
+    ("resolve", "--damping", "5e-324"),
+    ("resolve", "--temperature", "1e-30", "--damping", "1e30", "--cutoff", "10"),
+    ("resolve", "--temperature", "1e300"),
 )
 
 
