@@ -1,8 +1,9 @@
-"""Digamma, trigamma, polygamma, log-gamma and zeta for the arguments the Matsubara kernel passes.
+"""Digamma, trigamma, log-gamma and zeta for the arguments the Matsubara kernel passes.
 
 Every argument has Re z >= 1: the roots of the Drude cubic lie in the left
 half-plane, so 1 + lambda/nu1 with lambda a negated root does not reach
-Re z < 1, and no reflection formula is needed. Each function shifts its
+Re z < 1, and no reflection formula is needed. Only psi also takes the
+kernel's contour nodes, at Re z >= 3/4. Each function shifts its
 argument up by recurrence and sums an asymptotic series there (DLMF 5.11.2,
 5.11.1, 25.11.43); ln Gamma near 1 and 2 sums its Taylor series instead.
 ``tests/test_special.py`` measures each against 30-digit mpmath.
@@ -22,7 +23,7 @@ _EPS = float(np.finfo(float).eps)
 # psi(w) = ln w - 1/(2w) - sum_{k<=5} B_2k / (2k w^2k) at w = z + 16. Off the
 # real axis the remainder's bound gains a factor sec^12(ph w / 2) (DLMF
 # 5.11(ii)), which |w| >= Re w / cos(ph w) more than cancels, so the first
-# omitted term at Re w >= 17, B_12 / (12 17^12) < 4e-17, bounds it. The shift
+# omitted term at Re w >= 16.75, B_12 / (12 16.75^12) < 5e-17, bounds it. The shift
 # terms 1/(z + k) are one sum over a last axis, so a call costs a few array
 # operations; Horner order, highest power first
 _PSI_SHIFT = np.arange(16.0) + 0j
@@ -30,7 +31,7 @@ _PSI_TAIL = [b / (2 * k) for k, b in enumerate(_BERNOULLI[:5], start=1)][::-1]
 
 
 def psi(z):
-    """The digamma function elementwise over an array of Re z >= 1, as complex."""
+    """The digamma function elementwise over an array of Re z >= 3/4, as complex."""
     z = np.asarray(z, dtype=complex)
     w = z + len(_PSI_SHIFT)
     iw = 1 / w
@@ -60,9 +61,10 @@ def trigamma(z):
     return iw * (1 + 0.5 * iw + series) + (shifted * shifted).sum(axis=-1)
 
 
-# zeta(s, w) = w^(1-s)/(s-1) [1 + (s-1)/(2w) + sum_{j<=8} B_2j C(s+2j-2, 2j) w^-2j]
-# omits a first term of relative size B_18 C(s+16, 18) w^-18, which grows with
-# s; a shift of x to w = x + shift(s) keeps it below eps/8 for x >= 1
+# zeta(s) = sum_{k<n} k^-s + zeta(s, n), and zeta(s, w) = w^(1-s)/(s-1) [1 +
+# (s-1)/(2w) + sum_{j<=8} B_2j C(s+2j-2, 2j) w^-2j] omits a first term of
+# relative size B_18 C(s+16, 18) w^-18, which grows with s; n = 1 + shift(s)
+# keeps it below eps/8
 _BINOMIAL = np.array([[math.comb(s + 2 * j - 2, 2 * j) for j in range(1, 9)] for s in range(64)])
 
 
@@ -70,49 +72,18 @@ def _shift(s: int) -> int:
     return math.ceil((8 * _BERNOULLI[8] * math.comb(s + 16, 18) / _EPS) ** (1 / 18))
 
 
-# the orders the kernel's series use, psi^(n) for n <= 13, share one shift,
-# so a value does not depend on the orders it is computed with
-_POLYGAMMA_MAX, _POLYGAMMA_SHIFT = 13, _shift(14)
-
-
-def _hurwitz_terms(s, x, shift: int):
-    """Terms whose sum is zeta(s, x) = sum_{k>=0} (x + k)^-s, along a last
-    axis, elementwise over integer s >= 2 and real x >= 1 broadcast together:
-    (x + k)^-s for k below ``shift``, then the asymptotic series at
-    w = x + shift. Each power is taken of the rounded sum x + k and corrected
-    to first order by its rounding error, which the power would otherwise
-    multiply by s.
-    """
-    s, x = np.broadcast_arrays(np.asarray(s), np.asarray(x, dtype=float))
-    s, x = s[..., None], x[..., None]
-    k = np.arange(shift + 1.0)
-    a = x + k
-    b = a - x
-    error = (x - (a - b)) + (k - b)  # x + k - a, exactly
-    powers = a ** -s.astype(float) * (1 - s * error / a)
-    w = a[..., -1:]
-    lead = powers[..., -1:] * w / (s - 1)
-    series = [np.ones_like(w), (s - 1) / (2 * w), _BERNOULLI[:8] * _BINOMIAL[s[..., 0]] / w ** (2 * np.arange(1, 9))]
-    return np.concatenate([powers[..., :-1], lead * np.concatenate(series, axis=-1)], axis=-1)
-
-
-def polygamma(n, x):
-    """psi^(n)(x) = (-1)^(n+1) n! zeta(n + 1, x) elementwise, over integer
-    n from 1 to 13 and real x >= 1 broadcast together."""
-    n = np.asarray(n)
-    if n.min() < 1 or n.max() > _POLYGAMMA_MAX:
-        raise ValueError(f"polygamma orders run from 1 to {_POLYGAMMA_MAX}")
-    factorial = np.array([math.factorial(k) for k in range(_POLYGAMMA_MAX + 1)], dtype=float)
-    return np.where(n % 2, 1.0, -1.0) * factorial[n] * _hurwitz_terms(n + 1, x, _POLYGAMMA_SHIFT).sum(axis=-1)
-
-
 def zeta(s):
     """The Riemann zeta function elementwise over integers s from 2 to 63,
     the terms of each summed exactly."""
-    s = np.asarray(s)
-    terms = _hurwitz_terms(s, 1.0, _shift(int(s.max())))
+    s = np.asarray(s)[..., None]
+    k = np.arange(1, _shift(int(s.max())) + 2.0)
+    powers = k ** -s.astype(float)
+    w = k[-1:]
+    lead = powers[..., -1:] * w / (s - 1)
+    series = [np.ones_like(lead), (s - 1) / (2 * w), _BERNOULLI[:8] * _BINOMIAL[s[..., 0]] / w ** (2 * np.arange(1, 9))]
+    terms = np.concatenate([powers[..., :-1], lead * np.concatenate(series, axis=-1)], axis=-1)
     sums = [math.fsum(row) for row in terms.reshape(-1, terms.shape[-1]).tolist()]
-    return np.reshape(sums, s.shape)
+    return np.reshape(sums, s.shape[:-1])
 
 
 # ln Gamma(1 + t) = -gamma t + sum_{k>=2} (-1)^k zeta(k) t^k / k, and about 2

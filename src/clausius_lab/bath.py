@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._special import loggamma, polygamma, psi, trigamma, zeta
+from ._special import loggamma, psi, trigamma, zeta
 from .errors import NumericalFailure, require_accurate, require_non_negative, require_positive
 from .gaussian import Constants, Moments, OscillatorParams, thermal_moments_decoupled
 
@@ -39,21 +39,31 @@ _GL10, _GL20 = (np.polynomial.legendre.leggauss(k) for k in (10, 20))
 _PAIR_NODES = np.concatenate([_GL10[0], _GL20[0]])
 _PAIR_WEIGHTS = np.stack([np.r_[_GL10[1], np.zeros(20)], np.r_[np.zeros(10), _GL20[1]]], axis=1)
 # rounding-error unit of the closed forms, 32 ulps; tests/test_special.py
-# measures psi, polygamma and the ln Gamma steps within 5 ulps of the scales
+# measures psi, trigamma and the ln Gamma steps within 5 ulps of the scales
 # this error model charges them to
 _ROUND = 32 * float(np.finfo(float).eps)
 # the closed form multiplies c1 = w^2 + gamma wD by roots of size ~sqrt(c1),
 # which overflows near c1 = 1e205; a larger c1 is refused
 _MAX_C1 = 1e200
-# the close pair's slopes divide by nu1^11, which overflows past nu1 ~ 1e28; a larger nu1 = 2 pi kB T / hbar is refused
+# at high temperature every row whose roots lie within nu1/16 of wD/3 takes
+# the circle, whose Q ~ (nu1/4)^3 at the nodes overflows past nu1 ~ 1e103; a
+# larger nu1 = 2 pi kB T / hbar than this is refused, well short of that
 _MAX_NU1 = 1e25
-# a root pair closer than this fraction of nu1 + its midpoint is confluent;
-# for the gamma slopes, whose generic form divides by (x - y)^2, a pair
-# closer than the second fraction is taken by its symmetric form
+# a root pair closer than this fraction of nu1 + its midpoint cancels in its
+# divided difference and takes the circle; in a call that also takes the
+# gamma slopes, whose generic form divides by (x - y)^2, a pair closer than
+# the second fraction does
 _CONFLUENT, _CLOSE_PAIR = 1e-3, 5e-2
-# three roots within this fraction of nu1 + their mean are expanded together
-# (their second divided difference would lose ~ulp/fraction^2), to this order
-_CLUSTER, _CLUSTER_ORDER = 1e-2, 12
+# close roots are summed on a circle about them by the trapezoid rule at
+# this many nodes; with the roots inside a quarter of its radius and the
+# nearest singularity outside at four radii, it converges as 4^-K
+_CIRCLE_NODES = 32
+_CIRCLE = np.exp(2j * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES)
+# the rule's truncation per unit of the mean |term|: the roots alias into
+# it a second divided difference of u^K (psi - psi(c)), below C(K+2, 2)
+# (1/4)^(K-1) times psi' over the radius, and the outer singularity less;
+# this charges 4 times that, and a slope sum's double poles a factor K + 2 more
+_CIRCLE_TAIL = math.comb(_CIRCLE_NODES + 2, 2) * 4.0 ** (2 - _CIRCLE_NODES)
 # Gauss-Legendre rule for ln Gamma differences over short steps: its nodes
 # mapped from [-1, 1] to [0, 1], and its weights
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -134,54 +144,6 @@ def _drude_poles(w2, wd, damping):
     return r, x, y, m, q
 
 
-def _cluster_differences(s2, s3, mid, nu1: float, spread, ds=None):
-    """psi[x, y, r] and ((l - mid) psi)[x, y, r], with psi = psi(1 + l/nu1),
-    for three near-equal roots, each with its error, elementwise over arrays.
-
-    With psi = sum_k a_k t^k about the mean root, t = (l - mid)/nu1, the second
-    divided difference of t^k over the roots is the complete homogeneous
-    polynomial h_{k-2} of their t. The t sum to zero, and their other
-    elementary symmetric functions are s2/nu1^2 and s3/nu1^3, with s2 and s3
-    taken from P shifted to mid, so no difference of roots is formed.
-    ``spread`` is the largest |t|, which bounds |h_j| by C(j+2, 2) spread^j.
-
-    Returns the two (value, error) pairs, and with ``ds``, the gamma slopes
-    (ds2, ds3) of s2 and s3, the two sums' slopes as a second pair of pairs
-    (None without): mid does not move with gamma, so only the h_j do. Their generating function
-    1/(1 + e2 z^2 - e3 z^3) bounds |dh_j| by |de2| C(j+3, 5) spread^(j-2) +
-    |de3| C(j+2, 5) spread^(j-3).
-    """
-    k = np.arange(1, _CLUSTER_ORDER + 2)
-    a = polygamma(k, 1 + mid[:, None] / nu1) / np.cumprod(k)  # a_1 .. a_{K+1}, one row each
-    e2, e3 = s2 / nu1**2, s3 / nu1**3
-    h = [np.ones_like(e2), np.zeros_like(e2)]
-    for j in range(2, _CLUSTER_ORDER - 1):
-        h.append(e3 * h[j - 3] - e2 * h[j - 2] if j > 2 else -e2)
-
-    def sums(h, tail):
-        # the two series over the h_j, each with its first omitted term, doubled
-        h = np.stack(h, axis=1)
-        terms2, terms1 = a[:, 1:-1] * h, a[:, :-2] * h
-        d2 = terms2.sum(axis=1) / nu1**2
-        d1 = terms1.sum(axis=1) / nu1
-        e_2 = (abs(a[:, -1]) * tail + _ROUND * abs(terms2).sum(axis=1)) / nu1**2
-        e_1 = (abs(a[:, -2]) * tail + _ROUND * abs(terms1).sum(axis=1)) / nu1
-        return (d2, e_2), (d1, e_1)
-
-    # 2 C(K+1, 2) spread^(K-1) bounds 2 |h_{K-1}|
-    values = sums(h, (_CLUSTER_ORDER + 1) * _CLUSTER_ORDER * spread ** (_CLUSTER_ORDER - 1))
-    if ds is None:
-        return values, None
-    de2, de3 = ds[0] / nu1**2, ds[1] / nu1**3
-    dh = [np.zeros_like(e2), np.zeros_like(e2)]
-    for j in range(2, _CLUSTER_ORDER - 1):
-        dh.append(de3 * h[j - 3] + e3 * dh[j - 3] - de2 * h[j - 2] - e2 * dh[j - 2] if j > 2 else -de2)
-    n = _CLUSTER_ORDER - 1  # the first omitted order; its bound, doubled
-    tail = 2 * abs(de2) * math.comb(n + 3, 5) * spread ** (n - 2)
-    tail += 2 * abs(de3) * math.comb(n + 2, 5) * spread ** (n - 3)
-    return values, sums(dh, tail)
-
-
 def _shifted(z, nu1: float):
     """1 + z/nu1, dividing the real and imaginary parts by nu1 separately."""
     return (1 + z.real / nu1) + 1j * (z.imag / nu1)
@@ -194,45 +156,45 @@ def _ratio(terms, err, den):
     return sum(terms) / den, (2 * _ROUND * sum(abs(t) for t in terms) + err) / abs(den)
 
 
-def _pair_slopes(m, q, r, vr, c0, nu1: float, psi_r, psi1_r, mean, mean_m, d_xy, e_xy):
-    """psi[x, y, r] and ((l - m) psi)[x, y, r], with psi = psi(1 + l/nu1), and
-    their gamma slopes, each with its error, for a close pair x, y =
-    m +- sqrt(q), elementwise; and the slope m' of the pair's midpoint.
+def _circle_sums(centre, coefs, scales, radius, nu1: float, wd, slopes: bool):
+    """psi(c) and the contour integrals (1/2 pi i) oint g(t) (psi(t) -
+    psi(c)) / Q(t) dt for g = 1 and g = t - c, with psi = psi(1 + t/nu1),
+    over the circles |t - c| = ``radius`` about the centres c, elementwise;
+    with ``slopes`` also their gamma slopes at fixed c, the same integrals
+    with the extra weight -wD t / Q, since dQ/dgamma = wD t. Each integral
+    is a (value, error) pair.
 
-    With A and B = psi[x, y] the mean and the divided difference of psi over
-    the pair, both even in sqrt(q), the two sums are (psi_r - A - B (r - m))/
-    Q'(r) and ((r - m)(psi_r - A) - q B)/Q'(r), with Q'(r) = (r - m)^2 - q.
-    By Vieta (m = (wD - r)/2, xy = c0/r) the pair moves as m' = -r'/2 and
-    q' = r' (c0/r^2 - m), so no slope divides by x - y. ``mean`` is A,
-    ``mean_m`` its m derivative psi' averaged over the pair, and the series
-    of psi^(2..9) at m in q give dA/dq, dB/dm and dB/dq, with their first
-    omitted terms, in psi^(10) and psi^(11), doubled to bound the rest;
-    ``psi1_r`` is psi' at r.
+    Around all three roots an integral is (g psi)[x, y, r], and psi(c), whose
+    divided difference is zero, is subtracted so that the nodes sum what is
+    left. Q(c + u) = u^3 + a2 u^2 + a1 u + a0 with ``coefs`` (a2, a1, a0),
+    each rounded on its entry of ``scales``. Each integral is the trapezoid
+    rule at _CIRCLE_NODES nodes; its error charges each node's psi and Q
+    their rounding, and the whole its truncation.
     """
-    k = np.arange(2, 12)[:, None]
-    p2, p3, p4, p5, p6, p7, p8, p9, p10, p11 = polygamma(k, 1 + m / nu1) / nu1**k  # psi^(k) in l at m
-    rm, q2, q3, q4 = r - m, q * q, q * q * q, q * q * q * q
-    vm, vq = -vr / 2, vr * (c0 / (r * r) - m)
-    a_q = p2 / 2 + p4 * q / 12 + p6 * q2 / 240 + p8 * q3 / 10080
-    b_m = p2 + p4 * q / 6 + p6 * q2 / 120 + p8 * q3 / 5040
-    b_q = p3 / 6 + p5 * q / 60 + p7 * q2 / 1680 + p9 * q3 / 90720
-    d_a, e_a = _ratio((mean_m * vm, a_q * vq), abs(p10 * q4 * vq) / 362880, 1.0)
-    d_b, e_b = _ratio((b_m * vm, b_q * vq), abs(p10 * q4 * vm) / 181440 + abs(p11 * q4 * vq) / 3991680, 1.0)
-    den = rm * rm - q
-    g3, e_g3 = _ratio((psi_r, -mean, -d_xy * rm), 4 * _ROUND + e_xy * abs(rm), den)
-    g2, e_g2 = _ratio((rm * psi_r, -rm * mean, -q * d_xy), 4 * _ROUND * abs(rm) + e_xy * abs(q), den)
-    d_den, v_rm = 2 * rm * (vr - vm) - vq, vr - vm
-    dg3, e_dg3 = _ratio(
-        (psi1_r * vr, -d_a, -d_b * rm, -d_xy * v_rm, -g3 * d_den),
-        e_a + e_b * abs(rm) + e_xy * abs(v_rm) + e_g3 * abs(d_den),
-        den,
-    )
-    dg2, e_dg2 = _ratio(
-        (v_rm * psi_r, -v_rm * mean, rm * psi1_r * vr, -rm * d_a, -vq * d_xy, -q * d_b, -g2 * d_den),
-        4 * _ROUND * abs(v_rm) + abs(rm) * e_a + abs(vq) * e_xy + abs(q) * e_b + e_g2 * abs(d_den),
-        den,
-    )
-    return vm, (g3, e_g3), (g2, e_g2), (dg3, e_dg3), (dg2, e_dg2)
+    u = radius[:, None] * _CIRCLE
+    t = centre[:, None] + u
+    p = psi(np.concatenate([_shifted(t.ravel(), nu1), 1 + centre / nu1]))
+    psi_c, p = p[u.size :].real, p[: u.size].reshape(u.shape)
+    dpsi, e_psi = p - psi_c[:, None], _ROUND * (abs(p) + 1)
+    a2, a1, a0 = (a[:, None] for a in coefs)
+    rho = radius[:, None]
+    q = ((u + a2) * u + a1) * u + a0
+    e_q = _ROUND * (((rho + abs(a2)) * rho + abs(a1)) * rho + abs(a0)) / abs(q)  # Horner's, relative
+    weights = [u / q, u * u / q]
+    if slopes:
+        weights += [-wd[:, None] * t / q * weight for weight in weights]
+    sums = []
+    for k, weight in enumerate(weights):
+        terms = weight * dpsi
+        powers = 1 if k < 2 else 2  # of 1/Q
+        tail = _CIRCLE_TAIL * (_CIRCLE_NODES + 2) ** (powers - 1)
+        err = (abs(weight) * e_psi + abs(terms) * (powers * e_q + 2 * _ROUND + tail)).mean(axis=1)
+        # a coefficient's rounding moves every node alike: by its scale times
+        # the sum's derivative in it, -powers sum(terms u^j / Q)
+        for scale, power in zip(scales, (u * u, u, 1)):
+            err += powers * _ROUND * scale * abs((terms * power / q).mean(axis=1))
+        sums.append((terms.mean(axis=1).real, err))
+    return psi_c, sums
 
 
 class _Slopes(NamedTuple):
@@ -262,16 +224,16 @@ def _matsubara_moments(
     """f1 and f2 from the digamma closed form, elementwise over a 1-d array of
     gamma and, per element or shared, mass, w and wD, at one temperature.
 
-    Each element takes its own branch (three near-equal roots, a confluent
-    pair, the generic divided differences, or gamma = 0) and its own rounding
-    gate: the first element whose estimate exceeds ``rel_tol`` raises. With
+    Each element takes its own branch (a contour integral around close
+    roots, the generic divided differences, or gamma = 0) and its own
+    rounding gate: the first element whose estimate exceeds ``rel_tol`` raises. With
     ``free_energy`` the roots, solved once, also give each element's coupling
     free energy, returned as a third list once all moments pass their gate.
     With ``slopes`` the same roots and psi values give the exact gamma
     derivatives at fixed M, returned with the moments as ``_Slopes`` with
-    their propagated rounding estimates: the roots move as l' = -wD l / Q'(l),
-    Q(l) = l^3 - wD l^2 + c1 l - c0, and each branch differentiates its own
-    form of the two sums.
+    their propagated rounding estimates: the generic rows differentiate their
+    divided differences as the roots move, l' = -wD l / Q'(l) with Q(l) =
+    l^3 - wD l^2 + c1 l - c0, and the contour rows their integrals.
     """
     damping = np.asarray(damping, dtype=float)
     mass, w, wd = (np.full(damping.shape, v, dtype=float) for v in (mass, frequency, cutoff))
@@ -283,12 +245,8 @@ def _matsubara_moments(
     w2 = w * w
     r, x, y, m, q = _drude_poles(w2, wd, damping)
     c1 = w2 + damping * wd
-    mid = wd / 3  # the mean of the three roots
-    spread = np.maximum(np.maximum(abs(r - mid), abs(x - mid)), abs(y - mid))
-    cluster = spread <= _CLUSTER * (nu1 + mid)
-    node = np.where(cluster, mid, x)
     # divided differences of psi(1 + l/nu1) over the roots, with rounding
-    # errors; the cluster rows are replaced below. One psi call serves all
+    # errors; the close-root rows are replaced below. One psi call serves all
     # roots and the free energy's nodes
     n = len(r)
     args = _shifted(np.concatenate([r, y, x]), nu1)
@@ -297,33 +255,63 @@ def _matsubara_moments(
         args = np.concatenate([args, 1 + nodes.ravel()])
     p = psi(args)
     pr, py, px = p[:n].real, p[n : 2 * n], p[2 * n : 3 * n]
+    if slopes:  # psi' in l at each root
+        g1 = trigamma(args) / nu1
+        g1r, g1y, g1x = g1[:n], g1[n : 2 * n], g1[2 * n :]
     with np.errstate(divide="ignore", invalid="ignore"):
         d_yr = (py - pr) / (y - r)
         e_yr = _ROUND * (abs(py) + abs(pr) + 2) / abs(y - r)
         d_xy = (px - py) / (x - y)
         e_xy = _ROUND * (abs(px) + abs(py) + 2) / abs(x - y)
-        i = (~cluster & ~(abs(x - y) > _CONFLUENT * (nu1 + m))).nonzero()[0]
-        if i.size:  # confluent pair: Taylor series about its real midpoint, in q = ((x - y)/2)^2
-            p1, p3, p5 = polygamma([[1], [3], [5]], 1 + m[i] / nu1)
-            d_xy[i] = p1 / nu1 + p3 * q[i] / (6 * nu1**3)
-            e_xy[i] = abs(p5 * q[i] * q[i] / (120 * nu1**5)) + _ROUND * abs(d_xy[i])
         d_xyr = (d_yr - d_xy) / (r - x)
         e_xyr = (e_yr + e_xy + _ROUND * (abs(d_yr) + abs(d_xy))) / abs(r - x)
-    i = cluster.nonzero()[0]
-    if i.size:
-        # the roots less mid have elementary symmetric functions 0, s2 and s3 = P(-mid),
-        # whose gamma slopes are wD and -mid wD
-        s2 = c1[i] - 3 * mid[i] * mid[i]
-        s3 = w2[i] * wd[i] - mid[i] * (c1[i] - mid[i] * (wd[i] - mid[i]))
-        ds = (wd[i], -mid[i] * wd[i]) if slopes else None
-        ((d_xyr[i], e_xyr[i]), (d_yr[i], e_yr[i])), cluster_slopes = _cluster_differences(
-            s2, s3, mid[i], nu1, spread[i] / nu1, ds
-        )
+    # rows whose divided differences would cancel take the circle about their
+    # close roots instead, of radius D/4 where they lie within D/16 of its
+    # centre c: three roots about their mean wD/3, with psi's pole at D =
+    # nu1 + wD/3; or a close pair about its midpoint m, with r's residue added
+    # and D = min(nu1 + m, |r - m|), where a close pair lies within (nu1 + m)/16
+    mid = wd / 3
+    spread = np.maximum(np.maximum(abs(r - mid), abs(x - mid)), abs(y - mid))
+    triple = 16 * spread <= nu1 + mid
+    pair = abs(x - y) <= (_CLOSE_PAIR if slopes else _CONFLUENT) * (nu1 + m)
+    if pair.any():
+        pair &= 16 * np.sqrt(abs(q)) <= abs(r - m)
+    circle = (triple | pair).nonzero()[0]
+    node = x
+    if circle.size:  # at the node c, fixed as gamma moves
+        t = triple[circle]
+        cc, wdi, c1i, c0i = np.where(t, mid[circle], m[circle]), wd[circle], c1[circle], w2[circle] * wd[circle]
+        # Q about c from its coefficients, each with the scale it rounds on
+        coefs = (3 * cc - wdi, c1i - cc * (2 * wdi - 3 * cc), cc * (c1i - cc * (wdi - cc)) - c0i)
+        scales = (3 * cc + wdi, c1i + cc * (2 * wdi + 3 * cc), c0i + cc * (c1i + cc * (wdi + cc)))
+        reach = np.where(t, nu1 + cc, np.minimum(nu1 + cc, abs(r[circle] - cc)))
+        psi_c, sums = _circle_sums(cc, coefs, scales, reach / 4, nu1, wdi, slopes)
+        k = (~t).nonzero()[0]
+        if k.size:  # r's residue g(r) (psi(r) - psi(m)) / Q'(r), and its slope through r' = -wD r / Q'(r)
+            j = circle[k]
+            rm = r[j] - m[j]
+            den = rm * rm - q[j]
+            dpsi, e_psi = pr[j] - psi_c[k], _ROUND * (abs(pr[j]) + 1)
+            res3, res2 = _ratio((dpsi,), e_psi, den), _ratio((rm * dpsi,), abs(rm) * e_psi, den)
+            residues = [res3, res2]
+            if slopes:
+                vr, psi1 = -wd[j] * r[j] / den, g1r[j].real
+                d_den = 4 * rm * vr + wd[j]  # the slope of Q'(r): Q''(r) r' + wD, with Q''(r) = 4 (r - m)
+                residues.append(_ratio((psi1 * vr, -res3[0] * d_den), res3[1] * abs(d_den), den))
+                residues.append(
+                    _ratio((vr * dpsi, rm * psi1 * vr, -res2[0] * d_den), e_psi * abs(vr) + res2[1] * abs(d_den), den)
+                )
+            for (value, err), (res, res_err) in zip(sums, residues):
+                value[k] += res
+                err[k] += res_err
+        node = x.copy()
+        node[circle] = cc
+        (d_xyr[circle], e_xyr[circle]), (d_yr[circle], e_yr[circle]) = sums[:2]
 
     def bracket(lead, n_node, slope):
         # sum_i N(l_i) psi_i / prod_{j!=i}(l_j - l_i) = (N psi)[x, y, r], and
         # for linear N Leibniz gives N(node) psi[x, y, r] + N' d_yr, with
-        # d_yr = psi[y, r] at node x and ((l - mid) psi)[x, y, r] at node mid;
+        # d_yr = psi[y, r] at node x and ((l - c) psi)[x, y, r] at node c;
         # Re(N(node) psi[x, y, r]) is spelled out in real arithmetic, because
         # numpy's complex array product fuses its multiply-adds and would not
         # round as the one-point form does
@@ -346,9 +334,7 @@ def _matsubara_moments(
     if not slopes:
         return f1, f2
 
-    # the slopes: psi' in l at each root, and each root's slope l' = -wD l / Q'(l)
-    g1 = trigamma(args) / nu1
-    g1r, g1y, g1x = g1[:n], g1[n : 2 * n], g1[2 * n :]
+    # the slopes: each root's slope l' = -wD l / Q'(l)
     with np.errstate(divide="ignore", invalid="ignore"):
         vx = -wd * x / ((x - y) * (x - r))
         vy = wd * y / ((x - y) * (y - r))
@@ -357,37 +343,27 @@ def _matsubara_moments(
         dg2, e_dg2 = _ratio((g1y * vy, -g1r * vr, -d_yr * (vy - vr)), e_yr * abs(vy - vr), y - r)
         d_xy_s, e_xy_s = _ratio((g1x * vx, -g1y * vy, -d_xy * (vx - vy)), e_xy * abs(vx - vy), x - y)
         dg3, e_dg3 = _ratio((dg2, -d_xy_s, -d_xyr * (vr - vx)), e_dg2 + e_xy_s + e_xyr * abs(vr - vx), r - x)
-    g3, e_g3, g2, e_g2, v_node, s_node = d_xyr.copy(), e_xyr.copy(), d_yr.copy(), e_yr.copy(), vx.copy(), node.copy()
-    i = (~cluster & ~(abs(x - y) > _CLOSE_PAIR * (nu1 + m))).nonzero()[0]
-    if i.size:  # at node m, symmetric in the pair
-        v_r = -wd[i] * r[i] / ((r[i] - m[i]) ** 2 - q[i])
-        mean, mean_m = ((px[i] + py[i]) / 2).real, ((g1x[i] + g1y[i]) / 2).real
-        args_i = (m[i], q[i], r[i], v_r, w2[i] * wd[i], nu1, pr[i], g1r[i].real, mean, mean_m, d_xy[i].real, e_xy[i])
-        v_node[i], *sums = _pair_slopes(*args_i)
-        s_node[i] = m[i]
-        for (value, err), out, out_err in zip(sums, (g3, g2, dg3, dg2), (e_g3, e_g2, e_dg3, e_dg2)):
-            out[i], out_err[i] = value, err
-    i = cluster.nonzero()[0]
-    if i.size:  # at the fixed node mid
-        (dg3[i], e_dg3[i]), (dg2[i], e_dg2[i]) = cluster_slopes
-        v_node[i] = 0.0
+    v_node = vx.copy()
+    if circle.size:
+        (dg3[circle], e_dg3[circle]), (dg2[circle], e_dg2[circle]) = sums[2:]
+        v_node[circle] = 0.0
 
     def bracket_slope(n_node, n_scale, dn_node, dn_scale, slope, dslope):
         # d/dgamma of N(node) psi[x, y, r] + N' ((l - node) psi)[x, y, r], the
         # node moving with its slope; the scales bound N and dN's rounding
-        total = dn_node * g3 + n_node * dg3 + dslope * g2 + slope * dg2
+        total = dn_node * d_xyr + n_node * dg3 + dslope * d_yr + slope * dg2
         err = (
-            dn_scale * (e_g3 + _ROUND * abs(g3))
+            dn_scale * (e_xyr + _ROUND * abs(d_xyr))
             + n_scale * (e_dg3 + _ROUND * abs(dg3))
-            + abs(dslope) * (e_g2 + _ROUND * abs(g2))
+            + abs(dslope) * (e_yr + _ROUND * abs(d_yr))
             + abs(slope) * (e_dg2 + _ROUND * abs(dg2))
         )
         return -2 / nu1 * total.real, 2 / nu1 * err
 
-    ds1, e_ds1 = bracket_slope(wd - s_node, wd + abs(s_node), -v_node, abs(v_node), -1.0, 0.0)
+    ds1, e_ds1 = bracket_slope(wd - node, wd + abs(node), -v_node, abs(v_node), -1.0, 0.0)
     ds2, e_ds2 = bracket_slope(
-        w2 * wd - c1 * s_node, w2 * wd + c1 * abs(s_node), -wd * s_node - c1 * v_node,
-        wd * abs(s_node) + c1 * abs(v_node), -c1, -wd,
+        w2 * wd - c1 * node, w2 * wd + c1 * abs(node), -wd * node - c1 * v_node,
+        wd * abs(node) + c1 * abs(v_node), -c1, -wd,
     )
     return _Slopes(
         f1, f2, ds1 / (mass * beta), mass / beta * ds2,
@@ -527,7 +503,9 @@ def _coupling_steps(w, wd, damping, r, x, y, nu1: float):
     cancellation of l - mu. Its step (y, h) = (mu, l - mu)/nu1 contributes
     ln Gamma(1 + y + h) - ln Gamma(1 + y) - psi(1) h. An underdamped pair is
     conjugate, as its limits are, and so are its steps: only the first is
-    listed. A step is short when 8 |h| < |1 + y|.
+    listed. A step is short when 8 |h| < |1 + y|; a long one carries the
+    argument z = 1 + y + h of its ln Gamma, or 1 + l/nu1 where rounding
+    cancelled every digit of that sum, and a short one None.
     """
     points = []
     for k, g in enumerate(damping):
@@ -540,9 +518,12 @@ def _coupling_steps(w, wd, damping, r, x, y, nu1: float):
             j, l = _OTHER_ROOTS[i]
             shift = -g * wd[k] * lam[i] / ((lam[i] - mu[j]) * (lam[i] - mu[l]))
             y_i, h_i = mu[i] / nu1, shift / nu1
-            steps.append((y_i, h_i, 8 * abs(h_i) < abs(1 + y_i)))
+            z_i = None if 8 * abs(h_i) < abs(1 + y_i) else 1 + y_i + h_i
+            if z_i is not None and abs(z_i) < _ROUND * abs(h_i):  # rounding cancelled every digit of 1 + y + h
+                z_i = _shifted(lam[i], nu1)
+            steps.append((y_i, h_i, z_i))
         points.append((k, g, steps))
-    short = [(y_i, h_i) for _, _, steps in points for y_i, h_i, is_short in steps if is_short]
+    short = [(y_i, h_i) for _, _, steps in points for y_i, h_i, z_i in steps if z_i is None]
     y_short, h_short = np.array(short, dtype=complex).reshape(-1, 2, 1).transpose(1, 0, 2)
     return points, h_short[:, 0], y_short + h_short * _GL_NODES
 
@@ -568,14 +549,17 @@ def _free_energies(
     integrals = iter(zip(sums.tolist(), (_ROUND * abs(h) * scale.max(axis=1)).tolist()))
     beta = 1.0 / (c.kB * temperature)
     values, errors = {}, []  # beta F_MF difference and its error, per damped point
+    lngamma = {}  # ln Gamma(1 + y) per gamma = 0 limit y, which the points of a call share
     for k, g, steps in points:
         terms = []
-        for y, h_i, is_short in steps:
-            if is_short:
+        for y, h_i, z in steps:
+            if z is None:
                 terms.append(next(integrals))
             else:
-                z = 1 + y + h_i  # 1 + l/nu1, Re >= 1; below that, rounding cancelled every digit
-                hi, lo = loggamma(z) if z.real >= 1 else complex(math.nan), loggamma(1 + y)
+                if y not in lngamma:
+                    lngamma[y] = loggamma(1 + y)
+                # z = 1 + l/nu1 has Re >= 1; below that, rounding cancelled every digit
+                hi, lo = loggamma(z) if z.real >= 1 else complex(math.nan), lngamma[y]
                 err = _ROUND * (abs(hi) + abs(lo) + abs(z) + abs(1 + y) + abs(h_i))
                 terms.append((hi - lo + np.euler_gamma * h_i, err))
         if len(steps) == 2:  # the conjugate pair's second step

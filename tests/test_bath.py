@@ -150,7 +150,7 @@ def critical_damping(cutoff, branch):
 def mixed_branch_points():
     """(mass, gamma, w, wD) covering every branch of the kernel: generic,
     a confluent pair on either side of both critical dampings at wD = 50
-    (gamma_c (1 +- 1e-6) takes the pair's series at T = 1, gamma_c (1 +- 1e-10)
+    (gamma_c (1 +- 1e-6) takes the circle at T = 1, gamma_c (1 +- 1e-10)
     at every T here), near the triple root of P (wD = 3 sqrt(3) w, gamma =
     8 sqrt(3)/9 w) at two frequencies, and gamma = 0."""
     near_critical = [
@@ -332,6 +332,12 @@ class TestCouplingFreeEnergy:
         ref = 2 * partial(4_000_000) - partial(2_000_000)
         assert coupling_free_energy(OSC, b, C) == pytest.approx(ref, rel=1e-6)
 
+    def test_a_root_far_below_its_limit_matches_the_referee(self):
+        # at T = 1e-30, gamma = 1e30, wD = 10 the real root moves from wD to
+        # ~1e-30: forming 1 + y + h from y = wD/nu1 ~ 1.6e30 cancels every digit
+        free = mpmath_referee(1e-30, 1e30, 10.0)[2]
+        assert abs(coupling_free_energy(OSC, BathSpec(1e-30, 1e30, 10.0), C) - free) <= 1e-8 * abs(free)
+
     @pytest.mark.parametrize("temperature", [1e6, 1e8])
     @pytest.mark.parametrize("damping, cutoff", [(0.01, 10.0), (50.0, 1000.0)])
     def test_high_temperature_matches_direct_sum(self, temperature, damping, cutoff):
@@ -496,16 +502,30 @@ def log_spread():
     )
 
 
+@pytest.mark.filterwarnings("ignore:Drude cutoff")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(point=near_confluent())
+def test_near_confluent_moments_within_their_estimates(point):
+    # never refused: close roots take the contour sums, whose estimates the
+    # slope-reading kernel call returns with the moments
+    temperature, damping, cutoff = point
+    f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
+    s = _matsubara_moments(1.0, [damping], 1.0, cutoff, temperature, C, slopes=True)
+    assert abs(s.f1[0] - f1) <= s.f1_error[0]
+    assert abs(s.f2[0] - f2) <= s.f2_error[0]
+
+
 class TestMomentDerivatives:
     @pytest.mark.filterwarnings("ignore:Drude cutoff")
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(point=st.one_of(log_spread(), near_confluent()))
+    @given(point=st.one_of(log_spread().map(lambda p: (*p, False)), near_confluent().map(lambda p: (*p, True))))
     def test_within_their_estimates_or_refused(self, point):
         # the exact derivatives against the referee's Matsubara sums: along
         # gamma, and along M at fixed microscopic coupling, df/dM = -f/M -
         # (gamma/M) df/dgamma for f1 and +f/M - ... for f2; each value within
-        # its own error estimate, or NumericalFailure
-        temperature, damping, cutoff = point
+        # its own error estimate, or NumericalFailure, which near-confluent
+        # roots never raise
+        temperature, damping, cutoff, close = point
         b = BathSpec(temperature, damping, cutoff)
         dg1, dg2 = mpmath_slope_referee(temperature, damping, cutoff)
         f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
@@ -513,6 +533,7 @@ class TestMomentDerivatives:
             try:
                 d = moment_derivatives(OSC, b, alpha, C)
             except NumericalFailure:
+                assert not close
                 continue
             assert abs(d.df1 - ref1) <= d.df1_error
             assert abs(d.df2 - ref2) <= d.df2_error

@@ -36,8 +36,9 @@ def log_spread_complex(rng, n, top):
 
 
 def test_psi_at_complex_arguments():
-    # the kernel's divided differences charge each psi value _ROUND (|psi| + 1)
-    z = log_spread_complex(np.random.default_rng(RNG_SEED), 4000, 1e8)
+    # the kernel's divided differences and contour sums charge each psi value
+    # _ROUND (|psi| + 1); the contour nodes reach Re z = 3/4
+    z = log_spread_complex(np.random.default_rng(RNG_SEED), 4000, 1e8) - 0.25
     ref = np.array([complex(mpmath.digamma(mpmath.mpc(v.real, v.imag))) for v in z])
     ours = np.max(abs(_special.psi(z) - ref) / (abs(ref) + 1))
     theirs = np.max(abs(sc.psi(z) - ref) / (abs(ref) + 1))
@@ -56,26 +57,6 @@ def test_trigamma_at_complex_arguments():
     assert ours <= _ROUND
 
 
-@pytest.mark.parametrize("n", range(1, 14))
-def test_polygamma_at_real_arguments(n):
-    # the cluster series charges each term _ROUND times its size
-    x = 10 ** np.random.default_rng([RNG_SEED, n]).uniform(0, 8, 400)
-    ref = np.array([float(mpmath.polygamma(n, v)) for v in x])
-    ours = np.max(abs(_special.polygamma(n, x) - ref) / abs(ref))
-    theirs = np.max(abs(sc.polygamma(n, x) - ref) / abs(ref))
-    print(f"psi^({n}): worst {ours / EPS:.2f} ulps, scipy.special {theirs / EPS:.2f}")
-    assert ours <= _ROUND
-    assert ours <= theirs
-
-
-def test_polygamma_broadcasts_orders_over_arguments():
-    x = np.array([1.0, 2.5, 40.0])
-    table = _special.polygamma(np.arange(1, 6)[:, None], x)
-    assert table.shape == (5, 3)
-    for n in range(1, 6):
-        assert np.array_equal(table[n - 1], _special.polygamma(n, x))
-
-
 def test_zeta_at_integers():
     s = np.arange(2, 21)
     ref = np.array([float(mpmath.zeta(int(k))) for k in s])
@@ -86,7 +67,7 @@ def test_zeta_at_integers():
 
 
 def kernel_long_steps(n_points):
-    """(y, h) of every step that the free energy differences ln Gamma along,
+    """(y, h, z) of every step that the free energy differences ln Gamma along,
     at log-spread T in [1e-6, 1e3], gamma in [1e-8, 1e3], wD in [5, 1e3]."""
     rng = np.random.default_rng(RNG_SEED)
     steps = []
@@ -94,18 +75,18 @@ def kernel_long_steps(n_points):
         t, g, wd = 10 ** rng.uniform(-6, 3), 10 ** rng.uniform(-8, 3), 10 ** rng.uniform(math.log10(5), 3)
         r, x, y, _, _ = _drude_poles(np.array([1.0]), wd, np.array([g]))
         points, _, _ = _coupling_steps([1.0], [wd], [g], r.tolist(), x.tolist(), y.tolist(), 2 * math.pi * t)
-        steps += [(y_i, h_i) for _, _, point in points for y_i, h_i, short in point if not short]
+        steps += [step for _, _, point in points for step in point if step[2] is not None]
     return steps
 
 
 def test_lngamma_differences_at_the_kernel_steps():
-    # the free energy charges Re[ln Gamma(1 + y + h) - ln Gamma(1 + y)]
-    # _ROUND (|hi| + |lo| + |1 + y + h| + |1 + y| + |h|)
+    # the free energy charges Re[ln Gamma(z) - ln Gamma(1 + y)], z = 1 + y + h,
+    # _ROUND (|hi| + |lo| + |z| + |1 + y| + |h|)
     steps = kernel_long_steps(1500)
     assert len(steps) > 500
     worst = {"ours": 0.0, "scipy": 0.0}
-    for y, h in steps:
-        a, b = 1 + y + h, 1 + y
+    for y, h, a in steps:
+        b = 1 + y
         ref = float(mpmath.re(mpmath.loggamma(mpmath.mpc(a.real, a.imag)) - mpmath.loggamma(mpmath.mpc(b.real, b.imag))))
         for name, lngamma in (("ours", _special.loggamma), ("scipy", lambda z: complex(sc.loggamma(z)))):
             hi, lo = lngamma(a), lngamma(b)

@@ -42,6 +42,15 @@ INVOCATIONS = (
     ("violation-scan", "--mass-factor", "0.001", "--bits"),
     ("violation-scan", "--mass-factor", "1e-300"),
     ("oracle", "--modes", "64,128"),
+    # close roots: critical damping at wD = 50, the triple root, a damping sweep
+    # whose row 5 sits at critical damping, a checked path that ends there, and
+    # a real root far below its gamma = 0 limit
+    ("moments", "--temperature", "0.05", "--damping", "1.9595831051021968", "--cutoff", "50", "--bits"),
+    ("moments", "--temperature", "0.01", "--damping", "1.5396007178390019", "--cutoff", "5.196152422706632", "--bits"),
+    ("sweep", "--temperature", "0.05", "--cutoff", "50", "--param", "damping", "--start", "0",
+     "--end", "3.9191662102043936", "--bits"),
+    ("resolve", "--temperature", "0.05", "--damping", "1.9595831051021968", "--cutoff", "50", "--bits"),
+    ("resolve", "--temperature", "1e-30", "--damping", "1e30", "--cutoff", "10"),
     # configuration errors: exit code 2, a message and no output file
     ("sweep", "--param", "foo"),
     ("moments", "--temperature", "-1"),
@@ -57,7 +66,6 @@ INVOCATIONS = (
     ("holevo", "--ensemble", str(DATA / "bb84.txt"), "--effort", "1"),
     # numerical failures: exit code 1, one message and no output file
     ("resolve", "--damping", "5e-324"),
-    ("resolve", "--temperature", "1e-30", "--damping", "1e30", "--cutoff", "10"),
     ("resolve", "--temperature", "1e300"),
 )
 
