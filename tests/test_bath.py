@@ -427,6 +427,15 @@ def meets_gate_or_raises(temperature, damping, cutoff):
             pass
 
 
+# the triple root and both critical dampings at three cutoffs, where two or
+# three roots of P merge
+CONFLUENT = [(8 * math.sqrt(3) / 9, 3 * math.sqrt(3))] + [
+    (critical_damping(cutoff, branch), cutoff) for cutoff in (5.5, 50.0, 1000.0) for branch in (0, 1)
+]
+CONFLUENT_IDS = ["triple"] + [f"critical{branch}-{cutoff:g}" for cutoff in (5.5, 50.0, 1000.0) for branch in (0, 1)]
+CONFLUENT_TEMPERATURES = [1e-6, 1e-3, 1.0, 1e3]
+
+
 class TestAdversarialMatsubara:
     """The contract of the digamma route across wide log-ranges of T, gamma and
     wD, at confluent roots and toward T = 0: within the gate, or refused."""
@@ -440,13 +449,8 @@ class TestAdversarialMatsubara:
     def test_within_the_gate_or_refused(self, log_t, log_gamma, log_cutoff):
         meets_gate_or_raises(math.exp(log_t), math.exp(log_gamma), math.exp(log_cutoff))
 
-    @pytest.mark.parametrize("temperature", [1e-6, 1e-3, 1.0, 1e3])
-    @pytest.mark.parametrize(
-        "damping, cutoff",
-        [(8 * math.sqrt(3) / 9, 3 * math.sqrt(3))]
-        + [(critical_damping(cutoff, branch), cutoff) for cutoff in (5.5, 50.0, 1000.0) for branch in (0, 1)],
-        ids=["triple"] + [f"critical{branch}-{cutoff:g}" for cutoff in (5.5, 50.0, 1000.0) for branch in (0, 1)],
-    )
+    @pytest.mark.parametrize("temperature", CONFLUENT_TEMPERATURES)
+    @pytest.mark.parametrize("damping, cutoff", CONFLUENT, ids=CONFLUENT_IDS)
     def test_confluent_roots_within_the_gate_or_refused(self, temperature, damping, cutoff):
         meets_gate_or_raises(temperature, damping, cutoff)
 
@@ -535,6 +539,23 @@ class TestMomentDerivatives:
             except NumericalFailure:
                 assert not close
                 continue
+            assert abs(d.df1 - ref1) <= d.df1_error
+            assert abs(d.df2 - ref2) <= d.df2_error
+
+    @pytest.mark.filterwarnings("ignore:Drude cutoff")
+    @pytest.mark.parametrize("temperature", CONFLUENT_TEMPERATURES)
+    @pytest.mark.parametrize("damping, cutoff", CONFLUENT, ids=CONFLUENT_IDS)
+    def test_at_confluent_roots_within_their_estimates(self, temperature, damping, cutoff):
+        # where the roots merge exactly, the contour sums give the moments and
+        # both slopes within their own estimates and never refuse them
+        b = BathSpec(temperature, damping, cutoff)
+        dg1, dg2 = mpmath_slope_referee(temperature, damping, cutoff)
+        f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
+        s = _matsubara_moments(1.0, [damping], 1.0, cutoff, temperature, C, slopes=True)
+        assert abs(s.f1[0] - f1) <= s.f1_error[0]
+        assert abs(s.f2[0] - f2) <= s.f2_error[0]
+        for alpha, ref1, ref2 in (("damping", dg1, dg2), ("mass", -f1 - damping * dg1, f2 - damping * dg2)):
+            d = moment_derivatives(OSC, b, alpha, C)
             assert abs(d.df1 - ref1) <= d.df1_error
             assert abs(d.df2 - ref2) <= d.df2_error
 
