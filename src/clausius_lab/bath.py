@@ -543,7 +543,10 @@ def _free_energies(
     scale = np.abs(value) + 2
     small = np.abs(nodes) < 0.1
     if small.any():
-        series = nodes * np.polyval(_PSI_SERIES, nodes)
+        poly = _PSI_SERIES[0]  # Horner, as np.polyval does after its exact 0 z + a_0 start
+        for a in _PSI_SERIES[1:]:
+            poly = poly * nodes + a
+        series = nodes * poly
         value, scale = np.where(small, series, value), np.where(small, np.abs(series), scale)
     sums = h / 2 * (value * _GL_WEIGHTS).sum(axis=1)
     integrals = iter(zip(sums.tolist(), (_ROUND * abs(h) * scale.max(axis=1)).tolist()))

@@ -9,6 +9,7 @@ shares code with :mod:`clausius_lab.bath`, which is the point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .gaussian import Constants, Moments, OscillatorParams
 from .bath import BathSpec
 
 _RESIDUAL_TOL = 1e-10
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,8 @@ class DiscreteBath:
 
 def spectral_density(u, o: OscillatorParams, b: BathSpec):
     """Drude-Ohmic J(u) = M gamma u wD^2/(u^2 + wD^2)."""
-    return o.mass * b.damping * u * b.cutoff**2 / (u**2 + b.cutoff**2)
+    wd2 = np.float64(b.cutoff) ** 2  # the bits of a float's ** 2, but inf where that raises OverflowError
+    return o.mass * b.damping * u * wd2 / (u**2 + wd2)
 
 
 def sample_bath(
@@ -68,23 +71,34 @@ def sample_bath(
     require_positive("omega_max", omega_max)
     dw = omega_max / mode_count
     wk = dw * np.arange(1, mode_count + 1)
-    c_sq = (2.0 / np.pi) * wk * spectral_density(wk, o, b) * dw
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        c_sq = (2.0 / np.pi) * wk * spectral_density(wk, o, b) * dw
+    if not np.isfinite(c_sq).all():
+        raise NumericalFailure(
+            "sampled bath couplings overflow float64", cutoff=b.cutoff, damping=b.damping, omega_max=omega_max
+        )
     return DiscreteBath(mode_frequencies=wk, couplings=np.sqrt(c_sq))
 
 
 def default_omega_max(o: OscillatorParams, b: BathSpec) -> float:
     # Drude tail beyond 20x the cutoff contributes negligibly to f2.
-    return 20.0 * max(b.cutoff, o.frequency)
+    omega_max = 20.0 * max(b.cutoff, o.frequency)
+    if omega_max == math.inf:
+        raise NumericalFailure("default omega_max overflows float64", cutoff=b.cutoff, frequency=o.frequency)
+    return omega_max
 
 
-def _arrowhead_residual(head, z, d, eigvals, eigvecs) -> np.ndarray:
+def _arrowhead_residual(head, z, d, eigvals, eigvecs, out=None) -> np.ndarray:
     """S V - V diag(eigvals) for the arrowhead S = [[head, z^T], [z, diag(d)]]
     in O(N^2) (O'Leary & Stewart, J. Comput. Phys. 90, 497 (1990)): the head
     row is head V_0 + z^T V_1: - lambda V_0, and body row j is
-    z_j V_0 + (d_j - lambda) V_j."""
-    residual = eigvecs * (np.append(head, d)[:, None] - eigvals)
+    z_j V_0 + (d_j - lambda) V_j. Formed in ``out`` if given; no temporary
+    is larger than ``_ROW_BLOCK`` rows."""
+    residual = np.subtract.outer(np.append(head, d), eigvals, out=out)
+    residual *= eigvecs
     residual[0] += z @ eigvecs[1:]
-    residual[1:] += np.multiply.outer(z, eigvecs[0])
+    for lo in range(0, z.size, _ROW_BLOCK):
+        residual[1 + lo : 1 + lo + _ROW_BLOCK] += np.multiply.outer(z[lo : lo + _ROW_BLOCK], eigvecs[0])
     return residual
 
 
@@ -105,14 +119,21 @@ def reduced_moments_exact(
     from scipy.linalg import eigh  # on first use: only the oracle loads it
 
     wk = db.mode_frequencies
-    head = (o.mass * o.frequency**2 + np.sum(db.couplings**2 / wk**2)) / o.mass
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        d = wk**2
+        head = (o.mass * np.float64(o.frequency) ** 2 + np.sum(db.couplings**2 / d)) / o.mass
+    if not (np.isfinite(head) and np.isfinite(d[-1])):
+        raise NumericalFailure(
+            "bath stiffness overflows float64", counter_term=float(head), largest_mode_frequency=float(wk[-1])
+        )
     z = -db.couplings / np.sqrt(o.mass)
-    d = wk**2
     stiffness = np.diag(np.append(head, d))
     stiffness[0, 1:] = stiffness[1:, 0] = z
 
+    # the transpose is the same symmetric matrix in Fortran order, so LAPACK
+    # overwrites it in place instead of copying it; the residual reuses it
     try:
-        eigvals, eigvecs = eigh(stiffness)
+        eigvals, eigvecs = eigh(stiffness.T, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigen-decomposition of the bath stiffness failed") from exc
     if eigvals[0] <= 0:
@@ -120,8 +141,12 @@ def reduced_moments_exact(
             "non-positive normal-mode eigenvalue; counter-term is broken",
             smallest_eigenvalue=float(eigvals[0]),
         )
-    norm = np.max(np.abs(eigvals))
-    worst = np.max(np.linalg.norm(_arrowhead_residual(head, z, d, eigvals, eigvecs), axis=0))
+    norm = float(np.max(np.abs(eigvals)))
+    # relative to the matrix norm before squaring, so no square overflows
+    residual = _arrowhead_residual(head, z, d, eigvals, eigvecs, out=stiffness)
+    residual /= norm
+    np.square(residual, out=residual)
+    worst = math.sqrt(np.max(residual.sum(axis=0))) * norm  # a float product: inf, not a warning, on overflow
     require_accurate(
         "eigenvector residual above tolerance", _RESIDUAL_TOL * norm, {"residual": worst}, matrix_norm=norm
     )

@@ -45,7 +45,6 @@ from .gaussian import (
     OscillatorParams,
     _symplectic_v,
     entropy,
-    mean_energy,
     symplectic_param,
 )
 
@@ -135,12 +134,10 @@ def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants) -> li
     potential is its coupling free energy. At gamma = 0 the kernel gives the
     bare Gibbs state, and its free energy of coupling is zero."""
     f1, f2, work = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True)
-    states = []
-    for m_i, p, q, w in zip(mass.tolist(), f1.tolist(), f2.tolist(), work):
-        m = Moments(f1=p, f2=q)
-        osc = OscillatorParams(mass=m_i, frequency=o.frequency)
-        states.append(_State(m, entropy(symplectic_param(m, c)), mean_energy(m, osc), w))
-    return states
+    moments = [Moments(f1=p, f2=q) for p, q in zip(f1.tolist(), f2.tolist())]
+    v = _symplectic_v(f1 * f2, c)
+    energy = f2 / (2 * mass) + mass * o.frequency**2 * f1 / 2  # mean_energy of each point
+    return [_State(m, entropy(v_i), u, w) for m, v_i, u, w in zip(moments, v.tolist(), energy.tolist(), work)]
 
 
 def entropy_change(
@@ -387,7 +384,7 @@ def _steps(
     require_positive("mass_factor", mass_factor)
     path = ProcessPath("mass", o.mass, o.mass * mass_factor)
     mass, damping = _mass_and_damping("mass", o, b, [path.start_value, path.end_value])
-    bare, coupled, end = _states(np.append(o.mass, mass), np.append(0.0, damping), o, b, c)
+    bare, coupled, end = _states(np.concatenate(([o.mass], mass)), np.concatenate(([0.0], damping)), o, b, c)
     coupling = _step(bare, coupled, b.temperature, c)
     mass_step = _step(coupled, end, b.temperature, c, coupled=b.damping > 0)
     if check_coupling:

@@ -5,6 +5,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -148,6 +149,14 @@ class TestScenarios:
         assert rc == 0
         lines = (tmp_path / "oracle.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
+
+    def test_oracle_at_an_extreme_damping_writes_csv_without_a_warning(self, tmp_path):
+        # the stiffness reaches 3.5e301: the residual is scaled by the matrix
+        # norm before it is squared, so no square overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", "--damping", "1e300", "--modes", "8,16", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "oracle.csv").read_text(encoding="utf-8").splitlines()) == 3
 
     def test_sweep_with_svg(self, tmp_path):
         rc = main(
@@ -340,8 +349,18 @@ class TestExitCodes:
             ["resolve", "--damping", "5e-324"],
             ["resolve", "--temperature", "1e300"],
             ["moments", "--temperature", "1e-300", "--damping", "5e-324", "--cutoff", "1e-300"],
+            ["oracle", "--cutoff", "1e150", "--modes", "8,16"],
+            ["oracle", "--cutoff", "1e160", "--modes", "8,16"],
+            ["oracle", "--cutoff", "1e307", "--modes", "8,16"],
         ],
-        ids=["underflowed-free-energy", "temperature-range", "underflowed-spectral"],
+        ids=[
+            "underflowed-free-energy",
+            "temperature-range",
+            "underflowed-spectral",
+            "overflowed-couplings",
+            "overflowed-cutoff-square",
+            "overflowed-omega-max",
+        ],
     )
     def test_a_missed_accuracy_target_exits_1_with_one_line(self, tmp_path, capsys, args):
         out = tmp_path / "out"

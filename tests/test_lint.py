@@ -61,13 +61,16 @@ def test_every_private_module_name_is_referenced():
 # every accuracy target is gated by errors.require_accurate; NumericalFailure
 # is raised directly only there and at the refusals that compare no estimate
 # with a target: the closed form's damping and temperature ranges, the
-# tanh-sinh status, and the oracle's failed eigensolve and negative eigenvalue
+# tanh-sinh status, the oracle's failed eigensolve and negative eigenvalue,
+# and the oracle's float64 range: omega_max, the couplings and the stiffness
 DIRECT_REFUSALS = {
     ("errors.py", "require_accurate"): 1,
     ("bath.py", "_drude_poles"): 1,
     ("bath.py", "_matsubara_moments"): 1,
     ("process.py", "_checked_entropy_change"): 1,
-    ("oracle.py", "reduced_moments_exact"): 2,
+    ("oracle.py", "default_omega_max"): 1,
+    ("oracle.py", "sample_bath"): 1,
+    ("oracle.py", "reduced_moments_exact"): 3,
 }
 
 

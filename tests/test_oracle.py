@@ -1,6 +1,8 @@
 """Unit tests for the discrete-bath brute-force oracle."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +137,14 @@ class TestReducedMoments:
         assert m.f1 == pytest.approx(f1_ref, rel=1e-6)
         assert m.f2 == pytest.approx(f2_ref, rel=1e-6)
 
+    def test_a_stiffness_beyond_float64_is_refused_without_a_warning(self):
+        # the counter-term c^2 / w^2 = 1e400 is not representable
+        db = DiscreteBath(np.array([1.0]), np.array([1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="bath stiffness overflows float64"):
+                reduced_moments_exact(db, OSC, 1.0, C)
+
     def test_rejects_nonpositive_temperature(self):
         db = DiscreteBath(np.array([1.0]), np.array([0.1]))
         with pytest.raises(ValueError):
@@ -172,8 +182,8 @@ class TestArrowheadCheck:
     def test_perturbed_eigenvector_raises(self, monkeypatch):
         true_eigh = scipy.linalg.eigh
 
-        def perturbed(a):
-            vals, vecs = true_eigh(a)
+        def perturbed(a, **kwargs):
+            vals, vecs = true_eigh(a, **kwargs)
             vecs[:, 5] += 1e-6
             return vals, vecs
 
@@ -182,6 +192,20 @@ class TestArrowheadCheck:
             reduced_moments_exact(sample_bath(self.B, OSC, 64, 2000.0), OSC, 1.0, C)
         diag = info.value.diagnostics
         assert diag["residual"] > 1e-10 * diag["matrix_norm"] > 0
+
+    def test_a_rung_holds_two_matrices(self):
+        # eigh overwrites the stiffness in place and the residual is formed in
+        # that buffer: the eigenvectors and it are the only (N+1)^2 arrays
+        n = 1024
+        reduced_moments_exact(sample_bath(self.B, OSC, 8, 2000.0), OSC, 1.0, C)  # LAPACK bound before tracing
+        db = sample_bath(self.B, OSC, n, 2000.0)
+        tracemalloc.start()
+        try:
+            reduced_moments_exact(db, OSC, 1.0, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * (n + 1) ** 2
 
     def test_moments_match_inline_dense_assembly(self):
         db = sample_bath(self.B, OSC, 256, 2000.0)

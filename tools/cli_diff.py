@@ -42,6 +42,7 @@ INVOCATIONS = (
     ("violation-scan", "--mass-factor", "0.001", "--bits"),
     ("violation-scan", "--mass-factor", "1e-300"),
     ("oracle", "--modes", "64,128"),
+    ("oracle",),
     # close roots: critical damping at wD = 50, the triple root, a damping sweep
     # whose row 5 sits at critical damping, a checked path that ends there, and
     # a real root far below its gamma = 0 limit
@@ -67,6 +68,11 @@ INVOCATIONS = (
     # numerical failures: exit code 1, one message and no output file
     ("resolve", "--damping", "5e-324"),
     ("resolve", "--temperature", "1e300"),
+    ("oracle", "--cutoff", "1e150", "--modes", "8,16"),
+    ("oracle", "--cutoff", "1e160", "--modes", "8,16"),
+    ("oracle", "--cutoff", "1e307", "--modes", "8,16"),
+    # a stiffness of 3.5e301, whose residual is formed relative to its norm
+    ("oracle", "--damping", "1e300", "--modes", "8,16"),
 )
 
 
