@@ -19,7 +19,13 @@ from .gaussian import Constants, Moments, OscillatorParams
 from .bath import BathSpec
 
 _RESIDUAL_TOL = 1e-10
-_ROW_BLOCK = 64
+_COLUMN_BLOCK = 32
+_PROBE_SEED = 0
+# dsyevr scales a stiffness whose largest entry lies outside [_RMIN, _RMAX]
+# into that range, and its eigenvalues back (LAPACK dsyevr.f)
+_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
+_RMIN = math.sqrt(_SMLNUM)
+_RMAX = min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
 
 
 @dataclass(frozen=True)
@@ -88,18 +94,85 @@ def default_omega_max(o: OscillatorParams, b: BathSpec) -> float:
     return omega_max
 
 
-def _arrowhead_residual(head, z, d, eigvals, eigvecs, out=None) -> np.ndarray:
-    """S V - V diag(eigvals) for the arrowhead S = [[head, z^T], [z, diag(d)]]
-    in O(N^2) (O'Leary & Stewart, J. Comput. Phys. 90, 497 (1990)): the head
-    row is head V_0 + z^T V_1: - lambda V_0, and body row j is
-    z_j V_0 + (d_j - lambda) V_j. Formed in ``out`` if given; no temporary
-    is larger than ``_ROW_BLOCK`` rows."""
-    residual = np.subtract.outer(np.append(head, d), eigvals, out=out)
-    residual *= eigvecs
-    residual[0] += z @ eigvecs[1:]
-    for lo in range(0, z.size, _ROW_BLOCK):
-        residual[1 + lo : 1 + lo + _ROW_BLOCK] += np.multiply.outer(z[lo : lo + _ROW_BLOCK], eigvecs[0])
+def _tridiagonal_residual(diag, off, rows, vals) -> np.ndarray:
+    """(T - vals[k]) rows[k] for each row k, with T the symmetric tridiagonal
+    of diagonal ``diag`` and off-diagonal ``off``: O(N) per row."""
+    residual = diag - vals[:, None]
+    residual *= rows
+    residual[:, :-1] += off * rows[:, 1:]
+    residual[:, 1:] += off * rows[:, :-1]
     return residual
+
+
+def _normal_modes(head, z, d) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the arrowhead stiffness S = [[head, z^T],
+    [z, diag(d)]] and the system weight of each, the square of its
+    eigenvector's first entry.
+
+    S is diagonalized by the two LAPACK stages of ``dsyevr``, with its scaling
+    and its workspace: ``dsytrd`` reduces S to a tridiagonal T = Q^T S Q, and
+    ``dstemr`` gives T's eigenpairs. A lower Householder Q leaves the first row
+    alone, so the weights need no back-transformation, and both outputs are
+    bit for bit those of ``scipy.linalg.eigh``. Both stages are certified:
+    each eigenpair of T by its residual, and the reduction by a seeded probe
+    ||S x - Q T Q^T x|| with ||x|| = 1.
+    """
+    from scipy.linalg.lapack import get_lapack_funcs  # on first use: only the oracle loads scipy
+
+    largest = max(head, np.max(np.abs(z)), d[-1])
+    sigma = _RMIN / largest if largest < _RMIN else _RMAX / largest if largest > _RMAX else 1.0
+    stiffness = np.diag(np.append(head, d) * sigma)
+    stiffness[0, 1:] = stiffness[1:, 0] = z * sigma
+    n = stiffness.shape[0]
+    syevr_lwork, sytrd, ormqr, stemr = get_lapack_funcs(("syevr_lwork", "sytrd", "ormqr", "stemr"), (stiffness,))
+    x = np.random.default_rng(_PROBE_SEED).standard_normal(n)
+    x /= np.linalg.norm(x)
+    image = stiffness @ x
+
+    # dsyevr hands dsytrd its optimal workspace less five vectors, and dsytrd
+    # picks its block size from it; the transpose is the same symmetric matrix
+    # in Fortran order, so LAPACK reduces it in place instead of copying it
+    lwork = int(syevr_lwork(n, lower=1)[0]) - 5 * n
+    reflectors, diag, off, tau, info = sytrd(stiffness.T, lower=1, lwork=lwork, overwrite_a=1)
+    if info:
+        raise NumericalFailure("tridiagonal reduction of the bath stiffness failed", status=info)
+    # Q acts on rows 1..N through the reflectors stored from row 1 of column 0
+    # on; like dormtr, dormqr reads them in place with the leading dimension
+    # N + 1 (a sliced copy would be a second matrix), and on one vector
+    # (lwork 1) it applies them one at a time
+    stored = reflectors.ravel(order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
+    ormqr("L", "T", stored, tau, x[1:, None], 1, overwrite_c=1)
+    qtqx = _tridiagonal_residual(diag, off, x[None], np.zeros(1))[0]  # T Q^T x
+    ormqr("L", "N", stored, tau, qtqx[1:, None], 1, overwrite_c=1)
+    image -= qtqx
+    del stiffness, reflectors, stored  # freed before dstemr allocates the eigenvectors: one (N+1)^2 matrix at a time
+    # range 0 asks for every eigenpair; dstemr overwrites the off-diagonal it
+    # is given, whose last entry is its workspace
+    _, scaled, eigvecs, info = stemr(diag, np.append(off, 0.0), 0, 0.0, 0.0, 1, n)
+    if info:
+        raise NumericalFailure("tridiagonal eigensolve of the bath stiffness failed", status=info)
+    eigvals = scaled * (1.0 / sigma)
+    if eigvals[0] <= 0:
+        raise NumericalFailure(
+            "non-positive normal-mode eigenvalue; counter-term is broken",
+            smallest_eigenvalue=float(eigvals[0]),
+        )
+    # relative to the matrix norm before squaring, so no square overflows
+    scaled_norm = np.max(np.abs(scaled))
+    squares = np.empty(n)
+    for lo in range(0, n, _COLUMN_BLOCK):
+        block = slice(lo, lo + _COLUMN_BLOCK)
+        residual = _tridiagonal_residual(diag, off, eigvecs[:, block].T, scaled[block])
+        residual /= scaled_norm
+        squares[block] = np.einsum("ij,ij->i", residual, residual)
+    norm = float(np.max(np.abs(eigvals)))
+    # float products: inf, not a warning, on overflow
+    residuals = {
+        "residual": math.sqrt(np.max(squares)) * norm,
+        "reduction": float(np.linalg.norm(image) / scaled_norm) * norm,
+    }
+    require_accurate("eigenvector residual above tolerance", _RESIDUAL_TOL * norm, residuals, matrix_norm=norm)
+    return eigvals, eigvecs[0] ** 2
 
 
 def reduced_moments_exact(
@@ -116,8 +189,6 @@ def reduced_moments_exact(
     reduced cross term is an exact zero.
     """
     require_positive("temperature", temperature)
-    from scipy.linalg import eigh  # on first use: only the oracle loads it
-
     wk = db.mode_frequencies
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         d = wk**2
@@ -126,34 +197,10 @@ def reduced_moments_exact(
         raise NumericalFailure(
             "bath stiffness overflows float64", counter_term=float(head), largest_mode_frequency=float(wk[-1])
         )
-    z = -db.couplings / np.sqrt(o.mass)
-    stiffness = np.diag(np.append(head, d))
-    stiffness[0, 1:] = stiffness[1:, 0] = z
-
-    # the transpose is the same symmetric matrix in Fortran order, so LAPACK
-    # overwrites it in place instead of copying it; the residual reuses it
-    try:
-        eigvals, eigvecs = eigh(stiffness.T, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("eigen-decomposition of the bath stiffness failed") from exc
-    if eigvals[0] <= 0:
-        raise NumericalFailure(
-            "non-positive normal-mode eigenvalue; counter-term is broken",
-            smallest_eigenvalue=float(eigvals[0]),
-        )
-    norm = float(np.max(np.abs(eigvals)))
-    # relative to the matrix norm before squaring, so no square overflows
-    residual = _arrowhead_residual(head, z, d, eigvals, eigvecs, out=stiffness)
-    residual /= norm
-    np.square(residual, out=residual)
-    worst = math.sqrt(np.max(residual.sum(axis=0))) * norm  # a float product: inf, not a warning, on overflow
-    require_accurate(
-        "eigenvector residual above tolerance", _RESIDUAL_TOL * norm, {"residual": worst}, matrix_norm=norm
-    )
+    eigvals, weight = _normal_modes(head, -db.couplings / np.sqrt(o.mass), d)
 
     omega_modes = np.sqrt(eigvals)
     coth = 1.0 / np.tanh(c.hbar * omega_modes / (2 * c.kB * temperature))
-    weight = eigvecs[0] ** 2
     f1 = float(np.sum(weight * c.hbar / (2 * omega_modes) * coth)) / o.mass
     f2 = o.mass * float(np.sum(weight * c.hbar * omega_modes / 2 * coth))
     return Moments(f1=f1, f2=f2, cross=0.0)

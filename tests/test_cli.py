@@ -1,6 +1,7 @@
 """CLI tests: parsing, scenarios, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import os
 import subprocess
@@ -24,6 +25,16 @@ from clausius_lab.cli import (
     parse_config_file,
     parse_ensemble_file,
 )
+
+
+@contextlib.contextmanager
+def warnings_as_errors():
+    """Every warning raises inside, except the narrow-band ``Drude cutoff`` one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "Drude cutoff")
+        yield
+
 
 BB84_FILE = """
 # two pure qubit states
@@ -150,12 +161,12 @@ class TestScenarios:
         lines = (tmp_path / "oracle.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
 
-    def test_oracle_at_an_extreme_damping_writes_csv_without_a_warning(self, tmp_path):
-        # the stiffness reaches 3.5e301: the residual is scaled by the matrix
-        # norm before it is squared, so no square overflows
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["oracle", "--damping", "1e300", "--modes", "8,16", "--out", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("args", [["--damping", "1e300"], ["--cutoff", "1e100"]], ids=["damping", "cutoff"])
+    def test_oracle_at_an_extreme_scale_writes_csv_without_a_warning(self, tmp_path, args):
+        # stiffness entries reach ~5e301 and 4e202: the eigensolve scales the
+        # matrix into LAPACK's range as dsyevr does, and its eigenvalues back
+        with warnings_as_errors():
+            assert main(["oracle", *args, "--modes", "8,16", "--out", str(tmp_path)]) == 0
         assert len((tmp_path / "oracle.csv").read_text(encoding="utf-8").splitlines()) == 3
 
     def test_sweep_with_svg(self, tmp_path):
@@ -342,7 +353,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"clausius-lab: config error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:Drude cutoff")
     @pytest.mark.parametrize(
         "args",
         [
@@ -363,8 +373,10 @@ class TestExitCodes:
         ],
     )
     def test_a_missed_accuracy_target_exits_1_with_one_line(self, tmp_path, capsys, args):
+        # pytest would capture a numpy warning, so stderr alone cannot show one
         out = tmp_path / "out"
-        assert main([*args, "--out", str(out)]) == 1
+        with warnings_as_errors():
+            assert main([*args, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("clausius-lab: numerical failure:") and len(err.splitlines()) == 1
         assert not list(out.glob("*"))

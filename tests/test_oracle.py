@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 from scipy.linalg import eigh
 
 from clausius_lab import (
@@ -22,7 +22,7 @@ from clausius_lab import (
     spectral_density,
     thermal_moments_decoupled,
 )
-from clausius_lab.oracle import _arrowhead_residual
+import clausius_lab.oracle as oracle
 
 C = Constants()
 OSC = OscillatorParams(mass=1.0, frequency=1.0)
@@ -161,41 +161,98 @@ def dense_stiffness(db, o):
     return k
 
 
-class TestArrowheadCheck:
+def named_stiffnesses():
+    """The CLI oracle point at two rungs, the two scaled paths of LAPACK's
+    dsyevr (a largest entry above its range) at two rungs, zero coupling, and
+    random arrowheads at M = 1.7, w = 0.3."""
+    cli = BathSpec(temperature=1.0, damping=1.0, cutoff=100.0)
+    cases = {f"cli-N{n}": (cli, n) for n in (256, 512)}
+    for name, b in {"damping-1e300": BathSpec(1.0, 1e300, 100.0), "cutoff-1e100": BathSpec(1.0, 1.0, 1e100)}.items():
+        cases.update({f"{name}-N{n}": (b, n) for n in (8, 16)})
+    cases["zero-coupling-N16"] = (BathSpec(1.0, 0.0, 100.0), 16)
+    out = {
+        name: dense_stiffness(sample_bath(b, OSC, n, default_omega_max(OSC, b)), OSC) for name, (b, n) in cases.items()
+    }
+    rng = np.random.default_rng(7)
+    o = OscillatorParams(mass=1.7, frequency=0.3)
+    for n in (1, 2, 9, 99):
+        out[f"random-N{n}"] = dense_stiffness(DiscreteBath(np.sort(rng.uniform(0.1, 5.0, n)), rng.normal(size=n)), o)
+    return out
+
+
+STIFFNESSES = named_stiffnesses()
+
+
+def corrupt(monkeypatch, routine, damage):
+    """Make ``get_lapack_funcs`` hand out ``routine`` with ``damage`` applied
+    to its outputs, so the oracle's certificate must catch a wrong stage."""
+    true_get = scipy.linalg.lapack.get_lapack_funcs
+
+    def damaged(call):
+        def run(*args, **kwargs):
+            out = call(*args, **kwargs)
+            damage(*out)
+            return out
+
+        return run
+
+    def get(names, arrays=()):
+        return [damaged(f) if name == routine else f for name, f in zip(names, true_get(names, arrays))]
+
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", get)
+
+
+def shift_an_eigenvector(m, w, z, info):
+    z[:, 5] += 1e-6
+
+
+def stretch_an_off_diagonal(c, d, e, tau, info):
+    e[5] *= 1 + 1e-6
+
+
+def stretch_a_reflector(c, d, e, tau, info):
+    c[10, 3] *= 1 + 1e-6
+
+
+class TestTwoStageSolve:
     B = BathSpec(temperature=1.0, damping=1.0, cutoff=100.0)
 
-    def test_structured_residual_matches_dense_product(self):
-        o = OscillatorParams(mass=1.5, frequency=1.0)
-        k = dense_stiffness(sample_bath(self.B, o, 64, 2000.0), o)
-        head, z, d = k[0, 0], k[1:, 0], np.diag(k)[1:]
+    @pytest.mark.parametrize("name", STIFFNESSES)
+    def test_bit_for_bit_eigh_under_a_rounding_certificate(self, monkeypatch, name):
+        k = STIFFNESSES[name]
         eigvals, eigvecs = eigh(k)
-        norm = np.max(np.abs(eigvals))
-        # at the eigenpairs both are rounding noise of the matrix's size
-        dense = k @ eigvecs - eigvecs * eigvals
-        assert np.max(np.abs(_arrowhead_residual(head, z, d, eigvals, eigvecs) - dense)) <= 1e-12 * norm
-        # away from them the residual is of order one, and the two agree to rounding
-        rng = np.random.default_rng(2)
-        vecs, vals = rng.normal(size=k.shape), rng.uniform(0.0, norm, size=k.shape[0])
-        dense = k @ vecs - vecs * vals
-        assert np.max(np.abs(_arrowhead_residual(head, z, d, vals, vecs) - dense)) <= 1e-12 * np.max(np.abs(dense))
+        gates = []
+        monkeypatch.setattr(oracle, "require_accurate", lambda *args, **context: gates.append((args, context)))
+        vals, weights = oracle._normal_modes(k[0, 0], k[1:, 0], np.diag(k)[1:])
+        assert np.array_equal(vals, eigvals)
+        assert np.array_equal(weights, eigvecs[0] ** 2)
+        [((_, _, estimates), context)] = gates
+        assert max(estimates.values()) <= 1e-14 * context["matrix_norm"]
 
-    def test_perturbed_eigenvector_raises(self, monkeypatch):
-        true_eigh = scipy.linalg.eigh
+    def test_the_scaled_cases_are_scaled(self):
+        for name in ("damping-1e300-N8", "damping-1e300-N16", "cutoff-1e100-N8", "cutoff-1e100-N16"):
+            assert np.max(STIFFNESSES[name]) > oracle._RMAX
 
-        def perturbed(a, **kwargs):
-            vals, vecs = true_eigh(a, **kwargs)
-            vecs[:, 5] += 1e-6
-            return vals, vecs
-
-        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+    @pytest.mark.parametrize(
+        "routine, damage, estimate",
+        [
+            ("stemr", shift_an_eigenvector, "residual"),
+            ("sytrd", stretch_an_off_diagonal, "reduction"),
+            ("sytrd", stretch_a_reflector, "reduction"),
+        ],
+        ids=["eigenvector-column", "tridiagonal-off-diagonal", "stored-reflector"],
+    )
+    def test_a_corrupted_stage_raises(self, monkeypatch, routine, damage, estimate):
+        corrupt(monkeypatch, routine, damage)
         with pytest.raises(NumericalFailure, match="eigenvector residual") as info:
             reduced_moments_exact(sample_bath(self.B, OSC, 64, 2000.0), OSC, 1.0, C)
         diag = info.value.diagnostics
-        assert diag["residual"] > 1e-10 * diag["matrix_norm"] > 0
+        assert diag[estimate] > 1e-10 * diag["matrix_norm"] > 0
 
-    def test_a_rung_holds_two_matrices(self):
-        # eigh overwrites the stiffness in place and the residual is formed in
-        # that buffer: the eigenvectors and it are the only (N+1)^2 arrays
+    def test_a_rung_holds_one_matrix(self):
+        # dsytrd reduces the stiffness in place, and that buffer is freed
+        # before dstemr allocates the eigenvectors: those are the only
+        # (N+1)^2 array alive at any time
         n = 1024
         reduced_moments_exact(sample_bath(self.B, OSC, 8, 2000.0), OSC, 1.0, C)  # LAPACK bound before tracing
         db = sample_bath(self.B, OSC, n, 2000.0)
@@ -205,7 +262,7 @@ class TestArrowheadCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * (n + 1) ** 2
+        assert peak <= 1.5 * 8 * (n + 1) ** 2
 
     def test_moments_match_inline_dense_assembly(self):
         db = sample_bath(self.B, OSC, 256, 2000.0)

@@ -11,15 +11,19 @@ Then ``--trace 1`` runs once per side on seed 3 of oracle-ladder and
 cli-session, for the per-layer metrics: import time, the oracle's time per
 rung and the CLI scenarios' times. Seeds 1-10, every workload and the run
 length of BENCHMARK.json are fixed, so both sides always run the same plan.
-Last, each side times four layers in its own fresh interpreters, nine
+Last, each side times six layers in its own fresh interpreters, nine
 rounds alternating which side goes first (``LAYERS``): the first checked
 ``composed_process`` of a fresh interpreter, lazy imports included; then,
 after a warm-up call, the mean over a block of calls of ``moment_derivatives``
 (200) and of a checked ``entropy_change`` on the flagship damping path 0 -> 5
-(50), and of the unchecked flagship ``composed_process`` (300), the op of
-resolve-grid. Each layer is reported as the best of the rounds, the number a
-layer cost when nothing else on the host interfered, with the median and the
-worst round as its spread.
+(50), of the unchecked flagship ``composed_process`` (300), the op of
+resolve-grid, and of one oracle rung, ``reduced_moments_exact`` at the CLI
+oracle point (T = 1, gamma = 1, wD = 100) with N = 512 (20) and N = 2048 (3)
+modes, the first warm-up rung loading scipy. The traced runs above time each
+rung once per side, which cannot show a rung getting faster; these can. Each
+layer is reported as the best of the rounds, the number a layer cost when
+nothing else on the host interfered, with the median and the worst round as
+its spread.
 
 The parent is exported rather than checked out in a git worktree: the
 benchmark then runs on exactly the committed files, and nothing is left
@@ -87,12 +91,15 @@ def run_once(command: list, root: Path, workload: str, seed: int, seconds: float
 
 
 # in-process layer timings at the flagship point (T = 0.05, gamma = 5, wD =
-# 100), printed as one JSON line; the first call of a fresh interpreter is
-# timed before the warm-up of the others
+# 100) and oracle rungs at the CLI oracle point, printed as one JSON line; the
+# first call of a fresh interpreter is timed before the warm-up of the others
 LAYERS = """
 import json, time
-from clausius_lab import BathSpec, OscillatorParams, ProcessPath, composed_process, entropy_change, moment_derivatives
+from clausius_lab import (BathSpec, OscillatorParams, ProcessPath, composed_process, default_omega_max,
+                          entropy_change, moment_derivatives, reduced_moments_exact, sample_bath)
 o, b = OscillatorParams(1.0, 1.0), BathSpec(0.05, 5.0, 100.0)
+cli = BathSpec(1.0, 1.0, 100.0)
+rung = {n: sample_bath(cli, o, n, default_omega_max(o, cli)) for n in (512, 2048)}
 t0 = time.perf_counter()
 composed_process(o, b, 0.05)
 first = time.perf_counter() - t0
@@ -109,6 +116,8 @@ print(json.dumps({
     "moment_derivatives_s": per_call(lambda: moment_derivatives(o, b, "damping"), 200),
     "checked_entropy_change_s": per_call(lambda: entropy_change(ProcessPath("damping", 0.0, 5.0), o, b), 50),
     "unchecked_composed_process_s": per_call(lambda: composed_process(o, b, 0.05, check_consistency=False), 300),
+    "oracle_rung_N512_s": per_call(lambda: reduced_moments_exact(rung[512], o, cli.temperature), 20),
+    "oracle_rung_N2048_s": per_call(lambda: reduced_moments_exact(rung[2048], o, cli.temperature), 3),
 }))
 """
 LAYER_ROUNDS = 9

@@ -71,8 +71,11 @@ INVOCATIONS = (
     ("oracle", "--cutoff", "1e150", "--modes", "8,16"),
     ("oracle", "--cutoff", "1e160", "--modes", "8,16"),
     ("oracle", "--cutoff", "1e307", "--modes", "8,16"),
-    # a stiffness of 3.5e301, whose residual is formed relative to its norm
+    # stiffnesses of 3.5e301 and 4e202, which the eigensolve scales into
+    # LAPACK's range, and a bath with zero coupling
     ("oracle", "--damping", "1e300", "--modes", "8,16"),
+    ("oracle", "--cutoff", "1e100", "--modes", "8,16"),
+    ("oracle", "--damping", "0", "--modes", "8,16"),
 )
 
 
