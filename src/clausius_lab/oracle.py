@@ -9,8 +9,12 @@ shares code with :mod:`clausius_lab.bath`, which is the point.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .bath import BathSpec
 _RESIDUAL_TOL = 1e-10
 _COLUMN_BLOCK = 32
 _PROBE_SEED = 0
+_FLAPACK = "scipy.linalg._flapack"
 # dsyevr scales a stiffness whose largest entry lies outside [_RMIN, _RMAX]
 # into that range, and its eigenvalues back (LAPACK dsyevr.f)
 _SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
@@ -104,6 +109,30 @@ def _tridiagonal_residual(diag, off, rows, vals) -> np.ndarray:
     return residual
 
 
+def _flapack():
+    """scipy's LAPACK extension module, loaded on first use by itself: importing
+    it through ``scipy.linalg`` would run that whole package for four wrappers.
+
+    An already loaded module is reused. Otherwise the extension is found in
+    scipy's ``linalg`` directory without importing scipy, and registered under
+    its own name, so a later ``import scipy.linalg`` reuses it.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    scipy, spec = importlib.util.find_spec("scipy"), None
+    if scipy is not None:
+        linalg = Path(scipy.submodule_search_locations[0], "linalg")
+        loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+        spec = importlib.machinery.FileFinder(str(linalg), loader).find_spec(_FLAPACK)
+    if spec is None:
+        raise ImportError(f"the oracle needs scipy's LAPACK extension {_FLAPACK}, which was not found", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
 def _normal_modes(head, z, d) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the arrowhead stiffness S = [[head, z^T],
     [z, diag(d)]] and the system weight of each, the square of its
@@ -117,23 +146,25 @@ def _normal_modes(head, z, d) -> tuple[np.ndarray, np.ndarray]:
     each eigenpair of T by its residual, and the reduction by a seeded probe
     ||S x - Q T Q^T x|| with ||x|| = 1.
     """
-    from scipy.linalg.lapack import get_lapack_funcs  # on first use: only the oracle loads scipy
+    lapack = _flapack()  # on first use: only the oracle loads scipy, and only this extension of it
 
     largest = max(head, np.max(np.abs(z)), d[-1])
     sigma = _RMIN / largest if largest < _RMIN else _RMAX / largest if largest > _RMAX else 1.0
-    stiffness = np.diag(np.append(head, d) * sigma)
-    stiffness[0, 1:] = stiffness[1:, 0] = z * sigma
+    diagonal, column = np.append(head, d) * sigma, z * sigma
+    stiffness = np.diag(diagonal)
+    stiffness[0, 1:] = stiffness[1:, 0] = column
     n = stiffness.shape[0]
-    syevr_lwork, sytrd, ormqr, stemr = get_lapack_funcs(("syevr_lwork", "sytrd", "ormqr", "stemr"), (stiffness,))
     x = np.random.default_rng(_PROBE_SEED).standard_normal(n)
     x /= np.linalg.norm(x)
-    image = stiffness @ x
+    image = diagonal * x  # S x from the arrowhead's pieces, in O(N)
+    image[0] += column @ x[1:]
+    image[1:] += column * x[0]
 
     # dsyevr hands dsytrd its optimal workspace less five vectors, and dsytrd
     # picks its block size from it; the transpose is the same symmetric matrix
     # in Fortran order, so LAPACK reduces it in place instead of copying it
-    lwork = int(syevr_lwork(n, lower=1)[0]) - 5 * n
-    reflectors, diag, off, tau, info = sytrd(stiffness.T, lower=1, lwork=lwork, overwrite_a=1)
+    lwork = int(lapack.dsyevr_lwork(n, lower=1)[0]) - 5 * n
+    reflectors, diag, off, tau, info = lapack.dsytrd(stiffness.T, lower=1, lwork=lwork, overwrite_a=1)
     if info:
         raise NumericalFailure("tridiagonal reduction of the bath stiffness failed", status=info)
     # Q acts on rows 1..N through the reflectors stored from row 1 of column 0
@@ -141,14 +172,14 @@ def _normal_modes(head, z, d) -> tuple[np.ndarray, np.ndarray]:
     # N + 1 (a sliced copy would be a second matrix), and on one vector
     # (lwork 1) it applies them one at a time
     stored = reflectors.ravel(order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
-    ormqr("L", "T", stored, tau, x[1:, None], 1, overwrite_c=1)
+    lapack.dormqr("L", "T", stored, tau, x[1:, None], 1, overwrite_c=1)
     qtqx = _tridiagonal_residual(diag, off, x[None], np.zeros(1))[0]  # T Q^T x
-    ormqr("L", "N", stored, tau, qtqx[1:, None], 1, overwrite_c=1)
+    lapack.dormqr("L", "N", stored, tau, qtqx[1:, None], 1, overwrite_c=1)
     image -= qtqx
     del stiffness, reflectors, stored  # freed before dstemr allocates the eigenvectors: one (N+1)^2 matrix at a time
     # range 0 asks for every eigenpair; dstemr overwrites the off-diagonal it
     # is given, whose last entry is its workspace
-    _, scaled, eigvecs, info = stemr(diag, np.append(off, 0.0), 0, 0.0, 0.0, 1, n)
+    _, scaled, eigvecs, info = lapack.dstemr(diag, np.append(off, 0.0), 0, 0.0, 0.0, 1, n)
     if info:
         raise NumericalFailure("tridiagonal eigensolve of the bath stiffness failed", status=info)
     eigvals = scaled * (1.0 / sigma)
@@ -200,9 +231,14 @@ def reduced_moments_exact(
     eigvals, weight = _normal_modes(head, -db.couplings / np.sqrt(o.mass), d)
 
     omega_modes = np.sqrt(eigvals)
-    coth = 1.0 / np.tanh(c.hbar * omega_modes / (2 * c.kB * temperature))
-    f1 = float(np.sum(weight * c.hbar / (2 * omega_modes) * coth)) / o.mass
-    f2 = o.mass * float(np.sum(weight * c.hbar * omega_modes / 2 * coth))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        coth = 1.0 / np.tanh(c.hbar * omega_modes / (2 * c.kB * temperature))
+        f1 = float(np.sum(weight * c.hbar / (2 * omega_modes) * coth)) / o.mass
+        f2 = o.mass * float(np.sum(weight * c.hbar * omega_modes / 2 * coth))
+    if not (0 < f1 < math.inf and 0 < f2 < math.inf):
+        raise NumericalFailure(
+            "reduced moments leave the float64 range", f1=f1, f2=f2, mass=o.mass, temperature=temperature
+        )
     return Moments(f1=f1, f2=f2, cross=0.0)
 
 

@@ -1,6 +1,9 @@
 """Unit tests for the discrete-bath brute-force oracle."""
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -145,6 +148,24 @@ class TestReducedMoments:
             with pytest.raises(NumericalFailure, match="bath stiffness overflows float64"):
                 reduced_moments_exact(db, OSC, 1.0, C)
 
+    @pytest.mark.parametrize(
+        "couplings, o, temperature",
+        [
+            # f1 = <q^2> ~ 1/M overflows at the smallest subnormal mass
+            (np.array([1e-170, 1e-170]), OscillatorParams(5e-324, 1.0), 1.0),
+            # 2 kB T overflows, so every coth divides by zero
+            (np.array([0.1, 0.1]), OSC, 1e308),
+        ],
+        ids=["subnormal-mass", "largest-temperature"],
+    )
+    def test_moments_beyond_float64_are_refused_without_a_warning(self, couplings, o, temperature):
+        db = DiscreteBath(np.array([1.0, 2.0]), couplings)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="reduced moments leave the float64 range") as info:
+                reduced_moments_exact(db, o, temperature, C)
+        assert info.value.diagnostics["f1"] == math.inf
+
     def test_rejects_nonpositive_temperature(self):
         db = DiscreteBath(np.array([1.0]), np.array([0.1]))
         with pytest.raises(ValueError):
@@ -184,22 +205,20 @@ STIFFNESSES = named_stiffnesses()
 
 
 def corrupt(monkeypatch, routine, damage):
-    """Make ``get_lapack_funcs`` hand out ``routine`` with ``damage`` applied
-    to its outputs, so the oracle's certificate must catch a wrong stage."""
-    true_get = scipy.linalg.lapack.get_lapack_funcs
+    """Make the oracle's LAPACK module hand out ``routine`` with ``damage``
+    applied to its outputs, so the oracle's certificate must catch a wrong stage."""
+    lapack = oracle._flapack()
 
-    def damaged(call):
-        def run(*args, **kwargs):
-            out = call(*args, **kwargs)
-            damage(*out)
-            return out
+    def run(*args, **kwargs):
+        out = getattr(lapack, routine)(*args, **kwargs)
+        damage(*out)
+        return out
 
-        return run
+    class Damaged:
+        def __getattr__(self, name):
+            return run if name == routine else getattr(lapack, name)
 
-    def get(names, arrays=()):
-        return [damaged(f) if name == routine else f for name, f in zip(names, true_get(names, arrays))]
-
-    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", get)
+    monkeypatch.setattr(oracle, "_flapack", Damaged)
 
 
 def shift_an_eigenvector(m, w, z, info):
@@ -236,9 +255,9 @@ class TestTwoStageSolve:
     @pytest.mark.parametrize(
         "routine, damage, estimate",
         [
-            ("stemr", shift_an_eigenvector, "residual"),
-            ("sytrd", stretch_an_off_diagonal, "reduction"),
-            ("sytrd", stretch_a_reflector, "reduction"),
+            ("dstemr", shift_an_eigenvector, "residual"),
+            ("dsytrd", stretch_an_off_diagonal, "reduction"),
+            ("dsytrd", stretch_a_reflector, "reduction"),
         ],
         ids=["eigenvector-column", "tridiagonal-off-diagonal", "stored-reflector"],
     )
@@ -248,6 +267,21 @@ class TestTwoStageSolve:
             reduced_moments_exact(sample_bath(self.B, OSC, 64, 2000.0), OSC, 1.0, C)
         diag = info.value.diagnostics
         assert diag[estimate] > 1e-10 * diag["matrix_norm"] > 0
+
+    def test_the_loader_hands_out_the_float64_wrappers_of_get_lapack_funcs(self):
+        # a change of scipy's layout must fail here, not change the oracle's numerics
+        names = ("syevr_lwork", "sytrd", "ormqr", "stemr")
+        lapack = oracle._flapack()
+        for name, wrapper in zip(names, scipy.linalg.lapack.get_lapack_funcs(names, (np.zeros(2),))):
+            assert getattr(lapack, f"d{name}") is wrapper
+
+    def test_a_missing_lapack_extension_raises_import_error_naming_it(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, oracle._FLAPACK)
+        scipy_without_linalg = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy_without_linalg.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_without_linalg)
+        with pytest.raises(ImportError, match="scipy.linalg._flapack"):
+            oracle._flapack()
 
     def test_a_rung_holds_one_matrix(self):
         # dsytrd reduces the stiffness in place, and that buffer is freed
