@@ -19,9 +19,7 @@ from .gaussian import (
 )
 from .bath import (
     BathSpec,
-    MomentDerivatives,
     coupling_free_energy,
-    moment_derivatives,
     moments_matsubara,
     moments_spectral,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "EntropyChange",
     "ErasureBudget",
     "HeatResult",
-    "MomentDerivatives",
     "Moments",
     "NumericalFailure",
     "OscillatorParams",
@@ -93,7 +90,6 @@ __all__ = [
     "landauer_bound",
     "mass_process",
     "mean_energy",
-    "moment_derivatives",
     "moments_matsubara",
     "moments_spectral",
     "mutual_information",

@@ -45,6 +45,10 @@ _ROUND = 32 * float(np.finfo(float).eps)
 # the closed form multiplies c1 = w^2 + gamma wD by roots of size ~sqrt(c1),
 # which overflows near c1 = 1e205; a larger c1 is refused
 _MAX_C1 = 1e200
+# the largest root reaches ~wD, and its Newton polish carries ~eps wD^3 of
+# the eigensolve's rounding, which overflows past wD ~ 1e108; a larger wD than
+# this is refused, which also keeps c0 = w^2 wD and gamma wD^2 below c1 wD < 1e307
+_MAX_CUTOFF = 1e107
 # at high temperature every row whose roots lie within nu1/16 of wD/3 takes
 # the circle, whose Q ~ (nu1/4)^3 at the nodes overflows past nu1 ~ 1e103; a
 # larger nu1 = 2 pi kB T / hbar than this is refused, well short of that
@@ -93,14 +97,6 @@ class BathSpec:
                 f"{o.frequency}; continuum formulas assume a wide-band bath",
                 stacklevel=3,
             )
-
-
-@dataclass(frozen=True)
-class MomentDerivatives:
-    df1: float
-    df2: float
-    df1_error: float
-    df2_error: float
 
 
 def _drude_poles(w2, wd, damping):
@@ -242,6 +238,13 @@ def _matsubara_moments(
     if not nu1 <= _MAX_NU1:
         message = f"temperature beyond the closed form's range: 2 pi kB T / hbar exceeds {_MAX_NU1:g}"
         raise NumericalFailure(message, temperature=temperature)
+    if not (slopes or damping.any()):  # decoupled: the Gibbs state, whatever the cutoff
+        gibbs = [thermal_moments_decoupled(OscillatorParams(mi, wi), temperature, c) for mi, wi in zip(mass, w)]
+        f1, f2 = np.array([g.f1 for g in gibbs]), np.array([g.f2 for g in gibbs])
+        return (f1, f2, [0.0] * len(gibbs)) if free_energy else (f1, f2)
+    if not (wd <= _MAX_CUTOFF).all():
+        message = f"cutoff beyond the closed form's range: wD exceeds {_MAX_CUTOFF:g}"
+        raise NumericalFailure(message, cutoff=cutoff, frequency=frequency)
     w2 = w * w
     r, x, y, m, q = _drude_poles(w2, wd, damping)
     c1 = w2 + damping * wd
@@ -543,11 +546,12 @@ def _free_energies(
     scale = np.abs(value) + 2
     small = np.abs(nodes) < 0.1
     if small.any():
+        z = nodes[small]  # only these: z^19 of a large node would overflow
         poly = _PSI_SERIES[0]  # Horner, as np.polyval does after its exact 0 z + a_0 start
         for a in _PSI_SERIES[1:]:
-            poly = poly * nodes + a
-        series = nodes * poly
-        value, scale = np.where(small, series, value), np.where(small, np.abs(series), scale)
+            poly = poly * z + a
+        series = z * poly
+        value[small], scale[small] = series, np.abs(series)
     sums = h / 2 * (value * _GL_WEIGHTS).sum(axis=1)
     integrals = iter(zip(sums.tolist(), (_ROUND * abs(h) * scale.max(axis=1)).tolist()))
     beta = 1.0 / (c.kB * temperature)
@@ -614,7 +618,9 @@ def _require_path_parameter(alpha: str) -> None:
 
 def _mass_and_damping(alpha: str, o: OscillatorParams, b: BathSpec, x):
     """(M, gamma) at values x of alpha. A mass path holds the microscopic
-    coupling fixed, so gamma = gamma_ref M_ref / M."""
+    coupling fixed, so gamma = gamma_ref M_ref / M: holding gamma itself
+    fixed would make the mass a pure prefactor and the mass step a null
+    process even at strong coupling."""
     _require_path_parameter(alpha)
     x = np.asarray(x, dtype=float)
     return (x, o.mass * b.damping / x) if alpha == "mass" else (np.full(x.shape, o.mass), x)
@@ -646,27 +652,3 @@ def _slopes_along(alpha: str, o: OscillatorParams, b: BathSpec, x, c: Constants)
     require_accurate("moment derivative error estimate exceeds tolerance", 1e-5, rel, alpha=alpha, at=x)
     return s
 
-
-def moment_derivatives(
-    o: OscillatorParams,
-    b: BathSpec,
-    alpha: str,
-    c: Constants = Constants(),
-) -> MomentDerivatives:
-    """d f1/d alpha and d f2/d alpha for alpha in {"mass", "damping"}, with
-    error estimates: the one-point call of the kernel's exact derivatives.
-
-    The mass derivative holds the microscopic oscillator-bath coupling fixed:
-    the damping rate is mass-normalized, so gamma scales as 1/M along a mass
-    change. Holding gamma itself fixed would make the mass dependence a pure
-    prefactor and the sweep a null process even at strong coupling. The
-    derivatives differentiate the digamma closed form exactly, and their
-    propagated rounding estimates are returned; an estimate above 1e-5 of the
-    derivative raises.
-    """
-    b.warn_if_cutoff_low(o)
-    x = o.mass if alpha == "mass" else b.damping
-    s = _slopes_along(alpha, o, b, [x], c)
-    return MomentDerivatives(
-        df1=float(s.df1[0]), df2=float(s.df2[0]), df1_error=float(s.df1_error[0]), df2_error=float(s.df2_error[0])
-    )

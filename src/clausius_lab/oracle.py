@@ -24,7 +24,6 @@ from .bath import BathSpec
 
 _RESIDUAL_TOL = 1e-10
 _COLUMN_BLOCK = 32
-_PROBE_SEED = 0
 _FLAPACK = "scipy.linalg._flapack"
 # dsyevr scales a stiffness whose largest entry lies outside [_RMIN, _RMAX]
 # into that range, and its eigenvalues back (LAPACK dsyevr.f)
@@ -143,7 +142,7 @@ def _normal_modes(head, z, d) -> tuple[np.ndarray, np.ndarray]:
     ``dstemr`` gives T's eigenpairs. A lower Householder Q leaves the first row
     alone, so the weights need no back-transformation, and both outputs are
     bit for bit those of ``scipy.linalg.eigh``. Both stages are certified:
-    each eigenpair of T by its residual, and the reduction by a seeded probe
+    each eigenpair of T by its residual, and the reduction by a fixed probe
     ||S x - Q T Q^T x|| with ||x|| = 1.
     """
     lapack = _flapack()  # on first use: only the oracle loads scipy, and only this extension of it
@@ -154,7 +153,10 @@ def _normal_modes(head, z, d) -> tuple[np.ndarray, np.ndarray]:
     stiffness = np.diag(diagonal)
     stiffness[0, 1:] = stiffness[1:, 0] = column
     n = stiffness.shape[0]
-    x = np.random.default_rng(_PROBE_SEED).standard_normal(n)
+    # x_k = sin k: no entry is zero (k / pi is irrational), and its signs
+    # change irregularly, so x is far from e_0 and from a sampled bath's
+    # coupling column, whose entries share one sign
+    x = np.sin(np.arange(1.0, n + 1))
     x /= np.linalg.norm(x)
     image = diagonal * x  # S x from the arrowhead's pieces, in O(N)
     image[0] += column @ x[1:]
@@ -270,14 +272,25 @@ def convergence_report(
     with successive deltas, each ladder bath sampled up to ``default_omega_max``.
 
     Returns the rows and a flag set when the final successive relative change
-    is below 0.5%.
+    is below 0.5%. The rungs are solved from the largest down, so the largest
+    rung's matrices are allocated before any smaller rung's freed ones can
+    raise the allocator's mmap threshold and stay resident beneath them; a
+    failing ladder raises the failure of its smallest failing rung.
     """
     _require_ladder(mode_counts)
     omax = default_omega_max(o, b)
+    solved, failure = {}, None
+    for count in reversed(mode_counts):
+        try:
+            solved[count] = reduced_moments_exact(sample_bath(b, o, count, omax), o, b.temperature, c)
+        except NumericalFailure as exc:
+            failure = exc
+    if failure is not None:
+        raise failure
     rows: list[ConvergenceRow] = []
     prev: Moments | None = None
     for count in mode_counts:
-        m = reduced_moments_exact(sample_bath(b, o, count, omax), o, b.temperature, c)
+        m = solved[count]
         if prev is None:
             rows.append(ConvergenceRow(count, m.f1, m.f2, None, None))
         else:

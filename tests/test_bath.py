@@ -13,13 +13,14 @@ from clausius_lab import (
     Constants,
     NumericalFailure,
     OscillatorParams,
+    composed_process,
     coupling_free_energy,
-    moment_derivatives,
     moments_matsubara,
     moments_spectral,
     thermal_moments_decoupled,
 )
-from clausius_lab.bath import _mass_and_damping, _matsubara_moments
+import clausius_lab.bath as bath
+from clausius_lab.bath import _mass_and_damping, _matsubara_moments, _slopes_along
 from clausius_lab.errors import require_accurate
 
 C = Constants()
@@ -385,16 +386,17 @@ class TestCouplingFreeEnergy:
         assert identity == pytest.approx(slope, rel=1e-7)
 
 
-def mpmath_referee(temperature, damping, cutoff):
+def mpmath_referee(temperature, damping, cutoff, digits=50):
     """[DERIVED] f1, f2 (M = w = 1) and the coupling free energy from the digamma
     and log-gamma closed forms at 50 digits, with the roots of P from
     mpmath.polyroots: shares no code with the kernel, and keeps more than 30
-    digits through the cancellation of near-equal roots."""
+    digits through the cancellation of near-equal roots. A wide band, whose
+    root near wD cancels against it, takes more ``digits``."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
+    with mpmath.workdps(digits):
         t, g, wd, w = (mpmath.mpf(v) for v in (temperature, damping, cutoff, 1))
         nu1 = 2 * mpmath.pi * t
-        lam = [-z for z in mpmath.polyroots([1, wd, w * w + g * wd, w * w * wd], maxsteps=400, extraprec=200)]
+        lam = [-z for z in mpmath.polyroots([1, wd, w * w + g * wd, w * w * wd], maxsteps=400, extraprec=4 * digits)]
         den = [(lam[(i + 1) % 3] - lam[i]) * (lam[(i + 2) % 3] - lam[i]) for i in range(3)]
         psi = [mpmath.digamma(1 + l / nu1) for l in lam]
         s1 = 1 / (w * w) - 2 / nu1 * mpmath.re(sum((wd - l) / d * p for l, d, p in zip(lam, den, psi)))
@@ -407,12 +409,12 @@ def mpmath_referee(temperature, damping, cutoff):
         return float(t * s1), float(t * s2), float(free)
 
 
-def meets_gate_or_raises(temperature, damping, cutoff):
+def meets_gate_or_raises(temperature, damping, cutoff, digits=50):
     """moments_matsubara and coupling_free_energy each agree with the referee
     within their 1e-8 gate or raise NumericalFailure, and no numerical
     warning is emitted (the narrow-band cutoff warning is the bath's own)."""
     b = BathSpec(temperature=temperature, damping=damping, cutoff=cutoff)
-    f1, f2, free = mpmath_referee(temperature, damping, cutoff)
+    f1, f2, free = mpmath_referee(temperature, damping, cutoff, digits)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", message="Drude cutoff", category=UserWarning)
@@ -453,6 +455,79 @@ class TestAdversarialMatsubara:
     @pytest.mark.parametrize("damping, cutoff", CONFLUENT, ids=CONFLUENT_IDS)
     def test_confluent_roots_within_the_gate_or_refused(self, temperature, damping, cutoff):
         meets_gate_or_raises(temperature, damping, cutoff)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        log_t=st.floats(math.log(1e-3), math.log(1e3)),
+        log_gamma=st.floats(math.log(1e-200), math.log(1e3)),
+        log_cutoff=st.floats(math.log(10.0), math.log(1.79e308)),
+    )
+    def test_any_cutoff_within_the_gate_or_refused(self, log_t, log_gamma, log_cutoff):
+        # gamma down to 1e-200 and wD up to float64's largest; the referee
+        # keeps 50 digits beyond the cancellation of wD's root with wD and of
+        # the free energy's shifts of order gamma
+        digits = 50 + round(log_cutoff / math.log(10)) + max(0, round(-log_gamma / math.log(10)))
+        meets_gate_or_raises(math.exp(log_t), math.exp(log_gamma), math.exp(log_cutoff), digits)
+
+
+class TestWideBand:
+    """Cutoffs far above the other scales: within the gate, or refused with
+    NumericalFailure before numpy can overflow."""
+
+    def test_free_energy_sums_its_series_at_the_small_nodes_only(self):
+        # at T = 1.6 a short step's nodes reach below |z| = 0.1, beside steps
+        # whose nodes are ~wD/nu1 ~ 1e17, whose z^19 would overflow
+        b = BathSpec(1.6, 0.5, 1e18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = coupling_free_energy(OSC, b, C)
+        free = mpmath_referee(1.6, 0.5, 1e18)[2]
+        assert abs(value - free) <= 1e-8 * abs(free)
+
+    @pytest.mark.parametrize("temperature, damping", [(1e-3, 0.5), (1.0, 1e-8), (1.0, 0.5), (5.0, 1e3)])
+    def test_the_largest_cutoff_meets_the_gate(self, temperature, damping):
+        b = BathSpec(temperature, damping, bath._MAX_CUTOFF)
+        f1, f2, free = mpmath_referee(temperature, damping, b.cutoff, digits=170)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, value = moments_matsubara(OSC, b, C), coupling_free_energy(OSC, b, C)
+        assert abs(m.f1 - f1) <= 1e-8 * f1 and abs(m.f2 - f2) <= 1e-8 * f2
+        assert abs(value - free) <= 1e-8 * abs(free)
+
+    @pytest.mark.parametrize(
+        "o, b",
+        [
+            (OSC, BathSpec(1.0, 0.5, math.nextafter(bath._MAX_CUTOFF, math.inf))),
+            (OSC, BathSpec(1.0, 1e-8, 1e109)),
+            (OSC, BathSpec(1.0, 0.5, 1e154)),
+            (OscillatorParams(1.0, 10**99.5), BathSpec(1.0, 0.5, 1e200)),
+        ],
+        ids=["just-beyond", "polish-overflow", "root-square-overflow", "c0-overflow"],
+    )
+    def test_beyond_the_cutoff_range_every_route_refuses(self, o, b):
+        # past ~1e108 the roots' Newton polish overflowed, past 1.3e154 the
+        # square of the real root did and gamma = 0's moments came back, and
+        # w^2 wD overflowed into numpy's LinAlgError
+        ops = [
+            moments_matsubara,
+            coupling_free_energy,
+            lambda o, b: composed_process(o, b, b.temperature, C, check_consistency=False),
+            lambda o, b: _slopes_along("damping", o, b, [0.0, b.damping], C),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for op in ops:
+                with pytest.raises(NumericalFailure, match="cutoff beyond the closed form's range") as info:
+                    op(o, b)
+                assert info.value.diagnostics == {"cutoff": b.cutoff, "frequency": o.frequency}
+
+    @pytest.mark.parametrize("cutoff", [10.0, 1e107, 1e300, 1.79e308])
+    def test_decoupled_at_any_cutoff_is_the_gibbs_state(self, cutoff):
+        b = BathSpec(1.0, 0.0, cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert moments_matsubara(OSC, b, C) == thermal_moments_decoupled(OSC, 1.0, C)
+            assert coupling_free_energy(OSC, b, C) == 0.0
 
 
 def mpmath_slope_referee(temperature, damping, cutoff):
@@ -519,6 +594,13 @@ def test_near_confluent_moments_within_their_estimates(point):
     assert abs(s.f2[0] - f2) <= s.f2_error[0]
 
 
+def slopes_at(b, alpha):
+    """The kernel's moment derivatives along alpha at the reference point,
+    one point of ``_slopes_along``, as floats."""
+    s = _slopes_along(alpha, OSC, b, [OSC.mass if alpha == "mass" else b.damping], C)
+    return s._make(float(v[0]) for v in s)
+
+
 class TestMomentDerivatives:
     @pytest.mark.filterwarnings("ignore:Drude cutoff")
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -535,7 +617,7 @@ class TestMomentDerivatives:
         f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
         for alpha, ref1, ref2 in (("damping", dg1, dg2), ("mass", -f1 - damping * dg1, f2 - damping * dg2)):
             try:
-                d = moment_derivatives(OSC, b, alpha, C)
+                d = slopes_at(b, alpha)
             except NumericalFailure:
                 assert not close
                 continue
@@ -555,13 +637,13 @@ class TestMomentDerivatives:
         assert abs(s.f1[0] - f1) <= s.f1_error[0]
         assert abs(s.f2[0] - f2) <= s.f2_error[0]
         for alpha, ref1, ref2 in (("damping", dg1, dg2), ("mass", -f1 - damping * dg1, f2 - damping * dg2)):
-            d = moment_derivatives(OSC, b, alpha, C)
+            d = slopes_at(b, alpha)
             assert abs(d.df1 - ref1) <= d.df1_error
             assert abs(d.df2 - ref2) <= d.df2_error
 
     def test_damping_derivative_matches_finite_difference(self):
         b = BathSpec(temperature=1.0, damping=2.0, cutoff=50.0)
-        d = moment_derivatives(OSC, b, "damping", C)
+        d = slopes_at(b, "damping")
         h = 1e-4
         up = moments_matsubara(OSC, BathSpec(1.0, 2.0 + h, 50.0), C)
         dn = moments_matsubara(OSC, BathSpec(1.0, 2.0 - h, 50.0), C)
@@ -572,14 +654,14 @@ class TestMomentDerivatives:
         # decoupled: f1 ~ 1/M and f2 ~ M exactly, so M df1/dM = -f1
         b = BathSpec(temperature=0.5, damping=0.0, cutoff=100.0)
         m = moments_matsubara(OSC, b, C)
-        d = moment_derivatives(OSC, b, "mass", C)
+        d = slopes_at(b, "mass")
         assert d.df1 == pytest.approx(-m.f1 / OSC.mass, rel=1e-7)
         assert d.df2 == pytest.approx(m.f2 / OSC.mass, rel=1e-7)
 
     def test_mass_derivative_holds_microscopic_coupling_fixed(self):
         # compare against a finite difference taken with gamma ~ 1/M
         b = BathSpec(temperature=0.2, damping=5.0, cutoff=100.0)
-        d = moment_derivatives(OSC, b, "mass", C)
+        d = slopes_at(b, "mass")
         h = 1e-5
         eta = OSC.mass * b.damping
 
@@ -593,7 +675,7 @@ class TestMomentDerivatives:
 
     def test_error_estimates_are_reported(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
-        d = moment_derivatives(OSC, b, "damping", C)
+        d = slopes_at(b, "damping")
         assert d.df1_error >= 0 and d.df2_error >= 0
 
     def test_matches_a_central_difference_of_the_spectral_route(self):
@@ -614,14 +696,14 @@ class TestMomentDerivatives:
                 return (up.f1 - dn.f1) / (2 * h), (up.f2 - dn.f2) / (2 * h)
 
             (c1, c2), (h1, h2) = central(1e-3 * x0), central(5e-4 * x0)
-            d = moment_derivatives(OSC, b, alpha, C)
+            d = slopes_at(b, alpha)
             assert d.df1 == pytest.approx((4 * h1 - c1) / 3, rel=1e-5)
             assert d.df2 == pytest.approx((4 * h2 - c2) / 3, rel=1e-5)
 
     def test_unknown_parameter_rejected(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
         with pytest.raises(ValueError, match="unknown path parameter 'cutoff'"):
-            moment_derivatives(OSC, b, "cutoff", C)
+            slopes_at(b, "cutoff")
         # the one place that maps a path parameter to (M, gamma) reads no
         # unknown name as damping
         with pytest.raises(ValueError, match="unknown path parameter 'cutoff'"):

@@ -169,6 +169,18 @@ class TestScenarios:
             assert main(["oracle", *args, "--modes", "8,16", "--out", str(tmp_path)]) == 0
         assert len((tmp_path / "oracle.csv").read_text(encoding="utf-8").splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [["resolve", "--temperature", "5", "--cutoff", "1e18"], ["moments", "--damping", "0", "--cutoff", "1e300"]],
+        ids=["wide-band-free-energy", "decoupled-beyond-the-cutoff-range"],
+    )
+    def test_a_wide_band_writes_csv_without_a_warning(self, tmp_path, args):
+        # the free energy's series takes only its small nodes, and gamma = 0
+        # is the Gibbs state whatever the cutoff
+        with warnings_as_errors():
+            assert main([*args, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"{args[0]}.csv").is_file()
+
     def test_sweep_with_svg(self, tmp_path):
         rc = main(
             [
@@ -362,6 +374,8 @@ class TestExitCodes:
             ["oracle", "--cutoff", "1e150", "--modes", "8,16"],
             ["oracle", "--cutoff", "1e160", "--modes", "8,16"],
             ["oracle", "--cutoff", "1e307", "--modes", "8,16"],
+            ["resolve", "--damping", "0.5", "--cutoff", "1e154"],
+            ["moments", "--damping", "0.5", "--cutoff", "1e152"],
         ],
         ids=[
             "underflowed-free-energy",
@@ -370,6 +384,8 @@ class TestExitCodes:
             "overflowed-couplings",
             "overflowed-cutoff-square",
             "overflowed-omega-max",
+            "cutoff-range-resolve",
+            "cutoff-range-moments",
         ],
     )
     def test_a_missed_accuracy_target_exits_1_with_one_line(self, tmp_path, capsys, args):

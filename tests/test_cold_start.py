@@ -1,7 +1,8 @@
 """Cold start: the package loads no scipy module, and of the heavy calls only
 the oracle loads one, scipy's LAPACK extension by itself, not the scipy.linalg
 package; the spectral route, the checked process and the measurement search
-need none.
+need none. No call loads numpy.random: the oracle's reduction probe is a fixed
+vector.
 
 Every case runs in a fresh interpreter, since the test process itself has
 imported everything by the time it runs.
@@ -21,7 +22,7 @@ SETUP = """
 import json
 import sys
 def loaded():
-    print("loaded:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    print("loaded:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.random")))
 """
 BB84 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bb84.txt"
 LAPACK = {"scipy.linalg._flapack"}
@@ -29,7 +30,8 @@ POINT = "import numpy as np\nfrom clausius_lab import *\no, b = OscillatorParams
 
 
 def loaded_after(*steps, tmp_path):
-    """The scipy modules loaded after each step, in a fresh interpreter."""
+    """The scipy modules, and numpy.random if it is, loaded after each step,
+    in a fresh interpreter."""
     src = str(Path(clausius_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "".join(f"{step}\nloaded()\n" for step in steps)

@@ -3,9 +3,12 @@
 import importlib.machinery
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,3 +334,54 @@ class TestConvergenceReport:
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=10.0)
         with pytest.raises(ValueError, match="strictly ascending"):
             convergence_report(OSC, b, [8, 8], C)
+
+    @pytest.mark.parametrize("failing, raised", [((), None), ((32,), 32), ((16, 32), 16), ((8, 32), 8)])
+    def test_rungs_solve_from_the_largest_and_the_smallest_failure_raises(self, monkeypatch, failing, raised):
+        # the rows ascend and a failing ladder raises what an ascending solve
+        # would: the failure of its smallest failing rung
+        b = BathSpec(temperature=1.0, damping=1.0, cutoff=10.0)
+        solve, solved = oracle.reduced_moments_exact, []
+
+        def rung(db, *args):
+            solved.append(db.mode_count)
+            if db.mode_count in failing:
+                raise NumericalFailure("rung failed", mode_count=db.mode_count)
+            return solve(db, *args)
+
+        monkeypatch.setattr(oracle, "reduced_moments_exact", rung)
+        if raised is None:
+            rows, _ = convergence_report(OSC, b, [8, 16, 32], C)
+            omax = default_omega_max(OSC, b)
+            alone = [solve(sample_bath(b, OSC, n, omax), OSC, 1.0, C) for n in (8, 16, 32)]
+            assert [(r.mode_count, r.f1, r.f2) for r in rows] == [(n, m.f1, m.f2) for n, m in zip((8, 16, 32), alone)]
+        else:
+            with pytest.raises(NumericalFailure) as info:
+                convergence_report(OSC, b, [8, 16, 32], C)
+            assert info.value.diagnostics == {"mode_count": raised}
+        assert solved == [32, 16, 8]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_a_ladder_peaks_at_one_matrix_of_its_largest_rung():
+    # solved from the largest rung down, no smaller rung's freed eigenvectors
+    # stay resident on the heap beneath the largest rung's: in a fresh
+    # interpreter, past a warm-up ladder, the peak grows by about one
+    # (N+1)^2 float64 matrix of N = 2048. The peak is the process's own
+    # VmHWM: ru_maxrss would start at this test process's, inherited at fork
+    code = """
+from clausius_lab import BathSpec, OscillatorParams, convergence_report
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
+
+o, b = OscillatorParams(1.0, 1.0), BathSpec(1.0, 1.0, 100.0)
+convergence_report(o, b, [8, 16])
+before = peak()
+convergence_report(o, b, [256, 512, 1024, 2048])
+print(peak() - before)
+"""
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert int(out.stdout) <= 1.15 * 8 * 2049**2

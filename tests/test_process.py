@@ -26,7 +26,6 @@ from clausius_lab import (
     landauer_bound,
     mass_process,
     mean_energy,
-    moment_derivatives,
     moments_matsubara,
     moments_spectral,
 )
@@ -343,7 +342,6 @@ def test_temperature_other_than_the_baths_raises(op):
         lambda b: mass_process(OSC, b, b.temperature, C),
         lambda b: heat(ProcessPath("mass", 1.0, 2.0), OSC, b, C),
         lambda b: entropy_change(ProcessPath("damping", 0.0, b.damping), OSC, b, C),
-        lambda b: moment_derivatives(OSC, b, "mass", C),
         lambda b: moments_matsubara(OSC, b, C),
         lambda b: moments_spectral(OSC, b, C),
         lambda b: coupling_free_energy(OSC, b, C),
@@ -354,7 +352,6 @@ def test_temperature_other_than_the_baths_raises(op):
         "mass_process",
         "heat",
         "entropy_change",
-        "moment_derivatives",
         "moments_matsubara",
         "moments_spectral",
         "coupling_free_energy",

@@ -11,14 +11,14 @@ Then ``--trace 1`` runs once per side on seed 3 of oracle-ladder and
 cli-session, for the per-layer metrics: import time, the oracle's time per
 rung and the CLI scenarios' times. Seeds 1-10, every workload and the run
 length of BENCHMARK.json are fixed, so both sides always run the same plan.
-Last, each side times seven layers in its own fresh interpreters, nine
+Last, each side times six layers in its own fresh interpreters, nine
 rounds alternating which side goes first (``LAYERS``): the first checked
 ``composed_process`` of a fresh interpreter, lazy imports included, and the
 interpreter's first oracle rung, N = 256 at the CLI oracle point (T = 1,
 gamma = 1, wD = 100), the load of its LAPACK routines included; then,
-after a warm-up call, the mean over a block of calls of ``moment_derivatives``
-(200) and of a checked ``entropy_change`` on the flagship damping path 0 -> 5
-(50), of the unchecked flagship ``composed_process`` (300), the op of
+after a warm-up call, the mean over a block of calls of a checked
+``entropy_change`` on the flagship damping path 0 -> 5 (50), of the
+unchecked flagship ``composed_process`` (300), the op of
 resolve-grid, and of one oracle rung, ``reduced_moments_exact`` at the CLI
 oracle point with N = 512 (20) and N = 2048 (3) modes. The traced runs above
 time each rung once per side, which cannot show a rung getting faster; these
@@ -99,7 +99,7 @@ def run_once(command: list, root: Path, workload: str, seed: int, seconds: float
 LAYERS = """
 import json, time
 from clausius_lab import (BathSpec, OscillatorParams, ProcessPath, composed_process, default_omega_max,
-                          entropy_change, moment_derivatives, reduced_moments_exact, sample_bath)
+                          entropy_change, reduced_moments_exact, sample_bath)
 o, b = OscillatorParams(1.0, 1.0), BathSpec(0.05, 5.0, 100.0)
 cli = BathSpec(1.0, 1.0, 100.0)
 rung = {n: sample_bath(cli, o, n, default_omega_max(o, cli)) for n in (256, 512, 2048)}
@@ -122,7 +122,6 @@ def per_call(call, repeats):
 print(json.dumps({
     "first_checked_composed_process_s": first_process,
     "first_oracle_rung_N256_s": first_rung,
-    "moment_derivatives_s": per_call(lambda: moment_derivatives(o, b, "damping"), 200),
     "checked_entropy_change_s": per_call(lambda: entropy_change(ProcessPath("damping", 0.0, 5.0), o, b), 50),
     "unchecked_composed_process_s": per_call(lambda: composed_process(o, b, 0.05, check_consistency=False), 300),
     "oracle_rung_N512_s": per_call(lambda: reduced_moments_exact(rung[512], o, cli.temperature), 20),

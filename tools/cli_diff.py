@@ -76,6 +76,12 @@ INVOCATIONS = (
     ("oracle", "--damping", "1e300", "--modes", "8,16"),
     ("oracle", "--cutoff", "1e100", "--modes", "8,16"),
     ("oracle", "--damping", "0", "--modes", "8,16"),
+    # wide bands: the free energy's series beside nodes of ~1e17, cutoffs past
+    # the closed form's range, and gamma = 0 beyond it
+    ("resolve", "--temperature", "5", "--cutoff", "1e18"),
+    ("resolve", "--damping", "0.5", "--cutoff", "1e154"),
+    ("moments", "--damping", "0", "--cutoff", "1e300"),
+    ("moments", "--damping", "0.5", "--cutoff", "1e152"),
 )
 
 
