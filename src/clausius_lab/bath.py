@@ -230,8 +230,15 @@ def _matsubara_moments(
     their propagated rounding estimates: the generic rows differentiate their
     divided differences as the roots move, l' = -wD l / Q'(l) with Q(l) =
     l^3 - wD l^2 + c1 l - c0, and the contour rows their integrals.
+    ``slopes`` may also be a boolean mask of the elements that are slope
+    nodes, so that a process's states share a call with its quadrature nodes:
+    only the nodes take the slopes' wider close-pair threshold, and with
+    ``free_energy`` only the other elements carry free energies, returned
+    after the ``_Slopes``.
     """
     damping = np.asarray(damping, dtype=float)
+    nodes = np.asarray(slopes)  # True, False or the mask
+    slopes = bool(nodes.any())
     mass, w, wd = (np.full(damping.shape, v, dtype=float) for v in (mass, frequency, cutoff))
     beta = 1.0 / (c.kB * temperature)
     nu1 = 2 * math.pi * c.kB * temperature / c.hbar
@@ -253,13 +260,14 @@ def _matsubara_moments(
     # roots and the free energy's nodes
     n = len(r)
     args = _shifted(np.concatenate([r, y, x]), nu1)
-    if free_energy:
-        points, h, nodes = _coupling_steps(*(v.tolist() for v in (w, wd, damping, r, x, y)), nu1)
-        args = np.concatenate([args, 1 + nodes.ravel()])
+    if free_energy:  # at every element, or with a mask at those that are no slope nodes
+        at = slice(None) if nodes.ndim == 0 else ~nodes
+        points, h, gl_nodes = _coupling_steps(*(v[at].tolist() for v in (w, wd, damping, r, x, y)), nu1)
+        args = np.concatenate([args, 1 + gl_nodes.ravel()])
     p = psi(args)
     pr, py, px = p[:n].real, p[n : 2 * n], p[2 * n : 3 * n]
     if slopes:  # psi' in l at each root
-        g1 = trigamma(args) / nu1
+        g1 = trigamma(args[: 3 * n]) / nu1
         g1r, g1y, g1x = g1[:n], g1[n : 2 * n], g1[2 * n :]
     with np.errstate(divide="ignore", invalid="ignore"):
         d_yr = (py - pr) / (y - r)
@@ -276,7 +284,7 @@ def _matsubara_moments(
     mid = wd / 3
     spread = np.maximum(np.maximum(abs(r - mid), abs(x - mid)), abs(y - mid))
     triple = 16 * spread <= nu1 + mid
-    pair = abs(x - y) <= (_CLOSE_PAIR if slopes else _CONFLUENT) * (nu1 + m)
+    pair = abs(x - y) <= np.where(nodes, _CLOSE_PAIR, _CONFLUENT) * (nu1 + m)
     if pair.any():
         pair &= 16 * np.sqrt(abs(q)) <= abs(r - m)
     circle = (triple | pair).nonzero()[0]
@@ -333,9 +341,10 @@ def _matsubara_moments(
         {"achieved_rel_f1": err1, "achieved_rel_f2": err2}, temperature=temperature, damping=damping,
     )
     if free_energy:
-        return f1, f2, _free_energies(points, h, nodes, p[3 * n :].reshape(nodes.shape), n, temperature, c, rel_tol)
+        psi_nodes = p[3 * n :].reshape(gl_nodes.shape)
+        free = _free_energies(points, h, gl_nodes, psi_nodes, len(damping[at]), temperature, c, rel_tol)
     if not slopes:
-        return f1, f2
+        return (f1, f2, free) if free_energy else (f1, f2)
 
     # the slopes: each root's slope l' = -wD l / Q'(l)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -368,10 +377,11 @@ def _matsubara_moments(
         w2 * wd - c1 * node, w2 * wd + c1 * abs(node), -wd * node - c1 * v_node,
         wd * abs(node) + c1 * abs(v_node), -c1, -wd,
     )
-    return _Slopes(
+    s = _Slopes(
         f1, f2, ds1 / (mass * beta), mass / beta * ds2,
         err1 * f1, err2 * f2, e_ds1 / (mass * beta), mass / beta * e_ds2,
     )
+    return (s, free) if free_energy else s
 
 
 def moments_matsubara(
@@ -459,31 +469,33 @@ def moments_spectral(
     hi = np.array(breaks[1:] + [1 / breaks[-1]])
     tail = np.arange(len(lo)) == len(lo) - 1
     total, error = np.zeros(2), np.zeros(2)
-    for _ in range(_SPECTRAL_ROUNDS):
-        half = (hi - lo) / 2
-        s = (lo + half)[:, None] + half[:, None] * _PAIR_NODES
-        u = np.where(tail[:, None], 1 / s, s)
-        g1 = _susceptibility_im(u, o, damping, b.cutoff) / np.tanh(x0 * u)
-        g1 = np.where(tail[:, None], g1 * u * u, g1)  # du = -dt / t^2
-        rules = half[:, None] * (np.stack([g1, u * u * g1]) @ _PAIR_WEIGHTS)  # (f1 or f2, segment, G10 or G20)
-        value, diff = rules[..., 1], abs(rules[..., 1] - rules[..., 0])
-        pending = ~(diff <= _SPECTRAL_SEGMENT_REL * abs(value)).all(axis=0)
-        total += value[:, ~pending].sum(axis=1)
-        error += diff[:, ~pending].sum(axis=1)
-        if not pending.any():
-            break
-        lo, hi, tail = lo[pending], hi[pending], tail[pending]
-        if 2 * lo.size > _SPECTRAL_MAX_SEGMENTS:
-            break
-        mid = (lo + hi) / 2
-        lo, hi, tail = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([tail, tail])
-    # segments still pending when the rounds or the segment budget ran out
-    # count with their own estimates, and fail the gate
-    total += value[:, pending].sum(axis=1)
-    error += diff[:, pending].sum(axis=1)
-    scale = c.hbar / math.pi * np.array([1.0, o.mass**2])
-    (f1, f2), (err1, err2) = total * scale, error * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # past float64's range (from a cutoff near 1e152 at T = 1) the nodes and
+    # the integrand overflow; the non-finite estimates that leave fail the gate
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_SPECTRAL_ROUNDS):
+            half = (hi - lo) / 2
+            s = (lo + half)[:, None] + half[:, None] * _PAIR_NODES
+            u = np.where(tail[:, None], 1 / s, s)
+            g1 = _susceptibility_im(u, o, damping, b.cutoff) / np.tanh(x0 * u)
+            g1 = np.where(tail[:, None], g1 * u * u, g1)  # du = -dt / t^2
+            rules = half[:, None] * (np.stack([g1, u * u * g1]) @ _PAIR_WEIGHTS)  # (f1 or f2, segment, G10 or G20)
+            value, diff = rules[..., 1], abs(rules[..., 1] - rules[..., 0])
+            pending = ~(diff <= _SPECTRAL_SEGMENT_REL * abs(value)).all(axis=0)
+            total += value[:, ~pending].sum(axis=1)
+            error += diff[:, ~pending].sum(axis=1)
+            if not pending.any():
+                break
+            lo, hi, tail = lo[pending], hi[pending], tail[pending]
+            if 2 * lo.size > _SPECTRAL_MAX_SEGMENTS:
+                break
+            mid = (lo + hi) / 2
+            lo, hi, tail = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([tail, tail])
+        # segments still pending when the rounds or the segment budget ran out
+        # count with their own estimates, and fail the gate
+        total += value[:, pending].sum(axis=1)
+        error += diff[:, pending].sum(axis=1)
+        scale = c.hbar / math.pi * np.array([1.0, o.mass**2])
+        (f1, f2), (err1, err2) = total * scale, error * scale
         rel = {"achieved_rel_f1": err1 / abs(f1), "achieved_rel_f2": err2 / abs(f2)}
     target = -math.inf if pending.any() else rel_tol
     require_accurate(
@@ -628,17 +640,24 @@ def _mass_and_damping(alpha: str, o: OscillatorParams, b: BathSpec, x):
 
 def _slopes_along(alpha: str, o: OscillatorParams, b: BathSpec, x, c: Constants) -> _Slopes:
     """Moments and their exact alpha derivatives at the points x of a 1-d
-    array, elementwise, from one kernel call.
+    array, elementwise, from one kernel call."""
+    x = np.asarray(x, dtype=float)
+    mass, damping = _mass_and_damping(alpha, o, b, x)
+    s = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, slopes=True)
+    return _path_slopes(alpha, o, b, x, s)
+
+
+def _path_slopes(alpha: str, o: OscillatorParams, b: BathSpec, x, s: _Slopes) -> _Slopes:
+    """The alpha derivatives at the points x of a 1-d array, from the
+    kernel's moments and gamma slopes s there.
 
     Along a mass path gamma = gamma_ref M_ref / M, so f1 = S1(gamma)/(M beta)
     and f2 = M S2(gamma)/beta give df1/dM = -f1/M - (gamma/M) df1/dgamma and
     df2/dM = f2/M - (gamma/M) df2/dgamma. The first point whose derivative
     error estimate exceeds 1e-5 of max(|df|, 1e-3 |f| / max(|x|, 1)) raises.
     """
-    x = np.asarray(x, dtype=float)
-    mass, damping = _mass_and_damping(alpha, o, b, x)
-    s = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, slopes=True)
     if alpha == "mass":
+        mass, damping = _mass_and_damping(alpha, o, b, x)
         k = damping / mass
         df1, df2 = -s.f1 / mass - k * s.df1, s.f2 / mass - k * s.df2
         df1_error = k * s.df1_error + (s.f1_error + _ROUND * (abs(s.f1) + abs(k * s.df1 * mass))) / mass

@@ -24,6 +24,7 @@ argument must equal it, and a different value raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,9 @@ from .bath import (
     BathSpec,
     _mass_and_damping,
     _matsubara_moments,
+    _path_slopes,
     _require_path_parameter,
-    _slopes_along,
+    _Slopes,
 )
 from .errors import NumericalFailure, require_accurate, require_count, require_non_negative, require_positive
 from .gaussian import (
@@ -134,6 +136,11 @@ def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants) -> li
     potential is its coupling free energy. At gamma = 0 the kernel gives the
     bare Gibbs state, and its free energy of coupling is zero."""
     f1, f2, work = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True)
+    return _as_states(mass, f1, f2, work, o, c)
+
+
+def _as_states(mass, f1, f2, work, o: OscillatorParams, c: Constants) -> list[_State]:
+    """The states of points of mass M from the kernel's moments and free energies there."""
     moments = [Moments(f1=p, f2=q) for p, q in zip(f1.tolist(), f2.tolist())]
     v = _symplectic_v(f1 * f2, c)
     energy = f2 / (2 * mass) + mass * o.frequency**2 * f1 / 2  # mean_energy of each point
@@ -151,17 +158,26 @@ def entropy_change(
     is authoritative. The quadrature of S'(v) dv/d alpha must agree."""
     b.warn_if_cutoff_low(o)
     ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
+    if check_consistency and path.start_value != path.end_value:
+        try:
+            return _checked_states(*ends, [(path, 0, 1)], o, b, c)[1][0]
+        except NumericalFailure as refusal:
+            failure = refusal
+        # the states shared their kernel call with the check's first nodes:
+        # if they refuse too, theirs is the refusal raised
+        _states(*ends, o, b, c)
+        raise failure
     s0, s1 = _states(*ends, o, b, c)
-    if not check_consistency:
-        endpoint = s1.entropy - s0.entropy
-        return EntropyChange(value=endpoint, quadrature=endpoint)
-    return _checked_entropy_change(path, s0, s1, o, b, c)
+    endpoint = s1.entropy - s0.entropy
+    return EntropyChange(value=endpoint, quadrature=endpoint)
 
 
+@functools.cache
 def _ts_level(k: int):
     """Complements 1 - x_j and weights of the tanh-sinh abscissae new at
     level k, t_j = j h0/2^k for odd j below 8 2^k; at level 2, every level's
-    from 0 to 2, in level order. Weights that underflow are 0."""
+    from 0 to 2, in level order. Weights that underflow are 0. Each level's
+    table is built once per process, as read-only arrays."""
     if k == 2:
         j = np.concatenate([4 * np.arange(9), 2 * np.arange(1, 16, 2), np.arange(1, 32, 2)])
     else:
@@ -173,23 +189,26 @@ def _ts_level(k: int):
         xc = 1 / (np.exp(u2) * np.cosh(u2))
     if k == 2:
         w[0] /= 2  # x = 0 is listed on both sides
+    xc.flags.writeable = w.flags.writeable = False
     return xc, w
 
 
-def _tanh_sinh(f, a: float, b: float, bound: float):
+def _tanh_sinh(a: float, b: float):
     """int_a^b f by tanh-sinh, to the tolerances of scipy's tanhsinh on the
-    error estimate of Bailey, Jeyabalan & Li (Exp. Math. 14, 317 (2005)).
+    error estimate of Bailey, Jeyabalan & Li (Exp. Math. 14, 317 (2005)), as
+    a level stepper, so that one call of f can serve several quadratures.
 
     That estimate extrapolates the last three levels' sums, and before the
     rule converges it can fall far below the error. So a level's own error
     is bounded by its change from the level before, which is returned, and a
-    level ends the quadrature only once that change is within ``bound`` too.
-    f maps a 1-d array of nodes to their values and those values' errors.
-    The first call evaluates levels 0 to 2, each later one the next level;
-    nodes that round onto an end are skipped. Returns the integral, its
-    error bound, the integrand errors summed with the same weights, the
-    number of nodes, and a status: 0 converged, -2 not by level 10, -3 a
-    non-finite value.
+    level ends the quadrature only once that change is within a bound too.
+    The stepper yields a level's nodes, a 1-d array, and is sent back f's
+    values there, those values' errors and that bound. Its first yield holds
+    levels 0 to 2, each later one the next level; nodes that round onto an
+    end are skipped, and a level left without nodes is not yielded. Returns
+    the integral, its error bound, the integrand errors summed with the same
+    weights, the number of nodes, and a status: 0 converged, -2 not by level
+    10, -3 a non-finite value.
     """
     sign = 1.0
     if a > b:
@@ -198,6 +217,7 @@ def _tanh_sinh(f, a: float, b: float, bound: float):
     sums = []  # the level sums so far
     edge = [(math.inf, 0.0), (math.inf, 0.0)]  # per side, (1 - |x|, f w) of the node nearest the end
     evaluations = 0
+    bound = 0.0  # a level without nodes keeps the bound last sent
     for k in range(2, _TS_LAST + 1):
         xc, w = _ts_level(k)
         n = len(xc)
@@ -206,7 +226,7 @@ def _tanh_sinh(f, a: float, b: float, bound: float):
         valid = (w > 0) & (x > a) & (x < b)
         value, error = np.zeros_like(x), np.zeros_like(x)
         if valid.any():  # on a path a few ulps long every node may round onto an end
-            value[valid], error[valid] = f(x[valid])
+            value[valid], error[valid], bound = yield x[valid]
         evaluations += int(valid.sum())
         if not np.isfinite(value).all():
             return sign * (sums[-1] if sums else 0.0), math.nan, math.nan, evaluations, -3
@@ -226,7 +246,7 @@ def _tanh_sinh(f, a: float, b: float, bound: float):
             if ok[i] and xc[i] < edge[side][0]:
                 edge[side] = (xc[i], fw_side[i])
         d1, d2 = abs(total - sums[-2]), abs(total - sums[-3])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # an overflow gives inf, and d1 bounds it
             d0 = d1 ** (np.log(d1) / np.log(d2)) if d1 > 0 else 0.0
         d3, d4 = _EPS * abs(fw).max(), max(abs(edge[0][1]), abs(edge[1][1]))
         estimate = min(max(d0, d1 * d1, d3, d4, _EPS * abs(total)), d1)
@@ -235,17 +255,92 @@ def _tanh_sinh(f, a: float, b: float, bound: float):
     return sign * total, float(d1), propagated, evaluations, -2
 
 
-def _checked_entropy_change(
-    path: ProcessPath, s0: _State, s1: _State, o: OscillatorParams, b: BathSpec, c: Constants
-) -> EntropyChange:
-    """The endpoint entropy change of a path, checked against the quadrature
-    of S'(v) dv/d alpha along it.
+def _integrand(s: _Slopes, c: Constants):
+    """S'(v) dv/d alpha at the nodes of a path from their moments and alpha
+    derivatives s, its error, and the largest relative rounding of v there."""
+    v = _symplectic_v(s.f1 * s.f2, c)
+    rel_v = (s.f1_error / s.f1 + s.f2_error / s.f2) / 2 + _ROUND
+    scale = 2 * v * c.hbar**2
+    dv = (s.df1 * s.f2 + s.f1 * s.df2) / scale
+    dv_error = (
+        s.df1_error * s.f2 + s.f1 * s.df2_error + abs(s.df1) * s.f2_error + s.f1_error * abs(s.df2)
+        + _ROUND * (abs(s.df1 * s.f2) + abs(s.f1 * s.df2))
+    ) / scale + rel_v * abs(dv)
+    guard = v - 0.5 < _V_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.log((v + 0.5) / (v - 0.5))
+        low = np.maximum(v * (1 - rel_v), 0.5 + _V_FLOOR)
+        log_error = np.log((low + 0.5) / (low - 0.5)) - log + _ROUND * abs(log)
+        value = np.where(guard, 0.0, log * dv)
+        error = np.where(guard, _LOG_CAP * (abs(dv) + dv_error), abs(log) * dv_error + log_error * abs(dv))
+    return value, error, float(rel_v.max())
+
+
+def _gate(s0: _State, s1: _State) -> float:
+    """The largest mismatch the check of the entropy change from s0 to s1 accepts."""
+    return _CONSISTENCY_TOL * max(1.0, abs(s1.entropy - s0.entropy))
+
+
+def _checked_states(mass, damping, checks, o: OscillatorParams, b: BathSpec, c: Constants):
+    """The states at the (M, gamma) points of 1-d arrays, and the entropy
+    change of each check (path, i, j), the path from state i to state j,
+    checked against the quadrature of S'(v) dv/d alpha along it.
 
     The check integrates by tanh-sinh, whose nodes crowd the endpoints, where
-    the damping path's integrand behaves like ln gamma. Each level is one
-    array call: one kernel point per node gives its moments and their exact
-    derivatives. A quadrature that does not converge, or an integrand that is
-    not finite, raises, as does a mismatch above 1e-5 of max(1, |dS|).
+    the damping path's integrand behaves like ln gamma. The checks step
+    through their levels in lockstep, one kernel call per round: the first
+    takes the states and every check's nodes of levels 0 to 2, each later
+    one the next level of every check still running. One kernel point per
+    node gives its moments and their exact derivatives along its path. The
+    first refusal met is raised, whichever check it belongs to.
+    """
+    steppers = [_tanh_sinh(path.start_value, path.end_value) for path, _, _ in checks]
+    pending, results = {}, {}  # per check, the nodes its stepper waits on, or its result
+
+    def advance(n, sent):
+        try:
+            pending[n] = steppers[n].send(sent)
+        except StopIteration as stop:
+            pending.pop(n, None)
+            results[n] = stop.value
+
+    for n in range(len(checks)):
+        advance(n, None)
+    rounding = [0.0] * len(checks)  # per check, the largest relative rounding of v at its nodes
+    states = None if pending else _states(mass, damping, o, b, c)
+    while pending:
+        running = list(pending.items())
+        points = [_mass_and_damping(checks[n][0].parameter, o, b, x) for n, x in running]
+        first = states is None  # the first round also takes the states, ahead of the nodes
+        if first:
+            points.insert(0, (mass, damping))
+        lead = mass.size if first else 0
+        m, g = (np.concatenate(v) for v in zip(*points))
+        out = _matsubara_moments(
+            m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=first, slopes=np.arange(m.size) >= lead
+        )
+        if first:
+            out, work = out
+            states = _as_states(mass, out.f1[:lead], out.f2[:lead], work, o, c)
+        for n, x in running:
+            path, i, j = checks[n]
+            s = _path_slopes(path.parameter, o, b, x, _Slopes(*(v[lead : lead + x.size] for v in out)))
+            lead += x.size
+            value, error, rel = _integrand(s, c)
+            rounding[n] = max(rounding[n], rel)
+            advance(n, (value, error, _gate(states[i], states[j])))
+    changes = [
+        _checked_entropy_change(states[i], states[j], results[n], rounding[n], c) for n, (_, i, j) in enumerate(checks)
+    ]
+    return states, changes
+
+
+def _checked_entropy_change(s0: _State, s1: _State, outcome, rounding: float, c: Constants) -> EntropyChange:
+    """The endpoint entropy change from s0 to s1, checked against the
+    ``_tanh_sinh`` outcome of S'(v) dv/d alpha along the path
+    between them, whose nodes round v by at most ``rounding``, relative. A
+    quadrature that did not converge, or an integrand that was not finite,
+    raises, as does a mismatch above 1e-5 of max(1, |dS|).
 
     The error estimate bounds the mismatch: it adds the quadrature's own
     estimate, the integrand's propagated error summed with the quadrature
@@ -253,35 +348,7 @@ def _checked_entropy_change(
     rounding of v over the nodes through S at each end.
     """
     endpoint = s1.entropy - s0.entropy
-    if path.start_value == path.end_value:
-        return EntropyChange(value=endpoint, quadrature=endpoint)
-    rounding = 0.0  # the largest relative rounding of v at the nodes
-
-    def integrand(alpha):
-        nonlocal rounding
-        s = _slopes_along(path.parameter, o, b, alpha, c)
-        v = _symplectic_v(s.f1 * s.f2, c)
-        rel_v = (s.f1_error / s.f1 + s.f2_error / s.f2) / 2 + _ROUND
-        rounding = max(rounding, float(rel_v.max()))
-        scale = 2 * v * c.hbar**2
-        dv = (s.df1 * s.f2 + s.f1 * s.df2) / scale
-        dv_error = (
-            s.df1_error * s.f2 + s.f1 * s.df2_error + abs(s.df1) * s.f2_error + s.f1_error * abs(s.df2)
-            + _ROUND * (abs(s.df1 * s.f2) + abs(s.f1 * s.df2))
-        ) / scale + rel_v * abs(dv)
-        guard = v - 0.5 < _V_FLOOR
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log = np.log((v + 0.5) / (v - 0.5))
-            low = np.maximum(v * (1 - rel_v), 0.5 + _V_FLOOR)
-            log_error = np.log((low + 0.5) / (low - 0.5)) - log + _ROUND * abs(log)
-            value = np.where(guard, 0.0, log * dv)
-            error = np.where(guard, _LOG_CAP * (abs(dv) + dv_error), abs(log) * dv_error + log_error * abs(dv))
-        return value, error
-
-    gate = _CONSISTENCY_TOL * max(1.0, abs(endpoint))
-    quadrature, quad_error, propagated, evaluations, status = _tanh_sinh(
-        integrand, path.start_value, path.end_value, gate
-    )
+    quadrature, quad_error, propagated, evaluations, status = outcome
     ends = 0.0
     for s in (s0, s1):
         v = symplectic_param(s.moments, c)
@@ -302,7 +369,7 @@ def _checked_entropy_change(
             status=status,
         )
     require_accurate(
-        "entropy change: endpoint and quadrature forms disagree", gate, {"mismatch": result.mismatch},
+        "entropy change: endpoint and quadrature forms disagree", _gate(s0, s1), {"mismatch": result.mismatch},
         endpoint=endpoint, quadrature=result.quadrature, error_estimate=result.error_estimate,
         evaluations=result.evaluations,
     )
@@ -380,17 +447,32 @@ def _steps(
     over three points: the bare oscillator (M, 0), the coupled point
     (M, gamma), which ends one step and starts the other, and the mass path's
     end (kM, gamma/k). Each checked step's entropy change is checked against
-    the quadrature along its path."""
+    the quadrature along its path; that call also takes the checks' first
+    nodes."""
     require_positive("mass_factor", mass_factor)
     path = ProcessPath("mass", o.mass, o.mass * mass_factor)
     mass, damping = _mass_and_damping("mass", o, b, [path.start_value, path.end_value])
-    bare, coupled, end = _states(np.concatenate(([o.mass], mass)), np.concatenate(([0.0], damping)), o, b, c)
+    points = np.concatenate(([o.mass], mass)), np.concatenate(([0.0], damping))
+    checks = []
+    if check_coupling and b.damping > 0:
+        checks.append((ProcessPath("damping", 0.0, b.damping), 0, 1))
+    if check_mass and path.start_value != path.end_value:
+        checks.append((path, 1, 2))
+    states = failure = None
+    if checks:
+        try:
+            states = _checked_states(*points, checks, o, b, c)[0]
+        except NumericalFailure as refusal:
+            failure = refusal
+    bare, coupled, end = states or _states(*points, o, b, c)
     coupling = _step(bare, coupled, b.temperature, c)
     mass_step = _step(coupled, end, b.temperature, c, coupled=b.damping > 0)
-    if check_coupling:
-        _checked_entropy_change(ProcessPath("damping", 0.0, b.damping), bare, coupled, o, b, c)
-    if check_mass:
-        _checked_entropy_change(path, coupled, end, o, b, c)
+    if failure is not None:
+        # the checks shared their kernel calls: run each alone, in booking
+        # order, so that the refusal raised is the first a separate run meets
+        for p, i, j in checks:
+            _checked_states(*(v[[i, j]] for v in points), [(p, 0, 1)], o, b, c)
+        raise failure
     q, ds = coupling.heat + mass_step.heat, coupling.delta_entropy + mass_step.delta_entropy
     return coupling, mass_step, clausius_check(q, ds, b.temperature, c)
 

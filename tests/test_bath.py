@@ -521,6 +521,19 @@ class TestWideBand:
                     op(o, b)
                 assert info.value.diagnostics == {"cutoff": b.cutoff, "frequency": o.frequency}
 
+    @pytest.mark.parametrize("cutoff", [1e150, 1e152, 1e160, 1e200, 1e300, 1.79e308])
+    def test_spectral_route_gives_a_value_or_refuses_without_a_warning(self, cutoff):
+        # from a cutoff near 1e152 its nodes and integrand overflowed, and
+        # numpy warned up to 40 times before the NaN estimate was refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                m = moments_spectral(OSC, BathSpec(1.0, 0.5, cutoff), C)
+            except NumericalFailure:
+                return
+        f1, f2, _ = mpmath_referee(1.0, 0.5, cutoff, digits=2 * round(math.log10(cutoff)) + 50)
+        assert abs(m.f1 - f1) <= 1e-7 * f1 and abs(m.f2 - f2) <= 1e-7 * f2
+
     @pytest.mark.parametrize("cutoff", [10.0, 1e107, 1e300, 1.79e308])
     def test_decoupled_at_any_cutoff_is_the_gibbs_state(self, cutoff):
         b = BathSpec(1.0, 0.0, cutoff)

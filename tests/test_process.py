@@ -129,6 +129,16 @@ class TestEntropyChange:
         assert result.evaluations == 0
         assert result.mismatch <= result.error_estimate
 
+    def test_a_diverging_check_refuses_without_a_warning(self):
+        # the error estimate's extrapolation d1^(ln d1 / ln d2) overflowed,
+        # and numpy warned, before the check refused (found by a seeded scan)
+        o = OscillatorParams(mass=510.69075010618815, frequency=6.650421822015448)
+        b = BathSpec(temperature=4.939676814265822e-06, damping=8.705118584343034e73, cutoff=4.225002756874213e40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="did not converge"):
+                entropy_change(ProcessPath("damping", 0.0, b.damping), o, b, C)
+
     def test_reversed_mass_path_negates_quadrature(self):
         b = BathSpec(temperature=0.2, damping=5.0, cutoff=100.0)
         up = entropy_change(ProcessPath("mass", 1.0, 2.0), OSC, b, C)
@@ -144,11 +154,11 @@ class TestEntropyChange:
         ],
     )
     def test_quadrature_failure_raises_with_diagnostics(self, monkeypatch, fake, status):
-        def slopes(alpha, o, b, x, c):
+        def slopes(alpha, o, b, x, s):
             ones = np.ones_like(x)
             return bath._Slopes(ones, ones, fake(x), ones, *(0 * ones,) * 4)
 
-        monkeypatch.setattr(process, "_slopes_along", slopes)
+        monkeypatch.setattr(process, "_path_slopes", slopes)
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
         with pytest.raises(NumericalFailure, match="did not converge") as info:
             entropy_change(ProcessPath("damping", 0.0, 1.0), OSC, b, C)
@@ -367,6 +377,75 @@ def test_narrow_band_warning_is_one_per_call_and_points_at_the_caller(op):
     assert [(str(w.message)[:12], w.filename) for w in caught] == [("Drude cutoff", __file__)]
 
 
+def test_a_checked_op_takes_the_states_of_an_unchecked_one():
+    # near critical damping the coupled point's root pair lies between the
+    # two close-pair thresholds: a state that took the slopes' threshold
+    # would sum the pair on the circle, and round differently
+    b = BathSpec(temperature=0.05, damping=1.98, cutoff=100.0)
+    _, x, y, m, _ = bath._drude_poles(np.array([1.0]), b.cutoff, np.array([b.damping]))
+    assert bath._CONFLUENT < abs(x - y)[0] / (2 * math.pi * b.temperature + m[0]) < bath._CLOSE_PAIR
+    points = np.array([1.0, 1.0, 2.0]), np.array([0.0, b.damping, b.damping / 2])
+    checks = [(ProcessPath("damping", 0.0, b.damping), 0, 1), (ProcessPath("mass", 1.0, 2.0), 1, 2)]
+    states, _ = process._checked_states(*points, checks, OSC, b, C)
+    assert states == process._states(*points, OSC, b, C)
+    for op in (composed_process, mass_process, coupling_process):
+        assert op(OSC, b, b.temperature, C) == op(OSC, b, b.temperature, C, check_consistency=False)
+
+
+def _refusing_kernel(monkeypatch, refuse):
+    """The process's kernel, patched to raise NumericalFailure(name) after a
+    real call whenever refuse(mass, damping, nodes, free_energy) gives a name."""
+    kernel = process._matsubara_moments
+
+    def fake(mass, damping, *args, free_energy=False, slopes=False):
+        out = kernel(mass, damping, *args, free_energy=free_energy, slopes=slopes)
+        nodes = np.broadcast_to(slopes, np.shape(damping))
+        name = refuse(np.broadcast_to(mass, nodes.shape), np.asarray(damping), nodes, free_energy)
+        if name:
+            raise NumericalFailure(name)
+        return out
+
+    monkeypatch.setattr(process, "_matsubara_moments", fake)
+
+
+FLAGSHIP = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda b: composed_process(OSC, b, b.temperature, C),
+        lambda b: mass_process(OSC, b, b.temperature, C),
+        lambda b: coupling_process(OSC, b, b.temperature, C),
+        lambda b: entropy_change(ProcessPath("damping", 0.0, b.damping), OSC, b, C),
+    ],
+    ids=["composed_process", "mass_process", "coupling_process", "entropy_change"],
+)
+def test_a_refusing_state_is_raised_before_a_refusing_node(monkeypatch, op):
+    # the states share a kernel call with the checks' first nodes, in which
+    # the nodes' moments are gated before the states' free energies
+    _refusing_kernel(monkeypatch, lambda mass, damping, nodes, free: "node" if nodes.any() else free and "state")
+    with pytest.raises(NumericalFailure, match="state"):
+        op(FLAGSHIP)
+
+
+def test_the_coupling_check_refuses_before_the_mass_check(monkeypatch):
+    # the mass check refuses in the first shared kernel call, the coupling
+    # check only at its level 3, in the second; the coupling step is booked
+    # first, and its refusal is the one a separate run of each check raises
+    first = next(process._tanh_sinh(0.0, FLAGSHIP.damping))
+
+    def refuse(mass, damping, nodes, free):
+        if (nodes & (mass != OSC.mass)).any():
+            return "mass"
+        if (nodes & ~np.isin(damping, first)).any():
+            return "coupling"
+
+    _refusing_kernel(monkeypatch, refuse)
+    with pytest.raises(NumericalFailure, match="coupling"):
+        composed_process(OSC, FLAGSHIP, FLAGSHIP.temperature, C)
+
+
 def _drude_solves(monkeypatch, op):
     calls = []
     solve = bath._drude_poles
@@ -395,14 +474,16 @@ class TestOneRootSolvePerKernelCall:
     @pytest.mark.parametrize(
         "op, solves",
         [
-            (lambda b: composed_process(OSC, b, b.temperature, C), 4),
-            (lambda b: mass_process(OSC, b, b.temperature, C), 2),
-            (lambda b: coupling_process(OSC, b, b.temperature, C), 3),
+            (lambda b: composed_process(OSC, b, b.temperature, C), 2),
+            (lambda b: mass_process(OSC, b, b.temperature, C), 1),
+            (lambda b: coupling_process(OSC, b, b.temperature, C), 2),
+            (lambda b: entropy_change(ProcessPath("damping", 0.0, b.damping), OSC, b, C), 2),
         ],
-        ids=["composed_process", "mass_process", "coupling_process"],
+        ids=["composed_process", "mass_process", "coupling_process", "entropy_change"],
     )
     def test_checks_solve_only_their_quadrature_levels(self, monkeypatch, op, solves):
-        # at the flagship the mass path's tanh-sinh converges in its first
-        # kernel call, levels 0 to 2, and the coupling path's takes level 3 in
-        # a second; each check reuses the op's states for its endpoints
+        # at the flagship the mass path's tanh-sinh converges on levels 0 to
+        # 2, and the coupling path's takes level 3 too; the op's states share
+        # the first kernel call with every check's levels 0 to 2, and each
+        # later call takes the next level of every check still running
         assert _drude_solves(monkeypatch, op) == solves

@@ -11,15 +11,16 @@ Then ``--trace 1`` runs once per side on seed 3 of oracle-ladder and
 cli-session, for the per-layer metrics: import time, the oracle's time per
 rung and the CLI scenarios' times. Seeds 1-10, every workload and the run
 length of BENCHMARK.json are fixed, so both sides always run the same plan.
-Last, each side times six layers in its own fresh interpreters, nine
+Last, each side times seven layers in its own fresh interpreters, nine
 rounds alternating which side goes first (``LAYERS``): the first checked
 ``composed_process`` of a fresh interpreter, lazy imports included, and the
 interpreter's first oracle rung, N = 256 at the CLI oracle point (T = 1,
 gamma = 1, wD = 100), the load of its LAPACK routines included; then,
 after a warm-up call, the mean over a block of calls of a checked
 ``entropy_change`` on the flagship damping path 0 -> 5 (50), of the
-unchecked flagship ``composed_process`` (300), the op of
-resolve-grid, and of one oracle rung, ``reduced_moments_exact`` at the CLI
+checked flagship ``composed_process`` (50), the op of checked-cold, of the
+unchecked flagship ``composed_process`` (300), the op of resolve-grid, and
+of one oracle rung, ``reduced_moments_exact`` at the CLI
 oracle point with N = 512 (20) and N = 2048 (3) modes. The traced runs above
 time each rung once per side, which cannot show a rung getting faster; these
 can. Each
@@ -123,6 +124,7 @@ print(json.dumps({
     "first_checked_composed_process_s": first_process,
     "first_oracle_rung_N256_s": first_rung,
     "checked_entropy_change_s": per_call(lambda: entropy_change(ProcessPath("damping", 0.0, 5.0), o, b), 50),
+    "checked_composed_process_s": per_call(lambda: composed_process(o, b, 0.05), 50),
     "unchecked_composed_process_s": per_call(lambda: composed_process(o, b, 0.05, check_consistency=False), 300),
     "oracle_rung_N512_s": per_call(lambda: reduced_moments_exact(rung[512], o, cli.temperature), 20),
     "oracle_rung_N2048_s": per_call(lambda: reduced_moments_exact(rung[2048], o, cli.temperature), 3),
