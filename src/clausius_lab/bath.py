@@ -107,18 +107,22 @@ def _drude_poles(w2, wd, damping):
     m = (wD - r)/2 comes from P(-r) = 0 without that cancellation and q from
     Vieta's relations, so both stay accurate at weak damping and where the
     pair merges at critical damping. A gamma whose c1 = w^2 + gamma wD
-    exceeds ``_MAX_C1`` raises before anything can overflow.
+    exceeds ``_MAX_C1`` raises before anything can overflow, and frequencies
+    so small that c0 = w^2 wD underflows to 0 raise before anything divides
+    by a root of 0.
     """
-    with np.errstate(over="ignore"):  # no product that can overflow; at a tiny wD the bound is inf
+    with np.errstate(over="ignore"):  # at a tiny wD the bound is inf, and out of range c0 may overflow
         in_range = damping <= (_MAX_C1 - w2) / wd
-    if not in_range.all():
-        i = np.flatnonzero(~in_range)[0]
+        c0 = w2 * wd
+    if not (in_range.all() and c0.all()):
+        i = np.flatnonzero(~in_range | (c0 == 0))[0]
         raise NumericalFailure(
-            f"damping beyond the closed form's range: w^2 + gamma wD exceeds {_MAX_C1:g}",
+            "frequencies below the closed form's range: w^2 wD underflows to 0" if in_range[i]
+            else f"damping beyond the closed form's range: w^2 + gamma wD exceeds {_MAX_C1:g}",
             damping=float(damping[i]),
             cutoff=float(np.broadcast_to(wd, damping.shape)[i]),
         )
-    c1, c0 = w2 + damping * wd, w2 * wd
+    c1 = w2 + damping * wd
     # np.roots of nu^3 - wD nu^2 + c1 nu - c0, one companion matrix per element
     companion = np.zeros(c1.shape + (3, 3))
     companion[:, 0, 0], companion[:, 0, 1], companion[:, 0, 2] = wd, -c1, c0
@@ -194,7 +198,8 @@ def _circle_sums(centre, coefs, scales, radius, nu1: float, wd, slopes: bool):
 
 
 class _Slopes(NamedTuple):
-    """Moments, their slopes along one parameter, and the absolute error of each."""
+    """Moments, their slopes along one parameter, and the absolute error of
+    each; from a kernel call without slope nodes, the moments alone."""
 
     f1: np.ndarray
     f2: np.ndarray
@@ -215,29 +220,29 @@ def _matsubara_moments(
     c: Constants,
     rel_tol: float = _TARGET_REL,
     free_energy: bool = False,
-    slopes: bool = False,
+    nodes=False,
 ):
     """f1 and f2 from the digamma closed form, elementwise over a 1-d array of
     gamma and, per element or shared, mass, w and wD, at one temperature.
 
     Each element takes its own branch (a contour integral around close
     roots, the generic divided differences, or gamma = 0) and its own
-    rounding gate: the first element whose estimate exceeds ``rel_tol`` raises. With
-    ``free_energy`` the roots, solved once, also give each element's coupling
-    free energy, returned as a third list once all moments pass their gate.
-    With ``slopes`` the same roots and psi values give the exact gamma
-    derivatives at fixed M, returned with the moments as ``_Slopes`` with
-    their propagated rounding estimates: the generic rows differentiate their
+    rounding gate: the first element whose estimate exceeds ``rel_tol`` raises.
+    Returns ``(_Slopes, free)``. ``nodes`` is a boolean mask of the slope
+    nodes (a scalar is broadcast). In a call with nodes the same roots and psi
+    values give every element's exact gamma derivatives at fixed M, with their
+    propagated rounding estimates: the generic rows differentiate their
     divided differences as the roots move, l' = -wD l / Q'(l) with Q(l) =
-    l^3 - wD l^2 + c1 l - c0, and the contour rows their integrals.
-    ``slopes`` may also be a boolean mask of the elements that are slope
-    nodes, so that a process's states share a call with its quadrature nodes:
-    only the nodes take the slopes' wider close-pair threshold, and with
-    ``free_energy`` only the other elements carry free energies, returned
-    after the ``_Slopes``.
+    l^3 - wD l^2 + c1 l - c0, and the contour rows their integrals. Only the
+    nodes take the slopes' wider close-pair threshold, so that a process's
+    states can share a call with its quadrature nodes. Without nodes, the
+    other fields of the ``_Slopes`` are None. With ``free_energy`` the roots,
+    solved once, also give the coupling free energy of each element that is
+    no node, as the list ``free``, once all moments pass their gate; without
+    it ``free`` is None.
     """
     damping = np.asarray(damping, dtype=float)
-    nodes = np.asarray(slopes)  # True, False or the mask
+    nodes = np.full(damping.shape, nodes, dtype=bool)
     slopes = bool(nodes.any())
     mass, w, wd = (np.full(damping.shape, v, dtype=float) for v in (mass, frequency, cutoff))
     beta = 1.0 / (c.kB * temperature)
@@ -248,7 +253,7 @@ def _matsubara_moments(
     if not (slopes or damping.any()):  # decoupled: the Gibbs state, whatever the cutoff
         gibbs = [thermal_moments_decoupled(OscillatorParams(mi, wi), temperature, c) for mi, wi in zip(mass, w)]
         f1, f2 = np.array([g.f1 for g in gibbs]), np.array([g.f2 for g in gibbs])
-        return (f1, f2, [0.0] * len(gibbs)) if free_energy else (f1, f2)
+        return _Slopes(f1, f2, *[None] * 6), [0.0] * len(gibbs) if free_energy else None
     if not (wd <= _MAX_CUTOFF).all():
         message = f"cutoff beyond the closed form's range: wD exceeds {_MAX_CUTOFF:g}"
         raise NumericalFailure(message, cutoff=cutoff, frequency=frequency)
@@ -260,8 +265,8 @@ def _matsubara_moments(
     # roots and the free energy's nodes
     n = len(r)
     args = _shifted(np.concatenate([r, y, x]), nu1)
-    if free_energy:  # at every element, or with a mask at those that are no slope nodes
-        at = slice(None) if nodes.ndim == 0 else ~nodes
+    if free_energy:  # at the elements that are no slope nodes; a slice if that is all, which indexes faster
+        at = ~nodes if slopes else slice(None)
         points, h, gl_nodes = _coupling_steps(*(v[at].tolist() for v in (w, wd, damping, r, x, y)), nu1)
         args = np.concatenate([args, 1 + gl_nodes.ravel()])
     p = psi(args)
@@ -340,25 +345,12 @@ def _matsubara_moments(
         "Matsubara closed form lost its accuracy to cancellation", rel_tol,
         {"achieved_rel_f1": err1, "achieved_rel_f2": err2}, temperature=temperature, damping=damping,
     )
+    free = None
     if free_energy:
         psi_nodes = p[3 * n :].reshape(gl_nodes.shape)
         free = _free_energies(points, h, gl_nodes, psi_nodes, len(damping[at]), temperature, c, rel_tol)
     if not slopes:
-        return (f1, f2, free) if free_energy else (f1, f2)
-
-    # the slopes: each root's slope l' = -wD l / Q'(l)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vx = -wd * x / ((x - y) * (x - r))
-        vy = wd * y / ((x - y) * (y - r))
-        vr = -wd * r / ((x - r) * (y - r))
-        # generic rows, at node x: the quotient rule on each divided difference
-        dg2, e_dg2 = _ratio((g1y * vy, -g1r * vr, -d_yr * (vy - vr)), e_yr * abs(vy - vr), y - r)
-        d_xy_s, e_xy_s = _ratio((g1x * vx, -g1y * vy, -d_xy * (vx - vy)), e_xy * abs(vx - vy), x - y)
-        dg3, e_dg3 = _ratio((dg2, -d_xy_s, -d_xyr * (vr - vx)), e_dg2 + e_xy_s + e_xyr * abs(vr - vx), r - x)
-    v_node = vx.copy()
-    if circle.size:
-        (dg3[circle], e_dg3[circle]), (dg2[circle], e_dg2[circle]) = sums[2:]
-        v_node[circle] = 0.0
+        return _Slopes(f1, f2, *[None] * 6), free
 
     def bracket_slope(n_node, n_scale, dn_node, dn_scale, slope, dslope):
         # d/dgamma of N(node) psi[x, y, r] + N' ((l - node) psi)[x, y, r], the
@@ -372,16 +364,31 @@ def _matsubara_moments(
         )
         return -2 / nu1 * total.real, 2 / nu1 * err
 
-    ds1, e_ds1 = bracket_slope(wd - node, wd + abs(node), -v_node, abs(v_node), -1.0, 0.0)
-    ds2, e_ds2 = bracket_slope(
-        w2 * wd - c1 * node, w2 * wd + c1 * abs(node), -wd * node - c1 * v_node,
-        wd * abs(node) + c1 * abs(v_node), -c1, -wd,
-    )
-    s = _Slopes(
-        f1, f2, ds1 / (mass * beta), mass / beta * ds2,
-        err1 * f1, err2 * f2, e_ds1 / (mass * beta), mass / beta * e_ds2,
-    )
-    return (s, free) if free_energy else s
+    # the slopes: each root's slope l' = -wD l / Q'(l). Slopes past float64's
+    # range (at frequencies near 1e-105) give non-finite estimates, which the
+    # derivative gate refuses
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vx = -wd * x / ((x - y) * (x - r))
+        vy = wd * y / ((x - y) * (y - r))
+        vr = -wd * r / ((x - r) * (y - r))
+        # generic rows, at node x: the quotient rule on each divided difference
+        dg2, e_dg2 = _ratio((g1y * vy, -g1r * vr, -d_yr * (vy - vr)), e_yr * abs(vy - vr), y - r)
+        d_xy_s, e_xy_s = _ratio((g1x * vx, -g1y * vy, -d_xy * (vx - vy)), e_xy * abs(vx - vy), x - y)
+        dg3, e_dg3 = _ratio((dg2, -d_xy_s, -d_xyr * (vr - vx)), e_dg2 + e_xy_s + e_xyr * abs(vr - vx), r - x)
+        v_node = vx.copy()
+        if circle.size:
+            (dg3[circle], e_dg3[circle]), (dg2[circle], e_dg2[circle]) = sums[2:]
+            v_node[circle] = 0.0
+        ds1, e_ds1 = bracket_slope(wd - node, wd + abs(node), -v_node, abs(v_node), -1.0, 0.0)
+        ds2, e_ds2 = bracket_slope(
+            w2 * wd - c1 * node, w2 * wd + c1 * abs(node), -wd * node - c1 * v_node,
+            wd * abs(node) + c1 * abs(v_node), -c1, -wd,
+        )
+        s = _Slopes(
+            f1, f2, ds1 / (mass * beta), mass / beta * ds2,
+            err1 * f1, err2 * f2, e_ds1 / (mass * beta), mass / beta * e_ds2,
+        )
+    return s, free
 
 
 def moments_matsubara(
@@ -408,14 +415,14 @@ def moments_matsubara(
     level with.
     """
     b.warn_if_cutoff_low(o)
-    f1, f2 = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol)
-    return Moments(f1=float(f1[0]), f2=float(f2[0]), cross=0.0)
+    s, _ = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol)
+    return Moments(f1=float(s.f1[0]), f2=float(s.f2[0]), cross=0.0)
 
 
 def _susceptibility_im(u, o: OscillatorParams, damping, cutoff):
     """Im chi(u) for the Drude kernel continued to the real frequency axis."""
     kernel = damping * cutoff / (cutoff - 1j * u)
-    chi = 1.0 / (o.mass * (o.frequency**2 - u**2 - 1j * u * kernel))
+    chi = 1.0 / (o.mass * (np.float64(o.frequency) ** 2 - u**2 - 1j * u * kernel))
     return chi.imag
 
 
@@ -494,7 +501,7 @@ def moments_spectral(
         # count with their own estimates, and fail the gate
         total += value[:, pending].sum(axis=1)
         error += diff[:, pending].sum(axis=1)
-        scale = c.hbar / math.pi * np.array([1.0, o.mass**2])
+        scale = c.hbar / math.pi * np.array([1.0, np.float64(o.mass) ** 2])
         (f1, f2), (err1, err2) = total * scale, error * scale
         rel = {"achieved_rel_f1": err1 / abs(f1), "achieved_rel_f2": err2 / abs(f2)}
     target = -math.inf if pending.any() else rel_tol
@@ -619,7 +626,7 @@ def coupling_free_energy(
     estimates of the point's moments as well as that of its free energy.
     """
     b.warn_if_cutoff_low(o)
-    _, _, free = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol, True)
+    _, free = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol, True)
     return free[0]
 
 
@@ -643,7 +650,7 @@ def _slopes_along(alpha: str, o: OscillatorParams, b: BathSpec, x, c: Constants)
     array, elementwise, from one kernel call."""
     x = np.asarray(x, dtype=float)
     mass, damping = _mass_and_damping(alpha, o, b, x)
-    s = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, slopes=True)
+    s, _ = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, nodes=True)
     return _path_slopes(alpha, o, b, x, s)
 
 
@@ -654,20 +661,22 @@ def _path_slopes(alpha: str, o: OscillatorParams, b: BathSpec, x, s: _Slopes) ->
     Along a mass path gamma = gamma_ref M_ref / M, so f1 = S1(gamma)/(M beta)
     and f2 = M S2(gamma)/beta give df1/dM = -f1/M - (gamma/M) df1/dgamma and
     df2/dM = f2/M - (gamma/M) df2/dgamma. The first point whose derivative
-    error estimate exceeds 1e-5 of max(|df|, 1e-3 |f| / max(|x|, 1)) raises.
+    error estimate exceeds 1e-5 of max(|df|, 1e-3 |f| / max(|x|, 1)) raises;
+    slopes past float64's range give non-finite estimates, which do.
     """
-    if alpha == "mass":
-        mass, damping = _mass_and_damping(alpha, o, b, x)
-        k = damping / mass
-        df1, df2 = -s.f1 / mass - k * s.df1, s.f2 / mass - k * s.df2
-        df1_error = k * s.df1_error + (s.f1_error + _ROUND * (abs(s.f1) + abs(k * s.df1 * mass))) / mass
-        df2_error = k * s.df2_error + (s.f2_error + _ROUND * (abs(s.f2) + abs(k * s.df2 * mass))) / mass
-        s = s._replace(df1=df1, df2=df2, df1_error=df1_error, df2_error=df2_error)
-    scale = np.maximum(abs(x), 1.0)
-    rel = {
-        "df1_rel_error": s.df1_error / np.maximum(abs(s.df1), 1e-3 * s.f1 / scale),
-        "df2_rel_error": s.df2_error / np.maximum(abs(s.df2), 1e-3 * s.f2 / scale),
-    }
+    with np.errstate(invalid="ignore", over="ignore"):
+        if alpha == "mass":
+            mass, damping = _mass_and_damping(alpha, o, b, x)
+            k = damping / mass
+            df1, df2 = -s.f1 / mass - k * s.df1, s.f2 / mass - k * s.df2
+            df1_error = k * s.df1_error + (s.f1_error + _ROUND * (abs(s.f1) + abs(k * s.df1 * mass))) / mass
+            df2_error = k * s.df2_error + (s.f2_error + _ROUND * (abs(s.f2) + abs(k * s.df2 * mass))) / mass
+            s = s._replace(df1=df1, df2=df2, df1_error=df1_error, df2_error=df2_error)
+        scale = np.maximum(abs(x), 1.0)
+        rel = {
+            "df1_rel_error": s.df1_error / np.maximum(abs(s.df1), 1e-3 * s.f1 / scale),
+            "df2_rel_error": s.df2_error / np.maximum(abs(s.df2), 1e-3 * s.f2 / scale),
+        }
     require_accurate("moment derivative error estimate exceeds tolerance", 1e-5, rel, alpha=alpha, at=x)
     return s
 

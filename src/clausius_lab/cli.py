@@ -255,7 +255,7 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Table:
     scale = _entropy_scale(cfg)
     alphas = ProcessPath(cfg.param, cfg.start, cfg.end, cfg.grid).values
     mass, damping = _mass_and_damping(cfg.param, o, b, alphas)
-    states = _states(mass, damping, o, b, c)
+    states, _ = _states(mass, damping, o, b, c)
     dq = np.zeros(alphas.shape)  # the heat integrand dQ/d alpha = dU/d alpha - dW/d alpha at each row
     if cfg.start != cfg.end:
         f1, f2, df1, df2, *_ = _slopes_along(cfg.param, o, b, alphas, c)

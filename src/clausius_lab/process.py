@@ -60,9 +60,9 @@ _CONSISTENCY_TOL = 1e-5
 _TS_H0 = math.asinh(math.log(2 / (4 * np.finfo(float).tiny) - 1) / math.pi) / 8
 _TS_LAST, _TS_ATOL, _TS_RTOL = 10, 1e-9, 1e-8
 _EPS = float(np.finfo(float).eps)
-# the integrand is read as 0 where v - 1/2 < 1e-18, so its log factor is
-# at most this there
-_V_FLOOR = 1e-18
+# the integrand is read as 0 where v - 1/2 is below float64's spacing at 1/2,
+# where v rounds onto 1/2, so its log factor is at most this there
+_V_FLOOR = float(np.spacing(0.5))
 _LOG_CAP = math.log((1 + _V_FLOOR) / _V_FLOOR)
 
 
@@ -131,22 +131,6 @@ class _State:
     work: float
 
 
-def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants) -> list[_State]:
-    """The state at each (M, gamma) point, from one kernel call; its work
-    potential is its coupling free energy. At gamma = 0 the kernel gives the
-    bare Gibbs state, and its free energy of coupling is zero."""
-    f1, f2, work = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True)
-    return _as_states(mass, f1, f2, work, o, c)
-
-
-def _as_states(mass, f1, f2, work, o: OscillatorParams, c: Constants) -> list[_State]:
-    """The states of points of mass M from the kernel's moments and free energies there."""
-    moments = [Moments(f1=p, f2=q) for p, q in zip(f1.tolist(), f2.tolist())]
-    v = _symplectic_v(f1 * f2, c)
-    energy = f2 / (2 * mass) + mass * o.frequency**2 * f1 / 2  # mean_energy of each point
-    return [_State(m, entropy(v_i), u, w) for m, v_i, u, w in zip(moments, v.tolist(), energy.tolist(), work)]
-
-
 def entropy_change(
     path: ProcessPath,
     o: OscillatorParams,
@@ -158,18 +142,10 @@ def entropy_change(
     is authoritative. The quadrature of S'(v) dv/d alpha must agree."""
     b.warn_if_cutoff_low(o)
     ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
-    if check_consistency and path.start_value != path.end_value:
-        try:
-            return _checked_states(*ends, [(path, 0, 1)], o, b, c)[1][0]
-        except NumericalFailure as refusal:
-            failure = refusal
-        # the states shared their kernel call with the check's first nodes:
-        # if they refuse too, theirs is the refusal raised
-        _states(*ends, o, b, c)
-        raise failure
-    s0, s1 = _states(*ends, o, b, c)
+    checks = [(path, 0, 1)] if check_consistency and path.start_value != path.end_value else []
+    (s0, s1), changes = _states(*ends, o, b, c, checks)
     endpoint = s1.entropy - s0.entropy
-    return EntropyChange(value=endpoint, quadrature=endpoint)
+    return changes[0] if changes else EntropyChange(value=endpoint, quadrature=endpoint)
 
 
 @functools.cache
@@ -281,18 +257,25 @@ def _gate(s0: _State, s1: _State) -> float:
     return _CONSISTENCY_TOL * max(1.0, abs(s1.entropy - s0.entropy))
 
 
-def _checked_states(mass, damping, checks, o: OscillatorParams, b: BathSpec, c: Constants):
+def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, checks=()):
     """The states at the (M, gamma) points of 1-d arrays, and the entropy
     change of each check (path, i, j), the path from state i to state j,
-    checked against the quadrature of S'(v) dv/d alpha along it.
+    checked against the quadrature of S'(v) dv/d alpha along it. A state's
+    work potential is its coupling free energy; at gamma = 0 the kernel gives
+    the bare Gibbs state, whose free energy of coupling is zero.
 
     The check integrates by tanh-sinh, whose nodes crowd the endpoints, where
     the damping path's integrand behaves like ln gamma. The checks step
     through their levels in lockstep, one kernel call per round: the first
     takes the states and every check's nodes of levels 0 to 2, each later
-    one the next level of every check still running. One kernel point per
-    node gives its moments and their exact derivatives along its path. The
-    first refusal met is raised, whichever check it belongs to.
+    one the next level of every check still running; without checks the
+    first is the only one. One kernel point per node gives its moments and
+    their exact derivatives along its path.
+
+    A refusal with checks is replayed, so that the refusal raised is the one
+    separate runs meet first: the states alone, then, of two or more checks,
+    each alone in booking order. If none of these refuses, the refusal of
+    the shared calls is raised.
     """
     steppers = [_tanh_sinh(path.start_value, path.end_value) for path, _, _ in checks]
     pending, results = {}, {}  # per check, the nodes its stepper waits on, or its result
@@ -307,31 +290,45 @@ def _checked_states(mass, damping, checks, o: OscillatorParams, b: BathSpec, c: 
     for n in range(len(checks)):
         advance(n, None)
     rounding = [0.0] * len(checks)  # per check, the largest relative rounding of v at its nodes
-    states = None if pending else _states(mass, damping, o, b, c)
-    while pending:
-        running = list(pending.items())
-        points = [_mass_and_damping(checks[n][0].parameter, o, b, x) for n, x in running]
-        first = states is None  # the first round also takes the states, ahead of the nodes
-        if first:
-            points.insert(0, (mass, damping))
-        lead = mass.size if first else 0
-        m, g = (np.concatenate(v) for v in zip(*points))
-        out = _matsubara_moments(
-            m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=first, slopes=np.arange(m.size) >= lead
-        )
-        if first:
-            out, work = out
-            states = _as_states(mass, out.f1[:lead], out.f2[:lead], work, o, c)
-        for n, x in running:
-            path, i, j = checks[n]
-            s = _path_slopes(path.parameter, o, b, x, _Slopes(*(v[lead : lead + x.size] for v in out)))
-            lead += x.size
-            value, error, rel = _integrand(s, c)
-            rounding[n] = max(rounding[n], rel)
-            advance(n, (value, error, _gate(states[i], states[j])))
-    changes = [
-        _checked_entropy_change(states[i], states[j], results[n], rounding[n], c) for n, (_, i, j) in enumerate(checks)
-    ]
+    states = None
+    try:
+        while states is None or pending:
+            running = list(pending.items())
+            points = [_mass_and_damping(checks[n][0].parameter, o, b, x) for n, x in running]
+            first = states is None  # the first round also takes the states, ahead of the nodes
+            if first:
+                points.insert(0, (mass, damping))
+            lead = mass.size if first else 0
+            m, g = (np.concatenate(v) for v in zip(*points))
+            out, work = _matsubara_moments(
+                m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=first, nodes=np.arange(m.size) >= lead
+            )
+            if first:
+                f1, f2 = out.f1[:lead], out.f2[:lead]
+                v = _symplectic_v(f1 * f2, c)
+                energy = f2 / (2 * mass) + mass * o.frequency**2 * f1 / 2  # mean_energy of each point
+                states = [
+                    _State(Moments(f1=p, f2=q), entropy(v_i), u, w)
+                    for p, q, v_i, u, w in zip(f1.tolist(), f2.tolist(), v.tolist(), energy.tolist(), work)
+                ]
+            for n, x in running:
+                path, i, j = checks[n]
+                s = _path_slopes(path.parameter, o, b, x, _Slopes(*(v[lead : lead + x.size] for v in out)))
+                lead += x.size
+                value, error, rel = _integrand(s, c)
+                rounding[n] = max(rounding[n], rel)
+                advance(n, (value, error, _gate(states[i], states[j])))
+        changes = [
+            _checked_entropy_change(states[i], states[j], results[n], rounding[n], c)
+            for n, (_, i, j) in enumerate(checks)
+        ]
+    except NumericalFailure:
+        if checks:
+            _states(mass, damping, o, b, c)
+        if len(checks) > 1:  # a lone check would replay itself
+            for path, i, j in checks:
+                _states(mass[[i, j]], damping[[i, j]], o, b, c, [(path, 0, 1)])
+        raise
     return states, changes
 
 
@@ -401,7 +398,7 @@ def heat(
     if path.start_value == path.end_value:
         return HeatResult(value=0.0, error_estimate=0.0)
     ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
-    return _first_law(*_states(*ends, o, b, c))
+    return _first_law(*_states(*ends, o, b, c)[0])
 
 
 def clausius_check(
@@ -458,21 +455,9 @@ def _steps(
         checks.append((ProcessPath("damping", 0.0, b.damping), 0, 1))
     if check_mass and path.start_value != path.end_value:
         checks.append((path, 1, 2))
-    states = failure = None
-    if checks:
-        try:
-            states = _checked_states(*points, checks, o, b, c)[0]
-        except NumericalFailure as refusal:
-            failure = refusal
-    bare, coupled, end = states or _states(*points, o, b, c)
+    (bare, coupled, end), _ = _states(*points, o, b, c, checks)
     coupling = _step(bare, coupled, b.temperature, c)
     mass_step = _step(coupled, end, b.temperature, c, coupled=b.damping > 0)
-    if failure is not None:
-        # the checks shared their kernel calls: run each alone, in booking
-        # order, so that the refusal raised is the first a separate run meets
-        for p, i, j in checks:
-            _checked_states(*(v[[i, j]] for v in points), [(p, 0, 1)], o, b, c)
-        raise failure
     q, ds = coupling.heat + mass_step.heat, coupling.delta_entropy + mass_step.delta_entropy
     return coupling, mass_step, clausius_check(q, ds, b.temperature, c)
 

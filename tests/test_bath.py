@@ -174,8 +174,8 @@ class TestArrayKernel:
     def test_array_equals_one_point_calls(self, temperature):
         points = mixed_branch_points()
         mass, damping, w, wd = (np.array(col) for col in zip(*points))
-        f1, f2, free = _matsubara_moments(mass, damping, w, wd, temperature, C, free_energy=True)
-        for (m, g, freq, cutoff), a1, a2, a3 in zip(points, f1, f2, free):
+        s, free = _matsubara_moments(mass, damping, w, wd, temperature, C, free_energy=True)
+        for (m, g, freq, cutoff), a1, a2, a3 in zip(points, s.f1, s.f2, free):
             o, b = OscillatorParams(m, freq), BathSpec(temperature, g, cutoff)
             ref = moments_matsubara(o, b, C)
             assert abs(a1 - ref.f1) <= 4 * np.spacing(ref.f1)
@@ -269,6 +269,20 @@ class TestSpectralRoute:
             return
         assert abs(m.f1 / ref.f1 - 1) <= 1e-7
         assert abs(m.f2 / ref.f2 - 1) <= 1e-7
+
+    def test_squares_past_the_float_range_are_refused(self):
+        # M^2 or w^2 past float64's range is inf, not Python's OverflowError,
+        # and the gate refuses the estimate it leaves
+        points = [(OscillatorParams(1e160, 1.0), 100.0), (OscillatorParams(1.0, 1e160), 1e162)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for o, cutoff in points:
+                with pytest.raises(NumericalFailure, match="spectral quadrature"):
+                    moments_spectral(o, BathSpec(1.0, 1.0, cutoff), C)
+            heavy = moments_spectral(OscillatorParams(1e150, 1.0), BathSpec(1.0, 1.0, 100.0), C)
+        unit = moments_spectral(OSC, BathSpec(1.0, 1.0, 100.0), C)
+        assert heavy.f1 * 1e150 == pytest.approx(unit.f1, rel=1e-12)
+        assert heavy.f2 / 1e150 == pytest.approx(unit.f2, rel=1e-12)
 
     def test_unreachable_tolerance_raises_with_diagnostics(self):
         b = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
@@ -602,7 +616,7 @@ def test_near_confluent_moments_within_their_estimates(point):
     # slope-reading kernel call returns with the moments
     temperature, damping, cutoff = point
     f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
-    s = _matsubara_moments(1.0, [damping], 1.0, cutoff, temperature, C, slopes=True)
+    s, _ = _matsubara_moments(1.0, [damping], 1.0, cutoff, temperature, C, nodes=True)
     assert abs(s.f1[0] - f1) <= s.f1_error[0]
     assert abs(s.f2[0] - f2) <= s.f2_error[0]
 
@@ -646,7 +660,7 @@ class TestMomentDerivatives:
         b = BathSpec(temperature, damping, cutoff)
         dg1, dg2 = mpmath_slope_referee(temperature, damping, cutoff)
         f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
-        s = _matsubara_moments(1.0, [damping], 1.0, cutoff, temperature, C, slopes=True)
+        s, _ = _matsubara_moments(1.0, [damping], 1.0, cutoff, temperature, C, nodes=True)
         assert abs(s.f1[0] - f1) <= s.f1_error[0]
         assert abs(s.f2[0] - f2) <= s.f2_error[0]
         for alpha, ref1, ref2 in (("damping", dg1, dg2), ("mass", -f1 - damping * dg1, f2 - damping * dg2)):

@@ -24,6 +24,7 @@ from clausius_lab import (
     clausius_check,
     composed_process,
     convergence_report,
+    coupling_free_energy,
     entropy,
     erasure_budget,
     landauer_bound,
@@ -135,6 +136,29 @@ EDGES = {
     "moments_matsubara at T = 1e300": lambda: moments_matsubara(OSC, BathSpec(1e300, 1.0, 100.0)),
     "checked composed_process from gamma = 1e-16": lambda: _resolve(1e-3, 1e-16, 100.0, check=True),
 }
+
+
+# the flagship frequencies (w, T, gamma, wD) = (1, 0.05, 5, 100) scaled by
+# 2^k at M = 1: from k = -400 c0 = w^2 wD underflows to 0, and at k = -350
+# the gamma slopes of a checked op leave the float range
+TINY_OPS = {
+    "moments_matsubara": lambda o, b: moments_matsubara(o, b),
+    "coupling_free_energy": lambda o, b: coupling_free_energy(o, b),
+    "checked composed_process": lambda o, b: composed_process(o, b, b.temperature),
+    "unchecked composed_process": lambda o, b: composed_process(o, b, b.temperature, check_consistency=False),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-350, -400, -600, -800, -1000])
+@pytest.mark.parametrize("op", list(TINY_OPS))
+def test_frequencies_scaled_far_down_end_in_a_value_or_numerical_failure(op, k):
+    w, t, g, wd = (math.ldexp(v, k) for v in (1.0, 0.05, 5.0, 100.0))
+    o, b = OscillatorParams(mass=1.0, frequency=w), BathSpec(t, g, wd)
+    try:
+        TINY_OPS[op](o, b)
+    except NumericalFailure:
+        assert k < -350 or op == "checked composed_process"
 
 
 @pytest.mark.parametrize("name", list(EDGES))

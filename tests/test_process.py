@@ -139,6 +139,14 @@ class TestEntropyChange:
             with pytest.raises(NumericalFailure, match="did not converge"):
                 entropy_change(ProcessPath("damping", 0.0, b.damping), o, b, C)
 
+    def test_nodes_where_v_rounds_onto_one_half_keep_the_estimate_finite(self):
+        # near gamma = 0 at low temperature v rounds onto 1/2 at some nodes;
+        # below a floor of float64's spacing there, the estimate's log
+        # factor would be infinite
+        b = BathSpec(temperature=0.01, damping=0.3, cutoff=200.0)
+        result = entropy_change(ProcessPath("damping", 0.0, b.damping), OSC, b, C)
+        assert result.mismatch <= result.error_estimate < 1e-6
+
     def test_reversed_mass_path_negates_quadrature(self):
         b = BathSpec(temperature=0.2, damping=5.0, cutoff=100.0)
         up = entropy_change(ProcessPath("mass", 1.0, 2.0), OSC, b, C)
@@ -386,8 +394,8 @@ def test_a_checked_op_takes_the_states_of_an_unchecked_one():
     assert bath._CONFLUENT < abs(x - y)[0] / (2 * math.pi * b.temperature + m[0]) < bath._CLOSE_PAIR
     points = np.array([1.0, 1.0, 2.0]), np.array([0.0, b.damping, b.damping / 2])
     checks = [(ProcessPath("damping", 0.0, b.damping), 0, 1), (ProcessPath("mass", 1.0, 2.0), 1, 2)]
-    states, _ = process._checked_states(*points, checks, OSC, b, C)
-    assert states == process._states(*points, OSC, b, C)
+    states, _ = process._states(*points, OSC, b, C, checks)
+    assert states == process._states(*points, OSC, b, C)[0]
     for op in (composed_process, mass_process, coupling_process):
         assert op(OSC, b, b.temperature, C) == op(OSC, b, b.temperature, C, check_consistency=False)
 
@@ -397,9 +405,9 @@ def _refusing_kernel(monkeypatch, refuse):
     real call whenever refuse(mass, damping, nodes, free_energy) gives a name."""
     kernel = process._matsubara_moments
 
-    def fake(mass, damping, *args, free_energy=False, slopes=False):
-        out = kernel(mass, damping, *args, free_energy=free_energy, slopes=slopes)
-        nodes = np.broadcast_to(slopes, np.shape(damping))
+    def fake(mass, damping, *args, free_energy=False, nodes=False):
+        out = kernel(mass, damping, *args, free_energy=free_energy, nodes=nodes)
+        nodes = np.broadcast_to(nodes, np.shape(damping))
         name = refuse(np.broadcast_to(mass, nodes.shape), np.asarray(damping), nodes, free_energy)
         if name:
             raise NumericalFailure(name)
@@ -427,6 +435,21 @@ def test_a_refusing_state_is_raised_before_a_refusing_node(monkeypatch, op):
     _refusing_kernel(monkeypatch, lambda mass, damping, nodes, free: "node" if nodes.any() else free and "state")
     with pytest.raises(NumericalFailure, match="state"):
         op(FLAGSHIP)
+
+
+def test_a_refusing_check_replays_only_its_states(monkeypatch):
+    # a lone check's refusal replays the states alone, and not the check
+    # itself: the shared call and that replay are the only kernel calls
+    calls = []
+
+    def refuse(mass, damping, nodes, free):
+        calls.append(free)
+        return "node" if nodes.any() else None
+
+    _refusing_kernel(monkeypatch, refuse)
+    with pytest.raises(NumericalFailure, match="node"):
+        entropy_change(ProcessPath("damping", 0.0, FLAGSHIP.damping), OSC, FLAGSHIP, C)
+    assert calls == [True, True]
 
 
 def test_the_coupling_check_refuses_before_the_mass_check(monkeypatch):
