@@ -337,7 +337,8 @@ def _matsubara_moments(
 
     sum1, err1 = bracket(1.0 / w2, wd - node, -1.0)
     sum2, err2 = bracket(1.0, w2 * wd - c1 * node, -c1)
-    f1, f2 = sum1 / (mass * beta), mass / beta * sum2
+    with np.errstate(over="ignore", divide="ignore"):  # out of float64's range a moment is 0 or inf, refused below
+        f1, f2 = sum1 / (mass * beta), mass / beta * sum2
     for i in (damping == 0).nonzero()[0]:
         gibbs = thermal_moments_decoupled(OscillatorParams(mass=mass[i], frequency=w[i]), temperature, c)
         f1[i], f2[i], err1[i], err2[i] = gibbs.f1, gibbs.f2, 0.0, 0.0  # Gibbs: exempt from the bracket's gate
@@ -345,6 +346,10 @@ def _matsubara_moments(
         "Matsubara closed form lost its accuracy to cancellation", rel_tol,
         {"achieved_rel_f1": err1, "achieved_rel_f2": err2}, temperature=temperature, damping=damping,
     )
+    out = np.flatnonzero(~(np.isfinite(f1) & np.isfinite(f2) & (f1 != 0) & (f2 != 0)))
+    if out.size:
+        at = {"mass": float(mass[out[0]]), "damping": float(damping[out[0]]), "temperature": temperature}
+        raise NumericalFailure("moments beyond float64's range", **at)
     free = None
     if free_energy:
         psi_nodes = p[3 * n :].reshape(gl_nodes.shape)
@@ -606,12 +611,7 @@ def _free_energies(
     return [values.get(k, 0.0) / beta for k in range(n)]
 
 
-def coupling_free_energy(
-    o: OscillatorParams,
-    b: BathSpec,
-    c: Constants = Constants(),
-    rel_tol: float = _TARGET_REL,
-) -> float:
+def coupling_free_energy(o: OscillatorParams, b: BathSpec, c: Constants = Constants()) -> float:
     """Free energy of coupling: F_MF(gamma) - F_MF(0) at fixed M, w, T.
 
     The Matsubara product formula for the mean-force partition function,
@@ -622,61 +622,10 @@ def coupling_free_energy(
     accuracy. The shifts sum to zero, so their psi(1) terms, which would
     cancel to rounding at high temperature, are left out. This is the
     quasistatic work needed to switch the coupling on isothermally. It is the
-    one-point call of the array kernel, so ``rel_tol`` gates the rounding
-    estimates of the point's moments as well as that of its free energy.
+    one-point call of the array kernel, so the kernel's target gates the
+    rounding estimates of the point's moments as well as that of its free
+    energy.
     """
     b.warn_if_cutoff_low(o)
-    _, free = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol, True)
+    _, free = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, free_energy=True)
     return free[0]
-
-
-def _require_path_parameter(alpha: str) -> None:
-    if alpha not in ("mass", "damping"):
-        raise ValueError(f"unknown path parameter {alpha!r}")
-
-
-def _mass_and_damping(alpha: str, o: OscillatorParams, b: BathSpec, x):
-    """(M, gamma) at values x of alpha. A mass path holds the microscopic
-    coupling fixed, so gamma = gamma_ref M_ref / M: holding gamma itself
-    fixed would make the mass a pure prefactor and the mass step a null
-    process even at strong coupling."""
-    _require_path_parameter(alpha)
-    x = np.asarray(x, dtype=float)
-    return (x, o.mass * b.damping / x) if alpha == "mass" else (np.full(x.shape, o.mass), x)
-
-
-def _slopes_along(alpha: str, o: OscillatorParams, b: BathSpec, x, c: Constants) -> _Slopes:
-    """Moments and their exact alpha derivatives at the points x of a 1-d
-    array, elementwise, from one kernel call."""
-    x = np.asarray(x, dtype=float)
-    mass, damping = _mass_and_damping(alpha, o, b, x)
-    s, _ = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, nodes=True)
-    return _path_slopes(alpha, o, b, x, s)
-
-
-def _path_slopes(alpha: str, o: OscillatorParams, b: BathSpec, x, s: _Slopes) -> _Slopes:
-    """The alpha derivatives at the points x of a 1-d array, from the
-    kernel's moments and gamma slopes s there.
-
-    Along a mass path gamma = gamma_ref M_ref / M, so f1 = S1(gamma)/(M beta)
-    and f2 = M S2(gamma)/beta give df1/dM = -f1/M - (gamma/M) df1/dgamma and
-    df2/dM = f2/M - (gamma/M) df2/dgamma. The first point whose derivative
-    error estimate exceeds 1e-5 of max(|df|, 1e-3 |f| / max(|x|, 1)) raises;
-    slopes past float64's range give non-finite estimates, which do.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        if alpha == "mass":
-            mass, damping = _mass_and_damping(alpha, o, b, x)
-            k = damping / mass
-            df1, df2 = -s.f1 / mass - k * s.df1, s.f2 / mass - k * s.df2
-            df1_error = k * s.df1_error + (s.f1_error + _ROUND * (abs(s.f1) + abs(k * s.df1 * mass))) / mass
-            df2_error = k * s.df2_error + (s.f2_error + _ROUND * (abs(s.f2) + abs(k * s.df2 * mass))) / mass
-            s = s._replace(df1=df1, df2=df2, df1_error=df1_error, df2_error=df2_error)
-        scale = np.maximum(abs(x), 1.0)
-        rel = {
-            "df1_rel_error": s.df1_error / np.maximum(abs(s.df1), 1e-3 * s.f1 / scale),
-            "df2_rel_error": s.df2_error / np.maximum(abs(s.df2), 1e-3 * s.f2 / scale),
-        }
-    require_accurate("moment derivative error estimate exceeds tolerance", 1e-5, rel, alpha=alpha, at=x)
-    return s
-

@@ -18,18 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .bath import (
-    BathSpec,
-    _mass_and_damping,
-    _slopes_along,
-    moments_matsubara,
-    moments_spectral,
-)
+from .bath import BathSpec, moments_matsubara, moments_spectral
 from .errors import NumericalFailure, require_count, require_positive
 from .gaussian import Constants, OscillatorParams, entropy, symplectic_param
 from .info import _MIN_EFFORT, DensityMatrix, Ensemble, accessible_info_lower, erasure_budget
 from .oracle import _require_ladder, convergence_report
-from .process import ProcessPath, _first_law, _states, _steps, mass_process
+from .process import ProcessPath, _steps, _sweep, mass_process
 
 # the RunConfig fields each scenario's runner reads: its subparser offers
 # exactly these as flags, besides --config and --out. A config file may set
@@ -253,33 +247,15 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Table:
     o, b, c = _reference(cfg)
     b.warn_if_cutoff_low(o)
     scale = _entropy_scale(cfg)
-    alphas = ProcessPath(cfg.param, cfg.start, cfg.end, cfg.grid).values
-    mass, damping = _mass_and_damping(cfg.param, o, b, alphas)
-    states, _ = _states(mass, damping, o, b, c)
-    dq = np.zeros(alphas.shape)  # the heat integrand dQ/d alpha = dU/d alpha - dW/d alpha at each row
-    if cfg.start != cfg.end:
-        f1, f2, df1, df2, *_ = _slopes_along(cfg.param, o, b, alphas, c)
-        w2 = o.frequency**2
-        dq = df2 / (2 * mass) + mass * w2 * df1 / 2
-        if cfg.param == "damping":
-            # H_S does not depend on gamma, so dU/d gamma is all of the above,
-            # less the work dF_MF/d gamma = (f2/M - M w^2 f1) / (2 gamma),
-            # exact from the moments, and its limit at gamma = 0
-            gamma = np.where(alphas > 0, alphas, 1.0)
-            dq -= np.where(alphas > 0, (f2 / mass - mass * w2 * f1) / (2 * gamma), (df2 / mass - mass * w2 * df1) / 2)
+    path = ProcessPath(cfg.param, cfg.start, cfg.end, cfg.grid)
+    alphas = path.values
+    states, heats = _sweep(path, o, b, c)
     rows = []
-    q_cum = 0.0
-    for i, (alpha, s) in enumerate(zip(alphas, states)):
-        if i > 0:
-            q_cum += 0.5 * (alphas[i] - alphas[i - 1]) * (dq[i - 1] + dq[i])
-        # the trapezoid's distance from the closed-form heat of the path up
-        # to this row, plus the closed form's own error bound
-        exact = _first_law(states[0], s)
-        err_cum = abs(q_cum - exact.value) + exact.error_estimate
-        ds_cum = s.entropy - states[0].entropy
-        slack = c.kB * b.temperature * ds_cum - q_cum
-        v = symplectic_param(s.moments, c)
-        rows.append([alpha, s.moments.f1, s.moments.f2, v, s.entropy * scale, ds_cum * scale, q_cum, err_cum, slack])
+    for alpha, s, q in zip(alphas, states, heats):
+        m, ds_cum = s.moments, s.entropy - states[0].entropy
+        slack = c.kB * b.temperature * ds_cum - q.value
+        v = symplectic_param(m, c)
+        rows.append([alpha, m.f1, m.f2, v, s.entropy * scale, ds_cum * scale, q.value, q.error_estimate, slack])
     if cfg.svg:
         series = [(name, [row[k] for row in rows]) for name, k in (("entropy", 4), ("f1", 1), ("f2", 2))]
         svgplot.line_plot(out_dir / "sweep.svg", list(alphas), series, title=f"sweep of {cfg.param}", xlabel=cfg.param)

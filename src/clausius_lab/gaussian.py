@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_positive
+from .errors import NumericalFailure, require_positive
 
 # Violations of the uncertainty bound smaller than this (natural units)
 # are treated as numerical noise.
@@ -81,17 +81,15 @@ def _symplectic_v(det, c: Constants):
 def entropy(v: float) -> float:
     """Von Neumann entropy in nats of a single-mode Gaussian state.
 
-    (v + 1/2) ln(v + 1/2) - (v - 1/2) ln(v - 1/2), with the second term
-    read as 0 at the pure-state boundary v = 1/2.
+    (v + 1/2) ln(v + 1/2) - (v - 1/2) ln(v - 1/2), written with u = v - 1/2
+    as ln(1 + u) + u ln(1 + 1/u): both terms are positive, so no digit
+    cancels near the pure-state boundary v = 1/2, where it is 0, or at
+    large v.
     """
     if not 0.5 - 1e-9 <= v < math.inf:  # a chained comparison, so NaN fails
         raise ValueError(f"symplectic parameter must be at least the pure-state bound 1/2 and finite, got {v}")
-    x = max(float(v), 0.5)
-    up = x + 0.5
-    dn = x - 0.5
-    if dn < 1e-30:
-        return up * math.log(up)
-    return up * math.log(up) - dn * math.log(dn)
+    u = max(float(v) - 0.5, 0.0)
+    return math.log1p(u) + u * math.log1p(1 / u) if u else 0.0
 
 
 def mean_energy(m: Moments, o: OscillatorParams) -> float:
@@ -107,8 +105,14 @@ def thermal_moments_decoupled(
     f1 = (hbar/2Mw) coth(hbar w / 2 kB T), f2 = (M hbar w / 2) coth(...).
     """
     require_positive("temperature", temperature)
-    x = c.hbar * o.frequency / (2 * c.kB * temperature)
-    coth = 1.0 / math.tanh(x)
-    f1 = c.hbar / (2 * o.mass * o.frequency) * coth
-    f2 = o.mass * c.hbar * o.frequency / 2 * coth
-    return Moments(f1=f1, f2=f2, cross=0.0)
+    hbar = np.float64(c.hbar)  # numpy arithmetic, so that a quotient past float64's range is 0 or inf, not an error
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # out of range: 0, inf or NaN, refused below
+        x = hbar * o.frequency / (2 * c.kB * temperature)
+        coth = 1.0 / np.float64(math.tanh(x))
+        f1 = hbar / (2 * o.mass * o.frequency) * coth
+        f2 = o.mass * hbar * o.frequency / 2 * coth
+    if not (0 < f1 < math.inf and 0 < f2 < math.inf):
+        raise NumericalFailure(
+            "moments beyond float64's range", mass=float(o.mass), frequency=float(o.frequency), temperature=temperature
+        )
+    return Moments(f1=float(f1), f2=float(f2), cross=0.0)

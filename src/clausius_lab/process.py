@@ -30,16 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import (
-    _ROUND,
-    _TARGET_REL,
-    BathSpec,
-    _mass_and_damping,
-    _matsubara_moments,
-    _path_slopes,
-    _require_path_parameter,
-    _Slopes,
-)
+from .bath import _ROUND, _TARGET_REL, BathSpec, _matsubara_moments, _Slopes
 from .errors import NumericalFailure, require_accurate, require_count, require_non_negative, require_positive
 from .gaussian import (
     Constants,
@@ -63,7 +54,7 @@ _EPS = float(np.finfo(float).eps)
 # the integrand is read as 0 where v - 1/2 is below float64's spacing at 1/2,
 # where v rounds onto 1/2, so its log factor is at most this there
 _V_FLOOR = float(np.spacing(0.5))
-_LOG_CAP = math.log((1 + _V_FLOOR) / _V_FLOOR)
+_LOG_CAP = math.log1p(1 / _V_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -76,7 +67,8 @@ class ProcessPath:
     grid_points: int = 9
 
     def __post_init__(self):
-        _require_path_parameter(self.parameter)
+        if self.parameter not in ("mass", "damping"):
+            raise ValueError(f"unknown path parameter {self.parameter!r}")
         # written so that NaN fails every check
         if not (math.isfinite(self.start_value) and math.isfinite(self.end_value)):
             raise ValueError(f"path bounds must be finite, got {self.start_value} and {self.end_value}")
@@ -131,6 +123,50 @@ class _State:
     work: float
 
 
+def _mass_and_damping(path: ProcessPath, o: OscillatorParams, b: BathSpec, x):
+    """(M, gamma) at values x of the path's parameter. A mass path holds the
+    microscopic coupling fixed, so gamma = gamma_ref M_ref / M: holding gamma
+    itself fixed would make the mass a pure prefactor and the mass step a
+    null process even at strong coupling."""
+    x = np.asarray(x, dtype=float)
+    return (x, o.mass * b.damping / x) if path.parameter == "mass" else (np.full(x.shape, o.mass), x)
+
+
+def _slopes_along(path: ProcessPath, o: OscillatorParams, b: BathSpec, x, c: Constants) -> _Slopes:
+    """Moments and their exact derivatives along the path at the points x of
+    a 1-d array, elementwise, from one kernel call."""
+    mass, damping = _mass_and_damping(path, o, b, x)
+    s, _ = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, nodes=True)
+    return _path_slopes(path, o, b, x, s)
+
+
+def _path_slopes(path: ProcessPath, o: OscillatorParams, b: BathSpec, x, s: _Slopes) -> _Slopes:
+    """The derivatives along the path at the points x of a 1-d array, from
+    the kernel's moments and gamma slopes s there.
+
+    Along a mass path gamma = gamma_ref M_ref / M, so f1 = S1(gamma)/(M beta)
+    and f2 = M S2(gamma)/beta give df1/dM = -f1/M - (gamma/M) df1/dgamma and
+    df2/dM = f2/M - (gamma/M) df2/dgamma. The first point whose derivative
+    error estimate exceeds 1e-5 of max(|df|, 1e-3 |f| / max(|x|, 1)) raises;
+    slopes past float64's range give non-finite estimates, which do.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        if path.parameter == "mass":
+            mass, damping = _mass_and_damping(path, o, b, x)
+            k = damping / mass
+            df1, df2 = -s.f1 / mass - k * s.df1, s.f2 / mass - k * s.df2
+            df1_error = k * s.df1_error + (s.f1_error + _ROUND * (abs(s.f1) + abs(k * s.df1 * mass))) / mass
+            df2_error = k * s.df2_error + (s.f2_error + _ROUND * (abs(s.f2) + abs(k * s.df2 * mass))) / mass
+            s = s._replace(df1=df1, df2=df2, df1_error=df1_error, df2_error=df2_error)
+        scale = np.maximum(abs(x), 1.0)
+        rel = {
+            "df1_rel_error": s.df1_error / np.maximum(abs(s.df1), 1e-3 * s.f1 / scale),
+            "df2_rel_error": s.df2_error / np.maximum(abs(s.df2), 1e-3 * s.f2 / scale),
+        }
+    require_accurate("moment derivative error estimate exceeds tolerance", 1e-5, rel, alpha=path.parameter, at=x)
+    return s
+
+
 def entropy_change(
     path: ProcessPath,
     o: OscillatorParams,
@@ -141,7 +177,7 @@ def entropy_change(
     """Entropy change along a path; exact differential, so the endpoint form
     is authoritative. The quadrature of S'(v) dv/d alpha must agree."""
     b.warn_if_cutoff_low(o)
-    ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
+    ends = _mass_and_damping(path, o, b, [path.start_value, path.end_value])
     checks = [(path, 0, 1)] if check_consistency and path.start_value != path.end_value else []
     (s0, s1), changes = _states(*ends, o, b, c, checks)
     endpoint = s1.entropy - s0.entropy
@@ -244,9 +280,11 @@ def _integrand(s: _Slopes, c: Constants):
     ) / scale + rel_v * abs(dv)
     guard = v - 0.5 < _V_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
-        log = np.log((v + 0.5) / (v - 0.5))
+        # S'(v) = ln(1 + 1/(v - 1/2)) keeps its digits at large v, and is
+        # larger at v's low end, so the error charge is not negative
+        log = np.log1p(1 / (v - 0.5))
         low = np.maximum(v * (1 - rel_v), 0.5 + _V_FLOOR)
-        log_error = np.log((low + 0.5) / (low - 0.5)) - log + _ROUND * abs(log)
+        log_error = np.log1p(1 / (low - 0.5)) - log + _ROUND * abs(log)
         value = np.where(guard, 0.0, log * dv)
         error = np.where(guard, _LOG_CAP * (abs(dv) + dv_error), abs(log) * dv_error + log_error * abs(dv))
     return value, error, float(rel_v.max())
@@ -294,7 +332,7 @@ def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, check
     try:
         while states is None or pending:
             running = list(pending.items())
-            points = [_mass_and_damping(checks[n][0].parameter, o, b, x) for n, x in running]
+            points = [_mass_and_damping(checks[n][0], o, b, x) for n, x in running]
             first = states is None  # the first round also takes the states, ahead of the nodes
             if first:
                 points.insert(0, (mass, damping))
@@ -313,7 +351,7 @@ def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, check
                 ]
             for n, x in running:
                 path, i, j = checks[n]
-                s = _path_slopes(path.parameter, o, b, x, _Slopes(*(v[lead : lead + x.size] for v in out)))
+                s = _path_slopes(path, o, b, x, _Slopes(*(v[lead : lead + x.size] for v in out)))
                 lead += x.size
                 value, error, rel = _integrand(s, c)
                 rounding[n] = max(rounding[n], rel)
@@ -397,8 +435,37 @@ def heat(
     b.warn_if_cutoff_low(o)
     if path.start_value == path.end_value:
         return HeatResult(value=0.0, error_estimate=0.0)
-    ends = _mass_and_damping(path.parameter, o, b, [path.start_value, path.end_value])
+    ends = _mass_and_damping(path, o, b, [path.start_value, path.end_value])
     return _first_law(*_states(*ends, o, b, c)[0])
+
+
+def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants) -> tuple[list[_State], list[HeatResult]]:
+    """The states at the rows of a path's grid, and the heat up to each row
+    by the trapezoid rule on dQ/d alpha = dU/d alpha - dW/d alpha. Each
+    heat's error estimate is its distance from the closed-form heat of the
+    path up to that row, plus the closed form's own error bound."""
+    alphas = path.values
+    mass, damping = _mass_and_damping(path, o, b, alphas)
+    states, _ = _states(mass, damping, o, b, c)
+    dq = np.zeros(alphas.shape)
+    if path.start_value != path.end_value:
+        f1, f2, df1, df2, *_ = _slopes_along(path, o, b, alphas, c)
+        w2 = o.frequency**2
+        dq = df2 / (2 * mass) + mass * w2 * df1 / 2
+        if path.parameter == "damping":
+            # H_S does not depend on gamma, so dU/d gamma is all of the above,
+            # less the work dF_MF/d gamma = (f2/M - M w^2 f1) / (2 gamma),
+            # exact from the moments, and its limit at gamma = 0
+            gamma = np.where(alphas > 0, alphas, 1.0)
+            dq -= np.where(alphas > 0, (f2 / mass - mass * w2 * f1) / (2 * gamma), (df2 / mass - mass * w2 * df1) / 2)
+    heats = []
+    q = 0.0
+    for i, s in enumerate(states):
+        if i > 0:
+            q += 0.5 * (alphas[i] - alphas[i - 1]) * (dq[i - 1] + dq[i])
+        exact = _first_law(states[0], s)
+        heats.append(HeatResult(value=q, error_estimate=abs(q - exact.value) + exact.error_estimate))
+    return states, heats
 
 
 def clausius_check(
@@ -448,7 +515,7 @@ def _steps(
     nodes."""
     require_positive("mass_factor", mass_factor)
     path = ProcessPath("mass", o.mass, o.mass * mass_factor)
-    mass, damping = _mass_and_damping("mass", o, b, [path.start_value, path.end_value])
+    mass, damping = _mass_and_damping(path, o, b, [path.start_value, path.end_value])
     points = np.concatenate(([o.mass], mass)), np.concatenate(([0.0], damping))
     checks = []
     if check_coupling and b.damping > 0:

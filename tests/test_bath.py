@@ -13,6 +13,7 @@ from clausius_lab import (
     Constants,
     NumericalFailure,
     OscillatorParams,
+    ProcessPath,
     composed_process,
     coupling_free_energy,
     moments_matsubara,
@@ -20,7 +21,8 @@ from clausius_lab import (
     thermal_moments_decoupled,
 )
 import clausius_lab.bath as bath
-from clausius_lab.bath import _mass_and_damping, _matsubara_moments, _slopes_along
+from clausius_lab.bath import _matsubara_moments
+from clausius_lab.process import _slopes_along
 from clausius_lab.errors import require_accurate
 
 C = Constants()
@@ -526,7 +528,7 @@ class TestWideBand:
             moments_matsubara,
             coupling_free_energy,
             lambda o, b: composed_process(o, b, b.temperature, C, check_consistency=False),
-            lambda o, b: _slopes_along("damping", o, b, [0.0, b.damping], C),
+            lambda o, b: _slopes_along(ProcessPath("damping", 0.0, b.damping), o, b, np.array([0.0, b.damping]), C),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -624,7 +626,8 @@ def test_near_confluent_moments_within_their_estimates(point):
 def slopes_at(b, alpha):
     """The kernel's moment derivatives along alpha at the reference point,
     one point of ``_slopes_along``, as floats."""
-    s = _slopes_along(alpha, OSC, b, [OSC.mass if alpha == "mass" else b.damping], C)
+    x = OSC.mass if alpha == "mass" else b.damping
+    s = _slopes_along(ProcessPath(alpha, x, x), OSC, b, np.array([x]), C)
     return s._make(float(v[0]) for v in s)
 
 
@@ -726,15 +729,6 @@ class TestMomentDerivatives:
             d = slopes_at(b, alpha)
             assert d.df1 == pytest.approx((4 * h1 - c1) / 3, rel=1e-5)
             assert d.df2 == pytest.approx((4 * h2 - c2) / 3, rel=1e-5)
-
-    def test_unknown_parameter_rejected(self):
-        b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
-        with pytest.raises(ValueError, match="unknown path parameter 'cutoff'"):
-            slopes_at(b, "cutoff")
-        # the one place that maps a path parameter to (M, gamma) reads no
-        # unknown name as damping
-        with pytest.raises(ValueError, match="unknown path parameter 'cutoff'"):
-            _mass_and_damping("cutoff", OSC, b, [1.0])
 
 
 class TestFailureDiagnostics:

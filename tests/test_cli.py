@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -93,6 +94,9 @@ class TestConfigFile:
         path.write_text("temperature=warm\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=r":1"):
             parse_config_file(str(path))
+        path.write_text("# no value\ntemperature 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r":2: expected key=value"):
+            parse_config_file(str(path))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -107,15 +111,21 @@ class TestEnsembleFile:
 
     def test_bad_header_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("2\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=r":1"):
-            parse_ensemble_file(str(path))
+        for text, message in (("2\n", "'<dim> <count>'"), ("2 x\n", "two integers")):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ConfigError, match=f":1: header must be {message}"):
+                parse_ensemble_file(str(path))
 
     def test_bad_matrix_entry_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("2 1\n1.0\n1 0\n0 x\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=r":4"):
-            parse_ensemble_file(str(path))
+        for text, where in (
+            ("2 1\n1.0\n1 0\n0 x\n", ":4: bad complex entry"),
+            ("2 1\nhalf\n1 0\n0 0\n", ":2: expected a probability"),
+            ("2 1\n1.0\n1 0 0\n0 0\n", ":3: expected 2 entries, got 3"),
+        ):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ConfigError, match=where):
+                parse_ensemble_file(str(path))
 
     def test_probabilities_must_sum_to_one(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -128,9 +138,20 @@ class TestEnsembleFile:
         path.write_text("2 1\n1.0\n1 0\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="end of file"):
             parse_ensemble_file(str(path))
+        path.write_text("# only a comment\n\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="empty ensemble file"):
+            parse_ensemble_file(str(path))
 
 
 class TestScenarios:
+    def test_moments_entropy_keeps_its_digits_at_high_temperature(self, tmp_path):
+        # at v ~ 1e18 the difference form of S(v) printed 0 on both routes;
+        # S = ln v + 1 + O(1/v^2) there
+        header, rows = _RUNNERS["moments"](RunConfig("moments", temperature=1e18), tmp_path)
+        v, s = header.index("v"), header.index("entropy")
+        for row in rows:
+            assert row[s] == pytest.approx(math.log(row[v]) + 1, rel=1e-15)
+
     def test_moments_writes_csv(self, tmp_path):
         rc = main(
             [
@@ -321,6 +342,8 @@ class TestScenarios:
 class TestExitCodes:
     def test_no_scenario_is_config_error(self, capsys):
         assert main([]) == 2
+        with pytest.raises(ConfigError, match="unknown or missing scenario 'nope'"):
+            RunConfig(scenario="nope").validate()
 
     def test_flag_the_scenario_does_not_read_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -71,6 +71,24 @@ class TestEntropy:
         ss = [entropy(v) for v in vs]
         assert all(b > a for a, b in zip(ss, ss[1:]))
 
+    def test_matches_mpmath_from_the_pure_state_to_large_v(self):
+        # u = v - 1/2 log-uniform over [1e-20, 1e20], and past 1e300: the
+        # difference of (v + 1/2) ln(v + 1/2) and (v - 1/2) ln(v - 1/2) lost
+        # 2.6e-2 of S at u = 1e-16 and 7.4e-5 at u = 1e12, and was 0 from
+        # u = 1e16 on
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(29)
+        us = np.exp(rng.uniform(math.log(1e-20), math.log(1e20), 2000)).tolist() + [1e300, 1.7e308]
+        with mpmath.workdps(60):
+            for u in us:
+                v = 0.5 + u
+                x = mpmath.mpf(v) - mpmath.mpf(0.5)  # v's own u, once v is rounded
+                if x == 0:
+                    assert entropy(v) == 0.0
+                    continue
+                exact = float(mpmath.log1p(x) + x * mpmath.log1p(1 / x))
+                assert abs(entropy(v) - exact) <= 3 * math.ulp(exact), v
+
     def test_high_occupancy_asymptotics(self):
         # S -> ln v + 1 for v >> 1
         v = 1e6

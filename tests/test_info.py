@@ -79,6 +79,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Povm((np.diag([1.5, 1.0]).astype(complex), np.diag([-0.5, 0.0]).astype(complex)))
 
+    def test_povm_rejects_no_element_and_mixed_shapes(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            Povm(())
+        with pytest.raises(ValueError, match="one square shape"):
+            Povm((np.eye(2, dtype=complex), np.zeros((3, 3), dtype=complex)))
+
 
 class TestEntropies:
     def test_pure_state_entropy_zero(self):

@@ -28,6 +28,7 @@ from clausius_lab import (
     entropy,
     erasure_budget,
     landauer_bound,
+    mass_process,
     moments_matsubara,
     moments_spectral,
     reduced_moments_exact,
@@ -159,6 +160,47 @@ def test_frequencies_scaled_far_down_end_in_a_value_or_numerical_failure(op, k):
         TINY_OPS[op](o, b)
     except NumericalFailure:
         assert k < -350 or op == "checked composed_process"
+
+
+# valid inputs whose moments leave float64's range: f1 ~ 1/M overflows at a
+# subnormal mass, f2 ~ M kB T at M = 1e308, and at kB T / hbar w = 1e600
+# coth(hbar w / 2 kB T) does; each raised ValueError from Moments, most after
+# a numpy overflow warning, or ZeroDivisionError
+BEYOND_RANGE = {
+    "moments_matsubara at M = 1e-310": lambda: moments_matsubara(
+        OscillatorParams(1e-310, 1.0), BathSpec(1.0, 0.5, 100.0)
+    ),
+    "moments_matsubara at M = 1e-310, gamma = 0": lambda: moments_matsubara(
+        OscillatorParams(1e-310, 1.0), BathSpec(1.0, 0.0, 100.0)
+    ),
+    "moments_matsubara at M = 1e308": lambda: moments_matsubara(
+        OscillatorParams(1e308, 1.0), BathSpec(1e3, 0.5, 100.0)
+    ),
+    "moments_matsubara at M = 5e-324, T = 1e20": lambda: moments_matsubara(  # M beta underflows to 0
+        OscillatorParams(5e-324, 1.0), BathSpec(1e20, 0.5, 100.0)
+    ),
+    "moments_spectral at M = 1e308, gamma = 0": lambda: moments_spectral(
+        OscillatorParams(1e308, 1.0), BathSpec(1e3, 0.0, 100.0)
+    ),
+    "thermal_moments_decoupled at M = 1e-320": lambda: thermal_moments_decoupled(OscillatorParams(1e-320, 1.0), 1.0),
+    "thermal_moments_decoupled at T = 1e300, w = 1e-300": lambda: thermal_moments_decoupled(
+        OscillatorParams(1.0, 1e-300), 1e300
+    ),
+    "unchecked composed_process at M = 1e-310": lambda: composed_process(
+        OscillatorParams(1e-310, 1.0), BathSpec(1.0, 0.5, 100.0), 1.0, check_consistency=False
+    ),
+    "mass_process onto a subnormal mass": lambda: mass_process(
+        OscillatorParams(2.3339150426049084e-37, 1.0), BathSpec(0.09, 0.0, 100.0), 0.09, mass_factor=1e-278
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(BEYOND_RANGE))
+def test_moments_beyond_the_float_range_are_refused(name):
+    with pytest.raises(NumericalFailure, match="moments beyond float64's range") as info:
+        BEYOND_RANGE[name]()
+    assert "np." not in str(info.value)
 
 
 @pytest.mark.parametrize("name", list(EDGES))

@@ -72,7 +72,7 @@ def _log_spread_points(n=20, seed=20261018):
 
 class TestProcessPath:
     def test_rejects_unknown_parameter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown path parameter 'cutoff'"):
             ProcessPath("cutoff", 0.0, 1.0)
 
     @pytest.mark.parametrize(
@@ -83,10 +83,13 @@ class TestProcessPath:
             ProcessPath("mass", start, end)
 
     def test_rejects_even_or_tiny_grids(self):
-        with pytest.raises(ValueError):
+        # 8 and 7 fall below the minimum first; 10 reaches the parity check
+        with pytest.raises(ValueError, match="integer >= 9"):
             ProcessPath("damping", 0.0, 1.0, grid_points=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="integer >= 9"):
             ProcessPath("damping", 0.0, 1.0, grid_points=7)
+        with pytest.raises(ValueError, match="must be odd, got 10"):
+            ProcessPath("damping", 0.0, 1.0, grid_points=10)
 
     def test_values_span_the_path(self):
         path = ProcessPath("damping", 0.0, 2.0, 9)
@@ -129,15 +132,55 @@ class TestEntropyChange:
         assert result.evaluations == 0
         assert result.mismatch <= result.error_estimate
 
-    def test_a_diverging_check_refuses_without_a_warning(self):
-        # the error estimate's extrapolation d1^(ln d1 / ln d2) overflowed,
-        # and numpy warned, before the check refused (found by a seeded scan)
+    def test_an_overflowing_extrapolation_leaves_no_warning(self):
+        # the error estimate's extrapolation d1^(ln d1 / ln d2) overflows
+        # where d1 >> d2 > 1, and numpy warned (found by a seeded scan). One
+        # level-0 node (value a) and one level-1 node (value b) on [-1, 1]
+        # give the level sums S0 = 4A, S1 = 2(A + B) and S2 = A + B, with
+        # A = a w_a h and B = b w_b h at level 2's step h, so d1 = |S2 - S1|
+        # = A + B and d2 = |S2 - S0| = B - 3A
+        xc, w = process._ts_level(2)
+        h = process._TS_H0 / 4
+        d1, d2 = 1e10, 1.5
+        big_a = (d1 - d2) / 4
+        assert math.log(d1) ** 2 / math.log(d2) > math.log(np.finfo(float).max)
+        values = {1 - xc[1]: big_a / (w[1] * h), 1 - xc[9]: (d1 - big_a) / (w[9] * h)}
+        stepper = process._tanh_sinh(-1.0, 1.0)
+        x = next(stepper)
+        assert all((x == node).sum() == 1 for node in values)
+        sent = np.array([values.get(node, 0.0) for node in x.tolist()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                while True:
+                    x = stepper.send((sent, np.zeros_like(sent), 0.0))
+                    sent = np.zeros_like(x)
+            except StopIteration as stop:
+                outcome = stop.value
+        _, error, _, _, status = outcome
+        assert status == -2 and math.isfinite(error)
+
+    def test_a_check_over_a_wide_log_range_converges(self):
+        # the seeded point whose extrapolation overflowed: it refused while
+        # S'(v) lost its digits at large v, and converges since
         o = OscillatorParams(mass=510.69075010618815, frequency=6.650421822015448)
         b = BathSpec(temperature=4.939676814265822e-06, damping=8.705118584343034e73, cutoff=4.225002756874213e40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalFailure, match="did not converge"):
-                entropy_change(ProcessPath("damping", 0.0, b.damping), o, b, C)
+            result = entropy_change(ProcessPath("damping", 0.0, b.damping), o, b, C)
+        assert result.value == pytest.approx(58.5989, rel=1e-6)
+        assert result.mismatch <= result.error_estimate < 1e-5
+
+    @pytest.mark.parametrize("damping", [1e50, 1e100, 1e195])
+    def test_strong_damping_paths_pass_their_checks(self, damping):
+        # v grows past 1e16 along these paths, where the difference form of
+        # S(v) returned 0 and its log ratio S'(v) kept ~16 - log10 v digits,
+        # so each check refused
+        b = BathSpec(temperature=1.0, damping=damping, cutoff=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = entropy_change(ProcessPath("damping", 0.0, damping), OSC, b, C)
+        assert result.mismatch <= result.error_estimate <= 1e-5 * result.value
 
     def test_nodes_where_v_rounds_onto_one_half_keep_the_estimate_finite(self):
         # near gamma = 0 at low temperature v rounds onto 1/2 at some nodes;
@@ -162,7 +205,7 @@ class TestEntropyChange:
         ],
     )
     def test_quadrature_failure_raises_with_diagnostics(self, monkeypatch, fake, status):
-        def slopes(alpha, o, b, x, s):
+        def slopes(path, o, b, x, s):
             ones = np.ones_like(x)
             return bath._Slopes(ones, ones, fake(x), ones, *(0 * ones,) * 4)
 

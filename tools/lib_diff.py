@@ -10,9 +10,11 @@ interpreter, with that side's ``src`` on PYTHONPATH, over one fixed scan of
 470 points (``points``): the acceptance grid (5 T x 5 gamma x 2 wD at the
 mass factors 0.5, 2 and 4), seeded log-spread points, seeded wide-range
 points, and fixed points at the closed form's edges. At every point it calls
-each op of ``_ops``, and writes one line per call: every field of the result
-as ``float.hex``, or the exception's type, message and diagnostics, then each
-distinct warning the call emitted. Every line that differs between the sides
+each op of ``_ops``: the process ops, both moment routes, the coupling free
+energy, and the ``sweep`` scenario's rows along both path kinds. It writes
+one line per call: every field of the result as ``float.hex``, or the
+exception's type, message and diagnostics, then each distinct warning the
+call emitted. Every line that differs between the sides
 is printed, and the exit code is 1 if any does, 0 otherwise.
 """
 
@@ -27,6 +29,7 @@ import random
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 from ab_bench import ROOT, export
 
@@ -100,6 +103,13 @@ def _ops(lab):
     ops["moments_matsubara"] = lambda o, b, k: lab.moments_matsubara(o, b)
     ops["moments_spectral"] = lambda o, b, k: lab.moments_spectral(o, b)
     ops["coupling_free_energy"] = lambda o, b, k: lab.coupling_free_energy(o, b)
+    # the sweep scenario's rows, at M = w = 1 as the CLI fixes them: the mass
+    # path 1 -> k and the damping path 0 -> gamma
+    from clausius_lab import cli
+    for param in ("mass", "damping"):
+        ops[f"run_sweep/{param}"] = lambda o, b, k, p=param: cli.run_sweep(cli.RunConfig(
+            "sweep", b.temperature, b.damping, b.cutoff, param=p, start=1.0 if p == "mass" else 0.0,
+            end=k if p == "mass" else b.damping), Path("."))[1]
     return ops
 
 
