@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._special import loggamma, psi, trigamma, zeta
-from .errors import NumericalFailure, require_accurate, require_non_negative, require_positive
+from .errors import NumericalFailure, refuse, require_accurate, require_non_negative, require_positive
 from .gaussian import Constants, Moments, OscillatorParams, thermal_moments_decoupled
 
 _TARGET_REL = 1e-8
@@ -115,12 +115,11 @@ def _drude_poles(w2, wd, damping):
         in_range = damping <= (_MAX_C1 - w2) / wd
         c0 = w2 * wd
     if not (in_range.all() and c0.all()):
-        i = np.flatnonzero(~in_range | (c0 == 0))[0]
-        raise NumericalFailure(
-            "frequencies below the closed form's range: w^2 wD underflows to 0" if in_range[i]
+        failed = ~in_range | (c0 == 0)
+        refuse(
+            "frequencies below the closed form's range: w^2 wD underflows to 0" if in_range[failed.argmax()]
             else f"damping beyond the closed form's range: w^2 + gamma wD exceeds {_MAX_C1:g}",
-            damping=float(damping[i]),
-            cutoff=float(np.broadcast_to(wd, damping.shape)[i]),
+            failed, damping=damping, cutoff=wd,
         )
     c1 = w2 + damping * wd
     # np.roots of nu^3 - wD nu^2 + c1 nu - c0, one companion matrix per element
@@ -238,8 +237,9 @@ def _matsubara_moments(
     states can share a call with its quadrature nodes. Without nodes, the
     other fields of the ``_Slopes`` are None. With ``free_energy`` the roots,
     solved once, also give the coupling free energy of each element that is
-    no node, as the list ``free``, once all moments pass their gate; without
-    it ``free`` is None.
+    no node, as the list ``free``. Those and their free energies are gated
+    before the nodes. With no damped element a call gives the Gibbs state at
+    any cutoff, and zero gamma slopes (a mass path weighs them by gamma/M).
     """
     damping = np.asarray(damping, dtype=float)
     nodes = np.full(damping.shape, nodes, dtype=bool)
@@ -250,13 +250,14 @@ def _matsubara_moments(
     if not nu1 <= _MAX_NU1:
         message = f"temperature beyond the closed form's range: 2 pi kB T / hbar exceeds {_MAX_NU1:g}"
         raise NumericalFailure(message, temperature=temperature)
-    if not (slopes or damping.any()):  # decoupled: the Gibbs state, whatever the cutoff
+    if not damping.any():  # decoupled: the Gibbs state, whatever the cutoff, and the nodes' slopes are 0
         gibbs = [thermal_moments_decoupled(OscillatorParams(mi, wi), temperature, c) for mi, wi in zip(mass, w)]
         f1, f2 = np.array([g.f1 for g in gibbs]), np.array([g.f2 for g in gibbs])
-        return _Slopes(f1, f2, *[None] * 6), [0.0] * len(gibbs) if free_energy else None
+        rest = np.zeros((6, f1.size)) if slopes else [None] * 6
+        return _Slopes(f1, f2, *rest), [0.0] * int((~nodes).sum()) if free_energy else None
     if not (wd <= _MAX_CUTOFF).all():
         message = f"cutoff beyond the closed form's range: wD exceeds {_MAX_CUTOFF:g}"
-        raise NumericalFailure(message, cutoff=cutoff, frequency=frequency)
+        refuse(message, ~(wd <= _MAX_CUTOFF), cutoff=wd, frequency=w)
     w2 = w * w
     r, x, y, m, q = _drude_poles(w2, wd, damping)
     c1 = w2 + damping * wd
@@ -265,9 +266,9 @@ def _matsubara_moments(
     # roots and the free energy's nodes
     n = len(r)
     args = _shifted(np.concatenate([r, y, x]), nu1)
-    if free_energy:  # at the elements that are no slope nodes; a slice if that is all, which indexes faster
-        at = ~nodes if slopes else slice(None)
-        points, h, gl_nodes = _coupling_steps(*(v[at].tolist() for v in (w, wd, damping, r, x, y)), nu1)
+    own = ~nodes if slopes else slice(None)  # the elements that are no node; a slice if that is all, faster
+    if free_energy:
+        points, h, gl_nodes = _coupling_steps(*(v[own].tolist() for v in (w, wd, damping, r, x, y)), nu1)
         args = np.concatenate([args, 1 + gl_nodes.ravel()])
     p = psi(args)
     pr, py, px = p[:n].real, p[n : 2 * n], p[2 * n : 3 * n]
@@ -342,18 +343,20 @@ def _matsubara_moments(
     for i in (damping == 0).nonzero()[0]:
         gibbs = thermal_moments_decoupled(OscillatorParams(mass=mass[i], frequency=w[i]), temperature, c)
         f1[i], f2[i], err1[i], err2[i] = gibbs.f1, gibbs.f2, 0.0, 0.0  # Gibbs: exempt from the bracket's gate
-    require_accurate(
-        "Matsubara closed form lost its accuracy to cancellation", rel_tol,
-        {"achieved_rel_f1": err1, "achieved_rel_f2": err2}, temperature=temperature, damping=damping,
-    )
-    out = np.flatnonzero(~(np.isfinite(f1) & np.isfinite(f2) & (f1 != 0) & (f2 != 0)))
-    if out.size:
-        at = {"mass": float(mass[out[0]]), "damping": float(damping[out[0]]), "temperature": temperature}
-        raise NumericalFailure("moments beyond float64's range", **at)
+    in_range = np.isfinite(f1) & np.isfinite(f2) & (f1 != 0) & (f2 != 0)
     free = None
-    if free_energy:
-        psi_nodes = p[3 * n :].reshape(gl_nodes.shape)
-        free = _free_energies(points, h, gl_nodes, psi_nodes, len(damping[at]), temperature, c, rel_tol)
+    for rows in (own, nodes) if slopes else (own,):  # no node first, and its free energy before the nodes
+        require_accurate(
+            "Matsubara closed form lost its accuracy to cancellation", rel_tol,
+            {"achieved_rel_f1": err1[rows], "achieved_rel_f2": err2[rows]}, temperature=temperature,
+            damping=damping[rows],
+        )
+        if not in_range[rows].all():
+            at = {"mass": mass[rows], "damping": damping[rows], "temperature": temperature}
+            refuse("moments beyond float64's range", ~in_range[rows], **at)
+        if free_energy and rows is own:
+            psi_nodes = p[3 * n :].reshape(gl_nodes.shape)
+            free = _free_energies(points, h, gl_nodes, psi_nodes, len(damping[own]), temperature, c, rel_tol)
     if not slopes:
         return _Slopes(f1, f2, *[None] * 6), free
 

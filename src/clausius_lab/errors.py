@@ -46,12 +46,17 @@ def require_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def refuse(message: str, failed, **diagnostics) -> None:
+    """Raise ``NumericalFailure(message)`` at the first row where the boolean 1-d array ``failed`` holds,
+    with each diagnostic (a scalar, or a 1-d array over the rows) at that row, as a Python scalar."""
+    i = np.flatnonzero(failed)[0]
+    at = {name: np.asarray(value) for name, value in diagnostics.items()}
+    raise NumericalFailure(message, **{name: (v[i] if v.ndim else v).item() for name, v in at.items()})
+
+
 def require_accurate(message: str, target: float, estimates: dict, **context) -> None:
     """Refuse unless every estimate (a scalar or a 1-d array over points) is <= ``target``, so NaN fails:
     the ``NumericalFailure`` carries the estimates and the context at the first failing point, as Python scalars."""
     passed = np.less_equal(functools.reduce(np.maximum, estimates.values()), target)  # NaN propagates, and fails
-    if passed.all():
-        return
-    i = np.flatnonzero(~np.atleast_1d(passed))[0]
-    at = {name: np.asarray(value) for name, value in {**estimates, **context}.items()}
-    raise NumericalFailure(message, **{name: (v[i] if v.ndim else v).item() for name, v in at.items()})
+    if not passed.all():
+        refuse(message, ~np.atleast_1d(passed), **estimates, **context)

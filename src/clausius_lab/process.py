@@ -132,14 +132,6 @@ def _mass_and_damping(path: ProcessPath, o: OscillatorParams, b: BathSpec, x):
     return (x, o.mass * b.damping / x) if path.parameter == "mass" else (np.full(x.shape, o.mass), x)
 
 
-def _slopes_along(path: ProcessPath, o: OscillatorParams, b: BathSpec, x, c: Constants) -> _Slopes:
-    """Moments and their exact derivatives along the path at the points x of
-    a 1-d array, elementwise, from one kernel call."""
-    mass, damping = _mass_and_damping(path, o, b, x)
-    s, _ = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, nodes=True)
-    return _path_slopes(path, o, b, x, s)
-
-
 def _path_slopes(path: ProcessPath, o: OscillatorParams, b: BathSpec, x, s: _Slopes) -> _Slopes:
     """The derivatives along the path at the points x of a 1-d array, from
     the kernel's moments and gamma slopes s there.
@@ -310,10 +302,10 @@ def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, check
     first is the only one. One kernel point per node gives its moments and
     their exact derivatives along its path.
 
-    A refusal with checks is replayed, so that the refusal raised is the one
-    separate runs meet first: the states alone, then, of two or more checks,
-    each alone in booking order. If none of these refuses, the refusal of
-    the shared calls is raised.
+    A refusal is raised in the first round that refuses. Within that round
+    the kernel's refusal comes first, a state's before a node's, then each
+    check's derivative gate, in booking order; each check's status and
+    mismatch come last, in booking order.
     """
     steppers = [_tanh_sinh(path.start_value, path.end_value) for path, _, _ in checks]
     pending, results = {}, {}  # per check, the nodes its stepper waits on, or its result
@@ -329,45 +321,39 @@ def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, check
         advance(n, None)
     rounding = [0.0] * len(checks)  # per check, the largest relative rounding of v at its nodes
     states = None
-    try:
-        while states is None or pending:
-            running = list(pending.items())
-            points = [_mass_and_damping(checks[n][0], o, b, x) for n, x in running]
-            first = states is None  # the first round also takes the states, ahead of the nodes
-            if first:
-                points.insert(0, (mass, damping))
-            lead = mass.size if first else 0
-            m, g = (np.concatenate(v) for v in zip(*points))
-            out, work = _matsubara_moments(
-                m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=first, nodes=np.arange(m.size) >= lead
-            )
-            if first:
-                f1, f2 = out.f1[:lead], out.f2[:lead]
-                v = _symplectic_v(f1 * f2, c)
-                energy = f2 / (2 * mass) + mass * o.frequency**2 * f1 / 2  # mean_energy of each point
-                states = [
-                    _State(Moments(f1=p, f2=q), entropy(v_i), u, w)
-                    for p, q, v_i, u, w in zip(f1.tolist(), f2.tolist(), v.tolist(), energy.tolist(), work)
-                ]
-            for n, x in running:
-                path, i, j = checks[n]
-                s = _path_slopes(path, o, b, x, _Slopes(*(v[lead : lead + x.size] for v in out)))
-                lead += x.size
-                value, error, rel = _integrand(s, c)
-                rounding[n] = max(rounding[n], rel)
-                advance(n, (value, error, _gate(states[i], states[j])))
-        changes = [
-            _checked_entropy_change(states[i], states[j], results[n], rounding[n], c)
-            for n, (_, i, j) in enumerate(checks)
-        ]
-    except NumericalFailure:
-        if checks:
-            _states(mass, damping, o, b, c)
-        if len(checks) > 1:  # a lone check would replay itself
-            for path, i, j in checks:
-                _states(mass[[i, j]], damping[[i, j]], o, b, c, [(path, 0, 1)])
-        raise
+    while states is None or pending:
+        running = list(pending.items())
+        first = states is None  # the first round also takes the states, ahead of the nodes
+        lead = mass.size if first else 0
+        points = [(mass[:lead], damping[:lead])] + [_mass_and_damping(checks[n][0], o, b, x) for n, x in running]
+        m, g = (np.concatenate(v) for v in zip(*points))
+        out, work = _matsubara_moments(
+            m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=first, nodes=np.arange(m.size) >= lead
+        )
+        if first:
+            states = _kernel_states(out, work, mass, o, c)
+        for n, x in running:
+            path, i, j = checks[n]
+            s = _path_slopes(path, o, b, x, _Slopes(*(v[lead : lead + x.size] for v in out)))
+            lead += x.size
+            value, error, rel = _integrand(s, c)
+            rounding[n] = max(rounding[n], rel)
+            advance(n, (value, error, _gate(states[i], states[j])))
+    changes = [
+        _checked_entropy_change(states[i], states[j], results[n], rounding[n], c) for n, (_, i, j) in enumerate(checks)
+    ]
     return states, changes
+
+
+def _kernel_states(out: _Slopes, work, mass, o: OscillatorParams, c: Constants) -> list[_State]:
+    """The states at the first mass.size elements of a kernel call, from its output out and work potentials work."""
+    f1, f2 = out.f1[: mass.size], out.f2[: mass.size]
+    v = _symplectic_v(f1 * f2, c)
+    energy = f2 / (2 * mass) + mass * o.frequency**2 * f1 / 2  # mean_energy of each point
+    return [
+        _State(Moments(f1=p, f2=q), entropy(v_i), u, w)
+        for p, q, v_i, u, w in zip(f1.tolist(), f2.tolist(), v.tolist(), energy.tolist(), work)
+    ]
 
 
 def _checked_entropy_change(s0: _State, s1: _State, outcome, rounding: float, c: Constants) -> EntropyChange:
@@ -446,10 +432,15 @@ def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants) ->
     path up to that row, plus the closed form's own error bound."""
     alphas = path.values
     mass, damping = _mass_and_damping(path, o, b, alphas)
-    states, _ = _states(mass, damping, o, b, c)
+    n, moves = alphas.size, path.start_value != path.end_value
+    m, g = (np.tile(v, 1 + moves) for v in (mass, damping))  # the rows as states, and as slope nodes if the path moves
+    out, work = _matsubara_moments(
+        m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=True, nodes=np.arange(m.size) >= n
+    )
+    states = _kernel_states(out, work, mass, o, c)
     dq = np.zeros(alphas.shape)
-    if path.start_value != path.end_value:
-        f1, f2, df1, df2, *_ = _slopes_along(path, o, b, alphas, c)
+    if moves:
+        f1, f2, df1, df2, *_ = _path_slopes(path, o, b, alphas, _Slopes(*(v[n:] for v in out)))
         w2 = o.frequency**2
         dq = df2 / (2 * mass) + mass * w2 * df1 / 2
         if path.parameter == "damping":

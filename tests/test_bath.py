@@ -22,7 +22,7 @@ from clausius_lab import (
 )
 import clausius_lab.bath as bath
 from clausius_lab.bath import _matsubara_moments
-from clausius_lab.process import _slopes_along
+from clausius_lab.process import _mass_and_damping, _path_slopes
 from clausius_lab.errors import require_accurate
 
 C = Constants()
@@ -486,6 +486,14 @@ class TestAdversarialMatsubara:
         meets_gate_or_raises(math.exp(log_t), math.exp(log_gamma), math.exp(log_cutoff), digits)
 
 
+def slopes_along(path, o, b, x):
+    """The moment derivatives along a path at the points x of a 1-d array,
+    from one kernel call with every point a slope node."""
+    mass, damping = _mass_and_damping(path, o, b, x)
+    s, _ = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, C, nodes=True)
+    return _path_slopes(path, o, b, x, s)
+
+
 class TestWideBand:
     """Cutoffs far above the other scales: within the gate, or refused with
     NumericalFailure before numpy can overflow."""
@@ -528,7 +536,7 @@ class TestWideBand:
             moments_matsubara,
             coupling_free_energy,
             lambda o, b: composed_process(o, b, b.temperature, C, check_consistency=False),
-            lambda o, b: _slopes_along(ProcessPath("damping", 0.0, b.damping), o, b, np.array([0.0, b.damping]), C),
+            lambda o, b: slopes_along(ProcessPath("damping", 0.0, b.damping), o, b, np.array([0.0, b.damping])),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -625,9 +633,9 @@ def test_near_confluent_moments_within_their_estimates(point):
 
 def slopes_at(b, alpha):
     """The kernel's moment derivatives along alpha at the reference point,
-    one point of ``_slopes_along``, as floats."""
+    one point of ``slopes_along``, as floats."""
     x = OSC.mass if alpha == "mass" else b.damping
-    s = _slopes_along(ProcessPath(alpha, x, x), OSC, b, np.array([x]), C)
+    s = slopes_along(ProcessPath(alpha, x, x), OSC, b, np.array([x]))
     return s._make(float(v[0]) for v in s)
 
 
@@ -769,3 +777,16 @@ class TestFailureDiagnostics:
             require_accurate("lost", 1e-8, {"e": float(points[0][1])}, damping=float(points[1][1]))
         assert str(array_call.value) == str(point_call.value)
         assert array_call.value.diagnostics == point_call.value.diagnostics
+
+    @pytest.mark.parametrize(
+        "rows, message", [([0, 1, 2], "frequencies below the closed form's range"), ([0, 2, 1], "damping beyond")]
+    )
+    def test_the_root_solve_names_its_first_failing_row(self, rows, message):
+        # after a row in range, one row's w^2 wD underflows to 0 and another's
+        # damping is out of range: the message and the diagnostics are those
+        # of the first failing row
+        w2, damping = np.array([1.0, 5e-324, 1.0])[rows], np.array([1.0, 2.0, 1e300])[rows]
+        with pytest.raises(NumericalFailure, match=message) as info:
+            bath._drude_poles(w2, 0.25, damping)
+        assert info.value.diagnostics == {"damping": damping[1], "cutoff": 0.25}
+        assert "np." not in str(info.value)

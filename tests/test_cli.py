@@ -257,14 +257,15 @@ class TestScenarios:
         last = rows[-1]
         assert abs(float(last["heat_cum"]) - float(coupling["heat"])) <= float(last["heat_error_est"])
 
-    def test_sweep_solves_the_drude_cubic_twice(self, tmp_path, monkeypatch):
-        # one kernel call for the rows' states, one for their heat integrand
+    def test_sweep_solves_the_drude_cubic_once(self, tmp_path, monkeypatch):
+        # one kernel call takes the rows as states and again as the heat
+        # integrand's slope nodes
         calls = []
         solve = bath._drude_poles
         monkeypatch.setattr(bath, "_drude_poles", lambda *args: calls.append(1) or solve(*args))
         rc = main(["sweep", "--param", "mass", "--start", "1", "--end", "2", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_resolve_solves_the_drude_cubic_once(self, tmp_path, monkeypatch):
         # the three rows come from one kernel call over three points

@@ -59,13 +59,15 @@ def test_every_private_module_name_is_referenced():
 
 
 # every accuracy target is gated by errors.require_accurate; NumericalFailure
-# is raised directly only there and at the refusals that compare no estimate
-# with a target: the closed form's damping, cutoff and temperature ranges, the
-# tanh-sinh status, the oracle's nonzero dsytrd and dstemr status (no
-# fallback solve) and negative eigenvalue, and the float64 range of the
-# moments (the Gibbs state's and the closed form's) and of the oracle:
-# omega_max, the couplings, the stiffness and the reduced moments
+# is raised directly, or through errors.refuse at an array's first failing
+# row, only there and at the refusals that compare no estimate with a target:
+# the closed form's damping, cutoff and temperature ranges, the tanh-sinh
+# status, the oracle's nonzero dsytrd and dstemr status (no fallback solve)
+# and negative eigenvalue, and the float64 range of the moments (the Gibbs
+# state's and the closed form's) and of the oracle: omega_max, the couplings,
+# the stiffness and the reduced moments
 DIRECT_REFUSALS = {
+    ("errors.py", "refuse"): 1,
     ("errors.py", "require_accurate"): 1,
     ("gaussian.py", "thermal_moments_decoupled"): 1,
     ("bath.py", "_drude_poles"): 1,
@@ -84,11 +86,14 @@ def test_numerical_failure_is_raised_directly_only_where_no_estimate_is_compared
     def visit(node, path, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
+        target, name = None, None
         if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if getattr(exc, "id", None) == "NumericalFailure" or getattr(exc, "attr", None) == "NumericalFailure":
-                key = (path.name, function)
-                found[key] = found.get(key, 0) + 1
+            target, name = (node.exc.func if isinstance(node.exc, ast.Call) else node.exc), "NumericalFailure"
+        elif isinstance(node, ast.Call):  # errors.refuse raises NumericalFailure
+            target, name = node.func, "refuse"
+        if target is not None and name in (getattr(target, "id", None), getattr(target, "attr", None)):
+            key = (path.name, function)
+            found[key] = found.get(key, 0) + 1
         for child in ast.iter_child_nodes(node):
             visit(child, path, function)
 

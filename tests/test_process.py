@@ -463,26 +463,28 @@ FLAGSHIP = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
 
 
 @pytest.mark.parametrize(
-    "op",
+    "state_damping, message, at",
     [
-        lambda b: composed_process(OSC, b, b.temperature, C),
-        lambda b: mass_process(OSC, b, b.temperature, C),
-        lambda b: coupling_process(OSC, b, b.temperature, C),
-        lambda b: entropy_change(ProcessPath("damping", 0.0, b.damping), OSC, b, C),
+        (5e-324, "free-energy closed form lost its accuracy", {"damping": 5e-324}),
+        (0.5, "moments beyond float64's range", {"mass": 1e-310, "damping": 0.5}),
     ],
-    ids=["composed_process", "mass_process", "coupling_process", "entropy_change"],
+    ids=["state", "node"],
 )
-def test_a_refusing_state_is_raised_before_a_refusing_node(monkeypatch, op):
-    # the states share a kernel call with the checks' first nodes, in which
-    # the nodes' moments are gated before the states' free energies
-    _refusing_kernel(monkeypatch, lambda mass, damping, nodes, free: "node" if nodes.any() else free and "state")
-    with pytest.raises(NumericalFailure, match="state"):
-        op(FLAGSHIP)
+def test_a_refusing_state_is_raised_before_a_refusing_node(state_damping, message, at):
+    # the states share a kernel call with the checks' first nodes, and are
+    # gated first, free energies included: the state's free energy cancels
+    # at gamma = 5e-324, and the node's f1 ~ 1/M leaves float64's range;
+    # each refusal names its own row
+    with pytest.raises(NumericalFailure, match=message) as info:
+        bath._matsubara_moments(
+            [1.0, 1e-310], [state_damping, 0.5], 1.0, 100.0, 1.0, C, free_energy=True, nodes=[False, True]
+        )
+    assert info.value.diagnostics.items() >= at.items()
 
 
-def test_a_refusing_check_replays_only_its_states(monkeypatch):
-    # a lone check's refusal replays the states alone, and not the check
-    # itself: the shared call and that replay are the only kernel calls
+def test_a_refusal_costs_no_further_kernel_call(monkeypatch):
+    # a check that refuses in the shared call is raised from it, with no
+    # replay of the states or of the check
     calls = []
 
     def refuse(mass, damping, nodes, free):
@@ -492,13 +494,13 @@ def test_a_refusing_check_replays_only_its_states(monkeypatch):
     _refusing_kernel(monkeypatch, refuse)
     with pytest.raises(NumericalFailure, match="node"):
         entropy_change(ProcessPath("damping", 0.0, FLAGSHIP.damping), OSC, FLAGSHIP, C)
-    assert calls == [True, True]
+    assert calls == [True]
 
 
-def test_the_coupling_check_refuses_before_the_mass_check(monkeypatch):
+def test_the_check_that_refuses_in_the_earlier_round_is_raised(monkeypatch):
     # the mass check refuses in the first shared kernel call, the coupling
-    # check only at its level 3, in the second; the coupling step is booked
-    # first, and its refusal is the one a separate run of each check raises
+    # check only at its level 3, in the second: the coupling step is booked
+    # first, but the first round that refuses is the mass check's
     first = next(process._tanh_sinh(0.0, FLAGSHIP.damping))
 
     def refuse(mass, damping, nodes, free):
@@ -508,8 +510,37 @@ def test_the_coupling_check_refuses_before_the_mass_check(monkeypatch):
             return "coupling"
 
     _refusing_kernel(monkeypatch, refuse)
-    with pytest.raises(NumericalFailure, match="coupling"):
+    with pytest.raises(NumericalFailure, match="mass"):
         composed_process(OSC, FLAGSHIP, FLAGSHIP.temperature, C)
+
+
+@pytest.mark.parametrize("mass, factor", [(1.0, 2.0), (1e200, 2.0), (1e-150, 1e100)])
+def test_an_uncoupled_mass_path_is_the_gibbs_state_at_any_cutoff(mass, factor):
+    # at gamma = 0 every point of a mass path is decoupled, a check's nodes
+    # and a sweep's rows too, so a cutoff beyond the closed form's range
+    # gives what wD = 100 gives, a value or a refusal
+    o = OscillatorParams(mass=mass, frequency=1.0)
+    path = ProcessPath("mass", mass, mass * factor)
+
+    def outcomes(cutoff):
+        b = BathSpec(temperature=1.0, damping=0.0, cutoff=cutoff)
+        ops = [
+            lambda: mass_process(o, b, b.temperature, C, factor),
+            lambda: composed_process(o, b, b.temperature, C, factor),
+            lambda: entropy_change(path, o, b, C),
+            lambda: process._sweep(path, o, b, C),
+        ]
+        results = []
+        for op in ops:
+            try:
+                results.append(repr(op()))
+            except NumericalFailure as e:
+                results.append(str(e))
+        return results
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcomes(1e200) == outcomes(100.0)
 
 
 def _drude_solves(monkeypatch, op):

@@ -77,10 +77,12 @@ INVOCATIONS = (
     ("oracle", "--cutoff", "1e100", "--modes", "8,16"),
     ("oracle", "--damping", "0", "--modes", "8,16"),
     # wide bands: the free energy's series beside nodes of ~1e17, cutoffs past
-    # the closed form's range, and gamma = 0 beyond it
+    # the closed form's range, and gamma = 0 beyond it, at a point and along
+    # a mass sweep
     ("resolve", "--temperature", "5", "--cutoff", "1e18"),
     ("resolve", "--damping", "0.5", "--cutoff", "1e154"),
     ("moments", "--damping", "0", "--cutoff", "1e300"),
+    ("sweep", "--damping", "0", "--cutoff", "1e200", "--param", "mass", "--start", "1", "--end", "2"),
     ("moments", "--damping", "0.5", "--cutoff", "1e152"),
 )
 

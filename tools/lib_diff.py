@@ -15,7 +15,8 @@ energy, and the ``sweep`` scenario's rows along both path kinds. It writes
 one line per call: every field of the result as ``float.hex``, or the
 exception's type, message and diagnostics, then each distinct warning the
 call emitted. Every line that differs between the sides
-is printed, and the exit code is 1 if any does, 0 otherwise.
+is printed, then a tally of the differing calls by kind (value or refusal
+on each side), and the exit code is 1 if any differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -151,6 +153,11 @@ def scan_side() -> None:
             print(f"{i} {name} {out}" + "".join(f" | {s}" for s in shown))
 
 
+def _kind(line: str) -> str:
+    """"refusal" if the call of a scan line raised, else "value"."""
+    return "refusal" if re.match(r"\w+: ", line.split(" ", 2)[2]) else "value"
+
+
 def run(root) -> list[str]:
     """The scan's lines from ``root``'s source, in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -170,12 +177,14 @@ def main(argv=None) -> int:
     if len(base) != len(change):
         print(f"the sides made {len(base)} and {len(change)} calls")
         return 1
-    differing = 0
+    kinds = {f"{b}->{c}": 0 for b in ("value", "refusal") for c in ("value", "refusal")}
     for b, c in zip(base, change):
         if b != c:
-            differing += 1
+            kinds[f"{_kind(b)}->{_kind(c)}"] += 1
             print(f"base:   {b}\nchange: {c}")
-    print(f"{differing} of {len(base)} calls at {len(points())} points differ")
+    differing = sum(kinds.values())
+    tally = ", ".join(f"{kind} {n}" for kind, n in kinds.items())
+    print(f"{differing} of {len(base)} calls at {len(points())} points differ: {tally}")
     return 1 if differing else 0
 
 
