@@ -238,8 +238,10 @@ def _matsubara_moments(
     other fields of the ``_Slopes`` are None. With ``free_energy`` the roots,
     solved once, also give the coupling free energy of each element that is
     no node, as the list ``free``. Those and their free energies are gated
-    before the nodes. With no damped element a call gives the Gibbs state at
-    any cutoff, and zero gamma slopes (a mass path weighs them by gamma/M).
+    before the nodes, whose moments are gated before their slopes: the first
+    node whose slope error exceeds 1e-5 of max(|df|, 1e-3 |f| / max(gamma,
+    1)) raises. With no damped element a call gives the Gibbs state at any
+    cutoff, and exact zero gamma slopes.
     """
     damping = np.asarray(damping, dtype=float)
     nodes = np.full(damping.shape, nodes, dtype=bool)
@@ -374,7 +376,7 @@ def _matsubara_moments(
 
     # the slopes: each root's slope l' = -wD l / Q'(l). Slopes past float64's
     # range (at frequencies near 1e-105) give non-finite estimates, which the
-    # derivative gate refuses
+    # gate below refuses
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vx = -wd * x / ((x - y) * (x - r))
         vy = wd * y / ((x - y) * (y - r))
@@ -396,6 +398,15 @@ def _matsubara_moments(
             f1, f2, ds1 / (mass * beta), mass / beta * ds2,
             err1 * f1, err2 * f2, e_ds1 / (mass * beta), mass / beta * e_ds2,
         )
+        # each node's slope error within 1e-5 of max(|df|, 1e-3 |f| / max(gamma, 1))
+        scale = np.maximum(damping[nodes], 1.0)
+        rel = {
+            "df1_rel_error": s.df1_error[nodes] / np.maximum(abs(s.df1[nodes]), 1e-3 * f1[nodes] / scale),
+            "df2_rel_error": s.df2_error[nodes] / np.maximum(abs(s.df2[nodes]), 1e-3 * f2[nodes] / scale),
+        }
+    require_accurate(
+        "moment derivative error estimate exceeds tolerance", 1e-5, rel, damping=damping[nodes], mass=mass[nodes]
+    )
     return s, free
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import _ROUND, _TARGET_REL, BathSpec, _matsubara_moments, _Slopes
-from .errors import NumericalFailure, require_accurate, require_count, require_non_negative, require_positive
+from .errors import NumericalFailure, refuse, require_accurate, require_count, require_non_negative, require_positive
 from .gaussian import (
     Constants,
     Moments,
@@ -97,7 +97,7 @@ class ThermoReport:
 @dataclass(frozen=True)
 class EntropyChange:
     value: float               # endpoint form, authoritative
-    quadrature: float          # integral of S'(v) dv/d alpha, consistency check
+    quadrature: float          # integral of S'(v) dv/dgamma, consistency check
     error_estimate: float = 0.0  # bounds the mismatch: quadrature, integrand and endpoint errors
     evaluations: int = 0       # integrand nodes, one kernel point each
 
@@ -129,34 +129,8 @@ def _mass_and_damping(path: ProcessPath, o: OscillatorParams, b: BathSpec, x):
     itself fixed would make the mass a pure prefactor and the mass step a
     null process even at strong coupling."""
     x = np.asarray(x, dtype=float)
-    return (x, o.mass * b.damping / x) if path.parameter == "mass" else (np.full(x.shape, o.mass), x)
-
-
-def _path_slopes(path: ProcessPath, o: OscillatorParams, b: BathSpec, x, s: _Slopes) -> _Slopes:
-    """The derivatives along the path at the points x of a 1-d array, from
-    the kernel's moments and gamma slopes s there.
-
-    Along a mass path gamma = gamma_ref M_ref / M, so f1 = S1(gamma)/(M beta)
-    and f2 = M S2(gamma)/beta give df1/dM = -f1/M - (gamma/M) df1/dgamma and
-    df2/dM = f2/M - (gamma/M) df2/dgamma. The first point whose derivative
-    error estimate exceeds 1e-5 of max(|df|, 1e-3 |f| / max(|x|, 1)) raises;
-    slopes past float64's range give non-finite estimates, which do.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        if path.parameter == "mass":
-            mass, damping = _mass_and_damping(path, o, b, x)
-            k = damping / mass
-            df1, df2 = -s.f1 / mass - k * s.df1, s.f2 / mass - k * s.df2
-            df1_error = k * s.df1_error + (s.f1_error + _ROUND * (abs(s.f1) + abs(k * s.df1 * mass))) / mass
-            df2_error = k * s.df2_error + (s.f2_error + _ROUND * (abs(s.f2) + abs(k * s.df2 * mass))) / mass
-            s = s._replace(df1=df1, df2=df2, df1_error=df1_error, df2_error=df2_error)
-        scale = np.maximum(abs(x), 1.0)
-        rel = {
-            "df1_rel_error": s.df1_error / np.maximum(abs(s.df1), 1e-3 * s.f1 / scale),
-            "df2_rel_error": s.df2_error / np.maximum(abs(s.df2), 1e-3 * s.f2 / scale),
-        }
-    require_accurate("moment derivative error estimate exceeds tolerance", 1e-5, rel, alpha=path.parameter, at=x)
-    return s
+    with np.errstate(over="ignore"):  # gamma past float64's range is inf, which the kernel refuses
+        return (x, o.mass * b.damping / x) if path.parameter == "mass" else (np.full(x.shape, o.mass), x)
 
 
 def entropy_change(
@@ -167,11 +141,11 @@ def entropy_change(
     check_consistency: bool = True,
 ) -> EntropyChange:
     """Entropy change along a path; exact differential, so the endpoint form
-    is authoritative. The quadrature of S'(v) dv/d alpha must agree."""
+    is authoritative. The quadrature of S'(v) dv/dgamma over the damping
+    interval between its ends must agree."""
     b.warn_if_cutoff_low(o)
     ends = _mass_and_damping(path, o, b, [path.start_value, path.end_value])
-    checks = [(path, 0, 1)] if check_consistency and path.start_value != path.end_value else []
-    (s0, s1), changes = _states(*ends, o, b, c, checks)
+    (s0, s1), changes = _states(*ends, o, b, c, [(0, 1)] if check_consistency else [])
     endpoint = s1.entropy - s0.entropy
     return changes[0] if changes else EntropyChange(value=endpoint, quadrature=endpoint)
 
@@ -260,8 +234,8 @@ def _tanh_sinh(a: float, b: float):
 
 
 def _integrand(s: _Slopes, c: Constants):
-    """S'(v) dv/d alpha at the nodes of a path from their moments and alpha
-    derivatives s, its error, and the largest relative rounding of v there."""
+    """S'(v) dv/dgamma at the nodes of a check from their moments and gamma
+    slopes s, its error, and the largest relative rounding of v there."""
     v = _symplectic_v(s.f1 * s.f2, c)
     rel_v = (s.f1_error / s.f1 + s.f2_error / s.f2) / 2 + _ROUND
     scale = 2 * v * c.hbar**2
@@ -289,25 +263,30 @@ def _gate(s0: _State, s1: _State) -> float:
 
 def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, checks=()):
     """The states at the (M, gamma) points of 1-d arrays, and the entropy
-    change of each check (path, i, j), the path from state i to state j,
-    checked against the quadrature of S'(v) dv/d alpha along it. A state's
-    work potential is its coupling free energy; at gamma = 0 the kernel gives
-    the bare Gibbs state, whose free energy of coupling is zero.
+    change of each check (i, j) that runs, from state i to state j, checked
+    against the quadrature of S'(v) dv/dgamma at the mass o.mass over the
+    damping interval between them: f1 ~ 1/M and f2 ~ M at fixed gamma, so S
+    depends on (M, gamma) only through gamma. A null interval (gamma = 0 at
+    both ends, or two ends that round equal) is not checked, as a null path
+    is not, nor is one with an infinite end, a state the kernel refuses. A
+    state's work potential is its coupling free energy; at gamma = 0 the
+    kernel gives the bare Gibbs state, whose free energy of coupling is zero.
 
     The check integrates by tanh-sinh, whose nodes crowd the endpoints, where
-    the damping path's integrand behaves like ln gamma. The checks step
+    the integrand behaves like ln gamma near gamma = 0. The checks step
     through their levels in lockstep, one kernel call per round: the first
     takes the states and every check's nodes of levels 0 to 2, each later
     one the next level of every check still running; without checks the
     first is the only one. One kernel point per node gives its moments and
-    their exact derivatives along its path.
+    their exact, gated gamma slopes.
 
-    A refusal is raised in the first round that refuses. Within that round
-    the kernel's refusal comes first, a state's before a node's, then each
-    check's derivative gate, in booking order; each check's status and
-    mismatch come last, in booking order.
+    The kernel's refusal comes first, from the first round that refuses, a
+    state's before a node's; then each check's status and mismatch, in
+    booking order.
     """
-    steppers = [_tanh_sinh(path.start_value, path.end_value) for path, _, _ in checks]
+    ends = damping.tolist()
+    checks = [(i, j) for i, j in checks if 0 < abs(ends[j] - ends[i]) < math.inf]
+    steppers = [_tanh_sinh(ends[i], ends[j]) for i, j in checks]
     pending, results = {}, {}  # per check, the nodes its stepper waits on, or its result
 
     def advance(n, sent):
@@ -325,22 +304,21 @@ def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, check
         running = list(pending.items())
         first = states is None  # the first round also takes the states, ahead of the nodes
         lead = mass.size if first else 0
-        points = [(mass[:lead], damping[:lead])] + [_mass_and_damping(checks[n][0], o, b, x) for n, x in running]
-        m, g = (np.concatenate(v) for v in zip(*points))
+        m = np.concatenate([mass[:lead]] + [np.full(x.size, o.mass) for _, x in running])
+        g = np.concatenate([damping[:lead]] + [x for _, x in running])
         out, work = _matsubara_moments(
             m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=first, nodes=np.arange(m.size) >= lead
         )
         if first:
             states = _kernel_states(out, work, mass, o, c)
         for n, x in running:
-            path, i, j = checks[n]
-            s = _path_slopes(path, o, b, x, _Slopes(*(v[lead : lead + x.size] for v in out)))
+            i, j = checks[n]
+            value, error, rel = _integrand(_Slopes(*(v[lead : lead + x.size] for v in out)), c)
             lead += x.size
-            value, error, rel = _integrand(s, c)
             rounding[n] = max(rounding[n], rel)
             advance(n, (value, error, _gate(states[i], states[j])))
     changes = [
-        _checked_entropy_change(states[i], states[j], results[n], rounding[n], c) for n, (_, i, j) in enumerate(checks)
+        _checked_entropy_change(states[i], states[j], results[n], rounding[n], c) for n, (i, j) in enumerate(checks)
     ]
     return states, changes
 
@@ -358,7 +336,7 @@ def _kernel_states(out: _Slopes, work, mass, o: OscillatorParams, c: Constants) 
 
 def _checked_entropy_change(s0: _State, s1: _State, outcome, rounding: float, c: Constants) -> EntropyChange:
     """The endpoint entropy change from s0 to s1, checked against the
-    ``_tanh_sinh`` outcome of S'(v) dv/d alpha along the path
+    ``_tanh_sinh`` outcome of S'(v) dv/dgamma over the damping interval
     between them, whose nodes round v by at most ``rounding``, relative. A
     quadrature that did not converge, or an integrand that was not finite,
     raises, as does a mismatch above 1e-5 of max(1, |dS|).
@@ -427,9 +405,9 @@ def heat(
 
 def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants) -> tuple[list[_State], list[HeatResult]]:
     """The states at the rows of a path's grid, and the heat up to each row
-    by the trapezoid rule on dQ/d alpha = dU/d alpha - dW/d alpha. Each
-    heat's error estimate is its distance from the closed-form heat of the
-    path up to that row, plus the closed form's own error bound."""
+    by the trapezoid rule on dQ/d alpha. Each heat's error estimate is its
+    distance from the closed-form heat of the path up to that row, plus the
+    closed form's own error bound. A rate past float64's range raises."""
     alphas = path.values
     mass, damping = _mass_and_damping(path, o, b, alphas)
     n, moves = alphas.size, path.start_value != path.end_value
@@ -440,15 +418,20 @@ def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants) ->
     states = _kernel_states(out, work, mass, o, c)
     dq = np.zeros(alphas.shape)
     if moves:
-        f1, f2, df1, df2, *_ = _path_slopes(path, o, b, alphas, _Slopes(*(v[n:] for v in out)))
+        f1, f2, df1, df2, *_ = (v[n:] for v in out)
         w2 = o.frequency**2
-        dq = df2 / (2 * mass) + mass * w2 * df1 / 2
-        if path.parameter == "damping":
-            # H_S does not depend on gamma, so dU/d gamma is all of the above,
-            # less the work dF_MF/d gamma = (f2/M - M w^2 f1) / (2 gamma),
-            # exact from the moments, and its limit at gamma = 0
-            gamma = np.where(alphas > 0, alphas, 1.0)
-            dq -= np.where(alphas > 0, (f2 / mass - mass * w2 * f1) / (2 * gamma), (df2 / mass - mass * w2 * df1) / 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # U and F_MF depend on (M, gamma) only through gamma, so dQ/d alpha
+            # = (dgamma/d alpha)(dU/dgamma - dF_MF/dgamma), with dgamma/d alpha
+            # = 1 on a damping path and -gamma/M on a mass path. H_S does not
+            # depend on gamma, and the work dF_MF/dgamma = (f2/M - M w^2 f1) /
+            # (2 gamma) is exact from the moments, with its limit at gamma = 0
+            gamma = np.where(damping > 0, damping, 1.0)
+            dq = df2 / (2 * mass) + mass * w2 * df1 / 2
+            dq -= np.where(damping > 0, (f2 / mass - mass * w2 * f1) / (2 * gamma), (df2 / mass - mass * w2 * df1) / 2)
+            dq *= -damping / mass if path.parameter == "mass" else 1.0
+        if not np.isfinite(dq).all():
+            refuse("heat rate beyond float64's range", ~np.isfinite(dq), row=np.arange(n), alpha=alphas)
     heats = []
     q = 0.0
     for i, s in enumerate(states):
@@ -502,17 +485,13 @@ def _steps(
     over three points: the bare oscillator (M, 0), the coupled point
     (M, gamma), which ends one step and starts the other, and the mass path's
     end (kM, gamma/k). Each checked step's entropy change is checked against
-    the quadrature along its path; that call also takes the checks' first
-    nodes."""
+    the quadrature over its damping interval, 0 -> gamma or gamma ->
+    gamma/k; that call also takes the checks' first nodes."""
     require_positive("mass_factor", mass_factor)
     path = ProcessPath("mass", o.mass, o.mass * mass_factor)
     mass, damping = _mass_and_damping(path, o, b, [path.start_value, path.end_value])
     points = np.concatenate(([o.mass], mass)), np.concatenate(([0.0], damping))
-    checks = []
-    if check_coupling and b.damping > 0:
-        checks.append((ProcessPath("damping", 0.0, b.damping), 0, 1))
-    if check_mass and path.start_value != path.end_value:
-        checks.append((path, 1, 2))
+    checks = ([(0, 1)] if check_coupling else []) + ([(1, 2)] if check_mass else [])
     (bare, coupled, end), _ = _states(*points, o, b, c, checks)
     coupling = _step(bare, coupled, b.temperature, c)
     mass_step = _step(coupled, end, b.temperature, c, coupled=b.damping > 0)

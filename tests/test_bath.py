@@ -13,7 +13,6 @@ from clausius_lab import (
     Constants,
     NumericalFailure,
     OscillatorParams,
-    ProcessPath,
     composed_process,
     coupling_free_energy,
     moments_matsubara,
@@ -22,7 +21,6 @@ from clausius_lab import (
 )
 import clausius_lab.bath as bath
 from clausius_lab.bath import _matsubara_moments
-from clausius_lab.process import _mass_and_damping, _path_slopes
 from clausius_lab.errors import require_accurate
 
 C = Constants()
@@ -486,14 +484,6 @@ class TestAdversarialMatsubara:
         meets_gate_or_raises(math.exp(log_t), math.exp(log_gamma), math.exp(log_cutoff), digits)
 
 
-def slopes_along(path, o, b, x):
-    """The moment derivatives along a path at the points x of a 1-d array,
-    from one kernel call with every point a slope node."""
-    mass, damping = _mass_and_damping(path, o, b, x)
-    s, _ = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, C, nodes=True)
-    return _path_slopes(path, o, b, x, s)
-
-
 class TestWideBand:
     """Cutoffs far above the other scales: within the gate, or refused with
     NumericalFailure before numpy can overflow."""
@@ -536,7 +526,9 @@ class TestWideBand:
             moments_matsubara,
             coupling_free_energy,
             lambda o, b: composed_process(o, b, b.temperature, C, check_consistency=False),
-            lambda o, b: slopes_along(ProcessPath("damping", 0.0, b.damping), o, b, np.array([0.0, b.damping])),
+            lambda o, b: _matsubara_moments(
+                o.mass, [0.0, b.damping], o.frequency, b.cutoff, b.temperature, C, nodes=True
+            ),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -631,11 +623,9 @@ def test_near_confluent_moments_within_their_estimates(point):
     assert abs(s.f2[0] - f2) <= s.f2_error[0]
 
 
-def slopes_at(b, alpha):
-    """The kernel's moment derivatives along alpha at the reference point,
-    one point of ``slopes_along``, as floats."""
-    x = OSC.mass if alpha == "mass" else b.damping
-    s = slopes_along(ProcessPath(alpha, x, x), OSC, b, np.array([x]))
+def slopes_at(b):
+    """The kernel's gamma slopes at the reference point, one slope node, as floats."""
+    s, _ = _matsubara_moments(OSC.mass, [b.damping], OSC.frequency, b.cutoff, b.temperature, C, nodes=True)
     return s._make(float(v[0]) for v in s)
 
 
@@ -644,23 +634,18 @@ class TestMomentDerivatives:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(point=st.one_of(log_spread().map(lambda p: (*p, False)), near_confluent().map(lambda p: (*p, True))))
     def test_within_their_estimates_or_refused(self, point):
-        # the exact derivatives against the referee's Matsubara sums: along
-        # gamma, and along M at fixed microscopic coupling, df/dM = -f/M -
-        # (gamma/M) df/dgamma for f1 and +f/M - ... for f2; each value within
-        # its own error estimate, or NumericalFailure, which near-confluent
-        # roots never raise
+        # the exact gamma slopes against the referee's Matsubara sums, each
+        # within its own error estimate, or NumericalFailure from the kernel's
+        # gate, which near-confluent roots never raise
         temperature, damping, cutoff, close = point
-        b = BathSpec(temperature, damping, cutoff)
         dg1, dg2 = mpmath_slope_referee(temperature, damping, cutoff)
-        f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
-        for alpha, ref1, ref2 in (("damping", dg1, dg2), ("mass", -f1 - damping * dg1, f2 - damping * dg2)):
-            try:
-                d = slopes_at(b, alpha)
-            except NumericalFailure:
-                assert not close
-                continue
-            assert abs(d.df1 - ref1) <= d.df1_error
-            assert abs(d.df2 - ref2) <= d.df2_error
+        try:
+            d = slopes_at(BathSpec(temperature, damping, cutoff))
+        except NumericalFailure:
+            assert not close
+            return
+        assert abs(d.df1 - dg1) <= d.df1_error
+        assert abs(d.df2 - dg2) <= d.df2_error
 
     @pytest.mark.filterwarnings("ignore:Drude cutoff")
     @pytest.mark.parametrize("temperature", CONFLUENT_TEMPERATURES)
@@ -671,72 +656,51 @@ class TestMomentDerivatives:
         b = BathSpec(temperature, damping, cutoff)
         dg1, dg2 = mpmath_slope_referee(temperature, damping, cutoff)
         f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
-        s, _ = _matsubara_moments(1.0, [damping], 1.0, cutoff, temperature, C, nodes=True)
-        assert abs(s.f1[0] - f1) <= s.f1_error[0]
-        assert abs(s.f2[0] - f2) <= s.f2_error[0]
-        for alpha, ref1, ref2 in (("damping", dg1, dg2), ("mass", -f1 - damping * dg1, f2 - damping * dg2)):
-            d = slopes_at(b, alpha)
-            assert abs(d.df1 - ref1) <= d.df1_error
-            assert abs(d.df2 - ref2) <= d.df2_error
+        d = slopes_at(b)
+        assert abs(d.f1 - f1) <= d.f1_error
+        assert abs(d.f2 - f2) <= d.f2_error
+        assert abs(d.df1 - dg1) <= d.df1_error
+        assert abs(d.df2 - dg2) <= d.df2_error
 
     def test_damping_derivative_matches_finite_difference(self):
         b = BathSpec(temperature=1.0, damping=2.0, cutoff=50.0)
-        d = slopes_at(b, "damping")
+        d = slopes_at(b)
         h = 1e-4
         up = moments_matsubara(OSC, BathSpec(1.0, 2.0 + h, 50.0), C)
         dn = moments_matsubara(OSC, BathSpec(1.0, 2.0 - h, 50.0), C)
         assert d.df1 == pytest.approx((up.f1 - dn.f1) / (2 * h), rel=1e-5)
         assert d.df2 == pytest.approx((up.f2 - dn.f2) / (2 * h), rel=1e-5)
 
-    def test_mass_derivative_at_zero_damping_is_analytic(self):
-        # decoupled: f1 ~ 1/M and f2 ~ M exactly, so M df1/dM = -f1
-        b = BathSpec(temperature=0.5, damping=0.0, cutoff=100.0)
-        m = moments_matsubara(OSC, b, C)
-        d = slopes_at(b, "mass")
-        assert d.df1 == pytest.approx(-m.f1 / OSC.mass, rel=1e-7)
-        assert d.df2 == pytest.approx(m.f2 / OSC.mass, rel=1e-7)
-
-    def test_mass_derivative_holds_microscopic_coupling_fixed(self):
-        # compare against a finite difference taken with gamma ~ 1/M
-        b = BathSpec(temperature=0.2, damping=5.0, cutoff=100.0)
-        d = slopes_at(b, "mass")
-        h = 1e-5
-        eta = OSC.mass * b.damping
-
-        def at_mass(m_val):
-            o = OscillatorParams(mass=m_val, frequency=1.0)
-            return moments_matsubara(o, BathSpec(0.2, eta / m_val, 100.0), C)
-
-        up, dn = at_mass(1.0 + h), at_mass(1.0 - h)
-        assert d.df1 == pytest.approx((up.f1 - dn.f1) / (2 * h), rel=1e-4)
-        assert d.df2 == pytest.approx((up.f2 - dn.f2) / (2 * h), rel=1e-4)
+    @pytest.mark.filterwarnings("error")
+    def test_the_kernel_gates_the_slopes_of_its_nodes_only(self):
+        # the flagship scaled by 2^-350, where the moments pass their gate
+        # and the gamma slopes leave float64's range: a node there is refused,
+        # naming its damping and mass, and an element that is no node is not
+        w, t, g, wd = (math.ldexp(v, -350) for v in (1.0, 0.05, 5.0, 100.0))
+        _matsubara_moments([1.0, 2.0], [g, 1e-3], w, wd, t, C, nodes=[False, True])
+        with pytest.raises(NumericalFailure, match="moment derivative error estimate exceeds tolerance") as info:
+            _matsubara_moments([1.0, 2.0], [1e-3, g], w, wd, t, C, nodes=[False, True])
+        assert info.value.diagnostics.items() >= {"damping": g, "mass": 2.0}.items()
 
     def test_error_estimates_are_reported(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
-        d = slopes_at(b, "damping")
+        d = slopes_at(b)
         assert d.df1_error >= 0 and d.df2_error >= 0
 
     def test_matches_a_central_difference_of_the_spectral_route(self):
         # [DERIVED] the independent referee: Richardson-extrapolated central
-        # differences of moments_spectral, which shares no code with the
-        # kernel, at fixed microscopic coupling (gamma ~ 1/M) along the mass
+        # differences in gamma of moments_spectral, which shares no code with
+        # the kernel
         b = BathSpec(temperature=1.0, damping=2.0, cutoff=50.0)
-        eta = OSC.mass * b.damping
 
-        def spectral(alpha, x):
-            mass, damping = (x, eta / x) if alpha == "mass" else (OSC.mass, x)
-            return moments_spectral(OscillatorParams(mass, OSC.frequency), BathSpec(1.0, damping, 50.0), C)
+        def central(h):
+            up, dn = (moments_spectral(OSC, BathSpec(1.0, b.damping + x, 50.0), C) for x in (h, -h))
+            return (up.f1 - dn.f1) / (2 * h), (up.f2 - dn.f2) / (2 * h)
 
-        for alpha, x0 in (("damping", b.damping), ("mass", OSC.mass)):
-
-            def central(h):
-                up, dn = spectral(alpha, x0 + h), spectral(alpha, x0 - h)
-                return (up.f1 - dn.f1) / (2 * h), (up.f2 - dn.f2) / (2 * h)
-
-            (c1, c2), (h1, h2) = central(1e-3 * x0), central(5e-4 * x0)
-            d = slopes_at(b, alpha)
-            assert d.df1 == pytest.approx((4 * h1 - c1) / 3, rel=1e-5)
-            assert d.df2 == pytest.approx((4 * h2 - c2) / 3, rel=1e-5)
+        (c1, c2), (h1, h2) = central(1e-3 * b.damping), central(5e-4 * b.damping)
+        d = slopes_at(b)
+        assert d.df1 == pytest.approx((4 * h1 - c1) / 3, rel=1e-5)
+        assert d.df2 == pytest.approx((4 * h2 - c2) / 3, rel=1e-5)
 
 
 class TestFailureDiagnostics:

@@ -64,8 +64,8 @@ def test_every_private_module_name_is_referenced():
 # the closed form's damping, cutoff and temperature ranges, the tanh-sinh
 # status, the oracle's nonzero dsytrd and dstemr status (no fallback solve)
 # and negative eigenvalue, and the float64 range of the moments (the Gibbs
-# state's and the closed form's) and of the oracle: omega_max, the couplings,
-# the stiffness and the reduced moments
+# state's and the closed form's), of the sweep's heat rate and of the oracle:
+# omega_max, the couplings, the stiffness and the reduced moments
 DIRECT_REFUSALS = {
     ("errors.py", "refuse"): 1,
     ("errors.py", "require_accurate"): 1,
@@ -73,6 +73,7 @@ DIRECT_REFUSALS = {
     ("bath.py", "_drude_poles"): 1,
     ("bath.py", "_matsubara_moments"): 3,
     ("process.py", "_checked_entropy_change"): 1,
+    ("process.py", "_sweep"): 1,
     ("oracle.py", "default_omega_max"): 1,
     ("oracle.py", "sample_bath"): 1,
     ("oracle.py", "_normal_modes"): 3,

@@ -14,6 +14,7 @@ import clausius_lab.process as process
 from clausius_lab import (
     BathSpec,
     Constants,
+    EntropyChange,
     NumericalFailure,
     OscillatorParams,
     ProcessPath,
@@ -128,7 +129,7 @@ class TestEntropyChange:
         # every tanh-sinh node rounds onto an end: the quadrature is 0, and the
         # endpoints' rounding still bounds the mismatch
         b = BathSpec(temperature=0.5, damping=1.0, cutoff=50.0)
-        result = entropy_change(ProcessPath("mass", 1.0, math.nextafter(1.0, 2.0)), OSC, b, C)
+        result = entropy_change(ProcessPath("damping", 1.0, math.nextafter(1.0, 2.0)), OSC, b, C)
         assert result.evaluations == 0
         assert result.mismatch <= result.error_estimate
 
@@ -205,11 +206,13 @@ class TestEntropyChange:
         ],
     )
     def test_quadrature_failure_raises_with_diagnostics(self, monkeypatch, fake, status):
-        def slopes(path, o, b, x, s):
-            ones = np.ones_like(x)
-            return bath._Slopes(ones, ones, fake(x), ones, *(0 * ones,) * 4)
+        # a kernel whose every point has f1 = f2 = df2/dgamma = 1, exactly,
+        # and df1/dgamma = fake(gamma)
+        def kernel(mass, damping, *args, **kwargs):
+            ones = np.ones_like(damping)
+            return bath._Slopes(ones, ones, fake(damping), ones, *(0 * ones,) * 4), [0.0, 0.0]
 
-        monkeypatch.setattr(process, "_path_slopes", slopes)
+        monkeypatch.setattr(process, "_matsubara_moments", kernel)
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
         with pytest.raises(NumericalFailure, match="did not converge") as info:
             entropy_change(ProcessPath("damping", 0.0, 1.0), OSC, b, C)
@@ -436,8 +439,7 @@ def test_a_checked_op_takes_the_states_of_an_unchecked_one():
     _, x, y, m, _ = bath._drude_poles(np.array([1.0]), b.cutoff, np.array([b.damping]))
     assert bath._CONFLUENT < abs(x - y)[0] / (2 * math.pi * b.temperature + m[0]) < bath._CLOSE_PAIR
     points = np.array([1.0, 1.0, 2.0]), np.array([0.0, b.damping, b.damping / 2])
-    checks = [(ProcessPath("damping", 0.0, b.damping), 0, 1), (ProcessPath("mass", 1.0, 2.0), 1, 2)]
-    states, _ = process._states(*points, OSC, b, C, checks)
+    states, _ = process._states(*points, OSC, b, C, [(0, 1), (1, 2)])
     assert states == process._states(*points, OSC, b, C)[0]
     for op in (composed_process, mass_process, coupling_process):
         assert op(OSC, b, b.temperature, C) == op(OSC, b, b.temperature, C, check_consistency=False)
@@ -500,11 +502,15 @@ def test_a_refusal_costs_no_further_kernel_call(monkeypatch):
 def test_the_check_that_refuses_in_the_earlier_round_is_raised(monkeypatch):
     # the mass check refuses in the first shared kernel call, the coupling
     # check only at its level 3, in the second: the coupling step is booked
-    # first, but the first round that refuses is the mass check's
+    # first, but the first round that refuses is the mass check's. Each
+    # check's nodes are told by its damping interval, gamma -> gamma/2 or
+    # 0 -> gamma
     first = next(process._tanh_sinh(0.0, FLAGSHIP.damping))
+    mass_nodes = next(process._tanh_sinh(FLAGSHIP.damping, FLAGSHIP.damping / 2))
+    assert not np.isin(mass_nodes, first).any()
 
     def refuse(mass, damping, nodes, free):
-        if (nodes & (mass != OSC.mass)).any():
+        if (nodes & np.isin(damping, mass_nodes)).any():
             return "mass"
         if (nodes & ~np.isin(damping, first)).any():
             return "coupling"
@@ -514,33 +520,106 @@ def test_the_check_that_refuses_in_the_earlier_round_is_raised(monkeypatch):
         composed_process(OSC, FLAGSHIP, FLAGSHIP.temperature, C)
 
 
-@pytest.mark.parametrize("mass, factor", [(1.0, 2.0), (1e200, 2.0), (1e-150, 1e100)])
-def test_an_uncoupled_mass_path_is_the_gibbs_state_at_any_cutoff(mass, factor):
-    # at gamma = 0 every point of a mass path is decoupled, a check's nodes
-    # and a sweep's rows too, so a cutoff beyond the closed form's range
-    # gives what wD = 100 gives, a value or a refusal
+@pytest.mark.parametrize(
+    "mass, factor, temperature",
+    [
+        (1.0, 2.0, 1.0),
+        (1e200, 2.0, 1.0),
+        (1e-150, 1e100, 1.0),
+        (9070.812438327463, 5.871317811099815e-161, 874.1620596799991),
+    ],
+)
+def test_an_uncoupled_mass_path_is_the_gibbs_state_at_any_cutoff(mass, factor, temperature):
+    # at gamma = 0 every point of a mass path is decoupled, and a check's
+    # damping interval is null: each checked op is its unchecked op, with
+    # dS = 0 and Q = 0, and every row of the sweep books no heat, at a cutoff
+    # beyond the closed form's range as at wD = 100. At M = 1e200 and at the
+    # last point the mass chain rule's df1/dM = -f1/M left float64's range:
+    # the first was refused, and at the second numpy warned before the
+    # quadrature refused
     o = OscillatorParams(mass=mass, frequency=1.0)
     path = ProcessPath("mass", mass, mass * factor)
-
-    def outcomes(cutoff):
-        b = BathSpec(temperature=1.0, damping=0.0, cutoff=cutoff)
-        ops = [
-            lambda: mass_process(o, b, b.temperature, C, factor),
-            lambda: composed_process(o, b, b.temperature, C, factor),
-            lambda: entropy_change(path, o, b, C),
-            lambda: process._sweep(path, o, b, C),
-        ]
-        results = []
-        for op in ops:
-            try:
-                results.append(repr(op()))
-            except NumericalFailure as e:
-                results.append(str(e))
-        return results
-
+    null = process.ThermoReport(0.0, 0.0, True, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert outcomes(1e200) == outcomes(100.0)
+        for cutoff in (100.0, 1e200):
+            b = BathSpec(temperature=temperature, damping=0.0, cutoff=cutoff)
+            for op in (mass_process, composed_process):
+                assert op(o, b, b.temperature, C, factor) == op(o, b, b.temperature, C, factor, False) == null
+            assert entropy_change(path, o, b, C) == entropy_change(path, o, b, C, False) == EntropyChange(0.0, 0.0)
+            assert [q.value for q in process._sweep(path, o, b, C)[1]] == [0.0] * path.grid_points
+
+
+def test_an_overflowing_mass_path_refuses_without_a_warning():
+    # gamma = gamma_ref M_ref / M overflows to inf at the path's end, and
+    # numpy warned before the kernel refused it
+    o, b = OscillatorParams(1.0, 1.0), BathSpec(1.0, 1e10, 100.0)
+    path = ProcessPath("mass", 1.0, 1e-300)
+    ops = [
+        lambda: mass_process(o, b, b.temperature, C, 1e-300),
+        lambda: mass_process(o, b, b.temperature, C, 1e-300, check_consistency=False),
+        lambda: heat(path, o, b, C),
+        lambda: process._sweep(path, o, b, C),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in ops:
+            with pytest.raises(NumericalFailure, match="damping beyond the closed form's range") as info:
+                op()
+            assert info.value.diagnostics["damping"] == math.inf
+
+
+def test_a_heat_rate_past_float64s_range_is_refused_at_its_row():
+    # at M = 2e-229 the mass path's gamma is 3e161, and its rate dgamma/dM =
+    # -gamma/M overflows
+    path = ProcessPath("mass", 1.0, 2e-229)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="heat rate beyond float64's range") as info:
+            process._sweep(path, OSC, BathSpec(1.0, 6e-68, 100.0), C)
+    assert info.value.diagnostics == {"row": 8, "alpha": 2e-229}
+
+
+DAMPED_GRID = [
+    BathSpec(t, g, wd) for t in (0.05, 0.2, 1.0, 5.0, 20.0) for g in (0.1, 1.0, 5.0, 10.0) for wd in (50.0, 200.0)
+]
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
+def test_the_mass_step_is_the_damping_step_to_gamma_over_k(k):
+    # f1 ~ 1/M and f2 ~ M at fixed gamma, so S, U and the work potential
+    # depend on (M, gamma) only through gamma: M -> kM books what gamma ->
+    # gamma/k books, bit for bit at these powers of two, and the composed
+    # process is the switch-on to gamma/k
+    for b in DAMPED_GRID:
+        step = mass_process(OSC, b, b.temperature, C, k, check_consistency=False)
+        path = ProcessPath("damping", b.damping, b.damping / k)
+        assert step.delta_entropy == entropy_change(path, OSC, b, C, check_consistency=False).value
+        assert step.heat == heat(path, OSC, b, C).value
+        total = composed_process(OSC, b, b.temperature, C, k, check_consistency=False)
+        switch_on = coupling_process(OSC, BathSpec(b.temperature, b.damping / k, b.cutoff), b.temperature, C, False)
+        assert total.delta_entropy == pytest.approx(switch_on.delta_entropy, rel=1e-15)
+        assert total.heat == pytest.approx(switch_on.heat, rel=1e-11)
+
+
+@pytest.mark.parametrize("mass", [1.5, 3.0])
+def test_the_mass_sweeps_heat_rate_is_the_derivative_of_the_heat(mass):
+    # [DERIVED] the sweep's trapezoid over one step h from M gives the mean
+    # of its rates dQ/dM at M and M + h, against a Richardson-extrapolated
+    # central difference of the closed-form heat Q(M) = heat(1 -> M) at
+    # M + h/2, which shares no derivative with the sweep
+    b = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
+    h = 1e-7
+    path = ProcessPath("mass", mass, mass + 8 * h)
+    _, heats = process._sweep(path, OSC, b, C)
+    rate = heats[1].value / (path.values[1] - path.values[0])
+    x = (path.values[0] + path.values[1]) / 2
+
+    def central(d):
+        up, dn = (heat(ProcessPath("mass", 1.0, x + e), OSC, b, C).value for e in (d, -d))
+        return (up - dn) / (2 * d)
+
+    assert rate == pytest.approx((4 * central(5e-4) - central(1e-3)) / 3, rel=1e-6)
 
 
 def _drude_solves(monkeypatch, op):

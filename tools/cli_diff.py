@@ -78,11 +78,12 @@ INVOCATIONS = (
     ("oracle", "--damping", "0", "--modes", "8,16"),
     # wide bands: the free energy's series beside nodes of ~1e17, cutoffs past
     # the closed form's range, and gamma = 0 beyond it, at a point and along
-    # a mass sweep
+    # a mass sweep; and gamma = 0 along a mass sweep at masses near 1e200
     ("resolve", "--temperature", "5", "--cutoff", "1e18"),
     ("resolve", "--damping", "0.5", "--cutoff", "1e154"),
     ("moments", "--damping", "0", "--cutoff", "1e300"),
     ("sweep", "--damping", "0", "--cutoff", "1e200", "--param", "mass", "--start", "1", "--end", "2"),
+    ("sweep", "--damping", "0", "--param", "mass", "--start", "1e200", "--end", "2e200"),
     ("moments", "--damping", "0.5", "--cutoff", "1e152"),
 )
 

@@ -16,7 +16,9 @@ one line per call: every field of the result as ``float.hex``, or the
 exception's type, message and diagnostics, then each distinct warning the
 call emitted. Every line that differs between the sides
 is printed, then a tally of the differing calls by kind (value or refusal
-on each side), and the exit code is 1 if any differs, 0 otherwise.
+on each side), then per side the number of checked ``EntropyChange``
+results whose error estimate is below their mismatch, which it should
+bound; the exit code is 1 if any call differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -153,9 +155,19 @@ def scan_side() -> None:
             print(f"{i} {name} {out}" + "".join(f" | {s}" for s in shown))
 
 
+_ENTROPY_CHANGE = re.compile(r"EntropyChange\(value=(\S+), quadrature=(\S+), error_estimate=(\S+),")
+
+
 def _kind(line: str) -> str:
     """"refusal" if the call of a scan line raised, else "value"."""
     return "refusal" if re.match(r"\w+: ", line.split(" ", 2)[2]) else "value"
+
+
+def _unbounded(lines: list[str]) -> int:
+    """The number of ``EntropyChange`` results among scan lines whose error estimate is below their mismatch."""
+    found = (_ENTROPY_CHANGE.search(line) for line in lines)
+    values = ([float.fromhex(x) for x in m.groups()] for m in found if m)
+    return sum(estimate < abs(value - quadrature) for value, quadrature, estimate in values)
 
 
 def run(root) -> list[str]:
@@ -185,6 +197,7 @@ def main(argv=None) -> int:
     differing = sum(kinds.values())
     tally = ", ".join(f"{kind} {n}" for kind, n in kinds.items())
     print(f"{differing} of {len(base)} calls at {len(points())} points differ: {tally}")
+    print(f"checks with error_estimate < mismatch: base {_unbounded(base)}, change {_unbounded(change)}")
     return 1 if differing else 0
 
 
