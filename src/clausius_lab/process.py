@@ -145,9 +145,9 @@ def entropy_change(
     interval between its ends must agree."""
     b.warn_if_cutoff_low(o)
     ends = _mass_and_damping(path, o, b, [path.start_value, path.end_value])
-    (s0, s1), changes = _states(*ends, o, b, c, [(0, 1)] if check_consistency else [])
+    (s0, s1), change = _states(*ends, o, b, c, (0, 1) if check_consistency else None)
     endpoint = s1.entropy - s0.entropy
-    return changes[0] if changes else EntropyChange(value=endpoint, quadrature=endpoint)
+    return change or EntropyChange(value=endpoint, quadrature=endpoint)
 
 
 @functools.cache
@@ -261,66 +261,53 @@ def _gate(s0: _State, s1: _State) -> float:
     return _CONSISTENCY_TOL * max(1.0, abs(s1.entropy - s0.entropy))
 
 
-def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, checks=()):
-    """The states at the (M, gamma) points of 1-d arrays, and the entropy
-    change of each check (i, j) that runs, from state i to state j, checked
-    against the quadrature of S'(v) dv/dgamma at the mass o.mass over the
-    damping interval between them: f1 ~ 1/M and f2 ~ M at fixed gamma, so S
-    depends on (M, gamma) only through gamma. A null interval (gamma = 0 at
-    both ends, or two ends that round equal) is not checked, as a null path
-    is not, nor is one with an infinite end, a state the kernel refuses. A
-    state's work potential is its coupling free energy; at gamma = 0 the
-    kernel gives the bare Gibbs state, whose free energy of coupling is zero.
+def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, check=None):
+    """The states at the (M, gamma) points of 1-d arrays and, with a check
+    (i, j), the entropy change from state i to state j, checked against the
+    quadrature of S'(v) dv/dgamma at the mass o.mass over the damping
+    interval between them: f1 ~ 1/M and f2 ~ M at fixed gamma, so S depends
+    on (M, gamma) only through gamma. A null interval (gamma = 0 at both
+    ends, or two ends that round equal) is not checked, as a null path is
+    not, nor is one with an infinite end, a state the kernel refuses; its
+    change is None. A state's work potential is its coupling free energy; at
+    gamma = 0 the kernel gives the bare Gibbs state, whose free energy of
+    coupling is zero.
 
     The check integrates by tanh-sinh, whose nodes crowd the endpoints, where
-    the integrand behaves like ln gamma near gamma = 0. The checks step
-    through their levels in lockstep, one kernel call per round: the first
-    takes the states and every check's nodes of levels 0 to 2, each later
-    one the next level of every check still running; without checks the
-    first is the only one. One kernel point per node gives its moments and
-    their exact, gated gamma slopes.
+    the integrand behaves like ln gamma near gamma = 0, at one kernel call
+    per round: the first takes the states and the check's nodes of levels 0
+    to 2, each later one the next level; without a check the first is the
+    only one. One kernel point per node gives its moments and their exact,
+    gated gamma slopes.
 
     The kernel's refusal comes first, from the first round that refuses, a
-    state's before a node's; then each check's status and mismatch, in
-    booking order.
+    state's before a node's; then the check's status and mismatch.
     """
     ends = damping.tolist()
-    checks = [(i, j) for i, j in checks if 0 < abs(ends[j] - ends[i]) < math.inf]
-    steppers = [_tanh_sinh(ends[i], ends[j]) for i, j in checks]
-    pending, results = {}, {}  # per check, the nodes its stepper waits on, or its result
-
-    def advance(n, sent):
+    i, j = check or (0, 0)
+    if not 0 < abs(ends[j] - ends[i]) < math.inf:  # no check, or a null or infinite interval
+        out, work = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True)
+        return _kernel_states(out, work, mass, o, c), None
+    stepper, sent = _tanh_sinh(ends[i], ends[j]), None
+    states, lead, rounding = None, mass.size, 0.0  # rounding: the largest relative rounding of v at the nodes
+    while True:
         try:
-            pending[n] = steppers[n].send(sent)
+            x = stepper.send(sent)
         except StopIteration as stop:
-            pending.pop(n, None)
-            results[n] = stop.value
-
-    for n in range(len(checks)):
-        advance(n, None)
-    rounding = [0.0] * len(checks)  # per check, the largest relative rounding of v at its nodes
-    states = None
-    while states is None or pending:
-        running = list(pending.items())
-        first = states is None  # the first round also takes the states, ahead of the nodes
-        lead = mass.size if first else 0
-        m = np.concatenate([mass[:lead]] + [np.full(x.size, o.mass) for _, x in running])
-        g = np.concatenate([damping[:lead]] + [x for _, x in running])
+            outcome = stop.value
+            break
+        m, g = np.concatenate([mass[:lead], np.full(x.size, o.mass)]), np.concatenate([damping[:lead], x])
         out, work = _matsubara_moments(
-            m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=first, nodes=np.arange(m.size) >= lead
+            m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=states is None, nodes=np.arange(m.size) >= lead
         )
-        if first:
+        if states is None:
             states = _kernel_states(out, work, mass, o, c)
-        for n, x in running:
-            i, j = checks[n]
-            value, error, rel = _integrand(_Slopes(*(v[lead : lead + x.size] for v in out)), c)
-            lead += x.size
-            rounding[n] = max(rounding[n], rel)
-            advance(n, (value, error, _gate(states[i], states[j])))
-    changes = [
-        _checked_entropy_change(states[i], states[j], results[n], rounding[n], c) for n, (i, j) in enumerate(checks)
-    ]
-    return states, changes
+        value, error, rel = _integrand(_Slopes(*(v[lead:] for v in out)), c)
+        rounding = max(rounding, rel)
+        sent, lead = (value, error, _gate(states[i], states[j])), 0
+    if states is None:  # every node rounded onto an end
+        states = _states(mass, damping, o, b, c)[0]
+    return states, _checked_entropy_change(states[i], states[j], outcome, rounding, c)
 
 
 def _kernel_states(out: _Slopes, work, mass, o: OscillatorParams, c: Constants) -> list[_State]:
@@ -474,25 +461,22 @@ def _step(s0: _State, s1: _State, temperature: float, c: Constants, coupled: boo
 
 
 def _steps(
-    o: OscillatorParams,
-    b: BathSpec,
-    c: Constants,
-    mass_factor: float,
-    check_coupling: bool = False,
-    check_mass: bool = False,
+    o: OscillatorParams, b: BathSpec, c: Constants, mass_factor: float, check=None
 ) -> tuple[ThermoReport, ThermoReport, ThermoReport]:
     """The coupling step, the mass step and their total, from one kernel call
-    over three points: the bare oscillator (M, 0), the coupled point
+    over three states: the bare oscillator (M, 0), the coupled point
     (M, gamma), which ends one step and starts the other, and the mass path's
-    end (kM, gamma/k). Each checked step's entropy change is checked against
-    the quadrature over its damping interval, 0 -> gamma or gamma ->
-    gamma/k; that call also takes the checks' first nodes."""
+    end (kM, gamma/k). A check (i, j) checks the entropy change between two
+    of them against the quadrature over their damping interval; that call
+    also takes its first nodes. An end mass past float64's range is refused."""
     require_positive("mass_factor", mass_factor)
-    path = ProcessPath("mass", o.mass, o.mass * mass_factor)
-    mass, damping = _mass_and_damping(path, o, b, [path.start_value, path.end_value])
-    points = np.concatenate(([o.mass], mass)), np.concatenate(([0.0], damping))
-    checks = ([(0, 1)] if check_coupling else []) + ([(1, 2)] if check_mass else [])
-    (bare, coupled, end), _ = _states(*points, o, b, c, checks)
+    with np.errstate(over="ignore"):  # past float64's range the end mass or gamma is inf, refused here or by the kernel
+        mass = np.array([o.mass, o.mass, o.mass * mass_factor])
+        if not 0 < mass[2] < math.inf:
+            raise NumericalFailure("mass beyond float64's range", mass=mass[2].item(), mass_factor=float(mass_factor))
+        damping = o.mass * b.damping / mass  # fixed microscopic coupling, as on a mass path
+    damping[0] = 0.0
+    (bare, coupled, end), _ = _states(mass, damping, o, b, c, check)
     coupling = _step(bare, coupled, b.temperature, c)
     mass_step = _step(coupled, end, b.temperature, c, coupled=b.damping > 0)
     q, ds = coupling.heat + mass_step.heat, coupling.delta_entropy + mass_step.delta_entropy
@@ -516,10 +500,11 @@ def coupling_process(
     """Quasistatic isothermal switch-on of the coupling, 0 -> gamma_target.
 
     dS from the endpoint entropies; heat from the subsystem first law with the
-    quasistatic work W = dF_MF: Q = dU - dF_MF.
+    quasistatic work W = dF_MF: Q = dU - dF_MF. The check runs over 0 ->
+    gamma_target.
     """
     b_target.warn_if_cutoff_low(o)
-    return _steps(o, _bath_at(b_target, temperature), c, 1.0, check_coupling=check_consistency)[0]
+    return _steps(o, _bath_at(b_target, temperature), c, 1.0, (0, 1) if check_consistency else None)[0]
 
 
 def mass_process(
@@ -532,9 +517,10 @@ def mass_process(
 ) -> ThermoReport:
     """Mass sweep M -> mass_factor * M at fixed bare frequency and fixed
     microscopic coupling. This is the step that taken alone appears to
-    violate the Clausius inequality."""
+    violate the Clausius inequality. The check runs over its damping interval
+    gamma -> gamma/mass_factor."""
     b.warn_if_cutoff_low(o)
-    return _steps(o, _bath_at(b, temperature), c, mass_factor, check_mass=check_consistency)[1]
+    return _steps(o, _bath_at(b, temperature), c, mass_factor, (1, 2) if check_consistency else None)[1]
 
 
 def composed_process(
@@ -546,6 +532,15 @@ def composed_process(
     check_consistency: bool = True,
 ) -> ThermoReport:
     """Couple first, then change the mass: the thermodynamically complete
-    two-step process whose totals satisfy the Clausius inequality."""
+    two-step process whose totals, the sums of its two steps, satisfy the
+    Clausius inequality.
+
+    At fixed gamma, f1 ~ 1/M and f2 ~ M, so the composition is the
+    isothermal switch-on 0 -> gamma/k at the mass M, and its check is that
+    switch-on's: the entropy change it reports, from the bare state to the
+    end, against the quadrature over 0 -> gamma/k. The coupled state enters
+    the totals only through rounding; the kernel gates its moments and free
+    energy, and no quadrature cross-checks it.
+    """
     b.warn_if_cutoff_low(o)
-    return _steps(o, _bath_at(b, temperature), c, mass_factor, check_consistency, check_consistency)[2]
+    return _steps(o, _bath_at(b, temperature), c, mass_factor, (0, 2) if check_consistency else None)[2]

@@ -682,6 +682,27 @@ class TestMomentDerivatives:
             _matsubara_moments([1.0, 2.0], [1e-3, g], w, wd, t, C, nodes=[False, True])
         assert info.value.diagnostics.items() >= {"damping": g, "mass": 2.0}.items()
 
+    def test_the_gate_scales_each_slope_error_by_the_slope_or_its_floor(self, monkeypatch):
+        # each node's slope error is gated within 1e-5 of max(|df|, 1e-3 |f| /
+        # max(gamma, 1)). At T = 100, gamma = 100 the classical f1 barely moves
+        # with gamma, so |df1| lies below 1e-3 |f1| / gamma, and |df2| lies
+        # between that floor and 1e-3 |f2|: the gate divides each error by
+        # its own scale, which a floor without the 1/gamma would raise
+        gates = []
+        gate = bath.require_accurate
+
+        def record(message, target, estimates, **context):
+            gates.append(estimates)
+            gate(message, target, estimates, **context)
+
+        monkeypatch.setattr(bath, "require_accurate", record)
+        s = slopes_at(BathSpec(temperature=100.0, damping=100.0, cutoff=10.0))
+        floor1, floor2 = 1e-3 * s.f1 / 100, 1e-3 * s.f2 / 100
+        assert abs(s.df1) < floor1
+        assert floor2 < abs(s.df2) < 1e-3 * s.f2
+        assert gates[-1]["df1_rel_error"][0] == pytest.approx(s.df1_error / floor1, rel=1e-12, abs=0)
+        assert gates[-1]["df2_rel_error"][0] == pytest.approx(s.df2_error / abs(s.df2), rel=1e-12, abs=0)
+
     def test_error_estimates_are_reported(self):
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
         d = slopes_at(b)

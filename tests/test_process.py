@@ -1,5 +1,6 @@
 """Unit tests for entropy/heat process integration."""
 
+import itertools
 import math
 import warnings
 
@@ -439,8 +440,9 @@ def test_a_checked_op_takes_the_states_of_an_unchecked_one():
     _, x, y, m, _ = bath._drude_poles(np.array([1.0]), b.cutoff, np.array([b.damping]))
     assert bath._CONFLUENT < abs(x - y)[0] / (2 * math.pi * b.temperature + m[0]) < bath._CLOSE_PAIR
     points = np.array([1.0, 1.0, 2.0]), np.array([0.0, b.damping, b.damping / 2])
-    states, _ = process._states(*points, OSC, b, C, [(0, 1), (1, 2)])
-    assert states == process._states(*points, OSC, b, C)[0]
+    for check in [(0, 1), (1, 2), (0, 2)]:
+        states, _ = process._states(*points, OSC, b, C, check)
+        assert states == process._states(*points, OSC, b, C)[0]
     for op in (composed_process, mass_process, coupling_process):
         assert op(OSC, b, b.temperature, C) == op(OSC, b, b.temperature, C, check_consistency=False)
 
@@ -499,25 +501,63 @@ def test_a_refusal_costs_no_further_kernel_call(monkeypatch):
     assert calls == [True]
 
 
-def test_the_check_that_refuses_in_the_earlier_round_is_raised(monkeypatch):
-    # the mass check refuses in the first shared kernel call, the coupling
-    # check only at its level 3, in the second: the coupling step is booked
-    # first, but the first round that refuses is the mass check's. Each
-    # check's nodes are told by its damping interval, gamma -> gamma/2 or
-    # 0 -> gamma
-    first = next(process._tanh_sinh(0.0, FLAGSHIP.damping))
-    mass_nodes = next(process._tanh_sinh(FLAGSHIP.damping, FLAGSHIP.damping / 2))
-    assert not np.isin(mass_nodes, first).any()
+def _kernel_calls(monkeypatch):
+    """The process's kernel, patched to record each call's masses, dampings and node mask."""
+    calls = []
+    kernel = process._matsubara_moments
 
-    def refuse(mass, damping, nodes, free):
-        if (nodes & np.isin(damping, mass_nodes)).any():
-            return "mass"
-        if (nodes & ~np.isin(damping, first)).any():
-            return "coupling"
+    def record(mass, damping, *args, free_energy=False, nodes=False):
+        calls.append((np.asarray(mass), np.asarray(damping), np.broadcast_to(nodes, np.shape(damping))))
+        return kernel(mass, damping, *args, free_energy=free_energy, nodes=nodes)
 
-    _refusing_kernel(monkeypatch, refuse)
-    with pytest.raises(NumericalFailure, match="mass"):
-        composed_process(OSC, FLAGSHIP, FLAGSHIP.temperature, C)
+    monkeypatch.setattr(process, "_matsubara_moments", record)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "op, k, interval, rounds",
+    [
+        (lambda o, b, k: coupling_process(o, b, b.temperature, C), 1.0, (0.0, 5.0), 2),
+        (lambda o, b, k: mass_process(o, b, b.temperature, C, k), 2.0, (5.0, 2.5), 1),
+        (lambda o, b, k: composed_process(o, b, b.temperature, C, k), 2.0, (0.0, 2.5), 1),
+    ],
+    ids=["coupling_process", "mass_process", "composed_process"],
+)
+def test_each_op_checks_the_one_entropy_change_it_reports(monkeypatch, op, k, interval, rounds):
+    # the coupling step checks 0 -> gamma, the mass step gamma -> gamma/k,
+    # and their composition, the switch-on to gamma/k, 0 -> gamma/k: no node
+    # lies outside the op's interval (for k = 2 none in (gamma/2, gamma)),
+    # and a node's refusal belongs to the op's one check. The first kernel
+    # call takes the three states and the check's levels 0 to 2, at the
+    # op's mass; at the flagship the switch-on to gamma/2 converges there
+    # (a coupling op's mass path is the null one, k = 1)
+    calls = _kernel_calls(monkeypatch)
+    op(OSC, FLAGSHIP, k)
+    assert len(calls) == rounds
+    mass, damping, nodes = calls[0]
+    first = next(process._tanh_sinh(*interval))
+    assert damping.tolist() == [0.0, 5.0, 5.0 / k, *first.tolist()]
+    assert mass.tolist() == [1.0, 1.0, k] + [1.0] * first.size
+    assert nodes.tolist() == [False] * 3 + [True] * first.size
+    lo, hi = sorted(interval)
+    for mass, damping, nodes in calls[1:]:
+        assert nodes.all() and (mass == 1.0).all() and ((lo < damping) & (damping < hi)).all()
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.0])
+@pytest.mark.parametrize("mass, factor", [(1e200, 1e200), (1e-200, 1e-200)], ids=["overflow", "underflow"])
+def test_an_end_mass_past_float64s_range_is_refused(mass, factor, damping):
+    # a valid mass and mass factor whose product leaves float64's range are
+    # no bad input: the op refuses, checked or not, coupled or not, and
+    # without a numpy warning, for a numpy factor too
+    o, b = OscillatorParams(mass, 1.0), BathSpec(1.0, damping, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ops = itertools.product((mass_process, composed_process), (True, False), (factor, np.float64(factor)))
+        for op, checked, k in ops:
+            with pytest.raises(NumericalFailure, match="mass beyond float64's range") as info:
+                op(o, b, b.temperature, C, k, checked)
+            assert info.value.diagnostics == {"mass": mass * factor, "mass_factor": factor}
 
 
 @pytest.mark.parametrize(
@@ -602,6 +642,26 @@ def test_the_mass_step_is_the_damping_step_to_gamma_over_k(k):
         assert total.heat == pytest.approx(switch_on.heat, rel=1e-11)
 
 
+def _outcome(op):
+    """op()'s result, or the message of the NumericalFailure it raised."""
+    try:
+        return op()
+    except NumericalFailure as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
+def test_the_composed_ops_check_is_the_switch_on_check(k):
+    # a checked composed op returns the unchecked op's bits or refuses, and
+    # it passes exactly where the checked switch-on 0 -> gamma/k does
+    for b in DAMPED_GRID:
+        checked = _outcome(lambda: composed_process(OSC, b, b.temperature, C, k))
+        switch_on = _outcome(lambda: entropy_change(ProcessPath("damping", 0.0, b.damping / k), OSC, b, C))
+        assert isinstance(checked, str) == isinstance(switch_on, str)
+        if not isinstance(checked, str):
+            assert checked == composed_process(OSC, b, b.temperature, C, k, check_consistency=False)
+
+
 @pytest.mark.parametrize("mass", [1.5, 3.0])
 def test_the_mass_sweeps_heat_rate_is_the_derivative_of_the_heat(mass):
     # [DERIVED] the sweep's trapezoid over one step h from M gives the mean
@@ -650,7 +710,7 @@ class TestOneRootSolvePerKernelCall:
     @pytest.mark.parametrize(
         "op, solves",
         [
-            (lambda b: composed_process(OSC, b, b.temperature, C), 2),
+            (lambda b: composed_process(OSC, b, b.temperature, C), 1),
             (lambda b: mass_process(OSC, b, b.temperature, C), 1),
             (lambda b: coupling_process(OSC, b, b.temperature, C), 2),
             (lambda b: entropy_change(ProcessPath("damping", 0.0, b.damping), OSC, b, C), 2),
@@ -658,8 +718,9 @@ class TestOneRootSolvePerKernelCall:
         ids=["composed_process", "mass_process", "coupling_process", "entropy_change"],
     )
     def test_checks_solve_only_their_quadrature_levels(self, monkeypatch, op, solves):
-        # at the flagship the mass path's tanh-sinh converges on levels 0 to
-        # 2, and the coupling path's takes level 3 too; the op's states share
-        # the first kernel call with every check's levels 0 to 2, and each
-        # later call takes the next level of every check still running
+        # at the flagship the tanh-sinh over gamma -> gamma/2 and over the
+        # switch-on 0 -> gamma/2 converges on levels 0 to 2, and over 0 ->
+        # gamma it takes level 3 too; the op's states share the first kernel
+        # call with its check's levels 0 to 2, and each later call takes the
+        # next level
         assert _drude_solves(monkeypatch, op) == solves

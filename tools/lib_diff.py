@@ -18,7 +18,10 @@ call emitted. Every line that differs between the sides
 is printed, then a tally of the differing calls by kind (value or refusal
 on each side), then per side the number of checked ``EntropyChange``
 results whose error estimate is below their mismatch, which it should
-bound; the exit code is 1 if any call differs, 0 otherwise.
+bound, and last, for each checked op, the kernel calls and kernel points
+(elements of ``process._matsubara_moments``' calls, states and quadrature
+nodes alike) that it made over the whole scan on each side; the exit code
+is 1 if any call differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -138,10 +141,20 @@ def _fmt(x) -> str:
 
 
 def scan_side() -> None:
-    """Runs the scan in this interpreter, one line per call to stdout."""
+    """Runs the scan in this interpreter, one line per call to stdout, then
+    one ``kernel <op> <calls> <points>`` line per checked op."""
     import clausius_lab as lab
 
     ops = _ops(lab)
+    work = dict.fromkeys(ops, (0, 0))  # per op, its kernel calls and points so far
+    kernel = lab.process._matsubara_moments
+
+    def counted(mass, damping, *args, **kwargs):  # booked to the op the loop below is calling, ``name``
+        calls, size = work[name]
+        work[name] = calls + 1, size + len(damping)
+        return kernel(mass, damping, *args, **kwargs)
+
+    lab.process._matsubara_moments = counted
     for i, (mass, w, t, g, wd, k) in enumerate(points()):
         o, b = lab.OscillatorParams(mass, w), lab.BathSpec(t, g, wd)
         for name, op in ops.items():
@@ -153,6 +166,9 @@ def scan_side() -> None:
                     out = f"{type(e).__name__}: {e} {_fmt(getattr(e, 'diagnostics', {}))}"
             shown = dict.fromkeys(f"{w.category.__name__}: {w.message}" for w in caught)  # each once, in order
             print(f"{i} {name} {out}" + "".join(f" | {s}" for s in shown))
+    for name, (calls, size) in work.items():
+        if "/checked" in name:
+            print(f"kernel {name} {calls} {size}")
 
 
 _ENTROPY_CHANGE = re.compile(r"EntropyChange\(value=(\S+), quadrature=(\S+), error_estimate=(\S+),")
@@ -170,11 +186,14 @@ def _unbounded(lines: list[str]) -> int:
     return sum(estimate < abs(value - quadrature) for value, quadrature, estimate in values)
 
 
-def run(root) -> list[str]:
-    """The scan's lines from ``root``'s source, in a fresh interpreter."""
+def run(root) -> tuple[list[str], dict[str, tuple[int, int]]]:
+    """The scan's lines from ``root``'s source, in a fresh interpreter, and
+    each checked op's kernel calls and points."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([sys.executable, __file__, "--side"], env=env, capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    work = {op: (int(calls), int(size)) for _, op, calls, size in (x.split() for x in lines if x.startswith("kernel "))}
+    return [x for x in lines if not x.startswith("kernel ")], work
 
 
 def main(argv=None) -> int:
@@ -185,7 +204,7 @@ def main(argv=None) -> int:
     if args.side:
         scan_side()
         return 0
-    base, change = run(export(args.base)), run(ROOT)
+    (base, base_work), (change, change_work) = run(export(args.base)), run(ROOT)
     if len(base) != len(change):
         print(f"the sides made {len(base)} and {len(change)} calls")
         return 1
@@ -198,6 +217,10 @@ def main(argv=None) -> int:
     tally = ", ".join(f"{kind} {n}" for kind, n in kinds.items())
     print(f"{differing} of {len(base)} calls at {len(points())} points differ: {tally}")
     print(f"checks with error_estimate < mismatch: base {_unbounded(base)}, change {_unbounded(change)}")
+    print("kernel work over the scan, base -> change:")
+    for op, (calls, size) in change_work.items():
+        was_calls, was_size = base_work[op]
+        print(f"  {op}: {was_calls} -> {calls} calls, {was_size} -> {size} points")
     return 1 if differing else 0
 
 
