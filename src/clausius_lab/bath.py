@@ -545,8 +545,8 @@ def _coupling_steps(w, wd, damping, r, x, y, nu1: float):
     ln Gamma(1 + y + h) - ln Gamma(1 + y) - psi(1) h. An underdamped pair is
     conjugate, as its limits are, and so are its steps: only the first is
     listed. A step is short when 8 |h| < |1 + y|; a long one carries the
-    argument z = 1 + y + h of its ln Gamma, or 1 + l/nu1 where rounding
-    cancelled every digit of that sum, and a short one None.
+    argument z = 1 + l/nu1 of its ln Gamma, formed as the kernel forms that
+    root's psi argument, and a short one None.
     """
     points = []
     for k, g in enumerate(damping):
@@ -559,10 +559,7 @@ def _coupling_steps(w, wd, damping, r, x, y, nu1: float):
             j, l = _OTHER_ROOTS[i]
             shift = -g * wd[k] * lam[i] / ((lam[i] - mu[j]) * (lam[i] - mu[l]))
             y_i, h_i = mu[i] / nu1, shift / nu1
-            z_i = None if 8 * abs(h_i) < abs(1 + y_i) else 1 + y_i + h_i
-            if z_i is not None and abs(z_i) < _ROUND * abs(h_i):  # rounding cancelled every digit of 1 + y + h
-                z_i = _shifted(lam[i], nu1)
-            steps.append((y_i, h_i, z_i))
+            steps.append((y_i, h_i, None if 8 * abs(h_i) < abs(1 + y_i) else _shifted(lam[i], nu1)))
         points.append((k, g, steps))
     short = [(y_i, h_i) for _, _, steps in points for y_i, h_i, z_i in steps if z_i is None]
     y_short, h_short = np.array(short, dtype=complex).reshape(-1, 2, 1).transpose(1, 0, 2)
@@ -577,8 +574,9 @@ def _free_energies(
 
     A short step integrates psi(1 + .) - psi(1) along it, keeping the
     relative accuracy of h and, at high temperature, of y, with the series
-    for small z; a long step differences ln Gamma. The first point whose
-    rounding estimate exceeds ``rel_tol`` raises.
+    for small z; a long step differences ln Gamma, and psi(1) times its
+    argument, between 1 + y and z. The first point whose rounding estimate
+    exceeds ``rel_tol`` raises.
     """
     value = psi_nodes + np.euler_gamma
     scale = np.abs(value) + 2
@@ -603,10 +601,10 @@ def _free_energies(
             else:
                 if y not in lngamma:
                     lngamma[y] = loggamma(1 + y)
-                # z = 1 + l/nu1 has Re >= 1; below that, rounding cancelled every digit
-                hi, lo = loggamma(z) if z.real >= 1 else complex(math.nan), lngamma[y]
+                # every negated root has Re l >= 0, so Re z = 1 + Re l/nu1 >= 1
+                hi, lo = loggamma(z), lngamma[y]
                 err = _ROUND * (abs(hi) + abs(lo) + abs(z) + abs(1 + y) + abs(h_i))
-                terms.append((hi - lo + np.euler_gamma * h_i, err))
+                terms.append((hi - lo + np.euler_gamma * (z - (1 + y)), err))
         if len(steps) == 2:  # the conjugate pair's second step
             terms.append((terms[1][0].conjugate(), terms[1][1]))
         total = 0j
@@ -633,12 +631,12 @@ def coupling_free_energy(o: OscillatorParams, b: BathSpec, c: Constants = Consta
     (1/beta) ln[G(1 + iw/nu1) G(1 - iw/nu1) G(1 + wD/nu1) / prod_i G(1 + lambda_i/nu1)]
     (Hanggi, Ingold & Talkner, New J. Phys. 10, 115008 (2008)). Each root is
     paired with its gamma = 0 limit, so weak damping keeps full relative
-    accuracy. The shifts sum to zero, so their psi(1) terms, which would
-    cancel to rounding at high temperature, are left out. This is the
-    quasistatic work needed to switch the coupling on isothermally. It is the
-    one-point call of the array kernel, so the kernel's target gates the
-    rounding estimates of the point's moments as well as that of its free
-    energy.
+    accuracy, and a long step takes ln Gamma at 1 + lambda/nu1, its root's
+    psi argument in the moments. The shifts sum to zero, so their psi(1)
+    terms, which would cancel to rounding at high temperature, are left
+    out. This is the quasistatic work needed to switch the coupling on
+    isothermally. It is the one-point call of the array kernel, whose target
+    gates the rounding estimates of the point's moments and free energy.
     """
     b.warn_if_cutoff_low(o)
     _, free = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, free_energy=True)

@@ -174,7 +174,7 @@ def _ts_level(k: int):
 def _tanh_sinh(a: float, b: float):
     """int_a^b f by tanh-sinh, to the tolerances of scipy's tanhsinh on the
     error estimate of Bailey, Jeyabalan & Li (Exp. Math. 14, 317 (2005)), as
-    a level stepper, so that one call of f can serve several quadratures.
+    a level stepper, so that its first kernel call also takes the op's states.
 
     That estimate extrapolates the last three levels' sums, and before the
     rule converges it can fall far below the error. So a level's own error
@@ -504,7 +504,10 @@ def coupling_process(
     gamma_target.
     """
     b_target.warn_if_cutoff_low(o)
-    return _steps(o, _bath_at(b_target, temperature), c, 1.0, (0, 1) if check_consistency else None)[0]
+    b = _bath_at(b_target, temperature)
+    mass, damping = np.full(2, float(o.mass)), np.array([0.0, b.damping])
+    (bare, coupled), _ = _states(mass, damping, o, b, c, (0, 1) if check_consistency else None)
+    return _step(bare, coupled, b.temperature, c)
 
 
 def mass_process(

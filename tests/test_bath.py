@@ -537,6 +537,53 @@ class TestWideBand:
                     op(o, b)
                 assert info.value.diagnostics == {"cutoff": b.cutoff, "frequency": o.frequency}
 
+    @pytest.mark.parametrize(
+        "temperature, damping, cutoff, digits",
+        [
+            (0.05, 917077450674293.1, 100.0, 60),
+            (2787.270389510236, 435239845.9383163, 64090930.086138286, 50),
+            (3.340889713911804e19, 5.540687671385791e53, 1.5433104480732924e21, 120),
+        ],
+    )
+    def test_a_tiny_real_root_gives_a_free_energy(self, temperature, damping, cutoff, digits):
+        # the real root r ~ w^2/gamma is so small that its long step's ln Gamma
+        # argument, once formed as 1 + y + h, cancelled to about 1 and rounded
+        # below it, where a NaN sentinel refused the point; 1 + r/nu1 does not
+        b = BathSpec(temperature, damping, cutoff)
+        free = mpmath_referee(temperature, damping, cutoff, digits)[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = coupling_free_energy(OSC, b, C)
+            report = composed_process(OSC, b, temperature, C, check_consistency=False)
+        assert abs(value - free) <= 1e-15 * abs(free)
+        assert math.isfinite(report.heat) and math.isfinite(report.delta_entropy)
+
+    def test_a_long_step_takes_its_psi1_term_over_its_ln_gamma_interval(self):
+        # the flagship scaled by 2^-350, whose root shifts h (~1e-313 before
+        # the division by nu1) are subnormal and carry ~1e-12 of rounding: a
+        # long step takes its psi(1) term, like its ln Gamma difference, over
+        # 1 + y to z = 1 + l/nu1 and not from h, so F_MF scales by 2^-350
+        w, t, g, wd = (math.ldexp(v, -350) for v in (1.0, 0.05, 5.0, 100.0))
+        value = math.ldexp(coupling_free_energy(OscillatorParams(1.0, w), BathSpec(t, g, wd), C), 350)
+        free = mpmath_referee(0.05, 5.0, 100.0)[2]
+        assert abs(value - free) <= 1e-13 * abs(free)
+
+    @pytest.mark.filterwarnings("ignore:Drude cutoff")
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        log_t=st.floats(math.log(1e-3), math.log(1e24)),
+        log_gamma=st.floats(math.log(1e10), math.log(1e190)),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_strong_coupling_gives_a_value_across_the_closed_forms_range(self, log_t, log_gamma, share):
+        # gamma in [1e10, 1e190] and wD in [1, 1e107] with gamma wD <= 1e200:
+        # the unchecked composed op, which takes the free energy at gamma and
+        # gamma/2, refuses no point
+        cutoff = math.exp(share * min(math.log(1e107), math.log(1e200) - log_gamma)) * (1 - 1e-12)
+        b = BathSpec(math.exp(log_t), math.exp(log_gamma), cutoff)
+        report = composed_process(OSC, b, b.temperature, C, check_consistency=False)
+        assert math.isfinite(report.heat) and math.isfinite(report.delta_entropy)
+
     @pytest.mark.parametrize("cutoff", [1e150, 1e152, 1e160, 1e200, 1e300, 1.79e308])
     def test_spectral_route_gives_a_value_or_refuses_without_a_warning(self, cutoff):
         # from a cutoff near 1e152 its nodes and integrand overflowed, and

@@ -515,30 +515,35 @@ def _kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "op, k, interval, rounds",
+    "op, states, interval, rounds",
     [
-        (lambda o, b, k: coupling_process(o, b, b.temperature, C), 1.0, (0.0, 5.0), 2),
-        (lambda o, b, k: mass_process(o, b, b.temperature, C, k), 2.0, (5.0, 2.5), 1),
-        (lambda o, b, k: composed_process(o, b, b.temperature, C, k), 2.0, (0.0, 2.5), 1),
+        (lambda o, b: coupling_process(o, b, b.temperature, C), [(1.0, 0.0), (1.0, 5.0)], (0.0, 5.0), 2),
+        (lambda o, b: mass_process(o, b, b.temperature, C, 2.0), [(1.0, 0.0), (1.0, 5.0), (2.0, 2.5)], (5.0, 2.5), 1),
+        (
+            lambda o, b: composed_process(o, b, b.temperature, C, 2.0),
+            [(1.0, 0.0), (1.0, 5.0), (2.0, 2.5)], (0.0, 2.5), 1,
+        ),
     ],
     ids=["coupling_process", "mass_process", "composed_process"],
 )
-def test_each_op_checks_the_one_entropy_change_it_reports(monkeypatch, op, k, interval, rounds):
+def test_each_op_checks_the_one_entropy_change_it_reports(monkeypatch, op, states, interval, rounds):
     # the coupling step checks 0 -> gamma, the mass step gamma -> gamma/k,
     # and their composition, the switch-on to gamma/k, 0 -> gamma/k: no node
     # lies outside the op's interval (for k = 2 none in (gamma/2, gamma)),
     # and a node's refusal belongs to the op's one check. The first kernel
-    # call takes the three states and the check's levels 0 to 2, at the
-    # op's mass; at the flagship the switch-on to gamma/2 converges there
-    # (a coupling op's mass path is the null one, k = 1)
+    # call takes the op's states, (M, gamma) each once, and the check's
+    # levels 0 to 2, at the op's mass; at the flagship the switch-on to
+    # gamma/2 converges there. The coupling op takes two states, the bare
+    # and the coupled one
     calls = _kernel_calls(monkeypatch)
-    op(OSC, FLAGSHIP, k)
+    op(OSC, FLAGSHIP)
     assert len(calls) == rounds
     mass, damping, nodes = calls[0]
     first = next(process._tanh_sinh(*interval))
-    assert damping.tolist() == [0.0, 5.0, 5.0 / k, *first.tolist()]
-    assert mass.tolist() == [1.0, 1.0, k] + [1.0] * first.size
-    assert nodes.tolist() == [False] * 3 + [True] * first.size
+    n = len(states)
+    assert list(zip(mass[:n].tolist(), damping[:n].tolist())) == states
+    assert damping[n:].tolist() == first.tolist() and (mass[n:] == 1.0).all()
+    assert nodes.tolist() == [False] * n + [True] * first.size
     lo, hi = sorted(interval)
     for mass, damping, nodes in calls[1:]:
         assert nodes.all() and (mass == 1.0).all() and ((lo < damping) & (damping < hi)).all()

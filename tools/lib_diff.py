@@ -7,15 +7,15 @@ committed files are exported by ``ab_bench.export`` into
 ``.bench_build/<sha>/`` (gitignored); the change side is this checkout, as it
 stands on disk. Each side runs this script with ``--side`` in a fresh
 interpreter, with that side's ``src`` on PYTHONPATH, over one fixed scan of
-470 points (``points``): the acceptance grid (5 T x 5 gamma x 2 wD at the
+473 points (``points``): the acceptance grid (5 T x 5 gamma x 2 wD at the
 mass factors 0.5, 2 and 4), seeded log-spread points, seeded wide-range
-points, and fixed points at the closed form's edges. At every point it calls
-each op of ``_ops``: the process ops, both moment routes, the coupling free
-energy, and the ``sweep`` scenario's rows along both path kinds. It writes
-one line per call: every field of the result as ``float.hex``, or the
-exception's type, message and diagnostics, then each distinct warning the
-call emitted. Every line that differs between the sides
-is printed, then a tally of the differing calls by kind (value or refusal
+points, and fixed points at the closed form's edges and at strong coupling.
+At every point it calls each op of ``_ops``: the process ops, both moment
+routes, the coupling free energy, and the ``sweep`` scenario's rows along
+both path kinds. It writes one line per call: every field of the result
+as ``float.hex``, or the exception's type, message and diagnostics, then
+each distinct warning the call emitted. Every line that differs between
+the sides is printed, then a tally of the differing calls by kind (value or refusal
 on each side), then per side the number of checked ``EntropyChange``
 results whose error estimate is below their mismatch, which it should
 bound, and last, for each checked op, the kernel calls and kernel points
@@ -85,6 +85,10 @@ def points() -> list[tuple[float, float, float, float, float, float]]:
         (1.0, 1.0, 1e300, 1.0, 100.0, 2.0),
         (1.0, 1.0, 5.0, 1.0, 1e18, 2.0),
         (1.0, 1.0, 1.0, 0.5, 1e154, 2.0),
+        # strong coupling, where the real root ~ w^2/gamma is far below nu1
+        (1.0, 1.0, 0.05, 917077450674293.1, 100.0, 2.0),
+        (1.0, 1.0, 2787.270389510236, 435239845.9383163, 64090930.086138286, 2.0),
+        (1.0, 1.0, 3.340889713911804e19, 5.540687671385791e53, 1.5433104480732924e21, 2.0),
     ]
     return scan
 
