@@ -211,7 +211,6 @@ class _Slopes(NamedTuple):
 
 
 def _matsubara_moments(
-    mass,
     damping,
     frequency,
     cutoff,
@@ -221,15 +220,17 @@ def _matsubara_moments(
     free_energy: bool = False,
     nodes=False,
 ):
-    """f1 and f2 from the digamma closed form, elementwise over a 1-d array of
-    gamma and, per element or shared, mass, w and wD, at one temperature.
+    """f1 and f2 at M = 1 from the digamma closed form, elementwise over a 1-d
+    array of gamma and, per element or shared, w and wD, at one temperature.
+    At fixed gamma f1 ~ 1/M and f2 ~ M, so at the mass M they are f1/M and
+    M f2, and every other output is the same at any mass.
 
     Each element takes its own branch (a contour integral around close
     roots, the generic divided differences, or gamma = 0) and its own
     rounding gate: the first element whose estimate exceeds ``rel_tol`` raises.
     Returns ``(_Slopes, free)``. ``nodes`` is a boolean mask of the slope
     nodes (a scalar is broadcast). In a call with nodes the same roots and psi
-    values give every element's exact gamma derivatives at fixed M, with their
+    values give every element's exact gamma derivatives, with their
     propagated rounding estimates: the generic rows differentiate their
     divided differences as the roots move, l' = -wD l / Q'(l) with Q(l) =
     l^3 - wD l^2 + c1 l - c0, and the contour rows their integrals. Only the
@@ -246,14 +247,14 @@ def _matsubara_moments(
     damping = np.asarray(damping, dtype=float)
     nodes = np.full(damping.shape, nodes, dtype=bool)
     slopes = bool(nodes.any())
-    mass, w, wd = (np.full(damping.shape, v, dtype=float) for v in (mass, frequency, cutoff))
+    w, wd = (np.full(damping.shape, v, dtype=float) for v in (frequency, cutoff))
     beta = 1.0 / (c.kB * temperature)
     nu1 = 2 * math.pi * c.kB * temperature / c.hbar
     if not nu1 <= _MAX_NU1:
         message = f"temperature beyond the closed form's range: 2 pi kB T / hbar exceeds {_MAX_NU1:g}"
         raise NumericalFailure(message, temperature=temperature)
     if not damping.any():  # decoupled: the Gibbs state, whatever the cutoff, and the nodes' slopes are 0
-        gibbs = [thermal_moments_decoupled(OscillatorParams(mi, wi), temperature, c) for mi, wi in zip(mass, w)]
+        gibbs = [thermal_moments_decoupled(OscillatorParams(1.0, wi), temperature, c) for wi in w]
         f1, f2 = np.array([g.f1 for g in gibbs]), np.array([g.f2 for g in gibbs])
         rest = np.zeros((6, f1.size)) if slopes else [None] * 6
         return _Slopes(f1, f2, *rest), [0.0] * int((~nodes).sum()) if free_energy else None
@@ -341,11 +342,10 @@ def _matsubara_moments(
     sum1, err1 = bracket(1.0 / w2, wd - node, -1.0)
     sum2, err2 = bracket(1.0, w2 * wd - c1 * node, -c1)
     with np.errstate(over="ignore", divide="ignore"):  # out of float64's range a moment is 0 or inf, refused below
-        f1, f2 = sum1 / (mass * beta), mass / beta * sum2
+        f1, f2 = sum1 / beta, 1 / beta * sum2
     for i in (damping == 0).nonzero()[0]:
-        gibbs = thermal_moments_decoupled(OscillatorParams(mass=mass[i], frequency=w[i]), temperature, c)
+        gibbs = thermal_moments_decoupled(OscillatorParams(mass=1.0, frequency=w[i]), temperature, c)
         f1[i], f2[i], err1[i], err2[i] = gibbs.f1, gibbs.f2, 0.0, 0.0  # Gibbs: exempt from the bracket's gate
-    in_range = np.isfinite(f1) & np.isfinite(f2) & (f1 != 0) & (f2 != 0)
     free = None
     for rows in (own, nodes) if slopes else (own,):  # no node first, and its free energy before the nodes
         require_accurate(
@@ -353,9 +353,7 @@ def _matsubara_moments(
             {"achieved_rel_f1": err1[rows], "achieved_rel_f2": err2[rows]}, temperature=temperature,
             damping=damping[rows],
         )
-        if not in_range[rows].all():
-            at = {"mass": mass[rows], "damping": damping[rows], "temperature": temperature}
-            refuse("moments beyond float64's range", ~in_range[rows], **at)
+        _require_in_range(f1[rows], f2[rows], damping=damping[rows], temperature=temperature)
         if free_energy and rows is own:
             psi_nodes = p[3 * n :].reshape(gl_nodes.shape)
             free = _free_energies(points, h, gl_nodes, psi_nodes, len(damping[own]), temperature, c, rel_tol)
@@ -395,8 +393,8 @@ def _matsubara_moments(
             wd * abs(node) + c1 * abs(v_node), -c1, -wd,
         )
         s = _Slopes(
-            f1, f2, ds1 / (mass * beta), mass / beta * ds2,
-            err1 * f1, err2 * f2, e_ds1 / (mass * beta), mass / beta * e_ds2,
+            f1, f2, ds1 / beta, 1 / beta * ds2,
+            err1 * f1, err2 * f2, e_ds1 / beta, 1 / beta * e_ds2,
         )
         # each node's slope error within 1e-5 of max(|df|, 1e-3 |f| / max(gamma, 1))
         scale = np.maximum(damping[nodes], 1.0)
@@ -405,7 +403,7 @@ def _matsubara_moments(
             "df2_rel_error": s.df2_error[nodes] / np.maximum(abs(s.df2[nodes]), 1e-3 * f2[nodes] / scale),
         }
     require_accurate(
-        "moment derivative error estimate exceeds tolerance", 1e-5, rel, damping=damping[nodes], mass=mass[nodes]
+        "moment derivative error estimate exceeds tolerance", 1e-5, rel, damping=damping[nodes]
     )
     return s, free
 
@@ -430,12 +428,28 @@ def moments_matsubara(
     evaluated as one, so a confluent pair at critical damping, or three
     near-equal roots, cost no accuracy. ``rel_tol`` gates the rounding
     estimate of that evaluation. This is the one-point call of the array
-    kernel that the entropy consistency check evaluates a whole quadrature
-    level with.
+    kernel, whose moments at M = 1 it scales to the mass M.
     """
     b.warn_if_cutoff_low(o)
-    s, _ = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol)
-    return Moments(f1=float(s.f1[0]), f2=float(s.f2[0]), cross=0.0)
+    s, _ = _matsubara_moments([b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol)
+    f1, f2 = _at_mass(s.f1, s.f2, o.mass, damping=b.damping, temperature=b.temperature)
+    return Moments(f1=float(f1[0]), f2=float(f2[0]), cross=0.0)
+
+
+def _require_in_range(f1, f2, **at):
+    """Refuse moments that left float64's range, as 0 or inf, at their first row, which ``at`` names."""
+    in_range = np.isfinite(f1) & np.isfinite(f2) & (f1 != 0) & (f2 != 0)
+    if not in_range.all():
+        refuse("moments beyond float64's range", ~in_range, **at)
+
+
+def _at_mass(f1, f2, mass, **at):
+    """The moments f1/M and M f2 at the masses M (an array, or shared) from
+    the kernel's M = 1 moments f1 and f2, in float64's range."""
+    with np.errstate(over="ignore"):  # out of float64's range a moment is 0 or inf, refused below
+        f1, f2 = f1 / mass, mass * f2
+    _require_in_range(f1, f2, mass=mass, **at)
+    return f1, f2
 
 
 def _susceptibility_im(u, o: OscillatorParams, damping, cutoff):
@@ -639,5 +653,5 @@ def coupling_free_energy(o: OscillatorParams, b: BathSpec, c: Constants = Consta
     gates the rounding estimates of the point's moments and free energy.
     """
     b.warn_if_cutoff_low(o)
-    _, free = _matsubara_moments(o.mass, [b.damping], o.frequency, b.cutoff, b.temperature, c, free_energy=True)
+    _, free = _matsubara_moments([b.damping], o.frequency, b.cutoff, b.temperature, c, free_energy=True)
     return free[0]

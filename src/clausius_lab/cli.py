@@ -249,13 +249,12 @@ def run_sweep(cfg: RunConfig, out_dir: Path) -> Table:
     scale = _entropy_scale(cfg)
     path = ProcessPath(cfg.param, cfg.start, cfg.end, cfg.grid)
     alphas = path.values
-    states, heats = _sweep(path, o, b, c)
+    f1, f2, states, heats = _sweep(path, o, b, c)
     rows = []
-    for alpha, s, q in zip(alphas, states, heats):
-        m, ds_cum = s.moments, s.entropy - states[0].entropy
+    for alpha, p1, p2, s, q in zip(alphas, f1.tolist(), f2.tolist(), states, heats):
+        ds_cum = s.entropy - states[0].entropy
         slack = c.kB * b.temperature * ds_cum - q.value
-        v = symplectic_param(m, c)
-        rows.append([alpha, m.f1, m.f2, v, s.entropy * scale, ds_cum * scale, q.value, q.error_estimate, slack])
+        rows.append([alpha, p1, p2, s.v, s.entropy * scale, ds_cum * scale, q.value, q.error_estimate, slack])
     if cfg.svg:
         series = [(name, [row[k] for row in rows]) for name, k in (("entropy", 4), ("f1", 1), ("f2", 2))]
         svgplot.line_plot(out_dir / "sweep.svg", list(alphas), series, title=f"sweep of {cfg.param}", xlabel=cfg.param)

@@ -3,11 +3,12 @@
 The mass sweep reproduces the apparent Clausius violation at low temperature
 and strong coupling; prepending the coupling step restores the inequality.
 
-A path point (M, gamma, T) is the unit of work: one kernel call gives each
-requested point's state, that is its moments, entropy S, mean energy U of
-H_S and work potential. Every step is booked as a difference of two states:
-dS, dU, and the heat by the subsystem first law, Q = dU - W, with W the
-change of the work potential:
+A damping point is the unit of work, since at fixed gamma f1 ~ 1/M and
+f2 ~ M: one kernel call gives each requested point's state, that is its
+symplectic parameter v, entropy S, mean energy U of H_S and work potential,
+at any mass. Every step is booked as a difference of two states: dS, dU,
+and the heat by the subsystem first law, Q = dU - W, with W the change of
+the work potential:
 
 - A change of coupling (the switch-on, or any damping path) is quasistatic
   and isothermal, and its work is the mean-force free energy change,
@@ -30,16 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import _ROUND, _TARGET_REL, BathSpec, _matsubara_moments, _Slopes
+from .bath import _ROUND, _TARGET_REL, BathSpec, _at_mass, _matsubara_moments, _Slopes
 from .errors import NumericalFailure, refuse, require_accurate, require_count, require_non_negative, require_positive
-from .gaussian import (
-    Constants,
-    Moments,
-    OscillatorParams,
-    _symplectic_v,
-    entropy,
-    symplectic_param,
-)
+from .gaussian import Constants, OscillatorParams, _symplectic_v, entropy
 
 CLAUSIUS_TOL = 1e-9
 _CONSISTENCY_TOL = 1e-5
@@ -114,23 +108,23 @@ class HeatResult:
 
 @dataclass(frozen=True)
 class _State:
-    """A path point: its moments, entropy S, mean energy U of H_S, and work
+    """A damping point: its v, entropy S, mean energy U of H_S, and work
     potential, whose change between two states is the work of the step."""
 
-    moments: Moments
+    v: float
     entropy: float
     energy: float
     work: float
 
 
-def _mass_and_damping(path: ProcessPath, o: OscillatorParams, b: BathSpec, x):
-    """(M, gamma) at values x of the path's parameter. A mass path holds the
+def _damping(path: ProcessPath, o: OscillatorParams, b: BathSpec, x):
+    """gamma at values x of the path's parameter. A mass path holds the
     microscopic coupling fixed, so gamma = gamma_ref M_ref / M: holding gamma
     itself fixed would make the mass a pure prefactor and the mass step a
     null process even at strong coupling."""
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # gamma past float64's range is inf, which the kernel refuses
-        return (x, o.mass * b.damping / x) if path.parameter == "mass" else (np.full(x.shape, o.mass), x)
+        return o.mass * b.damping / x if path.parameter == "mass" else x
 
 
 def entropy_change(
@@ -144,8 +138,8 @@ def entropy_change(
     is authoritative. The quadrature of S'(v) dv/dgamma over the damping
     interval between its ends must agree."""
     b.warn_if_cutoff_low(o)
-    ends = _mass_and_damping(path, o, b, [path.start_value, path.end_value])
-    (s0, s1), change = _states(*ends, o, b, c, (0, 1) if check_consistency else None)
+    ends = _damping(path, o, b, [path.start_value, path.end_value])
+    (s0, s1), change = _states(ends, o, b, c, (0, 1) if check_consistency else None)
     endpoint = s1.entropy - s0.entropy
     return change or EntropyChange(value=endpoint, quadrature=endpoint)
 
@@ -261,17 +255,15 @@ def _gate(s0: _State, s1: _State) -> float:
     return _CONSISTENCY_TOL * max(1.0, abs(s1.entropy - s0.entropy))
 
 
-def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, check=None):
-    """The states at the (M, gamma) points of 1-d arrays and, with a check
-    (i, j), the entropy change from state i to state j, checked against the
-    quadrature of S'(v) dv/dgamma at the mass o.mass over the damping
-    interval between them: f1 ~ 1/M and f2 ~ M at fixed gamma, so S depends
-    on (M, gamma) only through gamma. A null interval (gamma = 0 at both
-    ends, or two ends that round equal) is not checked, as a null path is
-    not, nor is one with an infinite end, a state the kernel refuses; its
-    change is None. A state's work potential is its coupling free energy; at
-    gamma = 0 the kernel gives the bare Gibbs state, whose free energy of
-    coupling is zero.
+def _states(damping, o: OscillatorParams, b: BathSpec, c: Constants, check=None):
+    """The states at the dampings of a 1-d array and, with a check (i, j),
+    the entropy change from state i to state j, checked against the
+    quadrature of S'(v) dv/dgamma over the damping interval between them.
+    A null interval (gamma = 0 at both ends, or two ends that round equal)
+    is not checked, as a null path is not, nor is one with an infinite end,
+    a state the kernel refuses; its change is None. A state's work potential
+    is its coupling free energy; at gamma = 0 the kernel gives the bare Gibbs
+    state, whose free energy of coupling is zero.
 
     The check integrates by tanh-sinh, whose nodes crowd the endpoints, where
     the integrand behaves like ln gamma near gamma = 0, at one kernel call
@@ -286,42 +278,39 @@ def _states(mass, damping, o: OscillatorParams, b: BathSpec, c: Constants, check
     ends = damping.tolist()
     i, j = check or (0, 0)
     if not 0 < abs(ends[j] - ends[i]) < math.inf:  # no check, or a null or infinite interval
-        out, work = _matsubara_moments(mass, damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True)
-        return _kernel_states(out, work, mass, o, c), None
+        out, work = _matsubara_moments(damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True)
+        return _kernel_states(out, work, o, c), None
     stepper, sent = _tanh_sinh(ends[i], ends[j]), None
-    states, lead, rounding = None, mass.size, 0.0  # rounding: the largest relative rounding of v at the nodes
+    states, lead, rounding = None, damping.size, 0.0  # rounding: the largest relative rounding of v at the nodes
     while True:
         try:
             x = stepper.send(sent)
         except StopIteration as stop:
             outcome = stop.value
             break
-        m, g = np.concatenate([mass[:lead], np.full(x.size, o.mass)]), np.concatenate([damping[:lead], x])
+        g = np.concatenate([damping[:lead], x])
         out, work = _matsubara_moments(
-            m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=states is None, nodes=np.arange(m.size) >= lead
+            g, o.frequency, b.cutoff, b.temperature, c, free_energy=states is None, nodes=np.arange(g.size) >= lead
         )
         if states is None:
-            states = _kernel_states(out, work, mass, o, c)
+            states = _kernel_states(out, work, o, c)
         value, error, rel = _integrand(_Slopes(*(v[lead:] for v in out)), c)
         rounding = max(rounding, rel)
         sent, lead = (value, error, _gate(states[i], states[j])), 0
     if states is None:  # every node rounded onto an end
-        states = _states(mass, damping, o, b, c)[0]
-    return states, _checked_entropy_change(states[i], states[j], outcome, rounding, c)
+        states = _states(damping, o, b, c)[0]
+    return states, _checked_entropy_change(states[i], states[j], outcome, rounding)
 
 
-def _kernel_states(out: _Slopes, work, mass, o: OscillatorParams, c: Constants) -> list[_State]:
-    """The states at the first mass.size elements of a kernel call, from its output out and work potentials work."""
-    f1, f2 = out.f1[: mass.size], out.f2[: mass.size]
+def _kernel_states(out: _Slopes, work, o: OscillatorParams, c: Constants) -> list[_State]:
+    """The states at the first len(work) elements of a kernel call, from its output out and work potentials work."""
+    f1, f2 = out.f1[: len(work)], out.f2[: len(work)]
     v = _symplectic_v(f1 * f2, c)
-    energy = f2 / (2 * mass) + mass * o.frequency**2 * f1 / 2  # mean_energy of each point
-    return [
-        _State(Moments(f1=p, f2=q), entropy(v_i), u, w)
-        for p, q, v_i, u, w in zip(f1.tolist(), f2.tolist(), v.tolist(), energy.tolist(), work)
-    ]
+    energy = f2 / 2 + o.frequency**2 * f1 / 2  # mean_energy of each point, at M = 1 as at any mass
+    return [_State(v_i, entropy(v_i), u, w) for v_i, u, w in zip(v.tolist(), energy.tolist(), work)]
 
 
-def _checked_entropy_change(s0: _State, s1: _State, outcome, rounding: float, c: Constants) -> EntropyChange:
+def _checked_entropy_change(s0: _State, s1: _State, outcome, rounding: float) -> EntropyChange:
     """The endpoint entropy change from s0 to s1, checked against the
     ``_tanh_sinh`` outcome of S'(v) dv/dgamma over the damping interval
     between them, whose nodes round v by at most ``rounding``, relative. A
@@ -337,9 +326,8 @@ def _checked_entropy_change(s0: _State, s1: _State, outcome, rounding: float, c:
     quadrature, quad_error, propagated, evaluations, status = outcome
     ends = 0.0
     for s in (s0, s1):
-        v = symplectic_param(s.moments, c)
-        dv = v * rounding
-        ends += entropy(v + dv) - entropy(max(v - dv, 0.5)) + _ROUND * abs(s.entropy)
+        dv = s.v * rounding
+        ends += entropy(s.v + dv) - entropy(max(s.v - dv, 0.5)) + _ROUND * abs(s.entropy)
     result = EntropyChange(
         value=endpoint,
         quadrature=float(quadrature),
@@ -386,23 +374,25 @@ def heat(
     b.warn_if_cutoff_low(o)
     if path.start_value == path.end_value:
         return HeatResult(value=0.0, error_estimate=0.0)
-    ends = _mass_and_damping(path, o, b, [path.start_value, path.end_value])
-    return _first_law(*_states(*ends, o, b, c)[0])
+    ends = _damping(path, o, b, [path.start_value, path.end_value])
+    return _first_law(*_states(ends, o, b, c)[0])
 
 
-def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants) -> tuple[list[_State], list[HeatResult]]:
-    """The states at the rows of a path's grid, and the heat up to each row
-    by the trapezoid rule on dQ/d alpha. Each heat's error estimate is its
-    distance from the closed-form heat of the path up to that row, plus the
-    closed form's own error bound. A rate past float64's range raises."""
+def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants):
+    """The moments f1 and f2 at the rows of a path's grid, each at its mass,
+    the rows' states, and the heat up to each row by the trapezoid rule on
+    dQ/d alpha. Each heat's error estimate is its distance from the
+    closed-form heat of the path up to that row, plus the closed form's own
+    error bound. Moments or a rate past float64's range raise."""
     alphas = path.values
-    mass, damping = _mass_and_damping(path, o, b, alphas)
+    damping = _damping(path, o, b, alphas)
+    mass = alphas if path.parameter == "mass" else o.mass
     n, moves = alphas.size, path.start_value != path.end_value
-    m, g = (np.tile(v, 1 + moves) for v in (mass, damping))  # the rows as states, and as slope nodes if the path moves
-    out, work = _matsubara_moments(
-        m, g, o.frequency, b.cutoff, b.temperature, c, free_energy=True, nodes=np.arange(m.size) >= n
-    )
-    states = _kernel_states(out, work, mass, o, c)
+    g = np.tile(damping, 1 + moves)  # the rows as states, and as slope nodes if the path moves
+    nodes = np.arange(g.size) >= n
+    out, work = _matsubara_moments(g, o.frequency, b.cutoff, b.temperature, c, free_energy=True, nodes=nodes)
+    moments = _at_mass(out.f1[:n], out.f2[:n], mass, damping=damping, temperature=b.temperature)
+    states = _kernel_states(out, work, o, c)
     dq = np.zeros(alphas.shape)
     if moves:
         f1, f2, df1, df2, *_ = (v[n:] for v in out)
@@ -411,11 +401,12 @@ def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants) ->
             # U and F_MF depend on (M, gamma) only through gamma, so dQ/d alpha
             # = (dgamma/d alpha)(dU/dgamma - dF_MF/dgamma), with dgamma/d alpha
             # = 1 on a damping path and -gamma/M on a mass path. H_S does not
-            # depend on gamma, and the work dF_MF/dgamma = (f2/M - M w^2 f1) /
-            # (2 gamma) is exact from the moments, with its limit at gamma = 0
+            # depend on gamma, and the work dF_MF/dgamma = (f2 - w^2 f1) /
+            # (2 gamma) at M = 1 is exact from the moments, with its limit at
+            # gamma = 0
             gamma = np.where(damping > 0, damping, 1.0)
-            dq = df2 / (2 * mass) + mass * w2 * df1 / 2
-            dq -= np.where(damping > 0, (f2 / mass - mass * w2 * f1) / (2 * gamma), (df2 / mass - mass * w2 * df1) / 2)
+            dq = df2 / 2 + w2 * df1 / 2
+            dq -= np.where(damping > 0, (f2 - w2 * f1) / (2 * gamma), (df2 - w2 * df1) / 2)
             dq *= -damping / mass if path.parameter == "mass" else 1.0
         if not np.isfinite(dq).all():
             refuse("heat rate beyond float64's range", ~np.isfinite(dq), row=np.arange(n), alpha=alphas)
@@ -426,7 +417,7 @@ def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants) ->
             q += 0.5 * (alphas[i] - alphas[i - 1]) * (dq[i - 1] + dq[i])
         exact = _first_law(states[0], s)
         heats.append(HeatResult(value=q, error_estimate=abs(q - exact.value) + exact.error_estimate))
-    return states, heats
+    return *moments, states, heats
 
 
 def clausius_check(
@@ -452,33 +443,26 @@ def landauer_bound(s_initial: float, temperature: float, c: Constants = Constant
     return c.kB * temperature * s_initial
 
 
-def _step(s0: _State, s1: _State, temperature: float, c: Constants, coupled: bool = True) -> ThermoReport:
-    """dS and Q of the step between two states. Uncoupled, a mass step
-    exchanges no heat: U does not depend on M at fixed frequency, so its dU
-    is rounding and Q is booked as zero."""
-    q = _first_law(s0, s1).value if coupled else 0.0
-    return clausius_check(q, s1.entropy - s0.entropy, temperature, c)
+def _step(s0: _State, s1: _State, temperature: float, c: Constants) -> ThermoReport:
+    """dS and Q of the step between two states."""
+    return clausius_check(_first_law(s0, s1).value, s1.entropy - s0.entropy, temperature, c)
 
 
 def _steps(
     o: OscillatorParams, b: BathSpec, c: Constants, mass_factor: float, check=None
 ) -> tuple[ThermoReport, ThermoReport, ThermoReport]:
     """The coupling step, the mass step and their total, from one kernel call
-    over three states: the bare oscillator (M, 0), the coupled point
-    (M, gamma), which ends one step and starts the other, and the mass path's
-    end (kM, gamma/k). A check (i, j) checks the entropy change between two
-    of them against the quadrature over their damping interval; that call
-    also takes its first nodes. An end mass past float64's range is refused."""
+    over three states: the bare oscillator (gamma = 0), the coupled point
+    gamma, which ends one step and starts the other, and the mass path's end
+    gamma/k (fixed microscopic coupling, as on a mass path). A check (i, j)
+    checks the entropy change between two of them against the quadrature
+    over their damping interval; that call also takes its first nodes."""
     require_positive("mass_factor", mass_factor)
-    with np.errstate(over="ignore"):  # past float64's range the end mass or gamma is inf, refused here or by the kernel
-        mass = np.array([o.mass, o.mass, o.mass * mass_factor])
-        if not 0 < mass[2] < math.inf:
-            raise NumericalFailure("mass beyond float64's range", mass=mass[2].item(), mass_factor=float(mass_factor))
-        damping = o.mass * b.damping / mass  # fixed microscopic coupling, as on a mass path
-    damping[0] = 0.0
-    (bare, coupled, end), _ = _states(mass, damping, o, b, c, check)
+    with np.errstate(over="ignore"):  # past float64's range gamma/k is inf, which the kernel refuses
+        damping = np.array([0.0, b.damping, np.float64(b.damping) / mass_factor])
+    (bare, coupled, end), _ = _states(damping, o, b, c, check)
     coupling = _step(bare, coupled, b.temperature, c)
-    mass_step = _step(coupled, end, b.temperature, c, coupled=b.damping > 0)
+    mass_step = _step(coupled, end, b.temperature, c)
     q, ds = coupling.heat + mass_step.heat, coupling.delta_entropy + mass_step.delta_entropy
     return coupling, mass_step, clausius_check(q, ds, b.temperature, c)
 
@@ -505,8 +489,8 @@ def coupling_process(
     """
     b_target.warn_if_cutoff_low(o)
     b = _bath_at(b_target, temperature)
-    mass, damping = np.full(2, float(o.mass)), np.array([0.0, b.damping])
-    (bare, coupled), _ = _states(mass, damping, o, b, c, (0, 1) if check_consistency else None)
+    damping = np.array([0.0, b.damping])
+    (bare, coupled), _ = _states(damping, o, b, c, (0, 1) if check_consistency else None)
     return _step(bare, coupled, b.temperature, c)
 
 
@@ -539,7 +523,7 @@ def composed_process(
     Clausius inequality.
 
     At fixed gamma, f1 ~ 1/M and f2 ~ M, so the composition is the
-    isothermal switch-on 0 -> gamma/k at the mass M, and its check is that
+    isothermal switch-on 0 -> gamma/k, and its check is that
     switch-on's: the entropy change it reports, from the bare state to the
     end, against the quadrature over 0 -> gamma/k. The coupled state enters
     the totals only through rounding; the kernel gates its moments and free

@@ -174,8 +174,8 @@ class TestArrayKernel:
     def test_array_equals_one_point_calls(self, temperature):
         points = mixed_branch_points()
         mass, damping, w, wd = (np.array(col) for col in zip(*points))
-        s, free = _matsubara_moments(mass, damping, w, wd, temperature, C, free_energy=True)
-        for (m, g, freq, cutoff), a1, a2, a3 in zip(points, s.f1, s.f2, free):
+        s, free = _matsubara_moments(damping, w, wd, temperature, C, free_energy=True)
+        for (m, g, freq, cutoff), a1, a2, a3 in zip(points, s.f1 / mass, mass * s.f2, free):
             o, b = OscillatorParams(m, freq), BathSpec(temperature, g, cutoff)
             ref = moments_matsubara(o, b, C)
             assert abs(a1 - ref.f1) <= 4 * np.spacing(ref.f1)
@@ -202,9 +202,9 @@ class TestArrayKernel:
         order = np.argsort(estimates)
         rel_tol = math.sqrt(estimates[order[-1]] * estimates[order[-2]])
         assert estimates[order[-2]] < rel_tol < estimates[order[-1]]
-        mass, damping, w, wd = (np.array(col) for col in zip(*points))
+        _, damping, w, wd = (np.array(col) for col in zip(*points))
         with pytest.raises(NumericalFailure) as array_call:
-            _matsubara_moments(mass, damping, w, wd, temperature, C, rel_tol)
+            _matsubara_moments(damping, w, wd, temperature, C, rel_tol)
         with pytest.raises(NumericalFailure) as point_call:
             one_point(points[order[-1]], rel_tol)
         assert str(array_call.value) == str(point_call.value)
@@ -526,9 +526,7 @@ class TestWideBand:
             moments_matsubara,
             coupling_free_energy,
             lambda o, b: composed_process(o, b, b.temperature, C, check_consistency=False),
-            lambda o, b: _matsubara_moments(
-                o.mass, [0.0, b.damping], o.frequency, b.cutoff, b.temperature, C, nodes=True
-            ),
+            lambda o, b: _matsubara_moments([0.0, b.damping], o.frequency, b.cutoff, b.temperature, C, nodes=True),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -665,14 +663,14 @@ def test_near_confluent_moments_within_their_estimates(point):
     # slope-reading kernel call returns with the moments
     temperature, damping, cutoff = point
     f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
-    s, _ = _matsubara_moments(1.0, [damping], 1.0, cutoff, temperature, C, nodes=True)
+    s, _ = _matsubara_moments([damping], 1.0, cutoff, temperature, C, nodes=True)
     assert abs(s.f1[0] - f1) <= s.f1_error[0]
     assert abs(s.f2[0] - f2) <= s.f2_error[0]
 
 
 def slopes_at(b):
     """The kernel's gamma slopes at the reference point, one slope node, as floats."""
-    s, _ = _matsubara_moments(OSC.mass, [b.damping], OSC.frequency, b.cutoff, b.temperature, C, nodes=True)
+    s, _ = _matsubara_moments([b.damping], OSC.frequency, b.cutoff, b.temperature, C, nodes=True)
     return s._make(float(v[0]) for v in s)
 
 
@@ -722,12 +720,12 @@ class TestMomentDerivatives:
     def test_the_kernel_gates_the_slopes_of_its_nodes_only(self):
         # the flagship scaled by 2^-350, where the moments pass their gate
         # and the gamma slopes leave float64's range: a node there is refused,
-        # naming its damping and mass, and an element that is no node is not
+        # naming its damping, and an element that is no node is not
         w, t, g, wd = (math.ldexp(v, -350) for v in (1.0, 0.05, 5.0, 100.0))
-        _matsubara_moments([1.0, 2.0], [g, 1e-3], w, wd, t, C, nodes=[False, True])
+        _matsubara_moments([g, 1e-3], w, wd, t, C, nodes=[False, True])
         with pytest.raises(NumericalFailure, match="moment derivative error estimate exceeds tolerance") as info:
-            _matsubara_moments([1.0, 2.0], [1e-3, g], w, wd, t, C, nodes=[False, True])
-        assert info.value.diagnostics.items() >= {"damping": g, "mass": 2.0}.items()
+            _matsubara_moments([1e-3, g], w, wd, t, C, nodes=[False, True])
+        assert info.value.diagnostics.items() >= {"damping": g}.items()
 
     def test_the_gate_scales_each_slope_error_by_the_slope_or_its_floor(self, monkeypatch):
         # each node's slope error is gated within 1e-5 of max(|df|, 1e-3 |f| /

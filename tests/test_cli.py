@@ -5,6 +5,7 @@ import contextlib
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,7 @@ import pytest
 import clausius_lab.bath as bath
 from clausius_lab import BathSpec, OscillatorParams, ProcessPath, heat
 from clausius_lab.cli import (
+    _READS,
     _RUNNERS,
     ConfigError,
     RunConfig,
@@ -549,3 +551,11 @@ class TestFlags:
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         offered = {a.dest for a in sub.choices[scenario]._actions if a.option_strings}
         assert reads == offered - {"help", "config", "out"}
+
+    def test_the_readme_flag_table_lists_the_flags_of_each_scenario(self):
+        # each row of the README's flag table, in order, against the fields
+        # the scenario's subparser offers as flags
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([\w-]+)` \| (`--.*) \|$", readme, re.M)
+        table = {scenario: re.findall(r"`--([\w-]+)`", flags) for scenario, flags in rows}
+        assert table == {scenario: [k.replace("_", "-") for k in reads] for scenario, reads in _READS.items()}

@@ -186,12 +186,17 @@ BEYOND_RANGE = {
     "thermal_moments_decoupled at T = 1e300, w = 1e-300": lambda: thermal_moments_decoupled(
         OscillatorParams(1.0, 1e-300), 1e300
     ),
-    "unchecked composed_process at M = 1e-310": lambda: composed_process(
-        OscillatorParams(1e-310, 1.0), BathSpec(1.0, 0.5, 100.0), 1.0, check_consistency=False
-    ),
-    "mass_process onto a subnormal mass": lambda: mass_process(
-        OscillatorParams(2.3339150426049084e-37, 1.0), BathSpec(0.09, 0.0, 100.0), 0.09, mass_factor=1e-278
-    ),
+}
+# process ops whose moments at the mass left float64's range, which they
+# refused; a state depends on the mass only through gamma, so each returns
+# its value at M = 1
+AT_ANY_MASS = {
+    "unchecked composed_process at M = 1e-310": (1e-310, lambda o: composed_process(
+        o, BathSpec(1.0, 0.5, 100.0), 1.0, check_consistency=False
+    )),
+    "mass_process onto a subnormal mass": (2.3339150426049084e-37, lambda o: mass_process(
+        o, BathSpec(0.09, 0.0, 100.0), 0.09, mass_factor=1e-278
+    )),
 }
 
 
@@ -201,6 +206,13 @@ def test_moments_beyond_the_float_range_are_refused(name):
     with pytest.raises(NumericalFailure, match="moments beyond float64's range") as info:
         BEYOND_RANGE[name]()
     assert "np." not in str(info.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(AT_ANY_MASS))
+def test_a_process_op_whose_moments_leave_the_float_range_at_its_mass_books_its_unit_mass_value(name):
+    mass, op = AT_ANY_MASS[name]
+    assert op(OscillatorParams(mass, 1.0)) == op(OscillatorParams(1.0, 1.0))
 
 
 @pytest.mark.parametrize("name", list(EDGES))

@@ -1,5 +1,6 @@
 """Unit tests for entropy/heat process integration."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -209,7 +210,7 @@ class TestEntropyChange:
     def test_quadrature_failure_raises_with_diagnostics(self, monkeypatch, fake, status):
         # a kernel whose every point has f1 = f2 = df2/dgamma = 1, exactly,
         # and df1/dgamma = fake(gamma)
-        def kernel(mass, damping, *args, **kwargs):
+        def kernel(damping, *args, **kwargs):
             ones = np.ones_like(damping)
             return bath._Slopes(ones, ones, fake(damping), ones, *(0 * ones,) * 4), [0.0, 0.0]
 
@@ -439,23 +440,23 @@ def test_a_checked_op_takes_the_states_of_an_unchecked_one():
     b = BathSpec(temperature=0.05, damping=1.98, cutoff=100.0)
     _, x, y, m, _ = bath._drude_poles(np.array([1.0]), b.cutoff, np.array([b.damping]))
     assert bath._CONFLUENT < abs(x - y)[0] / (2 * math.pi * b.temperature + m[0]) < bath._CLOSE_PAIR
-    points = np.array([1.0, 1.0, 2.0]), np.array([0.0, b.damping, b.damping / 2])
+    points = np.array([0.0, b.damping, b.damping / 2])
     for check in [(0, 1), (1, 2), (0, 2)]:
-        states, _ = process._states(*points, OSC, b, C, check)
-        assert states == process._states(*points, OSC, b, C)[0]
+        states, _ = process._states(points, OSC, b, C, check)
+        assert states == process._states(points, OSC, b, C)[0]
     for op in (composed_process, mass_process, coupling_process):
         assert op(OSC, b, b.temperature, C) == op(OSC, b, b.temperature, C, check_consistency=False)
 
 
 def _refusing_kernel(monkeypatch, refuse):
     """The process's kernel, patched to raise NumericalFailure(name) after a
-    real call whenever refuse(mass, damping, nodes, free_energy) gives a name."""
+    real call whenever refuse(damping, nodes, free_energy) gives a name."""
     kernel = process._matsubara_moments
 
-    def fake(mass, damping, *args, free_energy=False, nodes=False):
-        out = kernel(mass, damping, *args, free_energy=free_energy, nodes=nodes)
+    def fake(damping, *args, free_energy=False, nodes=False):
+        out = kernel(damping, *args, free_energy=free_energy, nodes=nodes)
         nodes = np.broadcast_to(nodes, np.shape(damping))
-        name = refuse(np.broadcast_to(mass, nodes.shape), np.asarray(damping), nodes, free_energy)
+        name = refuse(np.asarray(damping), nodes, free_energy)
         if name:
             raise NumericalFailure(name)
         return out
@@ -470,18 +471,18 @@ FLAGSHIP = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
     "state_damping, message, at",
     [
         (5e-324, "free-energy closed form lost its accuracy", {"damping": 5e-324}),
-        (0.5, "moments beyond float64's range", {"mass": 1e-310, "damping": 0.5}),
+        (0.5, "moments beyond float64's range", {"damping": 0.25, "temperature": 1e3}),
     ],
     ids=["state", "node"],
 )
 def test_a_refusing_state_is_raised_before_a_refusing_node(state_damping, message, at):
     # the states share a kernel call with the checks' first nodes, and are
     # gated first, free energies included: the state's free energy cancels
-    # at gamma = 5e-324, and the node's f1 ~ 1/M leaves float64's range;
-    # each refusal names its own row
+    # at gamma = 5e-324, and the node's f1 ~ kB T / w^2 leaves float64's
+    # range at w = 1e-153; each refusal names its own row
     with pytest.raises(NumericalFailure, match=message) as info:
         bath._matsubara_moments(
-            [1.0, 1e-310], [state_damping, 0.5], 1.0, 100.0, 1.0, C, free_energy=True, nodes=[False, True]
+            [state_damping, 0.25], [1.0, 1e-153], 100.0, 1e3, C, free_energy=True, nodes=[False, True]
         )
     assert info.value.diagnostics.items() >= at.items()
 
@@ -491,7 +492,7 @@ def test_a_refusal_costs_no_further_kernel_call(monkeypatch):
     # replay of the states or of the check
     calls = []
 
-    def refuse(mass, damping, nodes, free):
+    def refuse(damping, nodes, free):
         calls.append(free)
         return "node" if nodes.any() else None
 
@@ -502,13 +503,13 @@ def test_a_refusal_costs_no_further_kernel_call(monkeypatch):
 
 
 def _kernel_calls(monkeypatch):
-    """The process's kernel, patched to record each call's masses, dampings and node mask."""
+    """The process's kernel, patched to record each call's dampings and node mask."""
     calls = []
     kernel = process._matsubara_moments
 
-    def record(mass, damping, *args, free_energy=False, nodes=False):
-        calls.append((np.asarray(mass), np.asarray(damping), np.broadcast_to(nodes, np.shape(damping))))
-        return kernel(mass, damping, *args, free_energy=free_energy, nodes=nodes)
+    def record(damping, *args, free_energy=False, nodes=False):
+        calls.append((np.asarray(damping), np.broadcast_to(nodes, np.shape(damping))))
+        return kernel(damping, *args, free_energy=free_energy, nodes=nodes)
 
     monkeypatch.setattr(process, "_matsubara_moments", record)
     return calls
@@ -517,12 +518,9 @@ def _kernel_calls(monkeypatch):
 @pytest.mark.parametrize(
     "op, states, interval, rounds",
     [
-        (lambda o, b: coupling_process(o, b, b.temperature, C), [(1.0, 0.0), (1.0, 5.0)], (0.0, 5.0), 2),
-        (lambda o, b: mass_process(o, b, b.temperature, C, 2.0), [(1.0, 0.0), (1.0, 5.0), (2.0, 2.5)], (5.0, 2.5), 1),
-        (
-            lambda o, b: composed_process(o, b, b.temperature, C, 2.0),
-            [(1.0, 0.0), (1.0, 5.0), (2.0, 2.5)], (0.0, 2.5), 1,
-        ),
+        (lambda o, b: coupling_process(o, b, b.temperature, C), [0.0, 5.0], (0.0, 5.0), 2),
+        (lambda o, b: mass_process(o, b, b.temperature, C, 2.0), [0.0, 5.0, 2.5], (5.0, 2.5), 1),
+        (lambda o, b: composed_process(o, b, b.temperature, C, 2.0), [0.0, 5.0, 2.5], (0.0, 2.5), 1),
     ],
     ids=["coupling_process", "mass_process", "composed_process"],
 )
@@ -531,38 +529,88 @@ def test_each_op_checks_the_one_entropy_change_it_reports(monkeypatch, op, state
     # and their composition, the switch-on to gamma/k, 0 -> gamma/k: no node
     # lies outside the op's interval (for k = 2 none in (gamma/2, gamma)),
     # and a node's refusal belongs to the op's one check. The first kernel
-    # call takes the op's states, (M, gamma) each once, and the check's
-    # levels 0 to 2, at the op's mass; at the flagship the switch-on to
-    # gamma/2 converges there. The coupling op takes two states, the bare
-    # and the coupled one
+    # call takes the op's states, each damping once, and the check's levels
+    # 0 to 2; at the flagship the switch-on to gamma/2 converges there. The
+    # coupling op takes two states, the bare and the coupled one
     calls = _kernel_calls(monkeypatch)
     op(OSC, FLAGSHIP)
     assert len(calls) == rounds
-    mass, damping, nodes = calls[0]
+    damping, nodes = calls[0]
     first = next(process._tanh_sinh(*interval))
     n = len(states)
-    assert list(zip(mass[:n].tolist(), damping[:n].tolist())) == states
-    assert damping[n:].tolist() == first.tolist() and (mass[n:] == 1.0).all()
+    assert damping[:n].tolist() == states
+    assert damping[n:].tolist() == first.tolist()
     assert nodes.tolist() == [False] * n + [True] * first.size
     lo, hi = sorted(interval)
-    for mass, damping, nodes in calls[1:]:
-        assert nodes.all() and (mass == 1.0).all() and ((lo < damping) & (damping < hi)).all()
+    for damping, nodes in calls[1:]:
+        assert nodes.all() and ((lo < damping) & (damping < hi)).all()
 
 
-@pytest.mark.parametrize("damping", [1.0, 0.0])
+def _outcome(op):
+    """op()'s result, or the message of the NumericalFailure it raised."""
+    try:
+        return op()
+    except NumericalFailure as e:
+        return str(e)
+
+
+def _bits(outcome):
+    """An ``_outcome``'s fields, each float as float.hex, or its refusal's message."""
+    if isinstance(outcome, str):
+        return outcome
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(outcome))
+
+
+@pytest.mark.parametrize("damping", [1.0, 1e-3, 0.0])
 @pytest.mark.parametrize("mass, factor", [(1e200, 1e200), (1e-200, 1e-200)], ids=["overflow", "underflow"])
-def test_an_end_mass_past_float64s_range_is_refused(mass, factor, damping):
+def test_an_end_mass_past_float64s_range_books_the_unit_mass_op(mass, factor, damping):
     # a valid mass and mass factor whose product leaves float64's range are
-    # no bad input: the op refuses, checked or not, coupled or not, and
-    # without a numpy warning, for a numpy factor too
+    # no bad input, and no state depends on the mass: the op returns its bits
+    # at M = 1, checked or not, coupled or not, and without a numpy warning,
+    # for a numpy factor too. At gamma = 1 the underflow's gamma/k = 1e200
+    # lies beyond the closed form's range at either mass
     o, b = OscillatorParams(mass, 1.0), BathSpec(1.0, damping, 100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ops = itertools.product((mass_process, composed_process), (True, False), (factor, np.float64(factor)))
         for op, checked, k in ops:
-            with pytest.raises(NumericalFailure, match="mass beyond float64's range") as info:
-                op(o, b, b.temperature, C, k, checked)
-            assert info.value.diagnostics == {"mass": mass * factor, "mass_factor": factor}
+            at_mass = _outcome(lambda: op(o, b, b.temperature, C, k, checked))
+            assert isinstance(at_mass, str) == (damping == 1.0 and factor < 1)
+            assert _bits(at_mass) == _bits(_outcome(lambda: op(OSC, b, b.temperature, C, k, checked)))
+
+
+def _ops_at(o, b, k):
+    """Every process op at (o, b), with the mass factor k, as zero-argument functions."""
+    mass_path, damping_path = ProcessPath("mass", o.mass, o.mass * k), ProcessPath("damping", 0.0, b.damping)
+    ops = [lambda: heat(mass_path, o, b, C), lambda: heat(damping_path, o, b, C)]
+    for checked in (True, False):
+        ops += [
+            lambda ch=checked: coupling_process(o, b, b.temperature, C, ch),
+            lambda ch=checked: mass_process(o, b, b.temperature, C, k, ch),
+            lambda ch=checked: composed_process(o, b, b.temperature, C, k, ch),
+            lambda ch=checked: entropy_change(mass_path, o, b, C, ch),
+            lambda ch=checked: entropy_change(damping_path, o, b, C, ch),
+        ]
+    return ops
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    mass=st.floats(0.5, 2.0),
+    j=st.integers(-300, 300),
+    log_t=st.floats(math.log(0.05), math.log(20.0)),
+    log_gamma=st.floats(math.log(0.1), math.log(10.0)),
+    log_cutoff=st.floats(math.log(50.0), math.log(200.0)),
+    k=st.floats(0.5, 4.0),
+)
+def test_every_process_op_books_the_same_bits_at_2_to_the_j_times_the_mass(mass, j, log_t, log_gamma, log_cutoff, k):
+    # a state depends on the mass only through gamma, and a mass path's
+    # gamma = gamma_ref M_ref / M is the same at 2^j M: every op returns the
+    # same bits, or refuses alike
+    b = BathSpec(math.exp(log_t), math.exp(log_gamma), math.exp(log_cutoff))
+    ops = zip(_ops_at(OscillatorParams(mass, 1.0), b, k), _ops_at(OscillatorParams(math.ldexp(mass, j), 1.0), b, k))
+    for op, scaled in ops:
+        assert _bits(_outcome(op)) == _bits(_outcome(scaled))
 
 
 @pytest.mark.parametrize(
@@ -592,7 +640,7 @@ def test_an_uncoupled_mass_path_is_the_gibbs_state_at_any_cutoff(mass, factor, t
             for op in (mass_process, composed_process):
                 assert op(o, b, b.temperature, C, factor) == op(o, b, b.temperature, C, factor, False) == null
             assert entropy_change(path, o, b, C) == entropy_change(path, o, b, C, False) == EntropyChange(0.0, 0.0)
-            assert [q.value for q in process._sweep(path, o, b, C)[1]] == [0.0] * path.grid_points
+            assert [q.value for q in process._sweep(path, o, b, C)[-1]] == [0.0] * path.grid_points
 
 
 def test_an_overflowing_mass_path_refuses_without_a_warning():
@@ -647,14 +695,6 @@ def test_the_mass_step_is_the_damping_step_to_gamma_over_k(k):
         assert total.heat == pytest.approx(switch_on.heat, rel=1e-11)
 
 
-def _outcome(op):
-    """op()'s result, or the message of the NumericalFailure it raised."""
-    try:
-        return op()
-    except NumericalFailure as e:
-        return str(e)
-
-
 @pytest.mark.parametrize("k", [0.5, 2.0, 4.0])
 def test_the_composed_ops_check_is_the_switch_on_check(k):
     # a checked composed op returns the unchecked op's bits or refuses, and
@@ -676,7 +716,7 @@ def test_the_mass_sweeps_heat_rate_is_the_derivative_of_the_heat(mass):
     b = BathSpec(temperature=0.05, damping=5.0, cutoff=100.0)
     h = 1e-7
     path = ProcessPath("mass", mass, mass + 8 * h)
-    _, heats = process._sweep(path, OSC, b, C)
+    *_, heats = process._sweep(path, OSC, b, C)
     rate = heats[1].value / (path.values[1] - path.values[0])
     x = (path.values[0] + path.values[1]) / 2
 

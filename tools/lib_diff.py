@@ -16,17 +16,20 @@ both path kinds. It writes one line per call: every field of the result
 as ``float.hex``, or the exception's type, message and diagnostics, then
 each distinct warning the call emitted. Every line that differs between
 the sides is printed, then a tally of the differing calls by kind (value or refusal
-on each side), then per side the number of checked ``EntropyChange``
+on each side), and of the base side's refusals that became values, by type,
+message and diagnostic names, then per side the number of checked ``EntropyChange``
 results whose error estimate is below their mismatch, which it should
 bound, and last, for each checked op, the kernel calls and kernel points
 (elements of ``process._matsubara_moments``' calls, states and quadrature
-nodes alike) that it made over the whole scan on each side; the exit code
+nodes alike, counted alike whether or not the kernel takes a mass) that it
+made over the whole scan on each side; the exit code
 is 1 if any call differs, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import itertools
 import math
@@ -38,6 +41,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 from ab_bench import ROOT, export
 
 # the acceptance grid of tests/test_acceptance.py, at three mass factors
@@ -153,10 +157,12 @@ def scan_side() -> None:
     work = dict.fromkeys(ops, (0, 0))  # per op, its kernel calls and points so far
     kernel = lab.process._matsubara_moments
 
-    def counted(mass, damping, *args, **kwargs):  # booked to the op the loop below is calling, ``name``
+    def counted(*args, **kwargs):  # booked to the op the loop below is calling, ``name``
+        # the points are the longer of the first two arguments: (mass, damping)
+        # or (damping, frequency), whichever the side's kernel takes
         calls, size = work[name]
-        work[name] = calls + 1, size + len(damping)
-        return kernel(mass, damping, *args, **kwargs)
+        work[name] = calls + 1, size + max(np.size(args[0]), np.size(args[1]))
+        return kernel(*args, **kwargs)
 
     lab.process._matsubara_moments = counted
     for i, (mass, w, t, g, wd, k) in enumerate(points()):
@@ -175,12 +181,20 @@ def scan_side() -> None:
             print(f"kernel {name} {calls} {size}")
 
 
+_REFUSAL = re.compile(r"(\w+): (.*?)(?: \(\w+=.*\))? \{(.*?)\}(?: \| .*)?$")
 _ENTROPY_CHANGE = re.compile(r"EntropyChange\(value=(\S+), quadrature=(\S+), error_estimate=(\S+),")
 
 
 def _kind(line: str) -> str:
     """"refusal" if the call of a scan line raised, else "value"."""
     return "refusal" if re.match(r"\w+: ", line.split(" ", 2)[2]) else "value"
+
+
+def _refusal(line: str) -> str:
+    """The type, message and diagnostic names of a refusal's scan line."""
+    kind, message, diagnostics = _REFUSAL.match(line.split(" ", 2)[2]).groups()
+    names = re.findall(r"(\w+): ", diagnostics)
+    return f"{kind}: {message} [{', '.join(names)}]"
 
 
 def _unbounded(lines: list[str]) -> int:
@@ -213,13 +227,19 @@ def main(argv=None) -> int:
         print(f"the sides made {len(base)} and {len(change)} calls")
         return 1
     kinds = {f"{b}->{c}": 0 for b in ("value", "refusal") for c in ("value", "refusal")}
+    lifted = collections.Counter()  # the base's refusals that became values
     for b, c in zip(base, change):
         if b != c:
-            kinds[f"{_kind(b)}->{_kind(c)}"] += 1
+            kind = f"{_kind(b)}->{_kind(c)}"
+            kinds[kind] += 1
+            if kind == "refusal->value":
+                lifted[_refusal(b)] += 1
             print(f"base:   {b}\nchange: {c}")
     differing = sum(kinds.values())
     tally = ", ".join(f"{kind} {n}" for kind, n in kinds.items())
     print(f"{differing} of {len(base)} calls at {len(points())} points differ: {tally}")
+    for refusal, n in lifted.most_common():
+        print(f"  refusal->value {n}: base {refusal}")
     print(f"checks with error_estimate < mismatch: base {_unbounded(base)}, change {_unbounded(change)}")
     print("kernel work over the scan, base -> change:")
     for op, (calls, size) in change_work.items():
