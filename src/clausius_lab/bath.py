@@ -241,8 +241,9 @@ def _matsubara_moments(
     no node, as the list ``free``. Those and their free energies are gated
     before the nodes, whose moments are gated before their slopes: the first
     node whose slope error exceeds 1e-5 of max(|df|, 1e-3 |f| / max(gamma,
-    1)) raises. With no damped element a call gives the Gibbs state at any
-    cutoff, and exact zero gamma slopes.
+    1)) raises. A call with no damped element and no node gives the Gibbs
+    state at any cutoff; a node at gamma = 0 takes the closed form's slopes
+    there, whatever else is in its call.
     """
     damping = np.asarray(damping, dtype=float)
     nodes = np.full(damping.shape, nodes, dtype=bool)
@@ -253,11 +254,10 @@ def _matsubara_moments(
     if not nu1 <= _MAX_NU1:
         message = f"temperature beyond the closed form's range: 2 pi kB T / hbar exceeds {_MAX_NU1:g}"
         raise NumericalFailure(message, temperature=temperature)
-    if not damping.any():  # decoupled: the Gibbs state, whatever the cutoff, and the nodes' slopes are 0
+    if not (damping.any() or slopes):  # decoupled: the Gibbs state, whatever the cutoff
         gibbs = [thermal_moments_decoupled(OscillatorParams(1.0, wi), temperature, c) for wi in w]
         f1, f2 = np.array([g.f1 for g in gibbs]), np.array([g.f2 for g in gibbs])
-        rest = np.zeros((6, f1.size)) if slopes else [None] * 6
-        return _Slopes(f1, f2, *rest), [0.0] * int((~nodes).sum()) if free_energy else None
+        return _Slopes(f1, f2, *[None] * 6), [0.0] * f1.size if free_energy else None
     if not (wd <= _MAX_CUTOFF).all():
         message = f"cutoff beyond the closed form's range: wD exceeds {_MAX_CUTOFF:g}"
         refuse(message, ~(wd <= _MAX_CUTOFF), cutoff=wd, frequency=w)
@@ -339,9 +339,9 @@ def _matsubara_moments(
         err = abs(n_node) * (e_xyr + _ROUND * abs(d_xyr)) + abs(slope) * (e_yr + _ROUND * abs(d_yr))
         return total, 2 / nu1 * err / abs(total) + _ROUND
 
-    sum1, err1 = bracket(1.0 / w2, wd - node, -1.0)
-    sum2, err2 = bracket(1.0, w2 * wd - c1 * node, -c1)
     with np.errstate(over="ignore", divide="ignore"):  # out of float64's range a moment is 0 or inf, refused below
+        sum1, err1 = bracket(1.0 / w2, wd - node, -1.0)
+        sum2, err2 = bracket(1.0, w2 * wd - c1 * node, -c1)
         f1, f2 = sum1 / beta, 1 / beta * sum2
     for i in (damping == 0).nonzero()[0]:
         gibbs = thermal_moments_decoupled(OscillatorParams(mass=1.0, frequency=w[i]), temperature, c)

@@ -103,6 +103,7 @@ def thermal_moments_decoupled(
     """Gibbs-state moments of the bare oscillator (exact decoupled limit).
 
     f1 = (hbar/2Mw) coth(hbar w / 2 kB T), f2 = (M hbar w / 2) coth(...).
+    Moments past float64's range raise NumericalFailure.
     """
     require_positive("temperature", temperature)
     hbar = np.float64(c.hbar)  # numpy arithmetic, so that a quotient past float64's range is 0 or inf, not an error

@@ -255,7 +255,8 @@ def accessible_info_lower(e: Ensemble, effort: int = 24) -> tuple[float, Povm]:
 def erasure_budget(e: Ensemble, temperature: float, c: Constants = Constants()) -> ErasureBudget:
     """Erasure heats for the sender, the receiver, and their difference.
 
-    q_shared = q_amy - q_martin = kB T chi by construction.
+    q_shared = q_amy - q_martin = kB T chi by construction. Its ``holevo_chi``
+    comes from the same entropies, so each von Neumann entropy is computed once.
     """
     require_positive("temperature", temperature)
     kt = c.kB * temperature

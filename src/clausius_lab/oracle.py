@@ -4,7 +4,9 @@ The bath is replaced by N explicit oscillators sampling the Drude-Ohmic
 spectral density J(u) = M gamma u wD^2/(u^2 + wD^2). The coupled quadratic
 Hamiltonian is diagonalized exactly and the reduced moments of the system
 oscillator are assembled from the normal-mode thermal variances. Nothing here
-shares code with :mod:`clausius_lab.bath`, which is the point.
+shares code with :mod:`clausius_lab.bath`, which is the point. A bath whose
+couplings, counter-term, squared mode frequencies, default ``omega_max`` or
+reduced moments leave float64's range raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def _flapack():
 
     An already loaded module is reused. Otherwise the extension is found in
     scipy's ``linalg`` directory without importing scipy, and registered under
-    its own name, so a later ``import scipy.linalg`` reuses it.
+    its own name, so a later ``import scipy.linalg`` reuses it. Its wrappers
+    are the objects ``scipy.linalg.get_lapack_funcs`` returns for float64.
     """
     module = sys.modules.get(_FLAPACK)
     if module is not None:
@@ -141,9 +144,11 @@ def _normal_modes(head, z, d) -> tuple[np.ndarray, np.ndarray]:
     and its workspace: ``dsytrd`` reduces S to a tridiagonal T = Q^T S Q, and
     ``dstemr`` gives T's eigenpairs. A lower Householder Q leaves the first row
     alone, so the weights need no back-transformation, and both outputs are
-    bit for bit those of ``scipy.linalg.eigh``. Both stages are certified:
-    each eigenpair of T by its residual, and the reduction by a fixed probe
-    ||S x - Q T Q^T x|| with ||x|| = 1.
+    bit for bit those of ``scipy.linalg.eigh``. Both stages are certified to
+    1e-10 of the matrix norm: each eigenpair of T by its residual, and the
+    reduction by a fixed probe ||S x - Q T Q^T x|| with ||x|| = 1. A nonzero
+    LAPACK status raises, with no fallback solve. The outputs' bits depend
+    on the BLAS thread count, within the certificate.
     """
     lapack = _flapack()  # on first use: only the oracle loads scipy, and only this extension of it
 
@@ -155,7 +160,7 @@ def _normal_modes(head, z, d) -> tuple[np.ndarray, np.ndarray]:
     n = stiffness.shape[0]
     # x_k = sin k: no entry is zero (k / pi is irrational), and its signs
     # change irregularly, so x is far from e_0 and from a sampled bath's
-    # coupling column, whose entries share one sign
+    # coupling column, whose entries share one sign. It needs no numpy.random
     x = np.sin(np.arange(1.0, n + 1))
     x /= np.linalg.norm(x)
     image = diagonal * x  # S x from the arrowhead's pieces, in O(N)

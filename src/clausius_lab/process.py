@@ -273,7 +273,8 @@ def _states(damping, o: OscillatorParams, b: BathSpec, c: Constants, check=None)
     gated gamma slopes.
 
     The kernel's refusal comes first, from the first round that refuses, a
-    state's before a node's; then the check's status and mismatch.
+    state's before a node's; then the check's status and mismatch. Every
+    process op takes its states, and its check, from this one function.
     """
     ends = damping.tolist()
     i, j = check or (0, 0)
@@ -381,14 +382,16 @@ def heat(
 def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants):
     """The moments f1 and f2 at the rows of a path's grid, each at its mass,
     the rows' states, and the heat up to each row by the trapezoid rule on
-    dQ/d alpha. Each heat's error estimate is its distance from the
-    closed-form heat of the path up to that row, plus the closed form's own
-    error bound. Moments or a rate past float64's range raise."""
+    dQ/d alpha, from one kernel call that takes the rows as states and, on a
+    path that moves through a damped row, again as slope nodes. Each heat's
+    error estimate is its distance from the closed-form heat of the path up
+    to that row, plus the closed form's own error bound. Moments or a rate
+    past float64's range raise."""
     alphas = path.values
     damping = _damping(path, o, b, alphas)
     mass = alphas if path.parameter == "mass" else o.mass
-    n, moves = alphas.size, path.start_value != path.end_value
-    g = np.tile(damping, 1 + moves)  # the rows as states, and as slope nodes if the path moves
+    n, moves = alphas.size, bool(path.start_value != path.end_value and damping.any())
+    g = np.tile(damping, 1 + moves)  # the rows as states, and as slope nodes if gamma moves
     nodes = np.arange(g.size) >= n
     out, work = _matsubara_moments(g, o.frequency, b.cutoff, b.temperature, c, free_energy=True, nodes=nodes)
     moments = _at_mass(out.f1[:n], out.f2[:n], mass, damping=damping, temperature=b.temperature)
@@ -403,7 +406,8 @@ def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants):
             # = 1 on a damping path and -gamma/M on a mass path. H_S does not
             # depend on gamma, and the work dF_MF/dgamma = (f2 - w^2 f1) /
             # (2 gamma) at M = 1 is exact from the moments, with its limit at
-            # gamma = 0
+            # gamma = 0: each log term of F_MF has the gamma slope nu wD / P(nu),
+            # and the f1 and f2 sums combine to the same sum
             gamma = np.where(damping > 0, damping, 1.0)
             dq = df2 / 2 + w2 * df1 / 2
             dq -= np.where(damping > 0, (f2 - w2 * f1) / (2 * gamma), (df2 - w2 * df1) / 2)

@@ -727,6 +727,15 @@ class TestMomentDerivatives:
             _matsubara_moments([1e-3, g], w, wd, t, C, nodes=[False, True])
         assert info.value.diagnostics.items() >= {"damping": g}.items()
 
+    def test_a_node_at_zero_damping_takes_the_same_slopes_in_any_call(self):
+        # alone, the node's call has no damped element, which gave it zero
+        # slopes; beside a damped state it took the closed form's, and the
+        # closed form is elementwise
+        alone, _ = _matsubara_moments([0.0], 1.0, 100.0, 0.05, C, nodes=True)
+        beside, _ = _matsubara_moments([1.0, 0.0], 1.0, 100.0, 0.05, C, nodes=[False, True])
+        assert [v[0] for v in alone] == [v[1] for v in beside]
+        assert alone.df1[0] < 0 < alone.df2[0]
+
     def test_the_gate_scales_each_slope_error_by_the_slope_or_its_floor(self, monkeypatch):
         # each node's slope error is gated within 1e-5 of max(|df|, 1e-3 |f| /
         # max(gamma, 1)). At T = 100, gamma = 100 the classical f1 barely moves

@@ -25,8 +25,11 @@ from clausius_lab import (
     composed_process,
     convergence_report,
     coupling_free_energy,
+    coupling_process,
     entropy,
+    entropy_change,
     erasure_budget,
+    heat,
     landauer_bound,
     mass_process,
     moments_matsubara,
@@ -165,7 +168,10 @@ def test_frequencies_scaled_far_down_end_in_a_value_or_numerical_failure(op, k):
 # valid inputs whose moments leave float64's range: f1 ~ 1/M overflows at a
 # subnormal mass, f2 ~ M kB T at M = 1e308, and at kB T / hbar w = 1e600
 # coth(hbar w / 2 kB T) does; each raised ValueError from Moments, most after
-# a numpy overflow warning, or ZeroDivisionError
+# a numpy overflow warning, or ZeroDivisionError. At w = 1e-155, w^2 is
+# subnormal and the closed form's 1/w^2 overflows, which warned before the
+# moments' range check refused it, in every op that evaluates the kernel
+SUBNORMAL_W2 = OscillatorParams(1.0, 1e-155), BathSpec(1.0, 0.5, 100.0)
 BEYOND_RANGE = {
     "moments_matsubara at M = 1e-310": lambda: moments_matsubara(
         OscillatorParams(1e-310, 1.0), BathSpec(1.0, 0.5, 100.0)
@@ -186,6 +192,17 @@ BEYOND_RANGE = {
     "thermal_moments_decoupled at T = 1e300, w = 1e-300": lambda: thermal_moments_decoupled(
         OscillatorParams(1.0, 1e-300), 1e300
     ),
+    "moments_matsubara at w = 1e-155": lambda: moments_matsubara(*SUBNORMAL_W2),
+    "coupling_free_energy at w = 1e-155": lambda: coupling_free_energy(*SUBNORMAL_W2),
+    "checked coupling_process at w = 1e-155": lambda: coupling_process(*SUBNORMAL_W2, 1.0),
+    "checked mass_process at w = 1e-155": lambda: mass_process(*SUBNORMAL_W2, 1.0),
+    "unchecked composed_process at w = 1e-155": lambda: composed_process(
+        *SUBNORMAL_W2, 1.0, check_consistency=False
+    ),
+    "entropy_change of a mass path at w = 1e-155": lambda: entropy_change(
+        ProcessPath("mass", 1.0, 2.0), *SUBNORMAL_W2
+    ),
+    "heat of a mass path at w = 1e-155": lambda: heat(ProcessPath("mass", 1.0, 2.0), *SUBNORMAL_W2),
 }
 # process ops whose moments at the mass left float64's range, which they
 # refused; a state depends on the mass only through gamma, so each returns

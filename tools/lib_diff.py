@@ -7,7 +7,7 @@ committed files are exported by ``ab_bench.export`` into
 ``.bench_build/<sha>/`` (gitignored); the change side is this checkout, as it
 stands on disk. Each side runs this script with ``--side`` in a fresh
 interpreter, with that side's ``src`` on PYTHONPATH, over one fixed scan of
-473 points (``points``): the acceptance grid (5 T x 5 gamma x 2 wD at the
+474 points (``points``): the acceptance grid (5 T x 5 gamma x 2 wD at the
 mass factors 0.5, 2 and 4), seeded log-spread points, seeded wide-range
 points, and fixed points at the closed form's edges and at strong coupling.
 At every point it calls each op of ``_ops``: the process ops, both moment
@@ -93,6 +93,7 @@ def points() -> list[tuple[float, float, float, float, float, float]]:
         (1.0, 1.0, 0.05, 917077450674293.1, 100.0, 2.0),
         (1.0, 1.0, 2787.270389510236, 435239845.9383163, 64090930.086138286, 2.0),
         (1.0, 1.0, 3.340889713911804e19, 5.540687671385791e53, 1.5433104480732924e21, 2.0),
+        (1.0, 1e-155, 1.0, 0.5, 100.0, 2.0),  # w^2 subnormal, where 1/w^2 overflows
     ]
     return scan
 
