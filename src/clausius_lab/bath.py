@@ -197,8 +197,7 @@ def _circle_sums(centre, coefs, scales, radius, nu1: float, wd, slopes: bool):
 
 
 class _Slopes(NamedTuple):
-    """Moments, their slopes along one parameter, and the absolute error of
-    each; from a kernel call without slope nodes, the moments alone."""
+    """The slope nodes' moments, their gamma slopes, and the absolute error of each."""
 
     f1: np.ndarray
     f2: np.ndarray
@@ -218,36 +217,36 @@ def _matsubara_moments(
     c: Constants,
     rel_tol: float = _TARGET_REL,
     free_energy: bool = False,
-    nodes=False,
+    nodes=(),
 ):
-    """f1 and f2 at M = 1 from the digamma closed form, elementwise over a 1-d
-    array of gamma and, per element or shared, w and wD, at one temperature.
-    At fixed gamma f1 ~ 1/M and f2 ~ M, so at the mass M they are f1/M and
-    M f2, and every other output is the same at any mass.
+    """f1 and f2 at M = 1 from the digamma closed form, elementwise over the
+    states ``damping`` and the slope ``nodes``, two 1-d arrays of gamma, at
+    one temperature; w and wD are shared, or given per row, the states' rows
+    before the nodes'. At fixed gamma f1 ~ 1/M and f2 ~ M, so at the mass M
+    they are f1/M and M f2, and every other output is the same at any mass.
 
-    Each element takes its own branch (a contour integral around close
-    roots, the generic divided differences, or gamma = 0) and its own
-    rounding gate: the first element whose estimate exceeds ``rel_tol`` raises.
-    Returns ``(_Slopes, free)``. ``nodes`` is a boolean mask of the slope
-    nodes (a scalar is broadcast). In a call with nodes the same roots and psi
-    values give every element's exact gamma derivatives, with their
+    Each row takes its own branch (a contour integral around close roots,
+    the generic divided differences, or gamma = 0) and its own rounding
+    gate: the first row whose estimate exceeds ``rel_tol`` raises. Returns
+    ``(f1, f2, free, slopes)``: the states' moments; with ``free_energy``
+    the states' coupling free energies as a list, from the same roots, else
+    None; and the nodes' ``_Slopes``, or None without nodes. The same roots
+    and psi values give each node's exact gamma derivatives, with their
     propagated rounding estimates: the generic rows differentiate their
     divided differences as the roots move, l' = -wD l / Q'(l) with Q(l) =
     l^3 - wD l^2 + c1 l - c0, and the contour rows their integrals. Only the
     nodes take the slopes' wider close-pair threshold, so that a process's
-    states can share a call with its quadrature nodes. Without nodes, the
-    other fields of the ``_Slopes`` are None. With ``free_energy`` the roots,
-    solved once, also give the coupling free energy of each element that is
-    no node, as the list ``free``. Those and their free energies are gated
-    before the nodes, whose moments are gated before their slopes: the first
-    node whose slope error exceeds 1e-5 of max(|df|, 1e-3 |f| / max(gamma,
-    1)) raises. A call with no damped element and no node gives the Gibbs
-    state at any cutoff; a node at gamma = 0 takes the closed form's slopes
-    there, whatever else is in its call.
+    states can share a call with its quadrature nodes. The states and their
+    free energies are gated before the nodes, whose moments are gated before
+    their slopes: the first node whose slope error exceeds 1e-5 of
+    max(|df|, 1e-3 |f| / max(gamma, 1)) raises. A call with no damped state
+    and no node gives the Gibbs state at any cutoff; a node at gamma = 0
+    takes the closed form's slopes there, whatever else is in its call.
     """
-    damping = np.asarray(damping, dtype=float)
-    nodes = np.full(damping.shape, nodes, dtype=bool)
-    slopes = bool(nodes.any())
+    n, nodes = len(damping), np.asarray(nodes, dtype=float)
+    states, at_nodes = slice(n), slice(n, None)  # the rows, the states' before the nodes'
+    slopes = nodes.size > 0
+    damping = np.concatenate([damping, nodes], dtype=float)
     w, wd = (np.full(damping.shape, v, dtype=float) for v in (frequency, cutoff))
     beta = 1.0 / (c.kB * temperature)
     nu1 = 2 * math.pi * c.kB * temperature / c.hbar
@@ -257,7 +256,7 @@ def _matsubara_moments(
     if not (damping.any() or slopes):  # decoupled: the Gibbs state, whatever the cutoff
         gibbs = [thermal_moments_decoupled(OscillatorParams(1.0, wi), temperature, c) for wi in w]
         f1, f2 = np.array([g.f1 for g in gibbs]), np.array([g.f2 for g in gibbs])
-        return _Slopes(f1, f2, *[None] * 6), [0.0] * f1.size if free_energy else None
+        return f1, f2, [0.0] * n if free_energy else None, None
     if not (wd <= _MAX_CUTOFF).all():
         message = f"cutoff beyond the closed form's range: wD exceeds {_MAX_CUTOFF:g}"
         refuse(message, ~(wd <= _MAX_CUTOFF), cutoff=wd, frequency=w)
@@ -267,17 +266,16 @@ def _matsubara_moments(
     # divided differences of psi(1 + l/nu1) over the roots, with rounding
     # errors; the close-root rows are replaced below. One psi call serves all
     # roots and the free energy's nodes
-    n = len(r)
+    size = len(r)
     args = _shifted(np.concatenate([r, y, x]), nu1)
-    own = ~nodes if slopes else slice(None)  # the elements that are no node; a slice if that is all, faster
     if free_energy:
-        points, h, gl_nodes = _coupling_steps(*(v[own].tolist() for v in (w, wd, damping, r, x, y)), nu1)
+        points, h, gl_nodes = _coupling_steps(*(v[states].tolist() for v in (w, wd, damping, r, x, y)), nu1)
         args = np.concatenate([args, 1 + gl_nodes.ravel()])
     p = psi(args)
-    pr, py, px = p[:n].real, p[n : 2 * n], p[2 * n : 3 * n]
+    pr, py, px = p[:size].real, p[size : 2 * size], p[2 * size : 3 * size]
     if slopes:  # psi' in l at each root
-        g1 = trigamma(args[: 3 * n]) / nu1
-        g1r, g1y, g1x = g1[:n], g1[n : 2 * n], g1[2 * n :]
+        g1 = trigamma(args[: 3 * size]) / nu1
+        g1r, g1y, g1x = g1[:size], g1[size : 2 * size], g1[2 * size :]
     with np.errstate(divide="ignore", invalid="ignore"):
         d_yr = (py - pr) / (y - r)
         e_yr = _ROUND * (abs(py) + abs(pr) + 2) / abs(y - r)
@@ -293,7 +291,7 @@ def _matsubara_moments(
     mid = wd / 3
     spread = np.maximum(np.maximum(abs(r - mid), abs(x - mid)), abs(y - mid))
     triple = 16 * spread <= nu1 + mid
-    pair = abs(x - y) <= np.where(nodes, _CLOSE_PAIR, _CONFLUENT) * (nu1 + m)
+    pair = abs(x - y) <= np.repeat([_CONFLUENT, _CLOSE_PAIR], [n, size - n]) * (nu1 + m)
     if pair.any():
         pair &= 16 * np.sqrt(abs(q)) <= abs(r - m)
     circle = (triple | pair).nonzero()[0]
@@ -347,18 +345,18 @@ def _matsubara_moments(
         gibbs = thermal_moments_decoupled(OscillatorParams(mass=1.0, frequency=w[i]), temperature, c)
         f1[i], f2[i], err1[i], err2[i] = gibbs.f1, gibbs.f2, 0.0, 0.0  # Gibbs: exempt from the bracket's gate
     free = None
-    for rows in (own, nodes) if slopes else (own,):  # no node first, and its free energy before the nodes
+    for rows in (states, at_nodes) if slopes else (states,):  # the states first, and their free energies
         require_accurate(
             "Matsubara closed form lost its accuracy to cancellation", rel_tol,
             {"achieved_rel_f1": err1[rows], "achieved_rel_f2": err2[rows]}, temperature=temperature,
             damping=damping[rows],
         )
         _require_in_range(f1[rows], f2[rows], damping=damping[rows], temperature=temperature)
-        if free_energy and rows is own:
-            psi_nodes = p[3 * n :].reshape(gl_nodes.shape)
-            free = _free_energies(points, h, gl_nodes, psi_nodes, len(damping[own]), temperature, c, rel_tol)
+        if free_energy and rows is states:
+            psi_nodes = p[3 * size :].reshape(gl_nodes.shape)
+            free = _free_energies(points, h, gl_nodes, psi_nodes, n, temperature, c, rel_tol)
     if not slopes:
-        return _Slopes(f1, f2, *[None] * 6), free
+        return f1, f2, free, None
 
     def bracket_slope(n_node, n_scale, dn_node, dn_scale, slope, dslope):
         # d/dgamma of N(node) psi[x, y, r] + N' ((l - node) psi)[x, y, r], the
@@ -392,20 +390,16 @@ def _matsubara_moments(
             w2 * wd - c1 * node, w2 * wd + c1 * abs(node), -wd * node - c1 * v_node,
             wd * abs(node) + c1 * abs(v_node), -c1, -wd,
         )
-        s = _Slopes(
-            f1, f2, ds1 / beta, 1 / beta * ds2,
-            err1 * f1, err2 * f2, e_ds1 / beta, 1 / beta * e_ds2,
-        )
+        fields = f1, f2, ds1 / beta, 1 / beta * ds2, err1 * f1, err2 * f2, e_ds1 / beta, 1 / beta * e_ds2
+        s = _Slopes(*(v[at_nodes] for v in fields))
         # each node's slope error within 1e-5 of max(|df|, 1e-3 |f| / max(gamma, 1))
-        scale = np.maximum(damping[nodes], 1.0)
+        scale = np.maximum(nodes, 1.0)
         rel = {
-            "df1_rel_error": s.df1_error[nodes] / np.maximum(abs(s.df1[nodes]), 1e-3 * f1[nodes] / scale),
-            "df2_rel_error": s.df2_error[nodes] / np.maximum(abs(s.df2[nodes]), 1e-3 * f2[nodes] / scale),
+            "df1_rel_error": s.df1_error / np.maximum(abs(s.df1), 1e-3 * s.f1 / scale),
+            "df2_rel_error": s.df2_error / np.maximum(abs(s.df2), 1e-3 * s.f2 / scale),
         }
-    require_accurate(
-        "moment derivative error estimate exceeds tolerance", 1e-5, rel, damping=damping[nodes]
-    )
-    return s, free
+    require_accurate("moment derivative error estimate exceeds tolerance", 1e-5, rel, damping=nodes)
+    return f1[states], f2[states], free, s
 
 
 def moments_matsubara(
@@ -431,8 +425,8 @@ def moments_matsubara(
     kernel, whose moments at M = 1 it scales to the mass M.
     """
     b.warn_if_cutoff_low(o)
-    s, _ = _matsubara_moments([b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol)
-    f1, f2 = _at_mass(s.f1, s.f2, o.mass, damping=b.damping, temperature=b.temperature)
+    f1, f2, _, _ = _matsubara_moments([b.damping], o.frequency, b.cutoff, b.temperature, c, rel_tol)
+    f1, f2 = _at_mass(f1, f2, o.mass, damping=b.damping, temperature=b.temperature)
     return Moments(f1=float(f1[0]), f2=float(f2[0]), cross=0.0)
 
 
@@ -653,5 +647,5 @@ def coupling_free_energy(o: OscillatorParams, b: BathSpec, c: Constants = Consta
     gates the rounding estimates of the point's moments and free energy.
     """
     b.warn_if_cutoff_low(o)
-    _, free = _matsubara_moments([b.damping], o.frequency, b.cutoff, b.temperature, c, free_energy=True)
+    _, _, free, _ = _matsubara_moments([b.damping], o.frequency, b.cutoff, b.temperature, c, free_energy=True)
     return free[0]

@@ -119,12 +119,18 @@ class _State:
 
 def _damping(path: ProcessPath, o: OscillatorParams, b: BathSpec, x):
     """gamma at values x of the path's parameter. A mass path holds the
-    microscopic coupling fixed, so gamma = gamma_ref M_ref / M: holding gamma
-    itself fixed would make the mass a pure prefactor and the mass step a
-    null process even at strong coupling."""
+    microscopic coupling fixed, so gamma = gamma_ref / (M / M_ref), which is
+    gamma_ref itself at M = M_ref: holding gamma itself fixed would make the
+    mass a pure prefactor and the mass step a null process even at strong
+    coupling. Where M / M_ref is below float64's normal range, and has lost
+    digits, gamma is M_ref gamma_ref / M."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # gamma past float64's range is inf, which the kernel refuses
-        return o.mass * b.damping / x if path.parameter == "mass" else x
+    if path.parameter == "damping":
+        return x
+    # gamma past float64's range is inf, which the kernel refuses; np.where drops the other form's inf or NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = x / o.mass
+        return np.where(ratio >= np.finfo(float).tiny, b.damping / ratio, o.mass * b.damping / x)
 
 
 def entropy_change(
@@ -165,22 +171,21 @@ def _ts_level(k: int):
     return xc, w
 
 
-def _tanh_sinh(a: float, b: float):
+def _tanh_sinh(a: float, b: float, f):
     """int_a^b f by tanh-sinh, to the tolerances of scipy's tanhsinh on the
-    error estimate of Bailey, Jeyabalan & Li (Exp. Math. 14, 317 (2005)), as
-    a level stepper, so that its first kernel call also takes the op's states.
+    error estimate of Bailey, Jeyabalan & Li (Exp. Math. 14, 317 (2005)).
 
     That estimate extrapolates the last three levels' sums, and before the
     rule converges it can fall far below the error. So a level's own error
     is bounded by its change from the level before, which is returned, and a
     level ends the quadrature only once that change is within a bound too.
-    The stepper yields a level's nodes, a 1-d array, and is sent back f's
-    values there, those values' errors and that bound. Its first yield holds
-    levels 0 to 2, each later one the next level; nodes that round onto an
-    end are skipped, and a level left without nodes is not yielded. Returns
-    the integral, its error bound, the integrand errors summed with the same
-    weights, the number of nodes, and a status: 0 converged, -2 not by level
-    10, -3 a non-finite value.
+    f takes a level's nodes, a 1-d array, and returns its values there,
+    those values' errors and that bound. Its first call takes levels 0 to 2,
+    each later one the next level; nodes that round onto an end are skipped,
+    and a level left without nodes makes no call. Returns the integral, its
+    error bound, the integrand errors summed with the same weights, the
+    number of nodes, and a status: 0 converged, -2 not by level 10, -3 a
+    non-finite value.
     """
     sign = 1.0
     if a > b:
@@ -198,7 +203,7 @@ def _tanh_sinh(a: float, b: float):
         valid = (w > 0) & (x > a) & (x < b)
         value, error = np.zeros_like(x), np.zeros_like(x)
         if valid.any():  # on a path a few ulps long every node may round onto an end
-            value[valid], error[valid], bound = yield x[valid]
+            value[valid], error[valid], bound = f(x[valid])
         evaluations += int(valid.sum())
         if not np.isfinite(value).all():
             return sign * (sums[-1] if sums else 0.0), math.nan, math.nan, evaluations, -3
@@ -279,33 +284,30 @@ def _states(damping, o: OscillatorParams, b: BathSpec, c: Constants, check=None)
     ends = damping.tolist()
     i, j = check or (0, 0)
     if not 0 < abs(ends[j] - ends[i]) < math.inf:  # no check, or a null or infinite interval
-        out, work = _matsubara_moments(damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True)
-        return _kernel_states(out, work, o, c), None
-    stepper, sent = _tanh_sinh(ends[i], ends[j]), None
-    states, lead, rounding = None, damping.size, 0.0  # rounding: the largest relative rounding of v at the nodes
-    while True:
-        try:
-            x = stepper.send(sent)
-        except StopIteration as stop:
-            outcome = stop.value
-            break
-        g = np.concatenate([damping[:lead], x])
-        out, work = _matsubara_moments(
-            g, o.frequency, b.cutoff, b.temperature, c, free_energy=states is None, nodes=np.arange(g.size) >= lead
+        f1, f2, work, _ = _matsubara_moments(damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True)
+        return _kernel_states(f1, f2, work, o, c), None
+    states, rounding = None, 0.0  # rounding: the largest relative rounding of v at the nodes
+
+    def level(x):  # the kernel at a level's nodes; its first call also takes the states
+        nonlocal states, rounding
+        first = states is None
+        f1, f2, work, s = _matsubara_moments(
+            damping if first else (), o.frequency, b.cutoff, b.temperature, c, free_energy=first, nodes=x
         )
-        if states is None:
-            states = _kernel_states(out, work, o, c)
-        value, error, rel = _integrand(_Slopes(*(v[lead:] for v in out)), c)
+        if first:
+            states = _kernel_states(f1, f2, work, o, c)
+        value, error, rel = _integrand(s, c)
         rounding = max(rounding, rel)
-        sent, lead = (value, error, _gate(states[i], states[j])), 0
+        return value, error, _gate(states[i], states[j])
+
+    outcome = _tanh_sinh(ends[i], ends[j], level)
     if states is None:  # every node rounded onto an end
         states = _states(damping, o, b, c)[0]
     return states, _checked_entropy_change(states[i], states[j], outcome, rounding)
 
 
-def _kernel_states(out: _Slopes, work, o: OscillatorParams, c: Constants) -> list[_State]:
-    """The states at the first len(work) elements of a kernel call, from its output out and work potentials work."""
-    f1, f2 = out.f1[: len(work)], out.f2[: len(work)]
+def _kernel_states(f1, f2, work, o: OscillatorParams, c: Constants) -> list[_State]:
+    """The states of a kernel call's moments f1 and f2 at M = 1 and work potentials work."""
     v = _symplectic_v(f1 * f2, c)
     energy = f2 / 2 + o.frequency**2 * f1 / 2  # mean_energy of each point, at M = 1 as at any mass
     return [_State(v_i, entropy(v_i), u, w) for v_i, u, w in zip(v.tolist(), energy.tolist(), work)]
@@ -390,15 +392,15 @@ def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants):
     alphas = path.values
     damping = _damping(path, o, b, alphas)
     mass = alphas if path.parameter == "mass" else o.mass
-    n, moves = alphas.size, bool(path.start_value != path.end_value and damping.any())
-    g = np.tile(damping, 1 + moves)  # the rows as states, and as slope nodes if gamma moves
-    nodes = np.arange(g.size) >= n
-    out, work = _matsubara_moments(g, o.frequency, b.cutoff, b.temperature, c, free_energy=True, nodes=nodes)
-    moments = _at_mass(out.f1[:n], out.f2[:n], mass, damping=damping, temperature=b.temperature)
-    states = _kernel_states(out, work, o, c)
+    moves = bool(path.start_value != path.end_value and damping.any())
+    f1, f2, work, slopes = _matsubara_moments(
+        damping, o.frequency, b.cutoff, b.temperature, c, free_energy=True, nodes=damping if moves else ()
+    )
+    moments = _at_mass(f1, f2, mass, damping=damping, temperature=b.temperature)
+    states = _kernel_states(f1, f2, work, o, c)
     dq = np.zeros(alphas.shape)
     if moves:
-        f1, f2, df1, df2, *_ = (v[n:] for v in out)
+        f1, f2, df1, df2, *_ = slopes
         w2 = o.frequency**2
         with np.errstate(over="ignore", invalid="ignore"):
             # U and F_MF depend on (M, gamma) only through gamma, so dQ/d alpha
@@ -413,7 +415,7 @@ def _sweep(path: ProcessPath, o: OscillatorParams, b: BathSpec, c: Constants):
             dq -= np.where(damping > 0, (f2 - w2 * f1) / (2 * gamma), (df2 - w2 * df1) / 2)
             dq *= -damping / mass if path.parameter == "mass" else 1.0
         if not np.isfinite(dq).all():
-            refuse("heat rate beyond float64's range", ~np.isfinite(dq), row=np.arange(n), alpha=alphas)
+            refuse("heat rate beyond float64's range", ~np.isfinite(dq), row=np.arange(alphas.size), alpha=alphas)
     heats = []
     q = 0.0
     for i, s in enumerate(states):

@@ -174,8 +174,8 @@ class TestArrayKernel:
     def test_array_equals_one_point_calls(self, temperature):
         points = mixed_branch_points()
         mass, damping, w, wd = (np.array(col) for col in zip(*points))
-        s, free = _matsubara_moments(damping, w, wd, temperature, C, free_energy=True)
-        for (m, g, freq, cutoff), a1, a2, a3 in zip(points, s.f1 / mass, mass * s.f2, free):
+        f1, f2, free, _ = _matsubara_moments(damping, w, wd, temperature, C, free_energy=True)
+        for (m, g, freq, cutoff), a1, a2, a3 in zip(points, f1 / mass, mass * f2, free):
             o, b = OscillatorParams(m, freq), BathSpec(temperature, g, cutoff)
             ref = moments_matsubara(o, b, C)
             assert abs(a1 - ref.f1) <= 4 * np.spacing(ref.f1)
@@ -526,7 +526,7 @@ class TestWideBand:
             moments_matsubara,
             coupling_free_energy,
             lambda o, b: composed_process(o, b, b.temperature, C, check_consistency=False),
-            lambda o, b: _matsubara_moments([0.0, b.damping], o.frequency, b.cutoff, b.temperature, C, nodes=True),
+            lambda o, b: _matsubara_moments((), o.frequency, b.cutoff, b.temperature, C, nodes=[0.0, b.damping]),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -663,14 +663,14 @@ def test_near_confluent_moments_within_their_estimates(point):
     # slope-reading kernel call returns with the moments
     temperature, damping, cutoff = point
     f1, f2, _ = mpmath_referee(temperature, damping, cutoff)
-    s, _ = _matsubara_moments([damping], 1.0, cutoff, temperature, C, nodes=True)
+    s = _matsubara_moments((), 1.0, cutoff, temperature, C, nodes=[damping])[3]
     assert abs(s.f1[0] - f1) <= s.f1_error[0]
     assert abs(s.f2[0] - f2) <= s.f2_error[0]
 
 
 def slopes_at(b):
     """The kernel's gamma slopes at the reference point, one slope node, as floats."""
-    s, _ = _matsubara_moments([b.damping], OSC.frequency, b.cutoff, b.temperature, C, nodes=True)
+    s = _matsubara_moments((), OSC.frequency, b.cutoff, b.temperature, C, nodes=[b.damping])[3]
     return s._make(float(v[0]) for v in s)
 
 
@@ -720,20 +720,20 @@ class TestMomentDerivatives:
     def test_the_kernel_gates_the_slopes_of_its_nodes_only(self):
         # the flagship scaled by 2^-350, where the moments pass their gate
         # and the gamma slopes leave float64's range: a node there is refused,
-        # naming its damping, and an element that is no node is not
+        # naming its damping, and a state is not
         w, t, g, wd = (math.ldexp(v, -350) for v in (1.0, 0.05, 5.0, 100.0))
-        _matsubara_moments([g, 1e-3], w, wd, t, C, nodes=[False, True])
+        _matsubara_moments([g], w, wd, t, C, nodes=[1e-3])
         with pytest.raises(NumericalFailure, match="moment derivative error estimate exceeds tolerance") as info:
-            _matsubara_moments([1e-3, g], w, wd, t, C, nodes=[False, True])
+            _matsubara_moments([1e-3], w, wd, t, C, nodes=[g])
         assert info.value.diagnostics.items() >= {"damping": g}.items()
 
     def test_a_node_at_zero_damping_takes_the_same_slopes_in_any_call(self):
         # alone, the node's call has no damped element, which gave it zero
         # slopes; beside a damped state it took the closed form's, and the
         # closed form is elementwise
-        alone, _ = _matsubara_moments([0.0], 1.0, 100.0, 0.05, C, nodes=True)
-        beside, _ = _matsubara_moments([1.0, 0.0], 1.0, 100.0, 0.05, C, nodes=[False, True])
-        assert [v[0] for v in alone] == [v[1] for v in beside]
+        alone = _matsubara_moments((), 1.0, 100.0, 0.05, C, nodes=[0.0])[3]
+        beside = _matsubara_moments([1.0], 1.0, 100.0, 0.05, C, nodes=[0.0])[3]
+        assert [v.tolist() for v in alone] == [v.tolist() for v in beside]
         assert alone.df1[0] < 0 < alone.df2[0]
 
     def test_the_gate_scales_each_slope_error_by_the_slope_or_its_floor(self, monkeypatch):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -148,20 +149,39 @@ class TestEntropyChange:
         big_a = (d1 - d2) / 4
         assert math.log(d1) ** 2 / math.log(d2) > math.log(np.finfo(float).max)
         values = {1 - xc[1]: big_a / (w[1] * h), 1 - xc[9]: (d1 - big_a) / (w[9] * h)}
-        stepper = process._tanh_sinh(-1.0, 1.0)
-        x = next(stepper)
-        assert all((x == node).sum() == 1 for node in values)
-        sent = np.array([values.get(node, 0.0) for node in x.tolist()])
+        calls = []
+
+        def f(x):  # the two nodes of the first call take their values, every other node 0
+            calls.append(x)
+            if len(calls) > 1:
+                return np.zeros_like(x), np.zeros_like(x), 0.0
+            assert all((x == node).sum() == 1 for node in values)
+            return np.array([values.get(node, 0.0) for node in x.tolist()]), np.zeros_like(x), 0.0
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            try:
-                while True:
-                    x = stepper.send((sent, np.zeros_like(sent), 0.0))
-                    sent = np.zeros_like(x)
-            except StopIteration as stop:
-                outcome = stop.value
-        _, error, _, _, status = outcome
+            _, error, _, _, status = process._tanh_sinh(-1.0, 1.0, f)
         assert status == -2 and math.isfinite(error)
+
+    @pytest.mark.parametrize(
+        "a, b, f, exact",
+        [(0.0, 1.0, np.log, -1.0), (0.0, 1.0, lambda x: x**-0.5, 2.0), (1.0, 0.0, np.log, 1.0)],
+        ids=["log", "inverse-sqrt", "reversed-log"],
+    )
+    def test_the_quadrature_integrates_end_singularities_within_its_bound(self, a, b, f, exact):
+        # integrable singularities at an end, where the nodes crowd: levels 0
+        # to 2, in one call of the integrand, converge within their bound, and
+        # a unit integrand error propagates as the rule's integral of 1
+        calls = []
+
+        def integrand(x):
+            calls.append(x)
+            return f(x), np.ones_like(x), process._CONSISTENCY_TOL
+
+        value, error, propagated, evaluations, status = process._tanh_sinh(a, b, integrand)
+        assert status == 0 and len(calls) == 1 and evaluations == calls[0].size
+        assert abs(value - exact) <= error
+        assert propagated == pytest.approx(1.0, rel=1e-12)
 
     def test_a_check_over_a_wide_log_range_converges(self):
         # the seeded point whose extrapolation overflowed: it refused while
@@ -210,9 +230,11 @@ class TestEntropyChange:
     def test_quadrature_failure_raises_with_diagnostics(self, monkeypatch, fake, status):
         # a kernel whose every point has f1 = f2 = df2/dgamma = 1, exactly,
         # and df1/dgamma = fake(gamma)
-        def kernel(damping, *args, **kwargs):
-            ones = np.ones_like(damping)
-            return bath._Slopes(ones, ones, fake(damping), ones, *(0 * ones,) * 4), [0.0, 0.0]
+        def kernel(damping, *args, nodes=(), **kwargs):
+            ones = np.ones_like(nodes)
+            return np.ones(len(damping)), np.ones(len(damping)), [0.0, 0.0], bath._Slopes(
+                ones, ones, fake(nodes), ones, *(0 * ones,) * 4
+            )
 
         monkeypatch.setattr(process, "_matsubara_moments", kernel)
         b = BathSpec(temperature=1.0, damping=1.0, cutoff=50.0)
@@ -390,6 +412,27 @@ class TestComposedProcess:
         assert total.delta_entropy == pytest.approx(step1.delta_entropy + step2.delta_entropy, abs=1e-12)
         assert total.heat == pytest.approx(step1.heat + step2.heat, abs=1e-12)
 
+    def test_coupling_first_restores_clausius_wherever_the_mass_step_violates_it(self):
+        # the paper's claim over a log-wide scan at M = w = 1: no op refuses,
+        # the mass step alone books Q > kB T dS at some points, and the
+        # composed process satisfies the inequality at every point
+        rng = random.Random(38)
+
+        def draw(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        violations = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                t = draw(1e-3, 1e3)
+                b, k = BathSpec(t, draw(1e-4, 1e3), draw(10.0, 1e3)), draw(1e-2, 1e2)
+                mass_step = mass_process(OSC, b, t, C, k, check_consistency=False)
+                total = composed_process(OSC, b, t, C, k, check_consistency=False)
+                assert total.clausius_satisfied, (b, k, total)
+                violations += mass_step.slack < -process.CLAUSIUS_TOL
+        assert violations > 0
+
 
 @pytest.mark.parametrize("op", [coupling_process, mass_process, composed_process])
 def test_temperature_other_than_the_baths_raises(op):
@@ -453,10 +496,9 @@ def _refusing_kernel(monkeypatch, refuse):
     real call whenever refuse(damping, nodes, free_energy) gives a name."""
     kernel = process._matsubara_moments
 
-    def fake(damping, *args, free_energy=False, nodes=False):
+    def fake(damping, *args, free_energy=False, nodes=()):
         out = kernel(damping, *args, free_energy=free_energy, nodes=nodes)
-        nodes = np.broadcast_to(nodes, np.shape(damping))
-        name = refuse(np.asarray(damping), nodes, free_energy)
+        name = refuse(np.asarray(damping), np.asarray(nodes), free_energy)
         if name:
             raise NumericalFailure(name)
         return out
@@ -481,9 +523,7 @@ def test_a_refusing_state_is_raised_before_a_refusing_node(state_damping, messag
     # at gamma = 5e-324, and the node's f1 ~ kB T / w^2 leaves float64's
     # range at w = 1e-153; each refusal names its own row
     with pytest.raises(NumericalFailure, match=message) as info:
-        bath._matsubara_moments(
-            [state_damping, 0.25], [1.0, 1e-153], 100.0, 1e3, C, free_energy=True, nodes=[False, True]
-        )
+        bath._matsubara_moments([state_damping], [1.0, 1e-153], 100.0, 1e3, C, free_energy=True, nodes=[0.25])
     assert info.value.diagnostics.items() >= at.items()
 
 
@@ -494,7 +534,7 @@ def test_a_refusal_costs_no_further_kernel_call(monkeypatch):
 
     def refuse(damping, nodes, free):
         calls.append(free)
-        return "node" if nodes.any() else None
+        return "node" if nodes.size else None
 
     _refusing_kernel(monkeypatch, refuse)
     with pytest.raises(NumericalFailure, match="node"):
@@ -503,12 +543,12 @@ def test_a_refusal_costs_no_further_kernel_call(monkeypatch):
 
 
 def _kernel_calls(monkeypatch):
-    """The process's kernel, patched to record each call's dampings and node mask."""
+    """The process's kernel, patched to record each call's states and nodes, as dampings."""
     calls = []
     kernel = process._matsubara_moments
 
-    def record(damping, *args, free_energy=False, nodes=False):
-        calls.append((np.asarray(damping), np.broadcast_to(nodes, np.shape(damping))))
+    def record(damping, *args, free_energy=False, nodes=()):
+        calls.append((np.asarray(damping), np.asarray(nodes)))
         return kernel(damping, *args, free_energy=free_energy, nodes=nodes)
 
     monkeypatch.setattr(process, "_matsubara_moments", record)
@@ -536,14 +576,13 @@ def test_each_op_checks_the_one_entropy_change_it_reports(monkeypatch, op, state
     op(OSC, FLAGSHIP)
     assert len(calls) == rounds
     damping, nodes = calls[0]
-    first = next(process._tanh_sinh(*interval))
-    n = len(states)
-    assert damping[:n].tolist() == states
-    assert damping[n:].tolist() == first.tolist()
-    assert nodes.tolist() == [False] * n + [True] * first.size
+    first = []
+    process._tanh_sinh(*interval, lambda x: first.append(x) or (np.zeros_like(x), np.zeros_like(x), 0.0))
+    assert damping.tolist() == states
+    assert nodes.tolist() == first[0].tolist()
     lo, hi = sorted(interval)
     for damping, nodes in calls[1:]:
-        assert nodes.all() and ((lo < damping) & (damping < hi)).all()
+        assert damping.size == 0 and ((lo < nodes) & (nodes < hi)).all()
 
 
 def _outcome(op):
@@ -611,6 +650,34 @@ def test_every_process_op_books_the_same_bits_at_2_to_the_j_times_the_mass(mass,
     ops = zip(_ops_at(OscillatorParams(mass, 1.0), b, k), _ops_at(OscillatorParams(math.ldexp(mass, j), 1.0), b, k))
     for op, scaled in ops:
         assert _bits(_outcome(op)) == _bits(_outcome(scaled))
+
+
+@pytest.mark.parametrize("mass, damping, k", [(3.0, 0.1, 2.0), (3.0, 0.1, 3.0), (1.7, 2.3, 2.0)])
+@pytest.mark.parametrize("checked", [True, False])
+def test_a_mass_path_books_the_mass_step_of_its_bath(mass, damping, k, checked):
+    # the path M -> kM starts at the bath's own damping: gamma_ref M_ref / M
+    # formed as M gamma_ref / M rounded there (0.10000000000000002 at M = 3,
+    # gamma = 0.1), and the path's dS and Q missed the mass step's
+    o, b = OscillatorParams(mass, 1.0), BathSpec(0.05, damping, 100.0)
+    path = ProcessPath("mass", mass, k * mass)
+    step = mass_process(o, b, b.temperature, C, k, checked)
+    assert entropy_change(path, o, b, C, checked).value == step.delta_entropy
+    assert heat(path, o, b, C).value == step.heat
+
+
+@pytest.mark.parametrize("start", [1e-20, 1e-30])
+@pytest.mark.parametrize("damping", [1e-300, 0.0])
+def test_a_mass_path_far_below_the_oscillators_mass_books_its_own_dampings(start, damping):
+    # at M = 1e300 the path's x / M is subnormal at x = 1e-20, where
+    # gamma_ref / (x / M) was 1.1e-5 off, and 0 at 1e-30, where it was 0 / 0
+    # at gamma_ref = 0: the path books what a path from the oscillator's own
+    # mass books at the same dampings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        o, b = OscillatorParams(1e300, 1.0), BathSpec(1.0, damping, 100.0)
+        far = heat(ProcessPath("mass", start, 2 * start), o, b, C)
+        near = heat(ProcessPath("mass", 1.0, 2.0), OSC, BathSpec(1.0, 1e300 * damping / start, 100.0), C)
+    assert far == near
 
 
 @pytest.mark.parametrize(

@@ -20,9 +20,10 @@ on each side), and of the base side's refusals that became values, by type,
 message and diagnostic names, then per side the number of checked ``EntropyChange``
 results whose error estimate is below their mismatch, which it should
 bound, and last, for each checked op, the kernel calls and kernel points
-(elements of ``process._matsubara_moments``' calls, states and quadrature
-nodes alike, counted alike whether or not the kernel takes a mass) that it
-made over the whole scan on each side; the exit code
+(rows of ``process._matsubara_moments``' calls, states and quadrature
+nodes alike, counted alike whether the kernel takes its nodes as a second
+array of dampings or as a boolean mask over its first) that it made over
+the whole scan on each side; the exit code
 is 1 if any call differs, 0 otherwise.
 """
 
@@ -159,10 +160,11 @@ def scan_side() -> None:
     kernel = lab.process._matsubara_moments
 
     def counted(*args, **kwargs):  # booked to the op the loop below is calling, ``name``
-        # the points are the longer of the first two arguments: (mass, damping)
-        # or (damping, frequency), whichever the side's kernel takes
+        # the points are the states plus the nodes: a kernel that takes its
+        # nodes as a boolean mask over its first argument holds them there
+        nodes = np.asarray(kwargs.get("nodes", ()))
         calls, size = work[name]
-        work[name] = calls + 1, size + max(np.size(args[0]), np.size(args[1]))
+        work[name] = calls + 1, size + np.size(args[0]) + (0 if nodes.dtype == bool else nodes.size)
         return kernel(*args, **kwargs)
 
     lab.process._matsubara_moments = counted
